@@ -15,10 +15,9 @@ and truncation above the dimension of the underlying space.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-_ring_counter = itertools.count()
+from .lincomb import LinComb, add_term, format_sum, fraction, merge_monos, mono_str
 
 KIND_UNIT = "unit"
 KIND_CANONICAL = "canonical"
@@ -47,7 +46,6 @@ class Ring:
     """A ring instance; symbols and relations are fixed at construction."""
 
     def __init__(self, label, dim, symbols, psi_of=None):
-        self.ring_id = next(_ring_counter)
         self.label = label
         self.dim = dim  # dimension of the underlying space; higher degrees vanish
         self.symbols = {}
@@ -102,11 +100,15 @@ class Ring:
             return None
         return sign, mono
 
+    def merge(self, m1, m2):
+        """Canonical (sign, monomial) of the product of two monomials, or None if zero."""
+        return self.normalize_monomial(merge_monos(m1, m2))
+
     def __repr__(self):
         return "Ring(%s, dim=%d)" % (self.label, self.dim)
 
 
-class BaseClass:
+class BaseClass(LinComb):
     """Finite Q-linear combination of canonical monomials of one ring.
 
     Mixed degrees are allowed (total Chern classes); graded pieces are
@@ -114,70 +116,49 @@ class BaseClass:
     """
 
     __slots__ = ("ring", "terms")
+    _space = ("ring",)
 
     def __init__(self, ring, terms=None):
         self.ring = ring
         self.terms = {}
         if terms:
             for mono, coeff in terms.items():
-                self._add(mono, Fraction(coeff))
-        self.terms = {m: c for m, c in self.terms.items() if c}
-
-    def _add(self, mono, coeff):
-        if not coeff:
-            return
-        norm = self.ring.normalize_monomial(mono)
-        if norm is None:
-            return
-        sign, mono = norm
-        self.terms[mono] = self.terms.get(mono, Fraction(0)) + sign * coeff
+                norm = ring.normalize_monomial(mono)
+                if norm is not None:
+                    add_term(self.terms, norm[1], norm[0] * fraction(coeff))
 
     @staticmethod
     def unit(ring, coeff=1):
-        return BaseClass(ring, {(): Fraction(coeff)})
+        return BaseClass(ring, {(): coeff})
 
     @staticmethod
     def gen(ring, name, coeff=1):
-        return BaseClass(ring, {((name, 1),): Fraction(coeff)})
+        return BaseClass(ring, {((name, 1),): coeff})
 
     @staticmethod
     def zero(ring):
         return BaseClass(ring)
 
-    def is_zero(self):
-        return not self.terms
-
     def _check(self, other):
-        if self.ring.ring_id != other.ring.ring_id:
+        if self.ring is not other.ring:
             raise ValueError("mixed rings: %s vs %s" % (self.ring.label, other.ring.label))
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        out = BaseClass(self.ring, self.terms)
-        for mono, coeff in other.terms.items():
-            out._add(mono, coeff)
-        out.terms = {m: c for m, c in out.terms.items() if c}
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BaseClass(self.ring, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction)):
+            return BaseClass.unit(self.ring, other)
+        return other if isinstance(other, BaseClass) else NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return BaseClass(self.ring, {m: c * other for m, c in self.terms.items()})
+            return self.scale(other)
         self._check(other)
-        out = BaseClass(self.ring)
+        out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                out._add(_merge(m1, m2), c1 * c2)
-        out.terms = {m: c for m, c in out.terms.items() if c}
-        return out
+                norm = self.ring.merge(m1, m2)
+                if norm is not None:
+                    add_term(out, norm[1], norm[0] * c1 * c2)
+        return self._like(out)
 
     __rmul__ = __mul__
 
@@ -187,22 +168,8 @@ class BaseClass:
             out = out * self
         return out
 
-    def _coerce(self, other):
-        if isinstance(other, BaseClass):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return BaseClass.unit(self.ring, other)
-        raise TypeError("cannot coerce %r" % (other,))
-
-    def __eq__(self, other):
-        if not isinstance(other, BaseClass):
-            return NotImplemented
-        return self.ring.ring_id == other.ring.ring_id and self.terms == other.terms
-
     def graded_part(self, d):
-        return BaseClass(
-            self.ring, {m: c for m, c in self.terms.items() if self.ring.degree(m) == d}
-        )
+        return self._like({m: c for m, c in self.terms.items() if self.ring.degree(m) == d})
 
     def max_degree(self):
         return max((self.ring.degree(m) for m in self.terms), default=0)
@@ -212,36 +179,10 @@ class BaseClass:
         return sorted(self.terms.items())
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for mono, coeff in self.monomials():
-            body = "*".join(n if p == 1 else "%s^%d" % (n, p) for n, p in mono) or "1"
-            if coeff == 1:
-                pieces.append(body)
-            elif coeff == -1:
-                pieces.append("-" + body)
-            else:
-                pieces.append("%s*%s" % (coeff, body))
-        text = pieces[0]
-        for piece in pieces[1:]:
-            text += " - " + piece[1:] if piece.startswith("-") else " + " + piece
-        return text
+        return format_sum([(mono_str(mono), c) for mono, c in self.monomials()])
 
     def __repr__(self):
         return "BaseClass<%s>(%s)" % (self.ring.label, self)
-
-
-def _merge(m1, m2):
-    powers = dict(m1)
-    for name, p in m2:
-        powers[name] = powers.get(name, 0) + p
-    return tuple(sorted(powers.items()))
-
-
-def multiply(a: BaseClass, b: BaseClass) -> BaseClass:
-    """Graded product in canonical relation-closed form."""
-    return a * b
 
 
 def section_power(ring: Ring, theta: str, r: int) -> BaseClass:

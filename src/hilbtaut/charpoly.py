@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .lincomb import LinComb, add_term, format_sum, fraction, merge_monos, mono_str
+
 # Preferred display order for the standard character symbols; everything else
 # sorts alphabetically after these.
 _SYMBOL_ORDER = ["b", "d", "g", "L2", "Lomega", "omega2", "sigma", "twogm2", "tauL"]
@@ -22,7 +24,7 @@ def _symbol_key(name):
         return (1, 0, name)
 
 
-class CharPoly:
+class CharPoly(LinComb):
     """Polynomial in named character symbols with exact rational coefficients.
 
     Immutable in practice: all operations return new instances.  A monomial is
@@ -31,86 +33,57 @@ class CharPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    self.terms[mono] = self.terms.get(mono, Fraction(0)) + coeff
-            self.terms = {m: c for m, c in self.terms.items() if c}
-
     @staticmethod
     def const(value):
-        value = Fraction(value)
-        return CharPoly({(): value} if value else {})
+        return CharPoly({(): value})
 
     @staticmethod
     def symbol(name, power=1):
         if power == 0:
             return CharPoly.const(1)
-        return CharPoly({((name, power),): Fraction(1)})
+        return CharPoly({((name, power),): 1})
 
     @staticmethod
     def zero():
-        return CharPoly({})
+        return CharPoly()
 
-    def is_zero(self):
-        return not self.terms
+    def _coerce(self, other):
+        return _coerce(other)
 
     def is_constant(self):
-        return not self.terms or set(self.terms) == {()}
+        return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("polynomial is not constant: %s" % self)
         return self.terms.get((), Fraction(0))
 
-    def __add__(self, other):
-        other = _coerce(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
-        return CharPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CharPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
         other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_constant():
+            return self.scale(other.terms.get((), 0))
+        if self.is_constant():
+            return other.scale(self.terms.get((), 0))
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = _merge(m1, m2)
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return CharPoly(out)
+                add_term(out, merge_monos(m1, m2), c1 * c2)
+        return self._like(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        scalar = Fraction(scalar)
-        return CharPoly({m: c / scalar for m, c in self.terms.items()})
+        return self.scale(1 / fraction(scalar))
 
     def __pow__(self, n):
         out = CharPoly.const(1)
         for _ in range(n):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        try:
-            other = _coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -125,7 +98,7 @@ class CharPoly:
                     term = term * (_coerce(bindings[name]) ** power)
                 else:
                     term = term * CharPoly.symbol(name, power)
-            out = out + term
+            out.accumulate(term)
         return out
 
     def symbols(self):
@@ -142,26 +115,7 @@ class CharPoly:
         return sorted(self.terms.items(), key=lambda item: mono_key(item[0]))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for mono, coeff in self._sorted_terms():
-            factors = "*".join(
-                name if power == 1 else "%s^%d" % (name, power) for name, power in mono
-            )
-            if not factors:
-                body = str(coeff)
-            elif coeff == 1:
-                body = factors
-            elif coeff == -1:
-                body = "-" + factors
-            else:
-                body = "%s*%s" % (coeff, factors)
-            pieces.append(body)
-        text = pieces[0]
-        for piece in pieces[1:]:
-            text += " - " + piece[1:] if piece.startswith("-") else " + " + piece
-        return text
+        return format_sum([(mono_str(mono, ""), c) for mono, c in self._sorted_terms()])
 
     def __repr__(self):
         return "CharPoly(%s)" % self
@@ -172,11 +126,4 @@ def _coerce(value):
         return value
     if isinstance(value, (int, Fraction)):
         return CharPoly.const(value)
-    raise TypeError("cannot coerce %r to CharPoly" % (value,))
-
-
-def _merge(m1, m2):
-    powers = dict(m1)
-    for name, p in m2:
-        powers[name] = powers.get(name, 0) + p
-    return tuple(sorted(powers.items()))
+    return NotImplemented

@@ -18,35 +18,31 @@ from math import comb, factorial
 from .basering import BaseClass
 from .charpoly import CharPoly
 from .family import FamilyDescriptor
+from .lincomb import LinComb, add_term
 from .partitions import enumerate_distributions
 from .tautmod import TautClass, gamma_action, integrate, base_monomial_mult
-from .transfer import transfer, segre_contact_step
+from .transfer import transfer
 
 # -- polynomial expressions on the full flag ---------------------------------------
 
 
-class WExpression:
+class WExpression(LinComb):
     """Polynomial in L_1..L_m and the discriminant pullbacks of degrees 2..m.
 
     Exponent keys are tuples (a_1..a_m, k_2..k_m); all coefficients exact.
     """
 
     __slots__ = ("m", "terms")
+    _space = ("m",)
 
     def __init__(self, m, terms=None):
         self.m = m
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[key] = self.terms.get(key, Fraction(0)) + c
-            self.terms = {k: c for k, c in self.terms.items() if c}
+        LinComb.__init__(self, terms)
 
     @staticmethod
     def const(m, value=1):
         key = tuple([0] * (2 * m - 1))
-        return WExpression(m, {key: Fraction(value)})
+        return WExpression(m, {key: value})
 
     @staticmethod
     def L(m, i):
@@ -54,7 +50,7 @@ class WExpression:
             raise ValueError("L index out of range")
         key = [0] * (2 * m - 1)
         key[i - 1] = 1
-        return WExpression(m, {tuple(key): Fraction(1)})
+        return WExpression(m, {tuple(key): 1})
 
     @staticmethod
     def G(m, i):
@@ -65,30 +61,15 @@ class WExpression:
             return WExpression(m)
         key = [0] * (2 * m - 1)
         key[m + i - 2] = 1
-        return WExpression(m, {tuple(key): Fraction(1)})
-
-    def __add__(self, other):
-        out = WExpression(self.m, self.terms)
-        for key, c in other.terms.items():
-            out.terms[key] = out.terms.get(key, Fraction(0)) + c
-        out.terms = {k: c for k, c in out.terms.items() if c}
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return WExpression(self.m, {k: cc * c for k, cc in self.terms.items()})
+        return WExpression(m, {tuple(key): 1})
 
     def __mul__(self, other):
-        out = WExpression(self.m)
+        self._check(other)
+        out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                out.terms[key] = out.terms.get(key, Fraction(0)) + c1 * c2
-        out.terms = {k: c for k, c in out.terms.items() if c}
-        return out
+                add_term(out, tuple(a + b for a, b in zip(k1, k2)), c1 * c2)
+        return self._like(out)
 
     def __pow__(self, n):
         out = WExpression.const(self.m)
@@ -97,13 +78,10 @@ class WExpression:
         return out
 
     def degree_part(self, d):
-        return WExpression(self.m, {k: c for k, c in self.terms.items() if sum(k) == d})
+        return self._like({k: c for k, c in self.terms.items() if sum(k) == d})
 
     def max_degree(self):
         return max((sum(k) for k in self.terms), default=0)
-
-    def __eq__(self, other):
-        return isinstance(other, WExpression) and self.m == other.m and self.terms == other.terms
 
     def __repr__(self):
         bits = []
@@ -145,7 +123,7 @@ def pushdown(fam: FamilyDescriptor, expr: WExpression) -> TautClass:
     """Sum the per-monomial flag pushdowns (m! times the Hilbert-scheme class)."""
     total = TautClass.zero(fam, expr.m)
     for key, c in expr.terms.items():
-        total = total + push_monomial(fam, expr.m, key).scale(c)
+        total.accumulate(push_monomial(fam, expr.m, key), c)
     return total
 
 
@@ -240,7 +218,7 @@ def chern_closed_form(fam: FamilyDescriptor, m) -> TautClass:
         for n, k in mu.mult:
             coeff *= (Fraction((-1) ** (n - 1), n)) ** k
         pairs = [(n, one_plus_l) for n in mu.parts()]
-        total = total + TautClass.from_twists(fam, m, pairs, coeff=coeff)
+        total.accumulate(TautClass.from_twists(fam, m, pairs, coeff=coeff))
     return total
 
 
@@ -326,11 +304,6 @@ def single_curve_trisecant_formula(chars=None) -> CharPoly:
 # -- contact loci and double points ---------------------------------------------------
 
 
-def mcontact_segre(fam: FamilyDescriptor, m):
-    """Recursion step for the locus of m-contact hyperplanes (punctual class)."""
-    return segre_contact_step(fam, m)
-
-
 def projective_target(n):
     """Diagonal decomposition and tangent Chern classes of projective n-space."""
     diag = [(i, n - i, Fraction(1)) for i in range(n + 1)]
@@ -353,14 +326,14 @@ def double_point_class(fam: FamilyDescriptor, target) -> TautClass:
     ell = BaseClass.gen(ring, "L")
     total = TautClass.zero(fam, 2)
     for a, b, c in target["diag"]:
-        total = total + TautClass.from_twists(fam, 2, [(1, ell ** a), (1, ell ** b)], coeff=c)
+        total.accumulate(TautClass.from_twists(fam, 2, [(1, ell ** a), (1, ell ** b)], coeff=c))
     for i in range(1, n + 1):
         cls = _gamma_power_m2_signed(fam, i)
         coeff = target["tangent"][n - i]
         if not coeff:
             continue
         twisted = _twist_small_support(cls, n - i)
-        total = total + twisted.scale(coeff)
+        total.accumulate(twisted, coeff)
     return total
 
 
@@ -417,5 +390,5 @@ def double_point_segre_route(fam: FamilyDescriptor, n) -> TautClass:
             )
             for _ in range(c):
                 base = gamma_action(base)
-            total = total + base
+            total.accumulate(base)
     return total

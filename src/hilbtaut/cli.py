@@ -154,7 +154,7 @@ def main():
 
 @main.command("gamma-power")
 @click.option("--m", type=int, required=True)
-@click.option("--k", type=int, required=True)
+@click.option("--k", type=click.IntRange(min=0), required=True)
 @click.option("--integrate", "do_integrate", is_flag=True, help="evaluate the degree")
 @_descriptor_option
 @_output_option
@@ -171,7 +171,7 @@ def gamma_power_cmd(m, k, do_integrate, descriptor, output):
 
 
 @main.command("chern")
-@click.option("--m", type=int, required=True)
+@click.option("--m", type=click.IntRange(min=1), required=True)
 @click.option("--closed-form", is_flag=True, help="use the diagonal closed form")
 @_descriptor_option
 @_output_option
@@ -263,7 +263,7 @@ def _parse_base_class(fam, text):
 
 
 @main.command("punctual-chern")
-@click.option("--m", type=int, required=True)
+@click.option("--m", type=click.IntRange(min=1), required=True)
 @_descriptor_option
 @_output_option
 def punctual_chern_cmd(m, descriptor, output):
@@ -352,7 +352,7 @@ def double_points_cmd(n, push_to_base, descriptor, output):
 
 
 @main.command("oracle-check")
-@click.option("--cases", type=int, default=50)
+@click.option("--cases", type=click.IntRange(min=0), default=50)
 @click.option("--seed", type=int, default=0)
 @_output_option
 def oracle_check_cmd(cases, seed, output):
@@ -373,7 +373,7 @@ def oracle_check_cmd(cases, seed, output):
         for _ in range(m):
             cls = BaseClass.zero(ring)
             for g in gens:
-                cls = cls + g * Fraction(rng.randint(-2, 2))
+                cls.accumulate(g, Fraction(rng.randint(-2, 2)))
             classes.append(cls)
         t_ord = OrderedTensor.pure(ring, classes)
         lhs = symmetrize(ordered_disc(t_ord))

@@ -17,6 +17,7 @@ from .basering import (
     make_total_space_ring,
 )
 from .charpoly import CharPoly
+from .lincomb import mono_str
 
 STANDARD_CHARS = ("d", "b", "Lomega", "omega2", "twogm2")
 
@@ -79,7 +80,7 @@ class FamilyDescriptor:
     def sigma(self):
         total = CharPoly.zero()
         for node in self.nodes:
-            total = total + node.weight
+            total.accumulate(node.weight)
         return total
 
     # -- nodes, rings, boundary families --------------------------------------
@@ -149,10 +150,6 @@ def symbolic_family(dim_b=1, with_node=True, label="X/B"):
     return FamilyDescriptor(dim_b, chars={}, nodes=nodes, label=label)
 
 
-def _mono_str(mono):
-    return "*".join(n if p == 1 else "%s^%d" % (n, p) for n, p in mono) or "1"
-
-
 def integrate_classes(fam: FamilyDescriptor, factors, node=None):
     """Top-degree integral over a fiber product of the family's total space.
 
@@ -173,7 +170,7 @@ def integrate_classes(fam: FamilyDescriptor, factors, node=None):
         coeff = Fraction(1)
         for _, c in combo:
             coeff *= c
-        total = total + fiber_integral(fam, ring, slots, node=node) * coeff
+        total.accumulate(fiber_integral(fam, ring, slots, node=node), coeff)
     return total
 
 
@@ -252,13 +249,13 @@ def _base_integral(fam, base_mono, pushed, node):
         assert not base_mono and not pushed
         result = CharPoly.const(1)
     elif base_dim == 1 and not base_mono and len(pushed) == 1 and node is None:
-        result = _main_pushforward_char(fam, pushed[0])
+        result = main_pushforward_char(fam, pushed[0])
     else:
         where = node.node_id if node is not None else fam.label
         key = "IT[%s|%s|%s]" % (
             where,
-            _mono_str(base_mono),
-            ";".join(sorted(_mono_str(m) for m in pushed)),
+            mono_str(base_mono),
+            ";".join(sorted(mono_str(m) for m in pushed)),
         )
         if node is not None and key in node.psi_table:
             result = node.psi_table[key]
@@ -269,7 +266,8 @@ def _base_integral(fam, base_mono, pushed, node):
     return result
 
 
-def _main_pushforward_char(fam, mono):
+def main_pushforward_char(fam, mono):
+    """Integral over X of a degree-2 total-space monomial (base of dimension 1)."""
     named = {
         (("L", 2),): "b",
         (("L", 1), ("omega", 1)): "Lomega",
@@ -280,4 +278,4 @@ def _main_pushforward_char(fam, mono):
     if mono in named:
         key = named[mono]
         return CharPoly.zero() if key is None else fam.char(key)
-    return CharPoly.symbol("PF[%s|%s]" % (fam.label, _mono_str(mono)))
+    return CharPoly.symbol("PF[%s|%s]" % (fam.label, mono_str(mono)))

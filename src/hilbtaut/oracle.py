@@ -53,11 +53,14 @@ class OrderedTensor:
         if not self.terms[key]:
             del self.terms[key]
 
-    def __add__(self, other):
-        out = OrderedTensor(self.ring, self.terms)
+    def accumulate(self, other, factor=1):
+        """Add factor * other into this tensor in place; returns self."""
         for key, c in other.terms.items():
-            out._add(key, c)
-        return out
+            self._add(key, c * factor)
+        return self
+
+    def __add__(self, other):
+        return OrderedTensor(self.ring, self.terms).accumulate(other)
 
     def scale(self, c):
         c = Fraction(c)
@@ -112,7 +115,7 @@ def ordered_disc(t: OrderedTensor) -> OrderedTensor:
         base = OrderedTensor(ring, {(labels, monos): c})
         for i, j in combinations(range(k), 2):
             ni, nj = len(labels[i]), len(labels[j])
-            out = out + ordered_union(base, i, j).scale(ni * nj)
+            out.accumulate(ordered_union(base, i, j), ni * nj)
         for i in range(k):
             n = len(labels[i])
             if n < 2:

@@ -36,21 +36,16 @@ from fractions import Fraction
 from .basering import BaseClass
 from .charpoly import CharPoly
 from .family import FamilyDescriptor, fiber_integral
+from .lincomb import LinComb, add_term, merge_monos, mono_str
 from .partitions import Distribution, aut_count
 
-_ZERO = CharPoly.zero()
 
-
-def _coerce_coeff(c):
-    if isinstance(c, CharPoly):
-        return c
-    return CharPoly.const(c)
-
-
-class TautClass:
+class TautClass(LinComb):
     """Formal tautological class of Hilbert degree m on a family's Hilbert scheme."""
 
     __slots__ = ("fam", "m", "diag", "scroll", "section")
+    _space = ("fam", "m")
+    _sectors = ("diag", "scroll", "section")
 
     def __init__(self, fam: FamilyDescriptor, m: int):
         self.fam = fam
@@ -75,8 +70,7 @@ class TautClass:
         return d
 
     def add_diag(self, base_mono, blocks, coeff):
-        coeff = _coerce_coeff(coeff)
-        if coeff.is_zero():
+        if not coeff:
             return
         blocks = tuple(sorted(blocks, key=lambda b: (-b[0], b[1])))
         base_mono = tuple(sorted(base_mono))
@@ -84,81 +78,22 @@ class TautClass:
             raise ValueError("blocks of weight %s in degree-%d class" % (blocks, self.m))
         if self._diag_codim(base_mono, blocks) > self.space_dim():
             return
-        key = (base_mono, blocks)
-        self.diag[key] = self.diag.get(key, _ZERO) + coeff
-        if self.diag[key].is_zero():
-            del self.diag[key]
+        if not isinstance(coeff, CharPoly):
+            coeff = CharPoly.const(coeff)
+        add_term(self.diag, (base_mono, blocks), coeff)
 
     def _node_bucket(self, sector, node_id, n, j, payload):
-        if payload.is_zero():
+        if not payload:
             return
         if not (2 <= n <= self.m and 1 <= j <= n - 1):
             raise ValueError("bad scroll index n=%d j=%d for m=%d" % (n, j, self.m))
-        key = (node_id, n, j)
-        bucket = getattr(self, sector)
-        if key in bucket:
-            bucket[key] = bucket[key] + payload
-            if bucket[key].is_zero():
-                del bucket[key]
-        else:
-            bucket[key] = payload
+        add_term(getattr(self, sector), (node_id, n, j), payload)
 
     def add_scroll(self, node_id, n, j, payload):
         self._node_bucket("scroll", node_id, n, j, payload)
 
     def add_section(self, node_id, n, j, payload):
         self._node_bucket("section", node_id, n, j, payload)
-
-    # -- linear structure --------------------------------------------------------
-
-    def is_zero(self):
-        return not self.diag and not self.scroll and not self.section
-
-    def __add__(self, other):
-        if not isinstance(other, TautClass):
-            return NotImplemented
-        if other.fam is not self.fam or other.m != self.m:
-            raise ValueError("cannot add classes on different spaces")
-        out = TautClass(self.fam, self.m)
-        for key, c in self.diag.items():
-            out.diag[key] = c
-        for key, c in other.diag.items():
-            out.diag[key] = out.diag.get(key, _ZERO) + c
-        out.diag = {k: c for k, c in out.diag.items() if not c.is_zero()}
-        for sector in ("scroll", "section"):
-            mine, theirs = getattr(self, sector), getattr(other, sector)
-            target = getattr(out, sector)
-            for key, p in mine.items():
-                target[key] = p
-            for key, p in theirs.items():
-                target[key] = target[key] + p if key in target else p
-            for key in [k for k, p in target.items() if p.is_zero()]:
-                del target[key]
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, factor):
-        factor = _coerce_coeff(factor)
-        out = TautClass(self.fam, self.m)
-        if factor.is_zero():
-            return out
-        out.diag = {k: c * factor for k, c in self.diag.items()}
-        out.scroll = {k: p.scale(factor) for k, p in self.scroll.items()}
-        out.section = {k: p.scale(factor) for k, p in self.section.items()}
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, TautClass):
-            return NotImplemented
-        return (
-            self.fam is other.fam
-            and self.m == other.m
-            and self.diag == other.diag
-            and self.scroll == other.scroll
-            and self.section == other.section
-        )
 
     # -- constructors -------------------------------------------------------------
 
@@ -184,7 +119,7 @@ class TautClass:
         combos = [((), Fraction(1))]
         for n, twist in pairs:
             if isinstance(twist, BaseClass):
-                items = list(twist.terms.items()) or []
+                items = list(twist.terms.items())
             else:
                 norm = ring.normalize_monomial(twist)
                 items = [] if norm is None else [(norm[1], norm[0])]
@@ -198,21 +133,13 @@ class TautClass:
             base_items = list(base.terms.items())
         for blocks, c in combos:
             # move pulled-back symbols out of the slots
-            base_extra = {}
+            base_extra = ()
             fiber_blocks = []
             for n, mono in blocks:
                 fiber_blocks.append((n, ring.fiber_part(mono)))
-                for name, p in ring.base_part(mono):
-                    base_extra[name] = base_extra.get(name, 0) + p
+                base_extra = merge_monos(base_extra, ring.base_part(mono))
             for bmono, bc in base_items:
-                merged = dict(base_extra)
-                for name, p in bmono:
-                    merged[name] = merged.get(name, 0) + p
-                out.add_diag(
-                    tuple(sorted(merged.items())),
-                    tuple(fiber_blocks),
-                    _coerce_coeff(coeff) * c * bc,
-                )
+                out.add_diag(merge_monos(base_extra, bmono), tuple(fiber_blocks), coeff * c * bc)
         return out
 
     # -- inspection ----------------------------------------------------------------
@@ -237,13 +164,9 @@ class TautClass:
             if self._diag_codim(base_mono, blocks) == codim:
                 out.diag[(base_mono, blocks)] = c
         for (node_id, n, j), p in self.scroll.items():
-            part = p.graded_part(codim - n)
-            if not part.is_zero():
-                out.scroll[(node_id, n, j)] = part
+            out.add_scroll(node_id, n, j, p.graded_part(codim - n))
         for (node_id, n, j), p in self.section.items():
-            part = p.graded_part(codim - n - 1)
-            if not part.is_zero():
-                out.section[(node_id, n, j)] = part
+            out.add_section(node_id, n, j, p.graded_part(codim - n - 1))
         return out
 
     def render(self):
@@ -251,10 +174,10 @@ class TautClass:
         pieces = []
         for (base_mono, blocks), c in sorted(self.diag.items()):
             parts = ",".join(str(n) for n, _ in blocks)
-            twists = ", ".join(_mono_text(mono) for _, mono in blocks)
+            twists = ", ".join(mono_str(mono) for _, mono in blocks)
             body = "Gamma_(%s)[%s]" % (parts, twists)
             if base_mono:
-                body = "%s*%s" % (_mono_text(base_mono), body)
+                body = "%s*%s" % (mono_str(base_mono), body)
             pieces.append("(%s)*%s" % (c, body))
         for (node_id, n, j), p in sorted(self.scroll.items()):
             pieces.append("F^{%d,%d}_%d(%s)[%s]" % (n, self.m, j, node_id, p.render()))
@@ -266,10 +189,6 @@ class TautClass:
 
     def __repr__(self):
         return "TautClass(m=%d: %s)" % (self.m, self.render())
-
-
-def _mono_text(mono):
-    return "*".join(n if p == 1 else "%s^%d" % (n, p) for n, p in mono) or "1"
 
 
 def _coeff_data(c: CharPoly):
@@ -320,13 +239,6 @@ def from_data(fam: FamilyDescriptor, data) -> TautClass:
     return tc
 
 
-def _mono_mult(ring, m1, m2):
-    powers = dict(m1)
-    for name, p in m2:
-        powers[name] = powers.get(name, 0) + p
-    return ring.normalize_monomial(tuple(powers.items()))
-
-
 def _mu_of(blocks):
     return Distribution.from_parts(n for n, _ in blocks)
 
@@ -362,7 +274,7 @@ def gamma_action(tc: TautClass) -> TautClass:
             for k in range(i + 1, len(blocks)):
                 n1, mono1 = blocks[i]
                 n2, mono2 = blocks[k]
-                prod = _mono_mult(ring, mono1, mono2)
+                prod = ring.merge(mono1, mono2)
                 if prod is None:
                     continue
                 sign, mono = prod
@@ -372,30 +284,23 @@ def gamma_action(tc: TautClass) -> TautClass:
                 else:
                     ratio = Fraction(mu.get(n1 + n2) + 1, mult_n1 * mult_n2)
                 rest = blocks[:i] + blocks[i + 1 : k] + blocks[k + 1 :]
-                new_blocks = rest + ((n1 + n2, ring.fiber_part(mono)),)
-                extra_base = dict(base_mono)
-                for name, p in ring.base_part(mono):
-                    extra_base[name] = extra_base.get(name, 0) + p
+                new_base, fiber = split_twist(ring, base_mono, mono)
                 out.add_diag(
-                    tuple(sorted(extra_base.items())),
-                    new_blocks,
-                    coeff * sign * Fraction(n1 * n2) * ratio,
+                    new_base, rest + ((n1 + n2, fiber),), coeff * (sign * n1 * n2 * ratio)
                 )
         # interior multiplication by omega within each block
         for i, (n, mono) in enumerate(blocks):
             if n < 2:
                 continue
-            prod = _mono_mult(ring, mono, (("omega", 1),))
+            prod = ring.merge(mono, (("omega", 1),))
             if prod is None:
                 continue
             sign, new_mono = prod
-            extra_base = dict(base_mono)
-            for name, p in ring.base_part(new_mono):
-                extra_base[name] = extra_base.get(name, 0) + p
+            new_base, fiber = split_twist(ring, base_mono, new_mono)
             out.add_diag(
-                tuple(sorted(extra_base.items())),
-                blocks[:i] + ((n, ring.fiber_part(new_mono)),) + blocks[i + 1 :],
-                coeff * sign * Fraction(-n * (n - 1), 2),
+                new_base,
+                blocks[:i] + ((n, fiber),) + blocks[i + 1 :],
+                coeff * (sign * Fraction(-n * (n - 1), 2)),
             )
         # boundary terms: one scroll per node, per block of size >= 2, per j
         if fam.nodes and any(n >= 2 for n, _ in blocks):
@@ -404,37 +309,37 @@ def gamma_action(tc: TautClass) -> TautClass:
                 for i, (n, mono) in enumerate(blocks):
                     if n < 2:
                         continue
-                    tau = _theta_star_mono(mono)
+                    tau = theta_star(mono)
                     if tau is None:
                         continue
                     rest = blocks[:i] + blocks[i + 1 :]
                     payload = _payload_from_blocks(bd, m - n, rest, tau, base_mono)
-                    if payload.is_zero():
+                    if not payload:
                         continue
-                    scale = coeff * Fraction(1, mu.get(n))
                     for j in range(1, n):
-                        out.add_scroll(
-                            node.node_id,
-                            n,
-                            j,
-                            payload.scale(scale * nu_coeff(n, j) * node.weight),
-                        )
+                        factor = coeff * (nu_coeff(n, j) / mu.get(n)) * node.weight
+                        out.add_scroll(node.node_id, n, j, payload.scale(factor))
 
     # scrolls: Gamma . F = -((-Gamma) . F)
     for (node_id, n, j), payload in tc.scroll.items():
-        out.add_section(node_id, n, j, payload.scale(-1))
+        out.add_section(node_id, n, j, -payload)
 
     # sections: Gamma . (-Gamma)F[P] = -(-Gamma)^2 F[P]
     #         = -(-Gamma)F[(e_j + e_{j+1}) P] + F[e_j e_{j+1} P]
     for (node_id, n, j), payload in tc.section.items():
         ej_p = _mult_e(payload, n, j)
         ej1_p = _mult_e(payload, n, j + 1)
-        out.add_section(node_id, n, j, (ej_p + ej1_p).scale(-1))
+        out.add_section(node_id, n, j, -(ej_p + ej1_p))
         out.add_scroll(node_id, n, j, _mult_e(ej1_p, n, j))
     return out
 
 
-def _theta_star_mono(mono):
+def split_twist(ring, base_mono, mono):
+    """Move the pulled-back symbols of a block twist into the base monomial."""
+    return merge_monos(base_mono, ring.base_part(mono)), ring.fiber_part(mono)
+
+
+def theta_star(mono):
     """Image of a total-space monomial under restriction to a node section.
 
     The canonical class restricts trivially, the polarization to its value on
@@ -453,25 +358,30 @@ def _theta_star_mono(mono):
     return tuple(sorted(powers.items()))
 
 
+def phi_star(bd, terms):
+    """Pull total-space terms {monomial: coefficient} back to the boundary family.
+
+    On the normalized boundary family X^theta the polarization pulls back to
+    itself and the canonical class to omega + theta_x + theta_y.
+    """
+    ring = bd.total_ring
+    images = {
+        "L": BaseClass.gen(ring, "L"),
+        "omega": BaseClass(ring, {(("omega", 1),): 1, (("theta_x", 1),): 1, (("theta_y", 1),): 1}),
+    }
+    out = BaseClass.zero(ring)
+    for mono, c in terms.items():
+        term = BaseClass.unit(ring, c)
+        for name, p in mono:
+            term = term * (images[name] ** p)
+        out.accumulate(term)
+    return out
+
+
 def _payload_from_blocks(bd, m_payload, blocks, tau_mono, base_mono):
     """Build the boundary payload: remaining blocks pulled back, times tau twist."""
-    ring = bd.total_ring
-    phi = {
-        "L": BaseClass.gen(ring, "L"),
-        "omega": BaseClass.gen(ring, "omega")
-        + BaseClass.gen(ring, "theta_x")
-        + BaseClass.gen(ring, "theta_y"),
-    }
-    pairs = []
-    for n, mono in blocks:
-        twist = BaseClass.unit(ring)
-        for name, p in mono:
-            twist = twist * (phi[name] ** p)
-        pairs.append((n, twist))
-    merged = dict(tau_mono)
-    for name, p in base_mono:
-        merged[name] = merged.get(name, 0) + p
-    base = BaseClass(ring, {tuple(sorted(merged.items())): Fraction(1)})
+    pairs = [(n, phi_star(bd, {mono: 1})) for n, mono in blocks]
+    base = BaseClass(bd.total_ring, {merge_monos(tau_mono, base_mono): 1})
     return TautClass.from_twists(bd, m_payload, pairs, base=base)
 
 
@@ -482,10 +392,7 @@ def base_monomial_mult(tc: TautClass, mono) -> TautClass:
     """Multiply by a monomial pulled back from the base (psi classes etc.)."""
     out = TautClass(tc.fam, tc.m)
     for (base_mono, blocks), coeff in tc.diag.items():
-        merged = dict(base_mono)
-        for name, p in mono:
-            merged[name] = merged.get(name, 0) + p
-        out.add_diag(tuple(sorted(merged.items())), blocks, coeff)
+        out.add_diag(merge_monos(base_mono, mono), blocks, coeff)
     if tc.scroll or tc.section:
         raise NotImplementedError("pullback twist on nested node terms")
     return out
@@ -501,18 +408,12 @@ def norm_mult(tc: TautClass, name) -> TautClass:
     out = TautClass(tc.fam, tc.m)
     for (base_mono, blocks), coeff in tc.diag.items():
         for i, (n, mono) in enumerate(blocks):
-            prod = _mono_mult(ring, mono, ((name, 1),))
+            prod = ring.merge(mono, ((name, 1),))
             if prod is None:
                 continue
             sign, new_mono = prod
-            extra_base = dict(base_mono)
-            for sym, p in ring.base_part(new_mono):
-                extra_base[sym] = extra_base.get(sym, 0) + p
-            out.add_diag(
-                tuple(sorted(extra_base.items())),
-                blocks[:i] + ((n, ring.fiber_part(new_mono)),) + blocks[i + 1 :],
-                coeff * Fraction(n) * sign,
-            )
+            new_base, fiber = split_twist(ring, base_mono, new_mono)
+            out.add_diag(new_base, blocks[:i] + ((n, fiber),) + blocks[i + 1 :], coeff * (n * sign))
     if tc.scroll or tc.section:
         raise NotImplementedError("norm twist on nested node terms")
     return out
@@ -521,9 +422,9 @@ def norm_mult(tc: TautClass, name) -> TautClass:
 def mult_D(tc: TautClass, n, j) -> TautClass:
     """Multiply a boundary payload by the scroll line-bundle divisor D^n_j."""
     out = base_monomial_mult(tc, (("psi_x", 1),)).scale(Fraction((n - j + 1) * (n - j), 2))
-    out = out + base_monomial_mult(tc, (("psi_y", 1),)).scale(Fraction(j * (j - 1), 2))
-    out = out + norm_mult(tc, "theta_x").scale(-(n - j + 1))
-    out = out + norm_mult(tc, "theta_y").scale(-j)
+    out.accumulate(base_monomial_mult(tc, (("psi_y", 1),)), Fraction(j * (j - 1), 2))
+    out.accumulate(norm_mult(tc, "theta_x"), -(n - j + 1))
+    out.accumulate(norm_mult(tc, "theta_y"), -j)
     return out
 
 
@@ -531,20 +432,8 @@ def _mult_e(tc: TautClass, n, j) -> TautClass:
     """Multiply a boundary payload by e^n_j = D^n_j - Gamma^(payload degree)."""
     out = mult_D(tc, n, j)
     if tc.m >= 2:
-        out = out - gamma_action(tc)
+        out.accumulate(gamma_action(tc), -1)
     return out
-
-
-def gamma_mult_diagonal(tc: TautClass) -> TautClass:
-    """Discriminant times a purely diagonal class (checked restriction)."""
-    if tc.scroll or tc.section:
-        raise ValueError("class has node terms; use gamma_action")
-    return gamma_action(tc)
-
-
-def gamma_mult_scroll(tc: TautClass) -> TautClass:
-    """Single discriminant multiplication (alias of the action, for clarity)."""
-    return gamma_action(tc)
 
 
 def gamma_power_on_scroll(fam, m, node_id, n, j, payload, ell) -> TautClass:
@@ -564,7 +453,7 @@ def gamma_power_on_scroll(fam, m, node_id, n, j, payload, ell) -> TautClass:
     out.add_section(node_id, n, j, h1)
     if ell >= 2:
         h2 = _complete_homog(payload, n, j, ell - 2)
-        out.add_scroll(node_id, n, j, _mult_e(_mult_e(h2, n, j + 1), n, j).scale(-1))
+        out.add_scroll(node_id, n, j, -_mult_e(_mult_e(h2, n, j + 1), n, j))
     return out
 
 
@@ -577,7 +466,7 @@ def _complete_homog(payload, n, j, k):
             term = _mult_e(term, n, j)
         for _ in range(k - i):
             term = _mult_e(term, n, j + 1)
-        total = total + term
+        total.accumulate(term)
     return total
 
 
@@ -619,9 +508,9 @@ def integrate(tc: TautClass) -> CharPoly:
         mu = _mu_of(blocks)
         slots = [mono for _, mono in blocks]
         value = fiber_integral(fam, tc.ring, slots, base_mono=base_mono)
-        total = total + value * coeff / aut_count(mu)
-    for (node_id, n, j), payload in tc.section.items():
-        total = total + integrate(payload)
+        total.accumulate(value * coeff, Fraction(1, aut_count(mu)))
+    for payload in tc.section.values():
+        total.accumulate(integrate(payload))
     # scroll terms are pulled back from the scroll base and die in top degree
     return total
 
@@ -645,14 +534,12 @@ def pushforward_to_base(tc: TautClass):
         value = CharPoly.const(1)
         for _, mono in blocks:
             value = value * _kappa_symbol(mono)
-        interior = interior + value * coeff / aut_count(mu)
-    for sector in (tc.section, tc.scroll):
-        for (node_id, n, j), payload in sector.items():
-            if sector is tc.scroll:
-                continue  # scrolls collapse onto the boundary base
-            for (bmono, bblocks), c in payload.diag.items():
-                tag = "delta[%s|%s]" % (node_id, _mono_text(bmono))
-                boundary = boundary + CharPoly.symbol(tag) * c
+        interior.accumulate(value * coeff, Fraction(1, aut_count(mu)))
+    # scrolls collapse onto the boundary base
+    for (node_id, n, j), payload in tc.section.items():
+        for (bmono, bblocks), c in payload.diag.items():
+            tag = "delta[%s|%s]" % (node_id, mono_str(bmono))
+            boundary.accumulate(CharPoly.symbol(tag) * c)
     return interior, boundary
 
 

@@ -16,6 +16,7 @@ from itertools import combinations
 from math import comb
 
 from .basering import BaseClass
+from .lincomb import LinComb, add_term, fraction, mono_str
 from .partitions import Distribution
 
 
@@ -23,24 +24,22 @@ def _sorted_blocks(blocks):
     return tuple(sorted(blocks, key=lambda b: (-b[0], b[1])))
 
 
-class TensorClass:
+class TensorClass(LinComb):
     """Q-combination of simple tensors, keyed by ((n, monomial), ...) sorted."""
 
     __slots__ = ("ring", "terms")
+    _space = ("ring",)
 
     def __init__(self, ring, terms=None):
         self.ring = ring
         self.terms = {}
         if terms:
             for key, coeff in terms.items():
-                self._add(key, Fraction(coeff))
-        self.terms = {k: c for k, c in self.terms.items() if c}
+                self._add(key, fraction(coeff))
 
     def _add(self, key, coeff):
-        if not coeff:
-            return
-        key = _sorted_blocks(key)
-        self.terms[key] = self.terms.get(key, Fraction(0)) + coeff
+        """Add a term whose blocks may come in any order."""
+        add_term(self.terms, _sorted_blocks(key), coeff)
 
     @staticmethod
     def zero(ring):
@@ -49,7 +48,7 @@ class TensorClass:
     @staticmethod
     def simple(ring, blocks, coeff=1):
         """Simple tensor from (size, BaseClass-or-monomial) pairs, multilinearly."""
-        combos = [((), Fraction(coeff))]
+        combos = [((), fraction(coeff))]
         for n, twist in blocks:
             if isinstance(twist, BaseClass):
                 items = list(twist.terms.items())
@@ -62,38 +61,17 @@ class TensorClass:
         out = TensorClass(ring)
         for key, c in combos:
             out._add(key, c)
-        out.terms = {k: c for k, c in out.terms.items() if c}
         return out
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = TensorClass(self.ring, self.terms)
-        for key, c in other.terms.items():
-            out._add(key, c)
-        out.terms = {k: c for k, c in out.terms.items() if c}
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return TensorClass(self.ring, {k: cc * c for k, cc in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorClass):
-            return NotImplemented
-        return self.ring.ring_id == other.ring.ring_id and self.terms == other.terms
 
     def component(self, mu: Distribution):
         """Part of the class lying in the mu-graded piece."""
-        out = TensorClass(self.ring)
-        for key, c in self.terms.items():
-            if Distribution.from_parts(n for n, _ in key) == mu:
-                out._add(key, c)
-        return out
+        return self._like(
+            {
+                key: c
+                for key, c in self.terms.items()
+                if Distribution.from_parts(n for n, _ in key) == mu
+            }
+        )
 
     def weight_parts(self):
         return {sum(n for n, _ in key) for key in self.terms}
@@ -103,10 +81,7 @@ class TensorClass:
             return "TensorClass(0)"
         bits = []
         for key, c in sorted(self.terms.items()):
-            body = " (x) ".join(
-                "%d:%s" % (n, "*".join(s if p == 1 else "%s^%d" % (s, p) for s, p in mono) or "1")
-                for n, mono in key
-            )
+            body = " (x) ".join("%d:%s" % (n, mono_str(mono)) for n, mono in key)
             bits.append("(%s)[%s]" % (c, body))
         return "TensorClass(" + " + ".join(bits) + ")"
 
@@ -133,7 +108,7 @@ def d_dagger(ring, mu: Distribution, factors) -> TensorClass:
             for i in group:
                 prod = prod * factors[i]
             blocks.append((len(group), prod))
-        out = out + TensorClass.simple(ring, blocks)
+        out.accumulate(TensorClass.simple(ring, blocks))
     return out
 
 
@@ -180,13 +155,6 @@ def d_forget(alpha: TensorClass):
 # -- union and interior operators ------------------------------------------------------
 
 
-def _mult(ring, m1, m2):
-    powers = dict(m1)
-    for name, p in m2:
-        powers[name] = powers.get(name, 0) + p
-    return ring.normalize_monomial(tuple(powers.items()))
-
-
 def union_op(alpha: TensorClass, n1: int, n2: int) -> TensorClass:
     """Unite one n1-block with one n2-block, summing over all factor pairs."""
     ring = alpha.ring
@@ -201,13 +169,12 @@ def union_op(alpha: TensorClass, n1: int, n2: int) -> TensorClass:
                     continue
                 if slots[i][0] != n1 or slots[k][0] != n2:
                     continue
-                prod = _mult(ring, slots[i][1], slots[k][1])
+                prod = ring.merge(slots[i][1], slots[k][1])
                 if prod is None:
                     continue
                 sign, mono = prod
                 rest = [slots[t] for t in range(len(slots)) if t not in (i, k)]
                 out._add(tuple(rest) + ((n1 + n2, mono),), c * sign)
-    out.terms = {k: c for k, c in out.terms.items() if c}
     return out
 
 
@@ -228,7 +195,6 @@ def interior_mult(alpha: TensorClass, n: int, g) -> TensorClass:
             for imono, ic in image.terms.items():
                 rest = slots[:i] + slots[i + 1 :]
                 out._add(tuple(rest) + ((n, imono),), c * ic)
-    out.terms = {k: c for k, c in out.terms.items() if c}
     return out
 
 
@@ -249,7 +215,7 @@ def discriminant_op(alpha: TensorClass) -> TensorClass:
         sizes |= {n for n, _ in key}
     for n1 in sorted(sizes, reverse=True):
         for n2 in sorted(s for s in sizes if s <= n1):
-            out = out + union_op(alpha, n1, n2).scale(n1 * n2)
+            out.accumulate(union_op(alpha, n1, n2), n1 * n2)
     return out
 
 
@@ -263,7 +229,7 @@ def u_omega_total(alpha: TensorClass) -> TensorClass:
         sizes |= {n for n, _ in key}
     for n in sizes:
         if n >= 2:
-            out = out + interior_mult(alpha, n, mult_by(ring, omega)).scale(comb(n, 2))
+            out.accumulate(interior_mult(alpha, n, mult_by(ring, omega)), comb(n, 2))
     return out
 
 
@@ -301,10 +267,7 @@ def norm_power_expand(ring, k: int, theta: str, t: int) -> TensorClass:
             attached = False
             for n, mono in key:
                 if not attached and any(name == theta for name, _ in mono):
-                    merged = dict(mono)
-                    for name, p in psi_mono:
-                        merged[name] = merged.get(name, 0) + p
-                    norm = ring.normalize_monomial(tuple(merged.items()))
+                    norm = ring.merge(mono, psi_mono)
                     if norm is None:
                         new_key = None
                         break
@@ -314,5 +277,5 @@ def norm_power_expand(ring, k: int, theta: str, t: int) -> TensorClass:
                 new_key.append((n, mono))
             if new_key is not None:
                 term._add(tuple(new_key), c)
-        out = out + term.scale(coeff * sign)
+        out.accumulate(term, coeff * sign)
     return out

@@ -21,8 +21,16 @@ from math import comb
 
 from .basering import BaseClass
 from .charpoly import CharPoly
-from .family import FamilyDescriptor
-from .tautmod import TautClass, mult_D, nu_coeff
+from .family import FamilyDescriptor, main_pushforward_char
+from .tautmod import (
+    TautClass,
+    base_monomial_mult,
+    mult_D,
+    nu_coeff,
+    phi_star,
+    split_twist,
+    theta_star,
+)
 
 # -- the flaglet transfer -----------------------------------------------------------
 
@@ -37,31 +45,29 @@ def transfer(tc: TautClass, beta: BaseClass = None, variant="j") -> TautClass:
     ring = tc.ring
     if beta is None:
         beta = BaseClass.unit(ring)
-    if beta.ring.ring_id != ring.ring_id:
+    if beta.ring is not ring:
         raise ValueError("twist must live on the same total space")
     out = TautClass(fam, m0 + 1)
 
     for (base_mono, blocks), coeff in tc.diag.items():
         singles = sum(1 for n, _ in blocks if n == 1)
         for mono, mc in beta.terms.items():
-            extra_base = dict(base_mono)
-            for name, p in ring.base_part(mono):
-                extra_base[name] = extra_base.get(name, 0) + p
-            out.add_diag(
-                tuple(sorted(extra_base.items())),
-                blocks + ((1, ring.fiber_part(mono)),),
-                coeff * mc * (singles + 1),
-            )
+            new_base, fiber = split_twist(ring, base_mono, mono)
+            out.add_diag(new_base, blocks + ((1, fiber),), coeff * (mc * (singles + 1)))
 
     for (node_id, n, j), payload in tc.scroll.items():
         bd = fam.boundary_family(node_id)
-        out.add_scroll(node_id, n, j, transfer(payload, _phi_star(bd, beta)))
+        out.add_scroll(node_id, n, j, transfer(payload, phi_star(bd, beta.terms)))
 
     for (node_id, n, j), payload in tc.section.items():
         bd = fam.boundary_family(node_id)
-        phib = _phi_star(bd, beta)
+        phib = phi_star(bd, beta.terms)
         moved = transfer(payload, phib)
-        tau = _theta_star(bd, beta)
+        # theta^* is injective on the monomials it keeps (L^k -> tauL^k)
+        tau = BaseClass(
+            bd.total_ring,
+            {t: c for mono, c in beta.terms.items() if (t := theta_star(mono)) is not None},
+        )
         jtheta = j if variant == "j" else j + 1
         jD = j + 1 if variant == "j" else j
         if not tau.is_zero():
@@ -72,50 +78,11 @@ def transfer(tc: TautClass, beta: BaseClass = None, variant="j") -> TautClass:
     return out
 
 
-def _phi_star(bd, beta):
-    """Pull a total-space class back to the normalized boundary family."""
-    ring = bd.total_ring
-    images = {
-        "L": BaseClass.gen(ring, "L"),
-        "omega": BaseClass.gen(ring, "omega")
-        + BaseClass.gen(ring, "theta_x")
-        + BaseClass.gen(ring, "theta_y"),
-    }
-    out = BaseClass.zero(ring)
-    for mono, c in beta.terms.items():
-        term = BaseClass.unit(ring, c)
-        for name, p in mono:
-            term = term * (images[name] ** p)
-        out = out + term
-    return out
-
-
-def _theta_star(bd, beta):
-    """Restrict a total-space class to the node section (a boundary-base class)."""
-    ring = bd.total_ring
-    out = BaseClass.zero(ring)
-    for mono, c in beta.terms.items():
-        powers = {}
-        dead = False
-        for name, p in mono:
-            if name == "omega":
-                dead = True
-                break
-            if name != "L":
-                raise AssertionError("unexpected symbol %r at a node" % name)
-            powers["tauL"] = powers.get("tauL", 0) + p
-        if not dead:
-            out = out + BaseClass(ring, {tuple(sorted(powers.items())): c})
-    return out
-
-
 def _scale_by_base(payload, base_cls):
     """Multiply a payload by a class pulled back from the boundary base."""
-    from .tautmod import base_monomial_mult
-
     out = TautClass.zero(payload.fam, payload.m)
     for mono, c in base_cls.terms.items():
-        out = out + base_monomial_mult(payload, mono).scale(c)
+        out.accumulate(base_monomial_mult(payload, mono), c)
     return out
 
 
@@ -148,13 +115,6 @@ class PunctualClass:
 
     def tring(self, node_id):
         return self.fam.node_base_ring(node_id)
-
-    def copy(self):
-        out = PunctualClass(self.fam, self.m, self.interior)
-        for nid in self.scroll:
-            out.scroll[nid] = dict(self.scroll[nid])
-            out.section[nid] = dict(self.section[nid])
-        return out
 
     def __add__(self, other):
         if self.m != other.m or self.fam is not other.fam:
@@ -247,14 +207,14 @@ def punctual_transfer(fam, pc: PunctualClass) -> PunctualClass:
             acc = BaseClass.zero(ring)
             # C^m_i receives (m-i)/(m-1) of C^{m-1}_i and i/(m-1) of C^{m-1}_{i-1}
             if i <= pc.m - 1:
-                acc = acc + pc.scroll[nid][i] * Fraction(m - i, m - 1)
-                acc = acc + pc.section[nid][i] * psi_power_class(ring, m - 1, i) * Fraction(
-                    m - i, m - 1
+                acc.accumulate(pc.scroll[nid][i], Fraction(m - i, m - 1))
+                acc.accumulate(
+                    pc.section[nid][i] * psi_power_class(ring, m - 1, i), Fraction(m - i, m - 1)
                 )
             if i - 1 >= 1:
-                acc = acc + pc.scroll[nid][i - 1] * Fraction(i, m - 1)
-                acc = acc + pc.section[nid][i - 1] * psi_power_class(ring, m - 1, i) * Fraction(
-                    i, m - 1
+                acc.accumulate(pc.scroll[nid][i - 1], Fraction(i, m - 1))
+                acc.accumulate(
+                    pc.section[nid][i - 1] * psi_power_class(ring, m - 1, i), Fraction(i, m - 1)
                 )
             out.scroll[nid][i] = acc
     return out
@@ -365,37 +325,12 @@ def _punctual_chern_step(fam, prev: PunctualClass) -> PunctualClass:
     return out
 
 
-def _t_integral(fam, node, cls: BaseClass) -> CharPoly:
-    """Integrate a node-base class over the boundary base (degree 0 part for points)."""
-    total = CharPoly.zero()
-    dim_t = fam.dim_b - 1
-    for mono, c in cls.terms.items():
-        deg = sum(p for _, p in mono)
-        if deg != dim_t:
-            continue
-        if dim_t == 0:
-            total = total + CharPoly.const(c)
-        else:
-            tag = "IT[%s|%s]" % (
-                node.node_id,
-                "*".join(n if p == 1 else "%s^%d" % (n, p) for n, p in mono) or "1",
-            )
-            total = total + node.psi_table.get(tag, CharPoly.symbol(tag)) * c
-    return total
-
-
 def _x_integral(fam, cls: BaseClass) -> CharPoly:
     """Integrate a total-space class over X (degree-2 part, base of dimension 1)."""
-    named = {
-        (("L", 2),): "b",
-        (("L", 1), ("omega", 1)): "Lomega",
-        (("omega", 2),): "omega2",
-    }
     total = CharPoly.zero()
     for mono, c in cls.terms.items():
-        if sum(p for _, p in mono) != 2:
-            continue
-        total = total + fam.char(named[tuple(sorted(mono))]) * c
+        if sum(p for _, p in mono) == 2:
+            total.accumulate(main_pushforward_char(fam, mono), c)
     return total
 
 
@@ -405,17 +340,14 @@ def integrate_punctual_degree2(fam, pc: PunctualClass) -> CharPoly:
     The small diagonal is a surface: the interior integrates over X, a section
     (-Gamma).C^m_i projects with degree one onto the boundary base, a bare
     scroll needs one more base class to be top and drops out over a point.
+    The boundary base is a point, so a section contributes its constant term.
     """
     if fam.dim_b != 1:
         raise ValueError("numeric punctual integration needs a 1-dimensional base")
     total = _x_integral(fam, pc.interior)
     for node in fam.nodes:
-        nid = node.node_id
-        for i in range(1, pc.m):
-            coeff = pc.section[nid][i].graded_part(0)
-            total = total + _t_integral(fam, node, coeff) * node.weight
-            scroll_top = pc.scroll[nid][i].graded_part(1)
-            total = total + _t_integral(fam, node, scroll_top) * node.weight
+        for cls in pc.section[node.node_id].values():
+            total.accumulate(node.weight, cls.terms.get((), 0))
     return total
 
 
@@ -462,9 +394,9 @@ def pluecker_s2(fam, m, check=True):
     value = CharPoly.zero()
     for k in range(1, m + 1):
         if k == 1:
-            value = value + fam.char("b")
+            value.accumulate(fam.char("b"))
         else:
-            value = value + integrate_punctual_degree2(fam, segre_contact_step(fam, k))
+            value.accumulate(integrate_punctual_degree2(fam, segre_contact_step(fam, k)))
     closed = (
         fam.char("b") * comb(m + 1, 2)
         + fam.char("Lomega") * Fraction(m * (m * m - 1), 2)
@@ -492,7 +424,7 @@ def pluecker_c2(fam, m, check=True):
     """Closed form for c_2 of the tautological bundle on the punctual locus."""
     value = CharPoly.zero()
     for k in range(2, m + 1):
-        value = value + c2_contact_step(fam, k)
+        value.accumulate(c2_contact_step(fam, k))
     closed = (
         fam.char("b") * comb(m, 2)
         + fam.char("omega2") * (3 * comb(m + 1, 4) - comb(m, 3))

@@ -7,7 +7,6 @@ from hilbtaut.basering import (
     BaseClass,
     make_boundary_ring,
     make_total_space_ring,
-    multiply,
     section_power,
 )
 from hilbtaut.charpoly import CharPoly
@@ -100,7 +99,7 @@ def test_section_power(bring):
 
 def test_mixed_rings_error(xring, bring):
     with pytest.raises(ValueError, match="mixed rings"):
-        multiply(BaseClass.gen(xring, "L"), BaseClass.gen(bring, "L"))
+        BaseClass.gen(xring, "L") * BaseClass.gen(bring, "L")
 
 
 @given(coeffs)

@@ -54,3 +54,12 @@ def test_ring_laws(avals, bvals):
     assert a + b == b + a
     assert a * (b + b) == a * b * 2
     assert (a - b) + b == a
+
+
+def test_hashable_and_equal_hashes_equal():
+    b, d = CharPoly.symbol("b"), CharPoly.symbol("d")
+    first = (b + d) * (b - d)
+    second = b * b - d * d
+    assert first == second and hash(first) == hash(second)
+    assert {first: 1}[second] == 1
+    assert hash(CharPoly.const(0)) == hash(CharPoly.zero())

@@ -270,10 +270,10 @@ def test_kappa_pushforward(fam):
 
 
 def test_mcontact_step_interior(fam):
-    from hilbtaut.chern import mcontact_segre
+    from hilbtaut.transfer import segre_contact_step
 
     ring = fam.total_ring
     L = BaseClass.gen(ring, "L")
     w = BaseClass.gen(ring, "omega")
-    step = mcontact_segre(fam, 3)
+    step = segre_contact_step(fam, 3)
     assert step.interior == L * L * 3 + L * w * 9 + w * w * 6

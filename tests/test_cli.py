@@ -1,12 +1,13 @@
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
 
 from hilbtaut.charpoly import CharPoly
-from hilbtaut.cli import DescriptorError, load_descriptor, main
+from hilbtaut.cli import DescriptorError, load_descriptor, main, run
 from hilbtaut.family import symbolic_family
-from hilbtaut.tautmod import from_data, gamma_power, to_data
+from hilbtaut.tautmod import from_data, gamma_power, integrate, to_data
 
 
 @pytest.fixture
@@ -83,6 +84,17 @@ def test_load_parse_error_has_line_number(tmp_path):
     path = write(tmp_path, "[family]\ndim_b = 1\nbroken line\n")
     with pytest.raises(DescriptorError, match=":3"):
         load_descriptor(path)
+
+
+def test_psi_table_value_reaches_the_integral(tmp_path):
+    # the same path twice, so the family label inside the other IT[...] symbols agrees
+    text = "[family]\ndim_b = 2\n[node.s]\nweight = sigma\n"
+    path = write(tmp_path, text)
+    symbolic = integrate(gamma_power(load_descriptor(path), 3, 5))
+    assert "IT[s|psi_x|]" in symbolic.symbols()
+    write(tmp_path, text + "IT[s|psi_x|] = 7\n")
+    bound = integrate(gamma_power(load_descriptor(path), 3, 5))
+    assert bound == symbolic.substitute({"IT[s|psi_x|]": 7})
 
 
 def test_gamma_power_command(runner):
@@ -186,6 +198,23 @@ def test_double_points_command(runner):
     result = runner.invoke(main, ["double-points", "--n", "2", "--push-to-base"])
     assert result.exit_code == 0
     assert "kappaL_0" in result.output
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["gamma-power", "--m", "3", "--k", "-1"], "--k"),
+        (["chern", "--m", "0"], "--m"),
+        (["punctual-chern", "--m", "0"], "--m"),
+        (["oracle-check", "--cases", "-3"], "--cases"),
+    ],
+)
+def test_out_of_range_option_exits_1(monkeypatch, capsys, argv, option):
+    monkeypatch.setattr(sys, "argv", ["hilbtaut"] + argv)
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == 1
+    assert "'%s'" % option in capsys.readouterr().err
 
 
 def test_exit_codes_through_entry_point(tmp_path):

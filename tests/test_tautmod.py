@@ -10,7 +10,6 @@ from hilbtaut.tautmod import (
     from_data,
     gamma_action,
     gamma_as_class,
-    gamma_mult_diagonal,
     gamma_power,
     gamma_power_on_scroll,
     integrate,
@@ -197,13 +196,6 @@ def test_sector_triangularity(fam):
     section4.add_section("s", 2, 1, TautClass.fundamental(fam.boundary_family("s"), 2))
     out = gamma_action(section4)
     assert not out.diag and out.scroll and out.section
-
-
-def test_gamma_mult_diagonal_guard(fam):
-    cls = TautClass(fam, 3)
-    cls.add_scroll("s", 2, 1, TautClass.fundamental(fam.boundary_family("s"), 1))
-    with pytest.raises(ValueError):
-        gamma_mult_diagonal(cls)
 
 
 def test_weighted_node_linearity():
