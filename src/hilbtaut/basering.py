@@ -19,54 +19,31 @@ from fractions import Fraction
 
 from .lincomb import LinComb, add_term, format_sum, fraction, merge_monos, mono_str
 
-KIND_UNIT = "unit"
-KIND_CANONICAL = "canonical"
-KIND_LINE_BUNDLE = "line-bundle"
-KIND_SECTION = "section"
-KIND_PSI = "psi"
-KIND_PULLBACK = "node-section-pullback"
-KIND_POINT = "point"
-
-
-class BaseSymbol:
-    __slots__ = ("name", "degree", "kind", "on_base")
-
-    def __init__(self, name, degree, kind, on_base=False):
-        self.name = name
-        self.degree = degree
-        self.kind = kind
-        # on_base: pulled back from the base of the fibration (T), not a fiber class
-        self.on_base = on_base
-
-    def __repr__(self):
-        return "BaseSymbol(%r, deg=%d, %s)" % (self.name, self.degree, self.kind)
-
 
 class Ring:
-    """A ring instance; symbols and relations are fixed at construction."""
+    """A ring instance; symbols and relations are fixed at construction.
 
-    def __init__(self, label, dim, symbols, psi_of=None):
+    Every symbol has degree 1.  `base` names the symbols pulled back from the
+    base of the fibration (T); the `fiber` symbols are the ring's own classes.
+    """
+
+    def __init__(self, label, dim, fiber, base=(), psi_of=None):
         self.label = label
         self.dim = dim  # dimension of the underlying space; higher degrees vanish
-        self.symbols = {}
-        for sym in symbols:
-            if sym.name in self.symbols:
-                raise ValueError("duplicate symbol %r" % sym.name)
-            self.symbols[sym.name] = sym
+        self.base = frozenset(base)
+        self.symbols = frozenset(fiber) | self.base
         # section symbol name -> its psi symbol name
         self.psi_of = dict(psi_of or {})
 
-    def symbol_names(self):
-        return sorted(self.symbols)
-
-    def degree(self, mono):
-        return sum(self.symbols[name].degree * p for name, p in mono)
+    @staticmethod
+    def degree(mono):
+        return sum(p for _, p in mono)
 
     def base_part(self, mono):
-        return tuple((n, p) for n, p in mono if self.symbols[n].on_base)
+        return tuple((n, p) for n, p in mono if n in self.base)
 
     def fiber_part(self, mono):
-        return tuple((n, p) for n, p in mono if not self.symbols[n].on_base)
+        return tuple((n, p) for n, p in mono if n not in self.base)
 
     def normalize_monomial(self, mono):
         """Canonical (coefficient, monomial) for a raw exponent map, or None if zero."""
@@ -171,9 +148,6 @@ class BaseClass(LinComb):
     def graded_part(self, d):
         return self._like({m: c for m, c in self.terms.items() if self.ring.degree(m) == d})
 
-    def max_degree(self):
-        return max((self.ring.degree(m) for m in self.terms), default=0)
-
     def monomials(self):
         """Sorted (monomial, coefficient) pairs."""
         return sorted(self.terms.items())
@@ -194,41 +168,26 @@ def section_power(ring: Ring, theta: str, r: int) -> BaseClass:
     return BaseClass(ring, {((theta, r),): Fraction(1)})
 
 
-def make_total_space_ring(dim_b: int, with_point=False) -> Ring:
-    """Ring over the total space X of the family (dimension dim_b + 1)."""
-    symbols = [
-        BaseSymbol("L", 1, KIND_LINE_BUNDLE),
-        BaseSymbol("omega", 1, KIND_CANONICAL),
-    ]
-    if with_point:
-        symbols.append(BaseSymbol("pt", 1, KIND_POINT))
-    return Ring("X/B(dim %d)" % dim_b, dim_b + 1, symbols)
+def make_total_space_ring(dim_b: int) -> Ring:
+    """Ring over the total space X of the family (dimension dim_b + 1).
+
+    Over a point base the total space is one curve and carries a point class.
+    """
+    fiber = ("L", "omega", "pt") if dim_b == 0 else ("L", "omega")
+    return Ring("X/B(dim %d)" % dim_b, dim_b + 1, fiber)
 
 
 def make_boundary_ring(dim_b: int, node_id: str) -> Ring:
     """Ring over the normalized boundary family X^theta (dimension dim_b)."""
-    symbols = [
-        BaseSymbol("L", 1, KIND_LINE_BUNDLE),
-        BaseSymbol("omega", 1, KIND_CANONICAL),
-        BaseSymbol("theta_x", 1, KIND_SECTION),
-        BaseSymbol("theta_y", 1, KIND_SECTION),
-        BaseSymbol("psi_x", 1, KIND_PSI, on_base=True),
-        BaseSymbol("psi_y", 1, KIND_PSI, on_base=True),
-        BaseSymbol("tauL", 1, KIND_PULLBACK, on_base=True),
-    ]
     return Ring(
         "X^theta(%s)" % node_id,
         dim_b,
-        symbols,
+        ("L", "omega", "theta_x", "theta_y"),
+        base=("psi_x", "psi_y", "tauL"),
         psi_of={"theta_x": "psi_x", "theta_y": "psi_y"},
     )
 
 
 def make_node_base_ring(dim_b: int, node_id: str) -> Ring:
     """Ring over the boundary base T of a node (dimension dim_b - 1)."""
-    symbols = [
-        BaseSymbol("psi_x", 1, KIND_PSI),
-        BaseSymbol("psi_y", 1, KIND_PSI),
-        BaseSymbol("tauL", 1, KIND_PULLBACK),
-    ]
-    return Ring("T(%s)" % node_id, dim_b - 1, symbols)
+    return Ring("T(%s)" % node_id, dim_b - 1, ("psi_x", "psi_y", "tauL"))

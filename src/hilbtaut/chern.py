@@ -20,7 +20,7 @@ from .charpoly import CharPoly
 from .family import FamilyDescriptor
 from .lincomb import LinComb, add_term
 from .partitions import enumerate_distributions
-from .tautmod import TautClass, gamma_action, integrate, base_monomial_mult
+from .tautmod import TautClass, base_monomial_mult, gamma_action, gamma_power, integrate
 from .transfer import transfer
 
 # -- polynomial expressions on the full flag ---------------------------------------
@@ -79,9 +79,6 @@ class WExpression(LinComb):
 
     def degree_part(self, d):
         return self._like({k: c for k, c in self.terms.items() if sum(k) == d})
-
-    def max_degree(self):
-        return max((sum(k) for k in self.terms), default=0)
 
     def __repr__(self):
         bits = []
@@ -151,46 +148,31 @@ def w3_monomial(fam: FamilyDescriptor, exponents) -> CharPoly:
 # -- Chern classes of tautological bundles ------------------------------------------
 
 
-def chern_splitting(m, truncate=None) -> WExpression:
+def _stage_factor(m, i):
+    """The i-th stage's factor 1 + L_i - G_i + G_{i-1} of the total Chern class."""
+    return (
+        WExpression.const(m) + WExpression.L(m, i) - WExpression.G(m, i) + WExpression.G(m, i - 1)
+    )
+
+
+def chern_splitting(m) -> WExpression:
     """Total Chern class of the rank-m tautological bundle of a line bundle.
 
     The pullback to the full flag factors as the product over stages of
-    (1 + L_i - G_i + G_{i-1}); optionally truncated above a given degree.
+    (1 + L_i - G_i + G_{i-1}).
     """
     out = WExpression.const(m)
     for i in range(1, m + 1):
-        factor = (
-            WExpression.const(m)
-            + WExpression.L(m, i)
-            - WExpression.G(m, i)
-            + WExpression.G(m, i - 1)
-        )
-        out = out * factor
-    if truncate is not None:
-        out = WExpression(
-            m, {k: c for k, c in out.terms.items() if sum(k) <= truncate}
-        )
+        out = out * _stage_factor(m, i)
     return out
 
 
 def chern_flaglet(m):
     """Both sides of the one-step factorization of the total Chern class."""
-    lhs = chern_splitting(m)
-    step = (
-        WExpression.const(m)
-        + WExpression.L(m, m)
-        - WExpression.G(m, m)
-        + WExpression.G(m, m - 1)
-    )
     prev = WExpression.const(m)
     for i in range(1, m):
-        prev = prev * (
-            WExpression.const(m)
-            + WExpression.L(m, i)
-            - WExpression.G(m, i)
-            + WExpression.G(m, i - 1)
-        )
-    return lhs, prev * step
+        prev = prev * _stage_factor(m, i)
+    return chern_splitting(m), prev * _stage_factor(m, m)
 
 
 def chern_class_on_hilb(fam: FamilyDescriptor, m) -> TautClass:
@@ -328,20 +310,10 @@ def double_point_class(fam: FamilyDescriptor, target) -> TautClass:
     for a, b, c in target["diag"]:
         total.accumulate(TautClass.from_twists(fam, 2, [(1, ell ** a), (1, ell ** b)], coeff=c))
     for i in range(1, n + 1):
-        cls = _gamma_power_m2_signed(fam, i)
-        coeff = target["tangent"][n - i]
-        if not coeff:
-            continue
-        twisted = _twist_small_support(cls, n - i)
-        total.accumulate(twisted, coeff)
+        # (-Gamma)^i c_{n-i}(T)
+        coeff = target["tangent"][n - i] * (-1) ** i
+        total.accumulate(_twist_small_support(gamma_power(fam, 2, i), n - i), coeff)
     return total
-
-
-def _gamma_power_m2_signed(fam, i):
-    """(-Gamma)^i on the length-2 Hilbert scheme."""
-    from .tautmod import gamma_power
-
-    return gamma_power(fam, 2, i).scale(Fraction((-1) ** i))
 
 
 def _twist_small_support(tc: TautClass, k) -> TautClass:

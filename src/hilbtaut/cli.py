@@ -6,7 +6,8 @@ identifiers for symbolic characters.  Every subcommand accepts an optional
 descriptor path (default: the fully symbolic one-node family over a
 1-dimensional base) and an output mode.
 
-Exit codes: 0 success, 1 descriptor/validation error, 2 engine error.
+Exit codes: 0 success, 1 bad input (the descriptor or an option value), 2 engine
+fault, including a disagreement found by a cross-check.
 """
 
 from __future__ import annotations
@@ -29,12 +30,19 @@ class DescriptorError(Exception):
     pass
 
 
+def _rational(text):
+    """`text` as an exact rational p/q, or None when it is not one."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
 def _parse_value(text, where):
     text = text.strip()
-    try:
-        return CharPoly.const(Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        pass
+    value = _rational(text)
+    if value is not None:
+        return CharPoly.const(value)
     if text.replace("_", "").isalnum() and not text[0].isdigit():
         return CharPoly.symbol(text)
     raise DescriptorError("%s: cannot parse value %r (rational p/q or symbol)" % (where, text))
@@ -84,9 +92,8 @@ def load_descriptor(path) -> FamilyDescriptor:
         raise DescriptorError("%s: dim_b must be >= 1" % fam_raw["dim_b"][1])
     genus = None
     if "genus" in fam_raw:
-        try:
-            genus = Fraction(fam_raw["genus"][0])
-        except ValueError:
+        genus = _rational(fam_raw["genus"][0])
+        if genus is None:
             raise DescriptorError("%s: genus must be rational" % fam_raw["genus"][1])
         if genus < 0:
             raise DescriptorError("%s: genus must be >= 0" % fam_raw["genus"][1])
@@ -141,6 +148,22 @@ def _alias_l2(poly: CharPoly) -> str:
     return str(poly.substitute({"b": CharPoly.symbol("L2")}))
 
 
+def _rational_option(flag, minimum=None, strict=False):
+    """An option taking an exact rational p/q, bounded below like the descriptor's values."""
+
+    def parse(ctx, param, text):
+        if text is None:
+            return None
+        value = _rational(text)
+        if value is None:
+            raise click.BadParameter("%r is not a rational p/q" % text)
+        if minimum is not None and (value <= minimum if strict else value < minimum):
+            raise click.BadParameter("must be %s %s" % (">" if strict else ">=", minimum))
+        return value
+
+    return click.option(flag, type=str, default=None, callback=parse)
+
+
 _descriptor_option = click.argument("descriptor", type=click.Path(), required=False)
 _output_option = click.option(
     "--output", type=click.Choice(["text", "json"]), default="text"
@@ -153,7 +176,7 @@ def main():
 
 
 @main.command("gamma-power")
-@click.option("--m", type=int, required=True)
+@click.option("--m", type=click.IntRange(min=1), required=True)
 @click.option("--k", type=click.IntRange(min=0), required=True)
 @click.option("--integrate", "do_integrate", is_flag=True, help="evaluate the degree")
 @_descriptor_option
@@ -161,6 +184,12 @@ def main():
 def gamma_power_cmd(m, k, do_integrate, descriptor, output):
     """Expand the k-th power of the degree-m discriminant polarization."""
     fam = _family(descriptor)
+    top = m + fam.dim_b
+    if do_integrate and k != top:
+        raise click.BadParameter(
+            "--integrate needs the top degree k = m + dim_b = %d, got %d" % (top, k),
+            param_hint="'--k'",
+        )
     cls = gamma_power(fam, m, k)
     if do_integrate:
         _emit(str(integrate(cls)), output)
@@ -242,14 +271,20 @@ def transfer_cmd(class_json, beta, descriptor, output):
     from .tautmod import from_data
 
     fam = _family(descriptor)
-    data = json.loads(class_json)
-    cls = from_data(fam, data)
+    try:
+        cls = from_data(fam, json.loads(class_json))
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise click.BadParameter(
+            "not a serialized class (%s: %s)" % (type(exc).__name__, exc),
+            param_hint="'--class-json'",
+        )
     twist = _parse_base_class(fam, beta)
     moved = transfer(cls, twist)
     _emit(to_data(moved) if output == "json" else moved.render(), output)
 
 
 def _parse_base_class(fam, text):
+    """The twist `1` or a product of powers such as `L*omega^2`."""
     ring = fam.total_ring
     out = BaseClass.unit(ring)
     text = text.strip()
@@ -257,8 +292,13 @@ def _parse_base_class(fam, text):
         return out
     for factor in text.split("*"):
         name, _, power = factor.partition("^")
-        power = int(power) if power else 1
-        out = out * (BaseClass.gen(ring, name.strip()) ** power)
+        name, power = name.strip(), power.strip() or "1"
+        if name not in ring.symbols or not power.isdecimal():
+            raise click.BadParameter(
+                "%r is not a power of one of %s" % (factor, ", ".join(sorted(ring.symbols))),
+                param_hint="'--beta'",
+            )
+        out = out * (BaseClass.gen(ring, name) ** int(power))
     return out
 
 
@@ -289,7 +329,7 @@ def punctual_chern_cmd(m, descriptor, output):
 
 @main.command("pluecker")
 @click.option("--which", type=click.Choice(["s2", "c2"]), required=True)
-@click.option("--m", type=int, required=True)
+@click.option("--m", type=click.IntRange(min=1), required=True)
 @_descriptor_option
 @_output_option
 def pluecker_cmd(which, m, descriptor, output):
@@ -300,39 +340,31 @@ def pluecker_cmd(which, m, descriptor, output):
 
 
 @main.command("trisecants")
-@click.option("--d", type=str, default=None)
-@click.option("--g", type=str, default=None)
-@click.option("--b", type=str, default=None)
-@click.option("--lomega", type=str, default=None)
-@click.option("--omega2", type=str, default=None)
-@click.option("--sigma", type=str, default=None)
+@_rational_option("--d")
+@_rational_option("--g", minimum=0)
+@_rational_option("--b")
+@_rational_option("--lomega")
+@_rational_option("--omega2")
+@_rational_option("--sigma", minimum=0, strict=True)
 @click.option("--single-curve", is_flag=True,
               help="virtual trisecant-scroll degree of one space curve")
 @_output_option
 def trisecants_cmd(d, g, b, lomega, omega2, sigma, single_curve, output):
     """Trisecant counts from the degeneracy combination of Chern numbers."""
-    chars = {}
-    if d is not None:
-        chars["d"] = CharPoly.const(Fraction(d))
-    if g is not None:
-        chars["twogm2"] = CharPoly.const(2 * Fraction(g) - 2)
-    for key, value in (("b", b), ("Lomega", lomega), ("omega2", omega2)):
-        if value is not None:
-            chars[key] = CharPoly.const(Fraction(value))
+    twogm2 = None if g is None else 2 * g - 2
+    given = (("d", d), ("twogm2", twogm2), ("b", b), ("Lomega", lomega), ("omega2", omega2))
+    chars = {key: value for key, value in given if value is not None}
     if single_curve:
         _emit(str(chern_mod.single_curve_trisecant_scroll(chars)), output)
         return
-    nodes = []
-    if sigma is not None:
-        nodes.append(Node("s", CharPoly.const(Fraction(sigma)), tau_L=CharPoly.const(0)))
-    else:
-        nodes.append(Node("s", CharPoly.symbol("sigma"), tau_L=CharPoly.const(0)))
-    fam = FamilyDescriptor(1, chars=chars, nodes=nodes, label="cli")
+    weight = CharPoly.symbol("sigma") if sigma is None else sigma
+    fam = FamilyDescriptor(1, chars=chars, nodes=[Node("s", weight, tau_L=0)], label="cli")
     _emit(str(chern_mod.trisecant_count(fam)), output)
 
 
 @main.command("double-points")
-@click.option("--n", type=int, required=True, help="dimension of the projective target")
+@click.option("--n", type=click.IntRange(min=0), required=True,
+              help="dimension of the projective target")
 @click.option("--push-to-base", is_flag=True)
 @_descriptor_option
 @_output_option
@@ -384,7 +416,8 @@ def oracle_check_cmd(cases, seed, output):
     result = {"cases": cases, "failures": failures}
     _emit(result, output)
     if failures:
-        raise click.ClickException("oracle disagreement")
+        # an engine fault, not bad input: run() exits 2
+        raise ArithmeticError("oracle disagreement in %d of %d cases" % (failures, cases))
 
 
 def run():

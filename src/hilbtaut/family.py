@@ -60,7 +60,7 @@ class FamilyDescriptor:
             seen.add(node.node_id)
             if node.weight.is_constant() and node.weight.constant_value() <= 0:
                 raise ValueError("node %s has nonpositive weight" % node.node_id)
-        self.total_ring = make_total_space_ring(dim_b, with_point=(dim_b == 0))
+        self.total_ring = make_total_space_ring(dim_b)
         self._boundary_rings = {
             n.node_id: make_boundary_ring(dim_b, n.node_id) for n in self.nodes
         }
@@ -141,13 +141,13 @@ class FamilyDescriptor:
         )
 
 
-def symbolic_family(dim_b=1, with_node=True, label="X/B"):
+def symbolic_family(dim_b=1):
     """Fully symbolic descriptor; one generic node of symbolic total weight."""
     nodes = []
-    if with_node and dim_b >= 1:
+    if dim_b >= 1:
         tau = CharPoly.const(0) if dim_b == 1 else None
         nodes.append(Node("s", CharPoly.symbol("sigma"), tau_L=tau))
-    return FamilyDescriptor(dim_b, chars={}, nodes=nodes, label=label)
+    return FamilyDescriptor(dim_b, nodes=nodes)
 
 
 def integrate_classes(fam: FamilyDescriptor, factors, node=None):

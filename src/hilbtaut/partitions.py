@@ -68,18 +68,6 @@ class Distribution:
     def num_blocks(self):
         return sum(k for _, k in self.mult)
 
-    def length(self):
-        """Number of distinct block sizes present."""
-        return len(self.mult)
-
-    def sizes(self):
-        return [n for n, _ in self.mult]
-
-    def add_block(self, n, count=1):
-        d = dict(self.mult)
-        d[n] = d.get(n, 0) + count
-        return Distribution(d)
-
     def remove_block(self, n):
         """Distribution with one n-block removed, or None if absent."""
         if self.get(n) == 0:

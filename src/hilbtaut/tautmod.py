@@ -144,9 +144,6 @@ class TautClass(LinComb):
 
     # -- inspection ----------------------------------------------------------------
 
-    def diag_terms(self):
-        return sorted(self.diag.items())
-
     def codim_parts(self):
         """Set of codimensions present (diagnostic)."""
         out = set()
@@ -156,17 +153,6 @@ class TautClass(LinComb):
             out |= {n + c for c in p.codim_parts()} or {n}
         for (node_id, n, j), p in self.section.items():
             out |= {n + 1 + c for c in p.codim_parts()} or {n + 1}
-        return out
-
-    def graded_part(self, codim):
-        out = TautClass(self.fam, self.m)
-        for (base_mono, blocks), c in self.diag.items():
-            if self._diag_codim(base_mono, blocks) == codim:
-                out.diag[(base_mono, blocks)] = c
-        for (node_id, n, j), p in self.scroll.items():
-            out.add_scroll(node_id, n, j, p.graded_part(codim - n))
-        for (node_id, n, j), p in self.section.items():
-            out.add_section(node_id, n, j, p.graded_part(codim - n - 1))
         return out
 
     def render(self):
@@ -227,16 +213,22 @@ def from_data(fam: FamilyDescriptor, data) -> TautClass:
     """Rebuild a class from its serialization, on the given family."""
     tc = TautClass(fam, data["m"])
     for term in data["diag"]:
-        base = tuple((str(n), int(p)) for n, p in term["base"])
-        blocks = tuple(
-            (int(n), tuple((str(s), int(p)) for s, p in mono)) for n, mono in term["blocks"]
-        )
+        base = _mono_from_data(tc.ring, term["base"])
+        blocks = tuple((int(n), _mono_from_data(tc.ring, mono)) for n, mono in term["blocks"])
         tc.add_diag(base, blocks, _coeff_from_data(term["coeff"]))
     for sector, adder in (("scroll", tc.add_scroll), ("section", tc.add_section)):
         for term in data[sector]:
             bd = fam.boundary_family(term["node"])
             adder(term["node"], term["n"], term["j"], from_data(bd, term["payload"]))
     return tc
+
+
+def _mono_from_data(ring, data):
+    mono = tuple((str(s), int(p)) for s, p in data)
+    for name, _ in mono:
+        if name not in ring.symbols:
+            raise ValueError("symbol %r not in ring %s" % (name, ring.label))
+    return mono
 
 
 def _mu_of(blocks):

@@ -21,7 +21,7 @@ from math import comb
 
 from .basering import BaseClass
 from .charpoly import CharPoly
-from .family import FamilyDescriptor, main_pushforward_char
+from .family import FamilyDescriptor, integrate_classes
 from .tautmod import (
     TautClass,
     base_monomial_mult,
@@ -116,34 +116,6 @@ class PunctualClass:
     def tring(self, node_id):
         return self.fam.node_base_ring(node_id)
 
-    def __add__(self, other):
-        if self.m != other.m or self.fam is not other.fam:
-            raise ValueError("mismatched punctual classes")
-        out = PunctualClass(self.fam, self.m, self.interior + other.interior)
-        for nid in self.scroll:
-            for i in range(1, self.m):
-                out.scroll[nid][i] = self.scroll[nid][i] + other.scroll[nid][i]
-                out.section[nid][i] = self.section[nid][i] + other.section[nid][i]
-        return out
-
-    def scale(self, c):
-        out = PunctualClass(self.fam, self.m, self.interior * c)
-        for nid in self.scroll:
-            for i in range(1, self.m):
-                out.scroll[nid][i] = self.scroll[nid][i] * c
-                out.section[nid][i] = self.section[nid][i] * c
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, PunctualClass):
-            return NotImplemented
-        return (
-            self.m == other.m
-            and self.interior == other.interior
-            and self.scroll == other.scroll
-            and self.section == other.section
-        )
-
     def __repr__(self):
         parts = ["%s" % self.interior]
         for nid in sorted(self.scroll):
@@ -167,28 +139,6 @@ def psi_power_class(ring, m, i):
     if b:
         mono.append(("psi_y", b))
     return BaseClass(ring, {tuple(mono): Fraction(1)})
-
-
-def punctual_transfer_scroll(fam, m, i, node_id):
-    """Transfer of the scroll component C^{m-1}_i: fractions of C^m_i and C^m_{i+1}."""
-    if not 1 <= i <= m - 2:
-        raise ValueError("scroll index %d out of range for degree %d" % (i, m))
-    out = PunctualClass(fam, m)
-    ring = out.tring(node_id)
-    out.scroll[node_id][i] = BaseClass.unit(ring, Fraction(m - i, m - 1))
-    out.scroll[node_id][i + 1] = BaseClass.unit(ring, Fraction(i + 1, m - 1))
-    return out
-
-
-def punctual_transfer_section(fam, m, i, node_id):
-    """Transfer of the section over C^{m-1}_i: psi-twisted scroll components."""
-    if not 1 <= i <= m - 2:
-        raise ValueError("section index %d out of range for degree %d" % (i, m))
-    out = PunctualClass(fam, m)
-    ring = out.tring(node_id)
-    out.scroll[node_id][i] = psi_power_class(ring, m - 1, i) * Fraction(m - i, m - 1)
-    out.scroll[node_id][i + 1] = psi_power_class(ring, m - 1, i + 1) * Fraction(i + 1, m - 1)
-    return out
 
 
 def punctual_transfer(fam, pc: PunctualClass) -> PunctualClass:
@@ -325,15 +275,6 @@ def _punctual_chern_step(fam, prev: PunctualClass) -> PunctualClass:
     return out
 
 
-def _x_integral(fam, cls: BaseClass) -> CharPoly:
-    """Integrate a total-space class over X (degree-2 part, base of dimension 1)."""
-    total = CharPoly.zero()
-    for mono, c in cls.terms.items():
-        if sum(p for _, p in mono) == 2:
-            total.accumulate(main_pushforward_char(fam, mono), c)
-    return total
-
-
 def integrate_punctual_degree2(fam, pc: PunctualClass) -> CharPoly:
     """Degree of the codimension-2 part of a punctual class, base of dimension 1.
 
@@ -344,7 +285,7 @@ def integrate_punctual_degree2(fam, pc: PunctualClass) -> CharPoly:
     """
     if fam.dim_b != 1:
         raise ValueError("numeric punctual integration needs a 1-dimensional base")
-    total = _x_integral(fam, pc.interior)
+    total = integrate_classes(fam, pc.interior.graded_part(2))
     for node in fam.nodes:
         for cls in pc.section[node.node_id].values():
             total.accumulate(node.weight, cls.terms.get((), 0))
@@ -384,7 +325,7 @@ def segre_contact_step(fam, m) -> PunctualClass:
     return out
 
 
-def pluecker_s2(fam, m, check=True):
+def pluecker_s2(fam, m):
     """Closed form for the count of m-contact hyperplane sections (dim base 1).
 
     Integrates the Segre recursion and compares with the closed form
@@ -403,7 +344,7 @@ def pluecker_s2(fam, m, check=True):
         + fam.char("omega2") * Fraction(m * (m * m - 1) * (3 * m - 2), 24)
         - fam.sigma() * Fraction(m * (m * m - 1) * (m + 2), 24)
     )
-    if check and value != closed:
+    if value != closed:
         raise ArithmeticError(
             "second-Segre recursion disagrees with its closed form at m=%d" % m
         )
@@ -420,7 +361,7 @@ def c2_contact_step(fam, m) -> CharPoly:
     )
 
 
-def pluecker_c2(fam, m, check=True):
+def pluecker_c2(fam, m):
     """Closed form for c_2 of the tautological bundle on the punctual locus."""
     value = CharPoly.zero()
     for k in range(2, m + 1):
@@ -431,7 +372,7 @@ def pluecker_c2(fam, m, check=True):
         + fam.char("Lomega") * (3 * comb(m + 1, 3) - 2 * comb(m, 2))
         - fam.sigma() * (2 * comb(m + 2, 5))
     )
-    if check and value != closed:
+    if value != closed:
         raise ArithmeticError(
             "second-Chern recursion disagrees with its closed form at m=%d" % m
         )

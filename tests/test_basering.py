@@ -25,7 +25,7 @@ def bring():
 
 def rand_class(ring, draw_coeffs):
     out = BaseClass.zero(ring)
-    gens = [BaseClass.unit(ring)] + [BaseClass.gen(ring, n) for n in ring.symbol_names()]
+    gens = [BaseClass.unit(ring)] + [BaseClass.gen(ring, n) for n in sorted(ring.symbols)]
     for g, c in zip(gens, draw_coeffs):
         out = out + g * Fraction(c)
     return out

@@ -87,14 +87,6 @@ def test_chern_flaglet_identity():
         assert lhs == rhs
 
 
-def test_splitting_truncation():
-    cut = chern_splitting(3, truncate=4)
-    assert cut.max_degree() <= 4
-    full = chern_splitting(3)
-    for d in range(5):
-        assert cut.degree_part(d) == full.degree_part(d)
-
-
 def test_first_chern_class_is_norm_minus_discriminant(fam):
     # pushing the degree-1 part down and dividing by the flag degree gives
     # the norm of L minus the discriminant

@@ -80,6 +80,13 @@ def test_load_rejects_bad_dim(tmp_path):
         load_descriptor(path)
 
 
+@pytest.mark.parametrize("genus", ["1/0", "x", "-1"])
+def test_load_rejects_bad_genus(tmp_path, genus):
+    path = write(tmp_path, "[family]\ndim_b = 1\ngenus = %s\n" % genus)
+    with pytest.raises(DescriptorError, match=":3: genus"):
+        load_descriptor(path)
+
+
 def test_load_parse_error_has_line_number(tmp_path):
     path = write(tmp_path, "[family]\ndim_b = 1\nbroken line\n")
     with pytest.raises(DescriptorError, match=":3"):
@@ -200,6 +207,27 @@ def test_double_points_command(runner):
     assert "kappaL_0" in result.output
 
 
+EMPTY_CLASS = '{"m": 1, "diag": [], "scroll": [], "section": []}'
+
+
+def _one_point_class(symbol, coeff):
+    """Serialized `coeff` times the Hilbert-degree-1 class twisted by `symbol`."""
+    term = {"base": [], "blocks": [[1, [[symbol, 1]]]], "coeff": [[[], coeff]]}
+    return json.dumps({"m": 1, "diag": [term], "scroll": [], "section": []})
+
+
+UNKNOWN_SYMBOL_CLASS = _one_point_class("foo", "1")
+ZERO_DENOMINATOR_CLASS = _one_point_class("L", "1/0")
+
+
+def _run_exit(monkeypatch, argv):
+    """Exit code of the entry point run in process on `argv`."""
+    monkeypatch.setattr(sys, "argv", ["hilbtaut"] + argv)
+    with pytest.raises(SystemExit) as exc:
+        run()
+    return exc.value.code
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [
@@ -207,14 +235,51 @@ def test_double_points_command(runner):
         (["chern", "--m", "0"], "--m"),
         (["punctual-chern", "--m", "0"], "--m"),
         (["oracle-check", "--cases", "-3"], "--cases"),
+        (["gamma-power", "--m", "-1", "--k", "2"], "--m"),
+        (["gamma-power", "--m", "3", "--k", "2", "--integrate"], "--k"),
+        (["pluecker", "--which", "s2", "--m", "0"], "--m"),
+        (["pluecker", "--which", "c2", "--m", "-2"], "--m"),
+        (["double-points", "--n", "-1"], "--n"),
+        (["trisecants", "--d", "abc"], "--d"),
+        (["trisecants", "--d", "1/0"], "--d"),
+        (["trisecants", "--sigma", "x"], "--sigma"),
+        (["trisecants", "--sigma", "0"], "--sigma"),
+        (["trisecants", "--g", "-1"], "--g"),
+        (["transfer", "--class-json", "{}"], "--class-json"),
+        (["transfer", "--class-json", "[1"], "--class-json"),
+        (["transfer", "--class-json", UNKNOWN_SYMBOL_CLASS], "--class-json"),
+        (["transfer", "--class-json", ZERO_DENOMINATOR_CLASS], "--class-json"),
+        (["transfer", "--class-json", EMPTY_CLASS, "--beta", "foo"], "--beta"),
+        (["transfer", "--class-json", EMPTY_CLASS, "--beta", "L^x"], "--beta"),
     ],
 )
 def test_out_of_range_option_exits_1(monkeypatch, capsys, argv, option):
-    monkeypatch.setattr(sys, "argv", ["hilbtaut"] + argv)
-    with pytest.raises(SystemExit) as exc:
-        run()
-    assert exc.value.code == 1
+    assert _run_exit(monkeypatch, argv) == 1
     assert "'%s'" % option in capsys.readouterr().err
+
+
+def test_integrate_off_top_degree_names_the_top_degree(monkeypatch, capsys):
+    argv = ["gamma-power", "--m", "3", "--k", "2", "--integrate"]
+    assert _run_exit(monkeypatch, argv) == 1
+    assert "k = m + dim_b = 4" in capsys.readouterr().err
+
+
+def test_engine_fault_exits_2(monkeypatch, capsys):
+    def broken(*args):
+        raise RuntimeError("broken engine")
+
+    monkeypatch.setattr("hilbtaut.cli.gamma_power", broken)
+    assert _run_exit(monkeypatch, ["gamma-power", "--m", "2", "--k", "3"]) == 2
+    assert "engine error: broken engine" in capsys.readouterr().err
+
+
+def test_oracle_disagreement_exits_2(monkeypatch, capsys):
+    # a discriminant operator that forgets the block unions disagrees with the oracle
+    monkeypatch.setattr("hilbtaut.tensym.discriminant_op", lambda t: t)
+    assert _run_exit(monkeypatch, ["oracle-check", "--cases", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "failures = 0" not in captured.out
+    assert "engine error: oracle disagreement" in captured.err
 
 
 def test_exit_codes_through_entry_point(tmp_path):
@@ -236,6 +301,6 @@ def test_exit_codes_through_entry_point(tmp_path):
     assert invalid.returncode == 1
     assert "descriptor error" in invalid.stderr
 
-    engine = run("transfer", "--class-json", '{"m": 1, "diag": [], "bad": []}')
-    assert engine.returncode == 2
-    assert "engine error" in engine.stderr
+    malformed = run("transfer", "--class-json", '{"m": 1, "diag": [], "bad": []}')
+    assert malformed.returncode == 1
+    assert "'--class-json'" in malformed.stderr

@@ -16,8 +16,6 @@ from hilbtaut.transfer import (
     psi_power_class,
     punctual_chern,
     punctual_transfer,
-    punctual_transfer_scroll,
-    punctual_transfer_section,
     segre_contact_step,
     small_flag_gamma,
     transfer,
@@ -102,16 +100,21 @@ def test_section_transfer_forms_agree(m1):
 # -- punctual transfer -----------------------------------------------------------------
 
 
+def _one_component(fam, m, i, sector):
+    """The punctual class of degree m with the unit class on one node component."""
+    pc = PunctualClass(fam, m)
+    getattr(pc, sector)["s"][i] = BaseClass.unit(fam.node_base_ring("s"))
+    return pc
+
+
 def test_punctual_scroll_coefficients(fam):
-    out = punctual_transfer_scroll(fam, 3, 1, "s")
+    out = punctual_transfer(fam, _one_component(fam, 2, 1, "scroll"))
     ring = fam.node_base_ring("s")
     assert out.scroll["s"][1] == BaseClass.unit(ring, 1)
     assert out.scroll["s"][2] == BaseClass.unit(ring, 1)
-    out = punctual_transfer_scroll(fam, 4, 1, "s")
+    out = punctual_transfer(fam, _one_component(fam, 3, 1, "scroll"))
     assert out.scroll["s"][1] == BaseClass.unit(ring, 1)
     assert out.scroll["s"][2] == BaseClass.unit(ring, Fraction(2, 3))
-    with pytest.raises(ValueError):
-        punctual_transfer_scroll(fam, 3, 2, "s")
 
 
 def test_punctual_coefficient_row_sums():
@@ -139,22 +142,36 @@ def test_psi_power_exponents(fam):
 
 def test_punctual_section_transfer(fam):
     big = FamilyDescriptor(9, nodes=[Node("s", 1)])
-    out = punctual_transfer_section(big, 3, 1, "s")
+    out = punctual_transfer(big, _one_component(big, 2, 1, "section"))
     bring = big.node_base_ring("s")
     assert out.scroll["s"][1] == psi_power_class(bring, 2, 1)
     assert out.scroll["s"][2] == psi_power_class(bring, 2, 2)
 
 
 def test_punctual_transfer_full_class_consistency(fam):
-    # the linear extension agrees with the one-component rules
+    # a component C^{m-1}_i moves to (m-i)/(m-1) C^m_i + (i+1)/(m-1) C^m_{i+1};
+    # a section over it does the same with the psi-power twist psi^{m-1}_i,
+    # psi^{m-1}_{i+1}, and no section survives
     big = FamilyDescriptor(9, nodes=[Node("s", 1)])
-    for m_src in (2, 3, 4):
-        for i in range(1, m_src):
-            pc = PunctualClass(big, m_src)
-            pc.scroll["s"][i] = BaseClass.unit(big.node_base_ring("s"))
-            moved = punctual_transfer(big, pc)
-            direct = punctual_transfer_scroll(big, m_src + 1, i, "s")
-            assert moved.scroll == direct.scroll
+    bring = big.node_base_ring("s")
+    zero = BaseClass.zero(bring)
+    for m in range(2, 6):
+        for i in range(1, m - 1):
+            low, high = Fraction(m - i, m - 1), Fraction(i + 1, m - 1)
+            twists = {
+                "scroll": (BaseClass.unit(bring), BaseClass.unit(bring)),
+                "section": (
+                    psi_power_class(bring, m - 1, i),
+                    psi_power_class(bring, m - 1, i + 1),
+                ),
+            }
+            for sector, (twist_i, twist_next) in twists.items():
+                moved = punctual_transfer(big, _one_component(big, m - 1, i, sector))
+                expected = {k: zero for k in range(1, m)}
+                expected[i] = twist_i * low
+                expected[i + 1] = twist_next * high
+                assert moved.scroll["s"] == expected, (m, i, sector)
+                assert all(c.is_zero() for c in moved.section["s"].values())
 
 
 # -- discriminants on the flaglet small diagonal ----------------------------------------
