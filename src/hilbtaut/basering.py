@@ -139,15 +139,6 @@ class BaseClass(LinComb):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        out = BaseClass.unit(self.ring)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def graded_part(self, d):
-        return self._like({m: c for m, c in self.terms.items() if self.ring.degree(m) == d})
-
     def monomials(self):
         """Sorted (monomial, coefficient) pairs."""
         return sorted(self.terms.items())

@@ -79,12 +79,6 @@ class CharPoly(LinComb):
     def __truediv__(self, scalar):
         return self.scale(1 / fraction(scalar))
 
-    def __pow__(self, n):
-        out = CharPoly.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 

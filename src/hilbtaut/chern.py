@@ -2,11 +2,12 @@
 and the enumerative applications (trisecants, contact loci, double points).
 
 A polynomial in the flag classes L_1..L_m and the discriminants of degrees
-2..m evaluates by pushing down the tower of flaglet correspondences: at each
-stage the accumulated class is transferred with the new point's twist and
-multiplied by the stage's discriminant powers.  Pushing the fundamental class
-through the whole tower multiplies by m!, which is the degree of the full
-flag over the Hilbert scheme; flag-level numbers are therefore m! times the
+2..m is a CharPoly in the symbols L1..Lm and G2..Gm.  It evaluates by pushing
+down the tower of flaglet correspondences: at each stage the accumulated
+class is transferred with the new point's twist and multiplied by the
+stage's discriminant powers.  Pushing the fundamental class through the
+whole tower multiplies by m!, which is the degree of the full flag over the
+Hilbert scheme; flag-level numbers are therefore m! times the
 Hilbert-scheme numbers.
 """
 
@@ -18,119 +19,71 @@ from math import comb, factorial
 from .basering import BaseClass
 from .charpoly import CharPoly
 from .family import FamilyDescriptor
-from .lincomb import LinComb, add_term
+from .lincomb import mono_str
 from .partitions import enumerate_distributions
 from .tautmod import TautClass, base_monomial_mult, gamma_action, gamma_power, integrate
 from .transfer import transfer
 
-# -- polynomial expressions on the full flag ---------------------------------------
+# -- polynomials on the full flag ---------------------------------------------------
 
 
-class WExpression(LinComb):
-    """Polynomial in L_1..L_m and the discriminant pullbacks of degrees 2..m.
+def flag_L(i) -> CharPoly:
+    """The class L_i of the i-th point's line bundle on the full flag."""
+    return CharPoly.symbol("L%d" % i)
 
-    Exponent keys are tuples (a_1..a_m, k_2..k_m); all coefficients exact.
-    """
 
-    __slots__ = ("m", "terms")
-    _space = ("m",)
-
-    def __init__(self, m, terms=None):
-        self.m = m
-        LinComb.__init__(self, terms)
-
-    @staticmethod
-    def const(m, value=1):
-        key = tuple([0] * (2 * m - 1))
-        return WExpression(m, {key: value})
-
-    @staticmethod
-    def L(m, i):
-        if not 1 <= i <= m:
-            raise ValueError("L index out of range")
-        key = [0] * (2 * m - 1)
-        key[i - 1] = 1
-        return WExpression(m, {tuple(key): 1})
-
-    @staticmethod
-    def G(m, i):
-        """The degree-i discriminant pullback; degrees 0 and 1 vanish."""
-        if not 0 <= i <= m:
-            raise ValueError("discriminant index out of range")
-        if i <= 1:
-            return WExpression(m)
-        key = [0] * (2 * m - 1)
-        key[m + i - 2] = 1
-        return WExpression(m, {tuple(key): 1})
-
-    def __mul__(self, other):
-        self._check(other)
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                add_term(out, tuple(a + b for a, b in zip(k1, k2)), c1 * c2)
-        return self._like(out)
-
-    def __pow__(self, n):
-        out = WExpression.const(self.m)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def degree_part(self, d):
-        return self._like({k: c for k, c in self.terms.items() if sum(k) == d})
-
-    def __repr__(self):
-        bits = []
-        for key, c in sorted(self.terms.items()):
-            names = []
-            for i in range(self.m):
-                if key[i]:
-                    names.append("L%d" % (i + 1) + ("^%d" % key[i] if key[i] > 1 else ""))
-            for i in range(2, self.m + 1):
-                e = key[self.m + i - 2]
-                if e:
-                    names.append("G%d" % i + ("^%d" % e if e > 1 else ""))
-            bits.append("(%s)%s" % (c, "*".join(names) or "1"))
-        return "WExpression(%s)" % (" + ".join(bits) or "0")
+def flag_G(i) -> CharPoly:
+    """The pullback G_i of the degree-i discriminant; degrees 0 and 1 vanish."""
+    return CharPoly.symbol("G%d" % i) if i >= 2 else CharPoly.zero()
 
 
 # -- pushing flag polynomials down to the Hilbert scheme ----------------------------
 
 
 def push_monomial(fam: FamilyDescriptor, m, key) -> TautClass:
-    """Push one flag monomial down to the degree-m Hilbert scheme.
+    """Push one flag monomial in L1..Lm, G2..Gm down to the degree-m Hilbert scheme.
 
     Stage i transfers the class accumulated on degree i-1 with twist L^(a_i),
-    then applies the degree-i discriminant k_i times.
+    the exponent of L_i, then applies the degree-i discriminant k_i times,
+    the exponent of G_i.
     """
+    powers = dict(key)
+    a = [powers.pop("L%d" % i, 0) for i in range(1, m + 1)]
+    k = [powers.pop("G%d" % i, 0) for i in range(2, m + 1)]
+    if powers:
+        raise ValueError(
+            "flag monomial %s has symbols outside L1..L%d, G2..G%d" % (mono_str(key), m, m)
+        )
     ring = fam.total_ring
     ell = BaseClass.gen(ring, "L")
-    cls = TautClass.from_twists(fam, 1, [(1, ell ** key[0])])
+    cls = TautClass.from_twists(fam, 1, [(1, ell ** a[0])])
     for i in range(2, m + 1):
         if cls.is_zero():
             return TautClass.zero(fam, m)
-        cls = transfer(cls, ell ** key[i - 1])
-        for _ in range(key[m + i - 2]):
+        cls = transfer(cls, ell ** a[i - 1])
+        for _ in range(k[i - 2]):
             cls = gamma_action(cls)
     return cls
 
 
-def pushdown(fam: FamilyDescriptor, expr: WExpression) -> TautClass:
+def pushdown(fam: FamilyDescriptor, m, expr: CharPoly) -> TautClass:
     """Sum the per-monomial flag pushdowns (m! times the Hilbert-scheme class)."""
-    total = TautClass.zero(fam, expr.m)
+    total = TautClass.zero(fam, m)
     for key, c in expr.terms.items():
-        total.accumulate(push_monomial(fam, expr.m, key), c)
+        total.accumulate(push_monomial(fam, m, key), c)
     return total
 
 
-def integrate_w(fam: FamilyDescriptor, expr: WExpression) -> CharPoly:
+def integrate_w(fam: FamilyDescriptor, m, expr: CharPoly) -> CharPoly:
     """Exact integral of a top-degree flag polynomial over the full flag space."""
-    top = expr.m + fam.dim_b
+    top = m + fam.dim_b
     for key in expr.terms:
-        if sum(key) != top:
-            raise ValueError("monomial %r is not top-dimensional on the flag" % (key,))
-    return integrate(pushdown(fam, expr))
+        if sum(p for _, p in key) != top:
+            raise ValueError("monomial %s is not top-dimensional on the flag" % mono_str(key))
+    return integrate(pushdown(fam, m, expr))
+
+
+W3_SYMBOLS = ("L1", "L2", "L3", "G2", "G3")  # the order of `w3_monomial`'s exponents
 
 
 def w3_monomial(fam: FamilyDescriptor, exponents) -> CharPoly:
@@ -142,42 +95,28 @@ def w3_monomial(fam: FamilyDescriptor, exponents) -> CharPoly:
         raise ValueError("the 3-step flag formulary needs a 1-dimensional base")
     if sum(exponents) != 4:
         raise ValueError("degree must be 4")
-    return integrate_w(fam, WExpression(3, {tuple(exponents): Fraction(1)}))
+    mono = tuple(sorted((name, e) for name, e in zip(W3_SYMBOLS, exponents) if e))
+    return integrate_w(fam, 3, CharPoly({mono: 1}))
 
 
 # -- Chern classes of tautological bundles ------------------------------------------
 
 
-def _stage_factor(m, i):
-    """The i-th stage's factor 1 + L_i - G_i + G_{i-1} of the total Chern class."""
-    return (
-        WExpression.const(m) + WExpression.L(m, i) - WExpression.G(m, i) + WExpression.G(m, i - 1)
-    )
-
-
-def chern_splitting(m) -> WExpression:
+def chern_splitting(m) -> CharPoly:
     """Total Chern class of the rank-m tautological bundle of a line bundle.
 
     The pullback to the full flag factors as the product over stages of
     (1 + L_i - G_i + G_{i-1}).
     """
-    out = WExpression.const(m)
+    out = CharPoly.const(1)
     for i in range(1, m + 1):
-        out = out * _stage_factor(m, i)
+        out = out * (CharPoly.const(1) + flag_L(i) - flag_G(i) + flag_G(i - 1))
     return out
-
-
-def chern_flaglet(m):
-    """Both sides of the one-step factorization of the total Chern class."""
-    prev = WExpression.const(m)
-    for i in range(1, m):
-        prev = prev * _stage_factor(m, i)
-    return chern_splitting(m), prev * _stage_factor(m, m)
 
 
 def chern_class_on_hilb(fam: FamilyDescriptor, m) -> TautClass:
     """Total Chern class of the tautological bundle on the Hilbert scheme."""
-    return pushdown(fam, chern_splitting(m)).scale(Fraction(1, factorial(m)))
+    return pushdown(fam, m, chern_splitting(m)).scale(Fraction(1, factorial(m)))
 
 
 def chern_closed_form(fam: FamilyDescriptor, m) -> TautClass:
@@ -207,21 +146,26 @@ def chern_closed_form(fam: FamilyDescriptor, m) -> TautClass:
 # -- Chern numbers on the 3-step flag and trisecants ---------------------------------
 
 
+def _rank3_chern_classes():
+    """c1, c2, c3 of the rank-3 tautological bundle, pulled back to the 3-step flag."""
+    total = chern_splitting(3)
+    return total.graded_part(1), total.graded_part(2), total.graded_part(3)
+
+
 def chern_numbers_w3(fam: FamilyDescriptor):
     """The four degree-4 Chern numbers of the rank-3 tautological bundle.
 
     Returned on the 3-step flag (3! times the Hilbert-scheme numbers), as a
-    dict with keys c1^4, c1^2c2, c1c3, c2^2.
+    dict with keys c1^4, c1^2c2, c1c3, c2^2; requires a 1-dimensional base.
     """
-    total = chern_splitting(3)
-    c1 = total.degree_part(1)
-    c2 = total.degree_part(2)
-    c3 = total.degree_part(3)
+    if fam.dim_b != 1:
+        raise ValueError("the degree-4 Chern numbers need a 1-dimensional base")
+    c1, c2, c3 = _rank3_chern_classes()
     return {
-        "c1^4": integrate_w(fam, c1 ** 4),
-        "c1^2c2": integrate_w(fam, c1 * c1 * c2),
-        "c1c3": integrate_w(fam, c1 * c3),
-        "c2^2": integrate_w(fam, c2 * c2),
+        "c1^4": integrate_w(fam, 3, c1 ** 4),
+        "c1^2c2": integrate_w(fam, 3, c1 * c1 * c2),
+        "c1c3": integrate_w(fam, 3, c1 * c3),
+        "c2^2": integrate_w(fam, 3, c2 * c2),
     }
 
 
@@ -266,11 +210,8 @@ def single_curve_trisecant_scroll(chars=None) -> CharPoly:
     c3(wedge^2 E) = c1 c2 - c3.
     """
     fam = FamilyDescriptor(0, chars=chars or {}, label="X")
-    total = chern_splitting(3)
-    c1 = total.degree_part(1)
-    c2 = total.degree_part(2)
-    c3 = total.degree_part(3)
-    flag_number = integrate_w(fam, c1 * c2 - c3)
+    c1, c2, c3 = _rank3_chern_classes()
+    flag_number = integrate_w(fam, 3, c1 * c2 - c3)
     return flag_number / 6
 
 

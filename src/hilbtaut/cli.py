@@ -15,12 +15,14 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from itertools import product
 
 import click
 
 from .basering import BaseClass
 from .charpoly import CharPoly
 from .family import FamilyDescriptor, Node, symbolic_family
+from .lincomb import mono_str
 from .tautmod import gamma_power, integrate, to_data
 from .transfer import pluecker_c2, pluecker_s2, punctual_chern, transfer
 from . import chern as chern_mod
@@ -132,6 +134,16 @@ def _family(descriptor):
     return load_descriptor(descriptor)
 
 
+def _curve_base_family(descriptor):
+    """The family of a command whose formulas hold over a 1-dimensional base only."""
+    fam = _family(descriptor)
+    if fam.dim_b != 1:
+        raise DescriptorError(
+            "%s: dim_b = %d, but this command needs dim_b = 1" % (descriptor, fam.dim_b)
+        )
+    return fam
+
+
 def _emit(payload, output):
     if output == "json":
         click.echo(json.dumps(payload, sort_keys=True, default=str))
@@ -220,7 +232,7 @@ def chern_cmd(m, closed_form, descriptor, output):
 @_output_option
 def chern_numbers_cmd(descriptor, output):
     """The four degree-4 Chern numbers of the rank-3 bundle on the 3-step flag."""
-    fam = _family(descriptor)
+    fam = _curve_base_family(descriptor)
     numbers = {k: str(v) for k, v in chern_mod.chern_numbers_w3(fam).items()}
     _emit(numbers, output)
 
@@ -230,34 +242,13 @@ def chern_numbers_cmd(descriptor, output):
 @_output_option
 def formulary_cmd(descriptor, output):
     """Evaluate all degree-4 monomials in L1, L2, L3, G2, G3 on the 3-step flag."""
-    fam = _family(descriptor)
+    fam = _curve_base_family(descriptor)
     rows = {}
-    for key in _degree4_keys():
-        name = _monomial_name(key)
+    # every exponent vector (a1, a2, a3, k2, k3) of total degree 4, in ascending order
+    for key in (k for k in product(range(5), repeat=5) if sum(k) == 4):
+        name = mono_str([(n, e) for n, e in zip(chern_mod.W3_SYMBOLS, key) if e])
         rows[name] = str(chern_mod.w3_monomial(fam, key))
     _emit(rows, output)
-
-
-def _degree4_keys():
-    out = []
-    for a1 in range(5):
-        for a2 in range(5 - a1):
-            for a3 in range(5 - a1 - a2):
-                for k2 in range(5 - a1 - a2 - a3):
-                    k3 = 4 - a1 - a2 - a3 - k2
-                    out.append((a1, a2, a3, k2, k3))
-    return out
-
-
-def _monomial_name(key):
-    names = ["L1", "L2", "L3", "G2", "G3"]
-    bits = []
-    for name, e in zip(names, key):
-        if e == 1:
-            bits.append(name)
-        elif e > 1:
-            bits.append("%s^%d" % (name, e))
-    return "*".join(bits) or "1"
 
 
 @main.command("transfer")
@@ -334,7 +325,7 @@ def punctual_chern_cmd(m, descriptor, output):
 @_output_option
 def pluecker_cmd(which, m, descriptor, output):
     """Closed contact formulas, cross-checked against their recursions."""
-    fam = _family(descriptor)
+    fam = _curve_base_family(descriptor)
     value = pluecker_s2(fam, m) if which == "s2" else pluecker_c2(fam, m)
     _emit(_alias_l2(value), output)
 

@@ -150,7 +150,7 @@ def symbolic_family(dim_b=1):
     return FamilyDescriptor(dim_b, nodes=nodes)
 
 
-def integrate_classes(fam: FamilyDescriptor, factors, node=None):
+def integrate_classes(fam: FamilyDescriptor, factors):
     """Top-degree integral over a fiber product of the family's total space.
 
     `factors` is one BaseClass per fiber factor; a single class integrates
@@ -170,11 +170,11 @@ def integrate_classes(fam: FamilyDescriptor, factors, node=None):
         coeff = Fraction(1)
         for _, c in combo:
             coeff *= c
-        total.accumulate(fiber_integral(fam, ring, slots, node=node), coeff)
+        total.accumulate(fiber_integral(fam, ring, slots), coeff)
     return total
 
 
-def fiber_integral(fam: FamilyDescriptor, ring, slot_monos, base_mono=(), node=None):
+def fiber_integral(fam: FamilyDescriptor, ring, slot_monos, base_mono=()):
     """Integrate a product of per-factor monomials over a fiber product of X/base.
 
     Each slot contributes one curve factor of the fiber product; `base_mono`
@@ -187,8 +187,6 @@ def fiber_integral(fam: FamilyDescriptor, ring, slot_monos, base_mono=(), node=N
     Raises ValueError when the total degree is not top-dimensional.
     """
     base_dim = fam.dim_b
-    if node is None:
-        node = fam.context_node
     # split off base pullbacks hiding inside slots
     base_powers = {}
     for name, p in base_mono:
@@ -230,12 +228,13 @@ def fiber_integral(fam: FamilyDescriptor, ring, slot_monos, base_mono=(), node=N
             base_mono = tuple(sorted((n, p) for n, p in base_powers.items() if p))
         else:
             pushed.append(mono)
-    return value * _base_integral(fam, base_mono, pushed, node)
+    return value * _base_integral(fam, base_mono, pushed)
 
 
-def _base_integral(fam, base_mono, pushed, node):
+def _base_integral(fam, base_mono, pushed):
     """Integrate over the base: pulled-back monomial times pushed-down factors."""
     base_dim = fam.dim_b
+    node = fam.context_node
     # bind theta^*L when the node fixes its value
     tau_power = dict(base_mono).get("tauL", 0)
     tau_value = None
@@ -272,10 +271,8 @@ def main_pushforward_char(fam, mono):
         (("L", 2),): "b",
         (("L", 1), ("omega", 1)): "Lomega",
         (("omega", 2),): "omega2",
-        (("pt", 2),): None,
     }
     mono = tuple(sorted(mono))
     if mono in named:
-        key = named[mono]
-        return CharPoly.zero() if key is None else fam.char(key)
+        return fam.char(named[mono])
     return CharPoly.symbol("PF[%s|%s]" % (fam.label, mono_str(mono)))

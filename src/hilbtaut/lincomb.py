@@ -145,6 +145,21 @@ class LinComb:
     def is_zero(self):
         return not self
 
+    # -- monomial-keyed combinations (one sector, keys from `merge_monos`) -----------
+
+    def __pow__(self, n):
+        """The n-th power by repeated products, from the unit (the empty monomial)."""
+        if n < 0:
+            raise ValueError("negative power %d of a polynomial" % n)
+        out = self._like({(): Fraction(1)})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def graded_part(self, d):
+        """The terms whose monomial has total degree `d`."""
+        return self._like({k: c for k, c in self.terms.items() if sum(p for _, p in k) == d})
+
 
 # -- monomials -------------------------------------------------------------------------
 

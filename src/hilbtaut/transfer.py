@@ -227,6 +227,12 @@ def punctual_chern(fam: FamilyDescriptor, m: int) -> PunctualClass:
     return current
 
 
+def _theta_star_L(node, tring):
+    """theta^*(L) on the node base: the class tauL, unless the node fixes it to zero."""
+    fixed_zero = node.tau_L is not None and node.tau_L.is_zero()
+    return BaseClass.zero(tring) if fixed_zero else BaseClass.gen(tring, "tauL")
+
+
 def _punctual_chern_step(fam, prev: PunctualClass) -> PunctualClass:
     m = prev.m + 1
     ring = fam.total_ring
@@ -239,11 +245,7 @@ def _punctual_chern_step(fam, prev: PunctualClass) -> PunctualClass:
     for node in fam.nodes:
         nid = node.node_id
         tring = out.tring(nid)
-        tone = BaseClass.unit(tring)
-        tau = BaseClass.gen(tring, "tauL")
-        if node.tau_L is not None and node.tau_L.is_zero():
-            tau = BaseClass.zero(tring)
-        tau1 = tone + tau
+        tau1 = BaseClass.unit(tring) + _theta_star_L(node, tring)
         interior_restr = tau1 ** (m - 1)
 
         def psi(i, mm=m - 1):
@@ -315,9 +317,7 @@ def segre_contact_step(fam, m) -> PunctualClass:
     for node in fam.nodes:
         nid = node.node_id
         tring = out.tring(nid)
-        tau = BaseClass.gen(tring, "tauL")
-        if node.tau_L is not None and node.tau_L.is_zero():
-            tau = BaseClass.zero(tring)
+        tau = _theta_star_L(node, tring)
         for i in range(1, m):
             out.scroll[nid][i] = tau * (-3 * nu_coeff(m, i))
             # Gamma . C^m_i terms: coefficient i(m-i) on the section with sign
@@ -362,7 +362,9 @@ def c2_contact_step(fam, m) -> CharPoly:
 
 
 def pluecker_c2(fam, m):
-    """Closed form for c_2 of the tautological bundle on the punctual locus."""
+    """Closed form for c_2 of the tautological bundle on the punctual locus (dim base 1)."""
+    if fam.dim_b != 1:
+        raise ValueError("the second-Chern contact recursion needs a 1-dimensional base")
     value = CharPoly.zero()
     for k in range(2, m + 1):
         value.accumulate(c2_contact_step(fam, k))

@@ -2,7 +2,7 @@
 
 from hilbtaut.charpoly import CharPoly
 from hilbtaut.family import FamilyDescriptor, Node, symbolic_family
-from hilbtaut.chern import WExpression, integrate_w, trisecant_grand_total
+from hilbtaut.chern import flag_G, flag_L, integrate_w, trisecant_grand_total
 from hilbtaut.tautmod import TautClass, gamma_power, integrate, norm_mult
 
 
@@ -15,9 +15,8 @@ B, D, LW, W2, SG, TG = (sym(k) for k in ("b", "d", "Lomega", "omega2", "sigma", 
 
 def secant_case(j1, j2, j3):
     """The flag polynomial L1^j1 (L2 - D2)^j2 (L3 - D3)^j3 on the 3-step flag."""
-    m = 3
-    L1, L2, L3 = (WExpression.L(m, i) for i in (1, 2, 3))
-    G2, G3 = WExpression.G(m, 2), WExpression.G(m, 3)
+    L1, L2, L3 = (flag_L(i) for i in (1, 2, 3))
+    G2, G3 = flag_G(2), flag_G(3)
     f1 = L1 ** j1
     f2 = (L2 - G2) ** j2
     f3 = (L3 - (G3 - G2)) ** j3
@@ -50,9 +49,9 @@ def drop_sigma(poly):
 def test_secant_case_subtotals():
     fam = symbolic_family(1)
     for key, expected in EXACT_CASES.items():
-        assert integrate_w(fam, secant_case(*key)) == expected, key
+        assert integrate_w(fam, 3, secant_case(*key)) == expected, key
     for key, expected in SMOOTH_CASES.items():
-        value = integrate_w(fam, secant_case(*key))
+        value = integrate_w(fam, 3, secant_case(*key))
         assert drop_sigma(value) == expected, key
 
 
@@ -60,7 +59,7 @@ def test_secant_cases_sum_to_grand_total():
     fam = symbolic_family(1)
     total = CharPoly.zero()
     for key in list(EXACT_CASES) + list(SMOOTH_CASES):
-        total = total + integrate_w(fam, secant_case(*key))
+        total = total + integrate_w(fam, 3, secant_case(*key))
     assert total == trisecant_grand_total(fam)
 
 

@@ -7,14 +7,14 @@ from hilbtaut.basering import BaseClass
 from hilbtaut.charpoly import CharPoly
 from hilbtaut.family import FamilyDescriptor, Node, symbolic_family
 from hilbtaut.chern import (
-    WExpression,
     chern_class_on_hilb,
     chern_closed_form,
-    chern_flaglet,
     chern_numbers_w3,
     chern_splitting,
     double_point_class,
     double_point_segre_route,
+    flag_G,
+    flag_L,
     integrate_w,
     projective_target,
     pushdown,
@@ -63,38 +63,32 @@ def test_w3_monomial_rejects_wrong_degree(fam):
 
 
 def test_chern_splitting_small():
-    one = WExpression.const(1)
-    assert chern_splitting(1) == one + WExpression.L(1, 1)
-    two = chern_splitting(2)
-    expected = (WExpression.const(2) + WExpression.L(2, 1)) * (
-        WExpression.const(2) + WExpression.L(2, 2) - WExpression.G(2, 2)
-    )
-    assert two == expected
+    one = CharPoly.const(1)
+    assert flag_G(0).is_zero() and flag_G(1).is_zero()
+    assert chern_splitting(1) == one + flag_L(1)
+    assert chern_splitting(2) == (one + flag_L(1)) * (one + flag_L(2) - flag_G(2))
     # degree-1 part in three steps: L1 + L2 + L3 - G3
-    deg1 = chern_splitting(3).degree_part(1)
-    expected = (
-        WExpression.L(3, 1)
-        + WExpression.L(3, 2)
-        + WExpression.L(3, 3)
-        - WExpression.G(3, 3)
-    )
-    assert deg1 == expected
-
-
-def test_chern_flaglet_identity():
-    for m in (2, 3, 4):
-        lhs, rhs = chern_flaglet(m)
-        assert lhs == rhs
+    assert chern_splitting(3).graded_part(1) == flag_L(1) + flag_L(2) + flag_L(3) - flag_G(3)
 
 
 def test_first_chern_class_is_norm_minus_discriminant(fam):
     # pushing the degree-1 part down and dividing by the flag degree gives
     # the norm of L minus the discriminant
     for m in (2, 3):
-        deg1 = chern_splitting(m).degree_part(1)
-        cls = pushdown(fam, deg1).scale(Fraction(1, factorial(m)))
+        deg1 = chern_splitting(m).graded_part(1)
+        cls = pushdown(fam, m, deg1).scale(Fraction(1, factorial(m)))
         expected = norm_mult(TautClass.fundamental(fam, m), "L") - gamma_as_class(fam, m)
         assert cls == expected
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [flag_L(4) * flag_L(1) ** 3, flag_G(4) * flag_L(1) ** 3, sym("G1") * flag_L(1) ** 3, D ** 4],
+)
+def test_pushdown_rejects_symbols_off_the_flag(fam, expr):
+    # on the 3-step flag only L1..L3 and G2..G3 are classes; each expr has the top degree 4
+    with pytest.raises(ValueError, match="outside L1..L3, G2..G3"):
+        integrate_w(fam, 3, expr)
 
 
 def test_closed_form_matches_splitting_nodefree():
@@ -137,6 +131,11 @@ def test_chern_numbers_w3(fam):
     )
 
 
+def test_chern_numbers_need_a_curve_base():
+    with pytest.raises(ValueError, match="1-dimensional base"):
+        chern_numbers_w3(symbolic_family(2))
+
+
 def test_porteous_equals_grand_total(fam):
     assert trisecant_count(fam) == trisecant_grand_total(fam)
 
@@ -156,8 +155,10 @@ def test_deep_flag_monomials_match_direct_fiber_integrals(fam):
         (5, (2, 1, 1, 1, 1)),
         (5, (1, 1, 2, 1, 1)),
     ]:
-        key = tuple(exps) + (0,) * (m - 1)
-        value = integrate_w(fam, WExpression(m, {key: Fraction(1)}))
+        expr = CharPoly.const(1)
+        for i, a in enumerate(exps, 1):
+            expr = expr * flag_L(i) ** a
+        value = integrate_w(fam, m, expr)
         direct = integrate_classes(fam, [L ** a for a in exps])
         assert value == direct, (m, exps)
 

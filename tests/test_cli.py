@@ -264,6 +264,23 @@ def test_integrate_off_top_degree_names_the_top_degree(monkeypatch, capsys):
     assert "k = m + dim_b = 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pluecker", "--which", "c2", "--m", "3"],
+        ["pluecker", "--which", "s2", "--m", "3"],
+        ["formulary"],
+        ["chern-numbers"],
+    ],
+)
+def test_curve_base_commands_refuse_other_base_dimensions(monkeypatch, capsys, tmp_path, argv):
+    path = write(tmp_path, "[family]\ndim_b = 2\n[node.s]\nweight = 1\n")
+    assert _run_exit(monkeypatch, argv + [path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "descriptor error: %s: dim_b = 2" % path in captured.err
+
+
 def test_engine_fault_exits_2(monkeypatch, capsys):
     def broken(*args):
         raise RuntimeError("broken engine")

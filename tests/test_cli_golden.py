@@ -1,0 +1,103 @@
+"""The stdout of every subcommand, text and JSON, against a recorded golden file.
+
+Each invocation runs in process through `cli.main`.  Descriptors are given as
+paths relative to the repository root, which is the working directory while
+they run, so no output depends on where the repository is checked out.
+
+After a deliberate change of output, rewrite the golden file with
+`PYTHONPATH=src python tests/test_cli_golden.py` and review its diff.
+"""
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from hilbtaut.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+# a Hilbert-degree-2 class: the two-point diagonal class twisted by L and omega
+TWO_POINT_CLASS = json.dumps(
+    {
+        "m": 2,
+        "diag": [
+            {"base": [], "blocks": [[1, [["L", 1]]], [1, [["omega", 1]]]], "coeff": [[[], "1"]]}
+        ],
+        "scroll": [],
+        "section": [],
+    }
+)
+
+FAMILY_COMMANDS = [
+    ["gamma-power", "--m", "2", "--k", "1"],
+    ["gamma-power", "--m", "3", "--k", "4", "--integrate"],
+    ["chern", "--m", "3"],
+    ["chern", "--m", "3", "--closed-form"],
+    ["chern-numbers"],
+    ["formulary"],
+    ["transfer", "--class-json", TWO_POINT_CLASS, "--beta", "L"],
+    ["punctual-chern", "--m", "3"],
+    ["pluecker", "--which", "s2", "--m", "3"],
+    ["pluecker", "--which", "c2", "--m", "3"],
+    ["double-points", "--n", "2"],
+    ["double-points", "--n", "3"],
+    ["double-points", "--n", "2", "--push-to-base"],
+]
+PLAIN_COMMANDS = [
+    ["trisecants"],
+    ["trisecants", "--d", "6", "--g", "0", "--b", "0", "--lomega", "0", "--omega2", "0",
+     "--sigma", "1"],
+    ["trisecants", "--single-curve", "--d", "5", "--g", "1"],
+    ["oracle-check", "--cases", "5", "--seed", "3"],
+]
+INVOCATIONS = [
+    argv + descriptor + ["--output", output]
+    for output in ("text", "json")
+    for argv, descriptor in (
+        [(a, []) for a in FAMILY_COMMANDS]
+        + [(a, ["sample-family.ini"]) for a in FAMILY_COMMANDS]
+        + [(a, []) for a in PLAIN_COMMANDS]
+    )
+]
+
+
+def key(argv):
+    return " ".join(argv)
+
+
+def label(argv):
+    return " ".join("<class>" if arg == TWO_POINT_CLASS else arg for arg in argv)
+
+
+def stdout_of(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main(argv, standalone_mode=False)
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_file_holds_exactly_these_invocations(golden):
+    assert sorted(golden) == sorted(key(argv) for argv in INVOCATIONS)
+
+
+@pytest.mark.parametrize("argv", INVOCATIONS, ids=label)
+def test_stdout_matches_golden(argv, golden, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert stdout_of(argv) == golden[key(argv)]
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    recorded = {key(argv): stdout_of(argv) for argv in INVOCATIONS}
+    GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    print("wrote %d invocations to %s" % (len(recorded), GOLDEN.name))

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hilbtaut.basering import BaseClass
@@ -54,3 +55,21 @@ def test_operations_leave_their_inputs_unchanged(make, avals, bvals, factor):
     assert total - b == a and diff + b == a
     assert scaled.scale(2) == a.scale(factor)
     assert acc == b.scale(factor - 1)
+
+
+
+@given(st.sampled_from([charpoly, baseclass]), st.lists(small, min_size=4, max_size=4),
+       st.integers(min_value=0, max_value=3))
+@settings(max_examples=40, deadline=None)
+def test_power_and_graded_parts(make, vals, n):
+    # monomial-keyed combinations: x^0 is the unit (the empty monomial),
+    # x^(n+1) = x^n * x, and the graded parts of x^n add up to x^n
+    x = make(vals) + 1
+    assert (x ** 0).terms == {(): 1}
+    assert x ** (n + 1) == x ** n * x
+    power = x ** n
+    parts = [power.graded_part(d) for d in range(2 * n + 1)]
+    assert sum(parts[1:], parts[0]) == power
+    assert all(sum(p for _, p in mono) == d for d, part in enumerate(parts) for mono in part.terms)
+    with pytest.raises(ValueError, match="negative power"):
+        x ** -1

@@ -271,6 +271,12 @@ def test_pluecker_closed_forms_match_recursions(fam):
         pluecker_c2(fam, m)
 
 
+@pytest.mark.parametrize("contact", [pluecker_s2, pluecker_c2])
+def test_pluecker_needs_a_curve_base(contact):
+    with pytest.raises(ValueError, match="1-dimensional base"):
+        contact(symbolic_family(2), 3)
+
+
 def test_pluecker_values(fam):
     b, lw, w2, sg = (sym(k) for k in ("b", "Lomega", "omega2", "sigma"))
     assert pluecker_s2(fam, 1) == b
