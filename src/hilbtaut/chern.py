@@ -125,9 +125,10 @@ def chern_closed_form(fam: FamilyDescriptor, m) -> TautClass:
     Sum over distributions of weight m of prod_n ((-1)^(n-1) / n)^(mu(n))
     times the reduced diagonal class with a (1 + L) twist in every block.
     In the unreduced ordered normalization the coefficient picks up the
-    factor aut(mu) * chi(mu) familiar from the symmetrized statement.  This
-    is the node-free part; node families pick up scroll and section
-    corrections computed by the splitting pushdown.
+    factor aut(mu) * chi(mu) familiar from the symmetrized statement, where
+    chi(mu) = prod over the blocks of (n-1)!.  This is the node-free part;
+    node families pick up scroll and section corrections computed by the
+    splitting pushdown.
     """
     ring = fam.total_ring
     one_plus_l = BaseClass.unit(ring) + BaseClass.gen(ring, "L")

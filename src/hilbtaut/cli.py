@@ -125,7 +125,7 @@ def load_descriptor(path) -> FamilyDescriptor:
             if key.startswith("IT["):
                 table[key] = _parse_value(value, where)
         nodes.append(Node(node_id, weight, tau_L=tau, psi_table=table))
-    return FamilyDescriptor(dim_b, chars=chars, nodes=nodes, label=path)
+    return FamilyDescriptor(dim_b, chars=chars, nodes=nodes)
 
 
 def _family(descriptor):

@@ -61,13 +61,6 @@ class Distribution:
     def weight(self):
         return sum(n * k for n, k in self.mult)
 
-    def degree(self):
-        """Codimension contribution: sum of (n-1) over blocks."""
-        return sum((n - 1) * k for n, k in self.mult)
-
-    def num_blocks(self):
-        return sum(k for _, k in self.mult)
-
     def remove_block(self, n):
         """Distribution with one n-block removed, or None if absent."""
         if self.get(n) == 0:
@@ -135,30 +128,6 @@ def aut_count(mu: Distribution) -> int:
     for _, k in mu.mult:
         out *= factorial(k)
     return out
-
-
-def chi(mu: Distribution) -> int:
-    """Product of (n-1)! over the blocks of mu."""
-    out = 1
-    for n, k in mu.mult:
-        out *= factorial(n - 1) ** k
-    return out
-
-
-def union_blocks(mu: Distribution, a: int, b: int):
-    """Unite one a-block and one b-block into an (a+b)-block.
-
-    Returns None (the empty marker) when mu lacks the required blocks; when
-    a == b two distinct a-blocks are needed.
-    """
-    need = 2 if a == b else 1
-    if mu.get(a) < need or (a != b and mu.get(b) < 1):
-        return None
-    d = dict(mu.mult)
-    d[a] -= 1
-    d[b] = d.get(b, 0) - 1
-    d[a + b] = d.get(a + b, 0) + 1
-    return Distribution(d)
 
 
 def enumerate_distributions(maxweight: int):

@@ -111,23 +111,18 @@ class TautClass(LinComb):
     def from_twists(fam, m, pairs, coeff=1, base=None):
         """Diagonal class with per-block BaseClass twists, expanded multilinearly.
 
-        `pairs` is a list of (block size, BaseClass or monomial) entries; `base`
-        an optional BaseClass of pulled-back symbols multiplying the whole term.
+        `pairs` is a list of (block size, BaseClass) entries; `base` an
+        optional BaseClass of pulled-back symbols multiplying the whole term.
         """
         ring = fam.total_ring
         out = TautClass(fam, m)
         combos = [((), Fraction(1))]
         for n, twist in pairs:
-            if isinstance(twist, BaseClass):
-                items = list(twist.terms.items())
-            else:
-                norm = ring.normalize_monomial(twist)
-                items = [] if norm is None else [(norm[1], norm[0])]
-            new = []
-            for blocks, c in combos:
-                for mono, mc in items:
-                    new.append((blocks + ((n, mono),), c * mc))
-            combos = new
+            combos = [
+                (blocks + ((n, mono),), c * mc)
+                for blocks, c in combos
+                for mono, mc in twist.terms.items()
+            ]
         base_items = [((), Fraction(1))]
         if base is not None:
             base_items = list(base.terms.items())

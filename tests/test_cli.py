@@ -94,7 +94,6 @@ def test_load_parse_error_has_line_number(tmp_path):
 
 
 def test_psi_table_value_reaches_the_integral(tmp_path):
-    # the same path twice, so the family label inside the other IT[...] symbols agrees
     text = "[family]\ndim_b = 2\n[node.s]\nweight = sigma\n"
     path = write(tmp_path, text)
     symbolic = integrate(gamma_power(load_descriptor(path), 3, 5))
@@ -102,6 +101,18 @@ def test_psi_table_value_reaches_the_integral(tmp_path):
     write(tmp_path, text + "IT[s|psi_x|] = 7\n")
     bound = integrate(gamma_power(load_descriptor(path), 3, 5))
     assert bound == symbolic.substitute({"IT[s|psi_x|]": 7})
+
+
+def test_unknown_integral_names_ignore_the_path_spelling(runner, tmp_path, monkeypatch):
+    write(tmp_path, "[family]\ndim_b = 2\n[node.s]\nweight = 1\n", name="d2.ini")
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for path in ("d2.ini", "./d2.ini", str(tmp_path / "d2.ini")):
+        result = runner.invoke(main, ["gamma-power", "--m", "2", "--k", "4", "--integrate", path])
+        assert result.exit_code == 0, result.output
+        outputs.append(result.output)
+    assert "IT[X/B|1|omega^3]" in outputs[0]
+    assert outputs[1:] == outputs[:1] * 2
 
 
 def test_gamma_power_command(runner):

@@ -1,13 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from hilbtaut.partitions import (
     BPartition,
     Distribution,
     aut_count,
-    chi,
     enumerate_distributions,
-    union_blocks,
 )
 from hilbtaut.oracle import count_block_permutations, enumerate_bpartitions
 
@@ -32,11 +29,6 @@ def partition_count(n):
     return p[n]
 
 
-def test_weight_degree_blocks_identity():
-    for mu in enumerate_distributions(6):
-        assert mu.degree() + mu.num_blocks() == mu.weight()
-
-
 def test_aut_count_examples():
     assert aut_count(Distribution.singletons(5)) == 120
     assert aut_count(Distribution.from_parts([2, 1, 1])) == 2
@@ -57,34 +49,6 @@ def test_bpartition_counts_against_multinomial():
     # number of b-partitions of {1..4} with one 2-block and two singletons
     mu = Distribution.from_parts([2, 1, 1])
     assert len(enumerate_bpartitions(4, mu)) == 6
-
-
-def test_chi_values():
-    assert chi(Distribution.singletons(7)) == 1
-    assert chi(Distribution.from_parts([3])) == 2
-    assert chi(Distribution.from_parts([3, 2])) == 2
-    assert chi(Distribution.from_parts([4, 3])) == 12
-
-
-def test_union_blocks():
-    quad = Distribution.singletons(4)
-    assert union_blocks(quad, 1, 1) == Distribution.from_parts([2, 1, 1])
-    assert union_blocks(Distribution.from_parts([2, 1, 1]), 2, 1) == Distribution.from_parts(
-        [3, 1]
-    )
-    assert union_blocks(Distribution.from_parts([3, 1]), 3, 3) is None
-    assert union_blocks(Distribution.from_parts([3]), 3, 3) is None
-
-
-@given(st.lists(st.integers(min_value=1, max_value=5), min_size=0, max_size=6))
-def test_union_conserves_weight(parts):
-    mu = Distribution.from_parts(parts)
-    for a in range(1, 6):
-        for b in range(1, 6):
-            united = union_blocks(mu, a, b)
-            if united is not None:
-                assert united.weight() == mu.weight()
-                assert united.num_blocks() == mu.num_blocks() - 1
 
 
 def test_enumerate_distributions():

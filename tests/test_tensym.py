@@ -1,22 +1,7 @@
 from fractions import Fraction
-from itertools import combinations
 
-import pytest
-
-from hilbtaut.basering import BaseClass, make_boundary_ring, make_total_space_ring
-from hilbtaut.partitions import Distribution
-from hilbtaut.tensym import (
-    TensorClass,
-    d_dagger,
-    d_forget,
-    discriminant_op,
-    interior_mult,
-    mult_by,
-    norm_elem,
-    norm_power_expand,
-    union_op,
-    u_omega_total,
-)
+from hilbtaut.basering import BaseClass, make_total_space_ring
+from hilbtaut.tensym import TensorClass, discriminant_op, u_omega_total
 
 
 def ring():
@@ -27,115 +12,6 @@ def gens(r):
     return BaseClass.unit(r), BaseClass.gen(r, "L"), BaseClass.gen(r, "omega")
 
 
-def test_d_dagger_singletons_identity():
-    r = ring()
-    one, L, w = gens(r)
-    out = d_dagger(r, Distribution.singletons(3), [L, w, one])
-    assert out == TensorClass.simple(r, [(1, L), (1, w), (1, one)])
-
-
-def test_d_dagger_pair_unique_lift():
-    r = ring()
-    _, L, w = gens(r)
-    out = d_dagger(r, Distribution.from_parts([2]), [L, w])
-    assert out == TensorClass.simple(r, [(2, L * w)])
-
-
-def test_d_dagger_three_lifts():
-    # brute force: groupings of three labeled factors into a 2-block and a 1-block
-    r = ring()
-    _, L, w = gens(r)
-    factors = [L, w, L + w]
-    labels = list(range(3))
-    expected = TensorClass.zero(r)
-    for pair in combinations(labels, 2):
-        rest = [i for i in labels if i not in pair][0]
-        expected = expected + TensorClass.simple(
-            r, [(2, factors[pair[0]] * factors[pair[1]]), (1, factors[rest])]
-        )
-    out = d_dagger(r, Distribution.from_parts([2, 1]), factors)
-    assert out == expected
-    assert len(list(combinations(labels, 2))) == 3
-
-
-def test_d_forget():
-    r = ring()
-    _, L, w = gens(r)
-    alpha = TensorClass.simple(r, [(3, w)])
-    [(coeff, factors)] = d_forget(alpha)
-    assert coeff == 1
-    assert factors[0] == w and len(factors) == 3
-    assert factors[1] == BaseClass.unit(r) and factors[2] == BaseClass.unit(r)
-    beta = TensorClass.simple(r, [(2, L), (1, w)])
-    [(_, factors)] = d_forget(beta)
-    assert len(factors) == 3
-
-
-def test_d_dagger_after_forget_projection_factor():
-    # on the component of the original distribution, the composite acts by a
-    # fixed positive integer: the number of groupings of the padded factors
-    # with the original shape, m! / (prod_n (n!)^mu(n) mu(n)!).  Frozen
-    # empirically for weight <= 5.
-    from math import factorial
-
-    r = ring()
-    one = BaseClass.unit(r)
-    frozen = {
-        (1, 1, 1): 1,
-        (2, 1): 3,
-        (3,): 1,
-        (2, 2): 3,
-        (2, 1, 1): 6,
-        (3, 1): 4,
-        (3, 2): 10,
-        (4, 1): 5,
-        (2, 2, 1): 15,
-    }
-    for mu_parts, expected in frozen.items():
-        mu = Distribution.from_parts(mu_parts)
-        alpha = TensorClass.simple(r, [(n, one) for n in mu_parts])
-        [(coeff, factors)] = d_forget(alpha)
-        back = d_dagger(r, mu, factors).component(mu)
-        [(key, value)] = back.terms.items()
-        assert value * coeff == expected, mu_parts
-        count = factorial(mu.weight())
-        for n, k in mu.mult:
-            count //= factorial(n) ** k * factorial(k)
-        assert expected == count
-
-
-def test_union_examples():
-    r = ring()
-    one, L, w = gens(r)
-    # uniting the 2-block with one of two unit singletons doubles
-    alpha = TensorClass.simple(r, [(2, L), (1, one), (1, one)])
-    out = union_op(alpha, 2, 1)
-    assert out == TensorClass.simple(r, [(3, L), (1, one)]).scale(2)
-    # all singleton pairs on distinct twists
-    beta = TensorClass.simple(r, [(1, L), (1, w), (1, one)])
-    out = union_op(beta, 1, 1)
-    expected = (
-        TensorClass.simple(r, [(2, L * w), (1, one)])
-        + TensorClass.simple(r, [(2, L), (1, w)])
-        + TensorClass.simple(r, [(2, w), (1, L)])
-    )
-    assert out == expected
-    # no blocks of the requested sizes
-    assert union_op(beta, 3, 2).is_zero()
-
-
-def test_interior_mult():
-    r = ring()
-    one, L, w = gens(r)
-    alpha = TensorClass.simple(r, [(2, L), (1, one), (1, one)])
-    out = interior_mult(alpha, 2, mult_by(r, w))
-    assert out == TensorClass.simple(r, [(2, L * w), (1, one), (1, one)])
-    out = interior_mult(TensorClass.simple(r, [(1, one), (1, one)]), 1, mult_by(r, w))
-    assert out == TensorClass.simple(r, [(1, w), (1, one)]).scale(2)
-    zero_map = mult_by(r, BaseClass.zero(r))
-    assert interior_mult(alpha, 2, zero_map).is_zero()
-
-
 def test_discriminant_op():
     r = ring()
     one, L, w = gens(r)
@@ -144,6 +20,27 @@ def test_discriminant_op():
     assert discriminant_op(pair) == TensorClass.simple(r, [(2, L * w)])
     mixed = TensorClass.simple(r, [(2, L), (1, w)])
     assert discriminant_op(mixed) == TensorClass.simple(r, [(3, L * w)]).scale(2)
+    # every pair of singletons on distinct twists, with coefficient 1 * 1
+    triple = TensorClass.simple(r, [(1, L), (1, w), (1, one)])
+    assert discriminant_op(triple) == (
+        TensorClass.simple(r, [(2, L * w), (1, one)])
+        + TensorClass.simple(r, [(2, L), (1, w)])
+        + TensorClass.simple(r, [(2, w), (1, L)])
+    )
+    # the 2-block meets each unit singleton (2 * 1), the singletons meet each other
+    alpha = TensorClass.simple(r, [(2, L), (1, one), (1, one)])
+    assert discriminant_op(alpha) == (
+        TensorClass.simple(r, [(3, L), (1, one)]).scale(4)
+        + TensorClass.simple(r, [(2, L), (2, one)])
+    )
+    # equal non-singleton blocks: each unordered pair once, with coefficient 2 * 2
+    twins = TensorClass.simple(r, [(2, L), (2, w)])
+    assert discriminant_op(twins) == TensorClass.simple(r, [(4, L * w)]).scale(4)
+    triplets = TensorClass.simple(r, [(2, L), (2, one), (2, one)])
+    assert discriminant_op(triplets) == (
+        TensorClass.simple(r, [(4, one), (2, L)]).scale(4)
+        + TensorClass.simple(r, [(4, L), (2, one)]).scale(8)
+    )
 
 
 def test_u_omega_total():
@@ -156,14 +53,23 @@ def test_u_omega_total():
     assert u_omega_total(TensorClass.simple(r, [(3, L)])) == TensorClass.simple(
         r, [(3, L * w)]
     ).scale(3)
+    # singletons are left alone; each 2-block gets omega once
+    alpha = TensorClass.simple(r, [(2, L), (1, one), (1, one)])
+    assert u_omega_total(alpha) == TensorClass.simple(r, [(2, L * w), (1, one), (1, one)])
+    twins = TensorClass.simple(r, [(2, L), (2, one)])
+    assert u_omega_total(twins) == (
+        TensorClass.simple(r, [(2, L * w), (2, one)]) + TensorClass.simple(r, [(2, L), (2, w)])
+    )
 
 
 def test_weight_conservation():
     r = ring()
     one, L, w = gens(r)
     alpha = TensorClass.simple(r, [(2, L), (1, w), (1, one)])
-    for out in (discriminant_op(alpha), u_omega_total(alpha), union_op(alpha, 2, 1)):
-        assert out.weight_parts() <= {4}
+    for out in (discriminant_op(alpha), u_omega_total(alpha)):
+        assert out.terms
+        for key in out.terms:
+            assert sum(n for n, _ in key) == 4, key
 
 
 def test_linearity():
@@ -178,36 +84,3 @@ def test_linearity():
     assert u_omega_total(combo) == u_omega_total(a).scale(Fraction(2, 3)) + (
         u_omega_total(b).scale(-5)
     )
-
-
-def test_norm_elem():
-    r = make_boundary_ring(3, "s")
-    theta = BaseClass.gen(r, "theta_x")
-    one = BaseClass.unit(r)
-    assert norm_elem(r, 3, theta, 0) == TensorClass.simple(r, [(1, one)] * 3)
-    assert norm_elem(r, 3, theta, 1) == TensorClass.simple(
-        r, [(1, theta), (1, one), (1, one)]
-    )
-    assert norm_elem(r, 3, theta, 2) == TensorClass.simple(
-        r, [(1, theta), (1, theta), (1, one)]
-    )
-    with pytest.raises(ValueError):
-        norm_elem(r, 3, theta, 4)
-
-
-def test_norm_power_expand():
-    r = make_boundary_ring(3, "s")
-    theta = BaseClass.gen(r, "theta_x")
-    psi = BaseClass.gen(r, "psi_x")
-    one = BaseClass.unit(r)
-    # t = 1 reduces to the norm element
-    assert norm_power_expand(r, 3, "theta_x", 1) == norm_elem(r, 3, theta)
-    # t = 2, k >= 2: (-psi) [k]theta + 3 [k]^2 theta
-    out = norm_power_expand(r, 2, "theta_x", 2)
-    expected = TensorClass.simple(r, [(1, -(psi * theta)), (1, one)]) + TensorClass.simple(
-        r, [(1, theta), (1, theta)]
-    ).scale(3)
-    assert out == expected
-    # truncation at min(k, t)
-    out = norm_power_expand(r, 1, "theta_x", 2)
-    assert out == TensorClass.simple(r, [(1, -(psi * theta))])
