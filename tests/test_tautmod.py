@@ -233,6 +233,37 @@ def test_norm_mult_is_degreewise(fam):
     assert out.diag == {((), ((3, (("L", 1),)),)): CharPoly.const(3)}
 
 
+def boundary_pair():
+    """Degree-2 fundamental class on a boundary family over a curve base."""
+    bd = FamilyDescriptor(2, nodes=[Node("s", 1)]).boundary_family("s")
+    return bd, TautClass.fundamental(bd, 2)
+
+
+def test_norm_mult_section_self_intersection():
+    # ([2]theta)^2 = sum_i theta_i^2 + cross terms, and theta^2 = -psi theta
+    # moves psi out of the block into the base monomial
+    bd, fund = boundary_pair()
+    one = BaseClass.unit(bd.total_ring)
+    theta = BaseClass.gen(bd.total_ring, "theta_x")
+    psi = BaseClass.gen(bd.total_ring, "psi_x")
+    once = norm_mult(fund, "theta_x")
+    assert once == TautClass.from_twists(bd, 2, [(1, theta), (1, one)]).scale(2)
+    twice = norm_mult(once, "theta_x")
+    expected = TautClass.from_twists(bd, 2, [(1, theta), (1, one)], base=psi).scale(-2)
+    expected.accumulate(TautClass.from_twists(bd, 2, [(1, theta), (1, theta)]), 2)
+    assert twice == expected
+    assert ((("psi_x", 1),), ((1, ()), (1, (("theta_x", 1),)))) in twice.diag
+
+
+def test_norm_mult_sections_are_disjoint():
+    # theta_x * theta_y = 0: the second norm only lands in the other slot
+    bd, fund = boundary_pair()
+    theta_x = BaseClass.gen(bd.total_ring, "theta_x")
+    theta_y = BaseClass.gen(bd.total_ring, "theta_y")
+    out = norm_mult(norm_mult(fund, "theta_x"), "theta_y")
+    assert out == TautClass.from_twists(bd, 2, [(1, theta_x), (1, theta_y)]).scale(2)
+
+
 def test_scroll_bundle_divisor_coefficients(fam):
     # the divisor of the scroll line bundle on a degree-k boundary scheme:
     # binom(n-j+1,2) psi_x + binom(j,2) psi_y - (n-j+1) [k]theta_x - j [k]theta_y

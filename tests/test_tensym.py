@@ -1,6 +1,10 @@
 from fractions import Fraction
+from itertools import combinations
+from math import factorial
 
 from hilbtaut.basering import BaseClass, make_total_space_ring
+from hilbtaut.oracle import OrderedTensor, enumerate_bpartitions, ordered_union, symmetrize
+from hilbtaut.partitions import Distribution
 from hilbtaut.tensym import TensorClass, discriminant_op, u_omega_total
 
 
@@ -12,6 +16,106 @@ def gens(r):
     return BaseClass.unit(r), BaseClass.gen(r, "L"), BaseClass.gen(r, "omega")
 
 
+# The lift of a list of factors to a block shape (sum over the groupings of
+# the factors into blocks, each block twisted by the product of its factors) is
+# what the ordered model computes: unite slots, then symmetrize.  These check
+# that it lands on the TensorClass keys.
+
+
+def test_d_dagger_singletons_identity():
+    r = ring()
+    one, L, w = gens(r)
+    out = symmetrize(OrderedTensor.pure(r, [L, w, one]))
+    assert out == TensorClass.simple(r, [(1, L), (1, w), (1, one)]).terms
+
+
+def test_d_dagger_pair_unique_lift():
+    r = ring()
+    _, L, w = gens(r)
+    out = symmetrize(ordered_union(OrderedTensor.pure(r, [L, w]), 0, 1))
+    assert out == TensorClass.simple(r, [(2, L * w)]).terms
+
+
+def test_d_dagger_three_lifts():
+    # brute force: groupings of three labeled factors into a 2-block and a 1-block
+    r = ring()
+    _, L, w = gens(r)
+    factors = [L, w, L + w]
+    labels = list(range(3))
+    expected = TensorClass.zero(r)
+    for pair in combinations(labels, 2):
+        rest = [i for i in labels if i not in pair][0]
+        expected = expected + TensorClass.simple(
+            r, [(2, factors[pair[0]] * factors[pair[1]]), (1, factors[rest])]
+        )
+    pure = OrderedTensor.pure(r, factors)
+    lifts = OrderedTensor(r)
+    for i, k in combinations(labels, 2):
+        lifts.accumulate(ordered_union(pure, i, k))
+    assert symmetrize(lifts) == expected.terms
+
+
+def test_d_dagger_after_forget_projection_factor():
+    # forgetting the blocks and lifting back to the same shape multiplies by
+    # the number of groupings of m labeled factors with that shape,
+    # m! / (prod_n (n!)^mu(n) mu(n)!): the b-partitions of shape mu.  Frozen
+    # for weight <= 5.
+    frozen = {
+        (1, 1, 1): 1,
+        (2, 1): 3,
+        (3,): 1,
+        (2, 2): 3,
+        (2, 1, 1): 6,
+        (3, 1): 4,
+        (3, 2): 10,
+        (4, 1): 5,
+        (2, 2, 1): 15,
+    }
+    for mu_parts, expected in frozen.items():
+        mu = Distribution.from_parts(mu_parts)
+        assert len(enumerate_bpartitions(mu.weight(), mu)) == expected, mu_parts
+        count = factorial(mu.weight())
+        for n, k in mu.mult:
+            count //= factorial(n) ** k * factorial(k)
+        assert expected == count
+
+
+def test_union_examples():
+    r = ring()
+    one, L, w = gens(r)
+    # the 2-block meets each unit singleton (2 * 1), the singletons meet each other
+    alpha = TensorClass.simple(r, [(2, L), (1, one), (1, one)])
+    assert discriminant_op(alpha) == (
+        TensorClass.simple(r, [(3, L), (1, one)]).scale(4)
+        + TensorClass.simple(r, [(2, L), (2, one)])
+    )
+    # every pair of singletons on distinct twists, with coefficient 1 * 1
+    beta = TensorClass.simple(r, [(1, L), (1, w), (1, one)])
+    assert discriminant_op(beta) == (
+        TensorClass.simple(r, [(2, L * w), (1, one)])
+        + TensorClass.simple(r, [(2, L), (1, w)])
+        + TensorClass.simple(r, [(2, w), (1, L)])
+    )
+    # a lone block has nothing to unite with
+    assert discriminant_op(TensorClass.simple(r, [(3, L)])).is_zero()
+
+
+def test_interior_mult():
+    r = ring()
+    one, L, w = gens(r)
+    # singletons are left alone; each 2-block gets omega once
+    alpha = TensorClass.simple(r, [(2, L), (1, one), (1, one)])
+    assert u_omega_total(alpha) == TensorClass.simple(r, [(2, L * w), (1, one), (1, one)])
+    twins = TensorClass.simple(r, [(2, L), (2, one)])
+    assert u_omega_total(twins) == (
+        TensorClass.simple(r, [(2, L * w), (2, one)]) + TensorClass.simple(r, [(2, L), (2, w)])
+    )
+    assert u_omega_total(TensorClass.simple(r, [(1, one), (1, one)])).is_zero()
+    # omega times a twist already of the top degree vanishes
+    top = TensorClass.simple(r, [(2, w * w * w)])
+    assert not top.is_zero() and u_omega_total(top).is_zero()
+
+
 def test_discriminant_op():
     r = ring()
     one, L, w = gens(r)
@@ -20,19 +124,6 @@ def test_discriminant_op():
     assert discriminant_op(pair) == TensorClass.simple(r, [(2, L * w)])
     mixed = TensorClass.simple(r, [(2, L), (1, w)])
     assert discriminant_op(mixed) == TensorClass.simple(r, [(3, L * w)]).scale(2)
-    # every pair of singletons on distinct twists, with coefficient 1 * 1
-    triple = TensorClass.simple(r, [(1, L), (1, w), (1, one)])
-    assert discriminant_op(triple) == (
-        TensorClass.simple(r, [(2, L * w), (1, one)])
-        + TensorClass.simple(r, [(2, L), (1, w)])
-        + TensorClass.simple(r, [(2, w), (1, L)])
-    )
-    # the 2-block meets each unit singleton (2 * 1), the singletons meet each other
-    alpha = TensorClass.simple(r, [(2, L), (1, one), (1, one)])
-    assert discriminant_op(alpha) == (
-        TensorClass.simple(r, [(3, L), (1, one)]).scale(4)
-        + TensorClass.simple(r, [(2, L), (2, one)])
-    )
     # equal non-singleton blocks: each unordered pair once, with coefficient 2 * 2
     twins = TensorClass.simple(r, [(2, L), (2, w)])
     assert discriminant_op(twins) == TensorClass.simple(r, [(4, L * w)]).scale(4)
@@ -53,13 +144,6 @@ def test_u_omega_total():
     assert u_omega_total(TensorClass.simple(r, [(3, L)])) == TensorClass.simple(
         r, [(3, L * w)]
     ).scale(3)
-    # singletons are left alone; each 2-block gets omega once
-    alpha = TensorClass.simple(r, [(2, L), (1, one), (1, one)])
-    assert u_omega_total(alpha) == TensorClass.simple(r, [(2, L * w), (1, one), (1, one)])
-    twins = TensorClass.simple(r, [(2, L), (2, one)])
-    assert u_omega_total(twins) == (
-        TensorClass.simple(r, [(2, L * w), (2, one)]) + TensorClass.simple(r, [(2, L), (2, w)])
-    )
 
 
 def test_weight_conservation():
