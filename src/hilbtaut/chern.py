@@ -18,10 +18,10 @@ from math import comb, factorial
 
 from .basering import BaseClass
 from .charpoly import CharPoly
-from .family import FamilyDescriptor
+from .family import FamilyDescriptor, theta_star
 from .lincomb import mono_str
 from .partitions import enumerate_distributions
-from .tautmod import TautClass, base_monomial_mult, gamma_action, gamma_power, integrate
+from .tautmod import TautClass, gamma_action, gamma_power, integrate, twist
 from .transfer import transfer
 
 # -- polynomials on the full flag ---------------------------------------------------
@@ -133,13 +133,13 @@ def chern_closed_form(fam: FamilyDescriptor, m) -> TautClass:
     ring = fam.total_ring
     one_plus_l = BaseClass.unit(ring) + BaseClass.gen(ring, "L")
     total = TautClass.zero(fam, m)
-    for mu in enumerate_distributions(m):
-        if mu.weight() != m:
+    for sizes in enumerate_distributions(m):
+        if sum(sizes) != m:
             continue
         coeff = Fraction(1)
-        for n, k in mu.mult:
-            coeff *= (Fraction((-1) ** (n - 1), n)) ** k
-        pairs = [(n, one_plus_l) for n in mu.parts()]
+        for n in sizes:
+            coeff *= Fraction((-1) ** (n - 1), n)
+        pairs = [(n, one_plus_l) for n in sizes]
         total.accumulate(TautClass.from_twists(fam, m, pairs, coeff=coeff))
     return total
 
@@ -271,17 +271,15 @@ def _twist_small_support(tc: TautClass, k) -> TautClass:
     for (base_mono, blocks), coeff in tc.diag.items():
         if len(blocks) != 1 or blocks[0][0] != 2:
             raise ValueError("class is not supported on the small diagonal")
-        merged = dict(blocks[0][1])
-        merged["L"] = merged.get("L", 0) + k
-        norm = ring.normalize_monomial(tuple(merged.items()))
+        norm = ring.merge(blocks[0][1], (("L", k),))
         if norm is None:
             continue
         sign, mono = norm
         out.add_diag(base_mono, ((2, mono),), coeff * sign)
     for sector, adder in (("scroll", out.add_scroll), ("section", out.add_section)):
         for (node_id, nn, j), payload in getattr(tc, sector).items():
-            twisted = base_monomial_mult(payload, (("tauL", k),))
-            adder(node_id, nn, j, twisted)
+            tau = BaseClass(payload.ring, {theta_star((("L", k),)): 1})
+            adder(node_id, nn, j, twist(payload, pullback=tau))
     return out
 
 

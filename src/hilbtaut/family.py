@@ -17,7 +17,7 @@ from .basering import (
     make_total_space_ring,
 )
 from .charpoly import CharPoly
-from .lincomb import mono_str
+from .lincomb import merge_monos, mono_str
 
 STANDARD_CHARS = ("d", "b", "Lomega", "omega2", "twogm2")
 
@@ -216,19 +216,34 @@ def fiber_integral(fam: FamilyDescriptor, ring, slot_monos, base_mono=()):
         if d == 1:
             value = value * fam.fiber_degree(mono[0][0])
             continue
-        section = [n for n, _ in mono if n in ("theta_x", "theta_y")]
-        if section:
+        if any(n in ("theta_x", "theta_y") for n, _ in mono):
             # a section factor restricts the rest: pushforward is theta^*(L^k)
-            rest = {n: p for n, p in mono if n not in ("theta_x", "theta_y")}
-            if set(rest) - {"L"}:
+            tau = theta_star(tuple((n, p) for n, p in mono if n not in ("theta_x", "theta_y")))
+            if tau is None:
                 raise AssertionError("unreduced section monomial %r" % (mono,))
-            k = rest.get("L", 0)
-            base_powers = dict(base_mono)
-            base_powers["tauL"] = base_powers.get("tauL", 0) + k
-            base_mono = tuple(sorted((n, p) for n, p in base_powers.items() if p))
+            base_mono = merge_monos(base_mono, tau)
         else:
             pushed.append(mono)
     return value * _base_integral(fam, base_mono, pushed)
+
+
+def theta_star(mono):
+    """Image of a total-space monomial under restriction to a node section.
+
+    The canonical class restricts trivially, the polarization to its value on
+    the boundary base; the result is a pure pullback monomial or None.
+    """
+    powers = {}
+    for name, p in mono:
+        if name == "omega":
+            return None
+        if name == "L":
+            powers["tauL"] = powers.get("tauL", 0) + p
+        elif name == "pt":
+            return None
+        else:
+            raise AssertionError("unexpected symbol %r at a node" % name)
+    return tuple(sorted(powers.items()))
 
 
 def _base_integral(fam, base_mono, pushed):

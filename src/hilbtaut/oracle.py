@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .partitions import BPartition, Distribution
+from .partitions import BPartition
 
 
 class OrderedTensor:
@@ -58,19 +58,6 @@ class OrderedTensor:
         for key, c in other.terms.items():
             self._add(key, c * factor)
         return self
-
-    def __add__(self, other):
-        return OrderedTensor(self.ring, self.terms).accumulate(other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return OrderedTensor(self.ring, {k: cc * c for k, cc in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __eq__(self, other):
-        return isinstance(other, OrderedTensor) and self.terms == other.terms
 
 
 def _merge_monos(ring, m1, m2):
@@ -155,9 +142,9 @@ def count_block_permutations(blocks):
     return count
 
 
-def enumerate_bpartitions(m, mu: Distribution):
-    """All b-partitions of {1..m} with the given distribution."""
-    sizes = mu.parts()
+def enumerate_bpartitions(m, sizes):
+    """All b-partitions of {1..m} with the given block sizes."""
+    sizes = tuple(sizes)
     if sum(sizes) != m:
         raise ValueError("distribution weight %d != %d" % (sum(sizes), m))
     out = []

@@ -31,13 +31,15 @@ e^n_j = binom(n-j+1,2) psi_x + binom(j,2) psi_y
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 from .basering import BaseClass
 from .charpoly import CharPoly
-from .family import FamilyDescriptor, fiber_integral
+from .family import FamilyDescriptor, fiber_integral, theta_star
 from .lincomb import LinComb, add_term, merge_monos, mono_str
-from .partitions import Distribution, aut_count
+from .partitions import aut_count
 
 
 class TautClass(LinComb):
@@ -179,9 +181,10 @@ def _coeff_data(c: CharPoly):
 
 
 def _coeff_from_data(data):
-    return CharPoly(
-        {tuple((n, p) for n, p in mono): Fraction(value) for mono, value in data}
-    )
+    terms = {_mono_from_data(mono): Fraction(value) for mono, value in data}
+    if len(terms) != len(data):
+        raise ValueError("coefficient %r repeats a monomial" % (data,))
+    return CharPoly(terms)
 
 
 def to_data(tc: TautClass):
@@ -205,29 +208,46 @@ def to_data(tc: TautClass):
 
 
 def from_data(fam: FamilyDescriptor, data) -> TautClass:
-    """Rebuild a class from its serialization, on the given family."""
-    tc = TautClass(fam, data["m"])
+    """Rebuild a class from its serialization, on the given family.
+
+    Raises ValueError on anything `to_data` does not write.
+    """
+    tc = TautClass(fam, _int_from_data(data["m"], 0, "m"))
+    ring = tc.ring
     for term in data["diag"]:
-        base = _mono_from_data(tc.ring, term["base"])
-        blocks = tuple((int(n), _mono_from_data(tc.ring, mono)) for n, mono in term["blocks"])
+        base = _mono_from_data(term["base"], ring.base)
+        blocks = []
+        for n, twist_data in term["blocks"]:
+            mono = _mono_from_data(twist_data, ring.symbols - ring.base)
+            if ring.normalize_monomial(mono) != (1, mono):
+                raise ValueError("twist %s is not canonical in %s" % (mono_str(mono), ring.label))
+            blocks.append((_int_from_data(n, 1, "block size"), mono))
         tc.add_diag(base, blocks, _coeff_from_data(term["coeff"]))
     for sector, adder in (("scroll", tc.add_scroll), ("section", tc.add_section)):
         for term in data[sector]:
-            bd = fam.boundary_family(term["node"])
-            adder(term["node"], term["n"], term["j"], from_data(bd, term["payload"]))
+            n = _int_from_data(term["n"], 2, "scroll size n")
+            payload = from_data(fam.boundary_family(term["node"]), term["payload"])
+            if payload.m != tc.m - n:
+                raise ValueError("payload of degree %d on F^{%d,%d}" % (payload.m, n, tc.m))
+            adder(term["node"], n, _int_from_data(term["j"], 1, "scroll index j"), payload)
     return tc
 
 
-def _mono_from_data(ring, data):
-    mono = tuple((str(s), int(p)) for s, p in data)
+def _int_from_data(value, minimum, what):
+    if type(value) is not int or value < minimum:
+        raise ValueError("%s must be an integer >= %d, got %r" % (what, minimum, value))
+    return value
+
+
+def _mono_from_data(data, symbols=None):
+    """A monomial [[name, exponent], ...]: names sorted, distinct and in `symbols`."""
+    mono = tuple((name, _int_from_data(p, 1, "exponent")) for name, p in data)
     for name, _ in mono:
-        if name not in ring.symbols:
-            raise ValueError("symbol %r not in ring %s" % (name, ring.label))
+        if not isinstance(name, str) or (symbols is not None and name not in symbols):
+            raise ValueError("symbol %r not allowed in %r" % (name, data))
+    if mono != tuple(sorted(dict(mono).items())):
+        raise ValueError("monomial %r is not canonical" % (data,))
     return mono
-
-
-def _mu_of(blocks):
-    return Distribution.from_parts(n for n, _ in blocks)
 
 
 # -- the discriminant action -------------------------------------------------------
@@ -255,7 +275,7 @@ def gamma_action(tc: TautClass) -> TautClass:
     out = TautClass(fam, m)
 
     for (base_mono, blocks), coeff in tc.diag.items():
-        mu = _mu_of(blocks)
+        mult = Counter(n for n, _ in blocks)
         # unite pairs of blocks
         for i in range(len(blocks)):
             for k in range(i + 1, len(blocks)):
@@ -265,11 +285,8 @@ def gamma_action(tc: TautClass) -> TautClass:
                 if prod is None:
                     continue
                 sign, mono = prod
-                mult_n1, mult_n2 = mu.get(n1), mu.get(n2)
-                if n1 == n2:
-                    ratio = Fraction(mu.get(2 * n1) + 1, mult_n1 * (mult_n1 - 1))
-                else:
-                    ratio = Fraction(mu.get(n1 + n2) + 1, mult_n1 * mult_n2)
+                # aut(united) / aut(mu); mult[n2] drops by one once the n1 block is gone
+                ratio = Fraction(mult[n1 + n2] + 1, mult[n1] * (mult[n2] - (n1 == n2)))
                 rest = blocks[:i] + blocks[i + 1 : k] + blocks[k + 1 :]
                 new_base, fiber = split_twist(ring, base_mono, mono)
                 out.add_diag(
@@ -304,7 +321,7 @@ def gamma_action(tc: TautClass) -> TautClass:
                     if not payload:
                         continue
                     for j in range(1, n):
-                        factor = coeff * (nu_coeff(n, j) / mu.get(n)) * node.weight
+                        factor = coeff * (nu_coeff(n, j) / mult[n]) * node.weight
                         out.add_scroll(node.node_id, n, j, payload.scale(factor))
 
     # scrolls: Gamma . F = -((-Gamma) . F)
@@ -324,25 +341,6 @@ def gamma_action(tc: TautClass) -> TautClass:
 def split_twist(ring, base_mono, mono):
     """Move the pulled-back symbols of a block twist into the base monomial."""
     return merge_monos(base_mono, ring.base_part(mono)), ring.fiber_part(mono)
-
-
-def theta_star(mono):
-    """Image of a total-space monomial under restriction to a node section.
-
-    The canonical class restricts trivially, the polarization to its value on
-    the boundary base; the result is a pure pullback monomial or None.
-    """
-    powers = {}
-    for name, p in mono:
-        if name == "omega":
-            return None
-        if name == "L":
-            powers["tauL"] = powers.get("tauL", 0) + p
-        elif name == "pt":
-            return None
-        else:
-            raise AssertionError("unexpected symbol %r at a node" % name)
-    return tuple(sorted(powers.items()))
 
 
 def phi_star(bd, terms):
@@ -375,44 +373,46 @@ def _payload_from_blocks(bd, m_payload, blocks, tau_mono, base_mono):
 # -- operators on boundary payloads ---------------------------------------------
 
 
-def base_monomial_mult(tc: TautClass, mono) -> TautClass:
-    """Multiply by a monomial pulled back from the base (psi classes etc.)."""
-    out = TautClass(tc.fam, tc.m)
-    for (base_mono, blocks), coeff in tc.diag.items():
-        out.add_diag(merge_monos(base_mono, mono), blocks, coeff)
-    if tc.scroll or tc.section:
-        raise NotImplementedError("pullback twist on nested node terms")
-    return out
+def twist(tc: TautClass, pullback=None, norm=None) -> TautClass:
+    """Multiply a node-free class by pi^* pullback + [m]_* norm.
 
-
-def norm_mult(tc: TautClass, name) -> TautClass:
-    """Multiply by the norm divisor of a section/divisor symbol: [m]_* name.
-
-    On a polyblock diagonal the norm restricts to the sum over blocks of the
-    symbol inserted in the block, weighted by the block size.
+    Both are BaseClasses on the class's total space, `pullback` in the
+    symbols pulled back from the base.  The pullback multiplies the base
+    monomial; on a polyblock diagonal the norm divisor restricts to the sum
+    over blocks of the class inserted in the block, weighted by the block size.
     """
+    if tc.scroll or tc.section:
+        raise NotImplementedError("twist on nested node terms")
     ring = tc.ring
+    pulled = pullback.terms.items() if pullback is not None else ()
+    normed = norm.terms.items() if norm is not None else ()
     out = TautClass(tc.fam, tc.m)
     for (base_mono, blocks), coeff in tc.diag.items():
-        for i, (n, mono) in enumerate(blocks):
-            prod = ring.merge(mono, ((name, 1),))
-            if prod is None:
-                continue
-            sign, new_mono = prod
-            new_base, fiber = split_twist(ring, base_mono, new_mono)
-            out.add_diag(new_base, blocks[:i] + ((n, fiber),) + blocks[i + 1 :], coeff * (n * sign))
-    if tc.scroll or tc.section:
-        raise NotImplementedError("norm twist on nested node terms")
+        for mono, c in pulled:
+            out.add_diag(merge_monos(base_mono, mono), blocks, coeff * c)
+        for mono, c in normed:
+            for i, (n, block_mono) in enumerate(blocks):
+                prod = ring.merge(block_mono, mono)
+                if prod is None:
+                    continue
+                sign, new_mono = prod
+                new_base, fiber = split_twist(ring, base_mono, new_mono)
+                out.add_diag(
+                    new_base, blocks[:i] + ((n, fiber),) + blocks[i + 1 :], coeff * (n * sign * c)
+                )
     return out
 
 
 def mult_D(tc: TautClass, n, j) -> TautClass:
-    """Multiply a boundary payload by the scroll line-bundle divisor D^n_j."""
-    out = base_monomial_mult(tc, (("psi_x", 1),)).scale(Fraction((n - j + 1) * (n - j), 2))
-    out.accumulate(base_monomial_mult(tc, (("psi_y", 1),)), Fraction(j * (j - 1), 2))
-    out.accumulate(norm_mult(tc, "theta_x"), -(n - j + 1))
-    out.accumulate(norm_mult(tc, "theta_y"), -j)
-    return out
+    """Multiply a boundary payload by the scroll line-bundle divisor D^n_j.
+
+    D^n_j = binom(n-j+1, 2) psi_x + binom(j, 2) psi_y
+            - (n-j+1) [m]_* theta_x - j [m]_* theta_y.
+    """
+    ring = tc.ring
+    psi = BaseClass(ring, {(("psi_x", 1),): comb(n - j + 1, 2), (("psi_y", 1),): comb(j, 2)})
+    theta = BaseClass(ring, {(("theta_x", 1),): -(n - j + 1), (("theta_y", 1),): -j})
+    return twist(tc, psi, theta)
 
 
 def _mult_e(tc: TautClass, n, j) -> TautClass:
@@ -492,10 +492,9 @@ def integrate(tc: TautClass) -> CharPoly:
     for (base_mono, blocks), coeff in tc.diag.items():
         if tc._diag_codim(base_mono, blocks) != dim:
             raise ValueError("not top-dimensional: %s" % ((base_mono, blocks),))
-        mu = _mu_of(blocks)
         slots = [mono for _, mono in blocks]
         value = fiber_integral(fam, tc.ring, slots, base_mono=base_mono)
-        total.accumulate(value * coeff, Fraction(1, aut_count(mu)))
+        total.accumulate(value * coeff, Fraction(1, aut_count(n for n, _ in blocks)))
     for payload in tc.section.values():
         total.accumulate(integrate(payload))
     # scroll terms are pulled back from the scroll base and die in top degree
@@ -517,11 +516,10 @@ def pushforward_to_base(tc: TautClass):
     for (base_mono, blocks), coeff in tc.diag.items():
         if base_mono:
             raise NotImplementedError
-        mu = _mu_of(blocks)
         value = CharPoly.const(1)
         for _, mono in blocks:
             value = value * _kappa_symbol(mono)
-        interior.accumulate(value * coeff, Fraction(1, aut_count(mu)))
+        interior.accumulate(value * coeff, Fraction(1, aut_count(n for n, _ in blocks)))
     # scrolls collapse onto the boundary base
     for (node_id, n, j), payload in tc.section.items():
         for (bmono, bblocks), c in payload.diag.items():

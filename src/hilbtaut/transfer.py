@@ -21,16 +21,8 @@ from math import comb
 
 from .basering import BaseClass
 from .charpoly import CharPoly
-from .family import FamilyDescriptor, integrate_classes
-from .tautmod import (
-    TautClass,
-    base_monomial_mult,
-    mult_D,
-    nu_coeff,
-    phi_star,
-    split_twist,
-    theta_star,
-)
+from .family import FamilyDescriptor, integrate_classes, theta_star
+from .tautmod import TautClass, mult_D, nu_coeff, phi_star, split_twist, twist
 
 # -- the flaglet transfer -----------------------------------------------------------
 
@@ -71,18 +63,10 @@ def transfer(tc: TautClass, beta: BaseClass = None, variant="j") -> TautClass:
         jtheta = j if variant == "j" else j + 1
         jD = j + 1 if variant == "j" else j
         if not tau.is_zero():
-            out.add_scroll(node_id, n + 1, jtheta, _scale_by_base(payload, tau))
+            out.add_scroll(node_id, n + 1, jtheta, twist(payload, pullback=tau))
         out.add_section(node_id, n, j, moved)
         correction = transfer(mult_D(payload, n, jD), phib) - mult_D(moved, n, jD)
         out.add_scroll(node_id, n, j, correction)
-    return out
-
-
-def _scale_by_base(payload, base_cls):
-    """Multiply a payload by a class pulled back from the boundary base."""
-    out = TautClass.zero(payload.fam, payload.m)
-    for mono, c in base_cls.terms.items():
-        out.accumulate(base_monomial_mult(payload, mono), c)
     return out
 
 
@@ -103,18 +87,12 @@ class PunctualClass:
         self.fam = fam
         self.m = m
         self.interior = interior if interior is not None else BaseClass.zero(fam.total_ring)
-        self.scroll = {
-            node.node_id: {i: self._tzero(node) for i in range(1, m)} for node in fam.nodes
-        }
-        self.section = {
-            node.node_id: {i: self._tzero(node) for i in range(1, m)} for node in fam.nodes
-        }
-
-    def _tzero(self, node):
-        return BaseClass.zero(self.fam.node_base_ring(node.node_id))
-
-    def tring(self, node_id):
-        return self.fam.node_base_ring(node_id)
+        self.scroll = {}
+        self.section = {}
+        for node in fam.nodes:
+            tring = fam.node_base_ring(node.node_id)
+            self.scroll[node.node_id] = {i: BaseClass.zero(tring) for i in range(1, m)}
+            self.section[node.node_id] = {i: BaseClass.zero(tring) for i in range(1, m)}
 
     def __repr__(self):
         parts = ["%s" % self.interior]
@@ -152,7 +130,7 @@ def punctual_transfer(fam, pc: PunctualClass) -> PunctualClass:
     out = PunctualClass(fam, m, pc.interior)
     for node in fam.nodes:
         nid = node.node_id
-        ring = out.tring(nid)
+        ring = fam.node_base_ring(nid)
         for i in range(1, m):
             acc = BaseClass.zero(ring)
             # C^m_i receives (m-i)/(m-1) of C^{m-1}_i and i/(m-1) of C^{m-1}_{i-1}
@@ -244,7 +222,7 @@ def _punctual_chern_step(fam, prev: PunctualClass) -> PunctualClass:
     # theta^*(alpha_{m-1}) = (1 + theta^*L)^(m-1) since omega restricts trivially
     for node in fam.nodes:
         nid = node.node_id
-        tring = out.tring(nid)
+        tring = fam.node_base_ring(nid)
         tau1 = BaseClass.unit(tring) + _theta_star_L(node, tring)
         interior_restr = tau1 ** (m - 1)
 
@@ -316,7 +294,7 @@ def segre_contact_step(fam, m) -> PunctualClass:
     )
     for node in fam.nodes:
         nid = node.node_id
-        tring = out.tring(nid)
+        tring = fam.node_base_ring(nid)
         tau = _theta_star_L(node, tring)
         for i in range(1, m):
             out.scroll[nid][i] = tau * (-3 * nu_coeff(m, i))

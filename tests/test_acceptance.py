@@ -11,7 +11,7 @@ from hilbtaut.basering import BaseClass, make_total_space_ring
 from hilbtaut.charpoly import CharPoly
 from hilbtaut.family import FamilyDescriptor, Node, symbolic_family
 from hilbtaut.oracle import OrderedTensor, ordered_disc, p1_diagonal_degree, symmetrize
-from hilbtaut.partitions import Distribution, aut_count
+from hilbtaut.partitions import aut_count
 from hilbtaut.tautmod import (
     TautClass,
     gamma_action,
@@ -19,8 +19,8 @@ from hilbtaut.tautmod import (
     gamma_power,
     gamma_power_on_scroll,
     integrate,
-    norm_mult,
     nu_coeff,
+    twist,
 )
 from hilbtaut.tensym import TensorClass, discriminant_op, u_omega_total
 from hilbtaut.transfer import pluecker_c2, pluecker_s2, transfer
@@ -183,8 +183,7 @@ def test_criterion_8_oracle_equivalence():
     def phi(tc):
         out = {}
         for (base, blocks), c in tc.diag.items():
-            mu = Distribution.from_parts(n for n, _ in blocks)
-            out[blocks] = c.constant_value() / aut_count(mu)
+            out[blocks] = c.constant_value() / aut_count(n for n, _ in blocks)
         return out
 
     for m in (2, 3, 4):
@@ -209,7 +208,7 @@ def test_criterion_9_projective_line_degrees():
             cls = TautClass.zero(fam, m)
             cls.add_diag((), ((n, ()),) + ((1, ()),) * (m - n), 1)
             for _ in range((m - n) + 1):
-                cls = norm_mult(cls, "pt")
+                cls = twist(cls, norm=BaseClass.gen(cls.ring, "pt"))
             engine = integrate(cls).constant_value()
             assert engine == p1_diagonal_degree(m, n) == n * (m - n + 1), (m, n)
     report(9, "multiple-point locus degrees on the line, m <= 5")

@@ -3,7 +3,8 @@
 from hilbtaut.charpoly import CharPoly
 from hilbtaut.family import FamilyDescriptor, Node, symbolic_family
 from hilbtaut.chern import flag_G, flag_L, integrate_w, trisecant_grand_total
-from hilbtaut.tautmod import TautClass, gamma_power, integrate, norm_mult
+from hilbtaut.basering import BaseClass
+from hilbtaut.tautmod import TautClass, gamma_power, integrate, twist
 
 
 def sym(name):
@@ -72,7 +73,7 @@ def line_family():
 
 def hyperplane_power(cls, k):
     for _ in range(k):
-        cls = norm_mult(cls, "pt")
+        cls = twist(cls, norm=BaseClass.gen(cls.ring, "pt"))
     return cls
 
 

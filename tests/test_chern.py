@@ -24,7 +24,7 @@ from hilbtaut.chern import (
     trisecant_grand_total,
     w3_monomial,
 )
-from hilbtaut.tautmod import gamma_power, norm_mult, pushforward_to_base
+from hilbtaut.tautmod import gamma_power, pushforward_to_base, twist
 from hilbtaut.tautmod import TautClass, gamma_as_class
 
 
@@ -77,7 +77,8 @@ def test_first_chern_class_is_norm_minus_discriminant(fam):
     for m in (2, 3):
         deg1 = chern_splitting(m).graded_part(1)
         cls = pushdown(fam, m, deg1).scale(Fraction(1, factorial(m)))
-        expected = norm_mult(TautClass.fundamental(fam, m), "L") - gamma_as_class(fam, m)
+        ell = BaseClass.gen(fam.total_ring, "L")
+        expected = twist(TautClass.fundamental(fam, m), norm=ell) - gamma_as_class(fam, m)
         assert cls == expected
 
 

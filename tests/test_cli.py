@@ -231,6 +231,37 @@ UNKNOWN_SYMBOL_CLASS = _one_point_class("foo", "1")
 ZERO_DENOMINATOR_CLASS = _one_point_class("L", "1/0")
 
 
+def _diag_class(m, blocks, base=(), coeff=(([], "1"),)):
+    """Serialized class of Hilbert degree m with one diagonal term."""
+    term = {"base": list(base), "blocks": blocks, "coeff": [list(c) for c in coeff]}
+    return {"m": m, "diag": [term], "scroll": [], "section": []}
+
+
+def _scroll_class(m, n, payload):
+    """Serialized scroll F^{n,m}_1 of the default family's node over `payload`."""
+    scroll = {"node": "s", "n": n, "j": 1, "payload": payload}
+    return {"m": m, "diag": [], "scroll": [scroll], "section": []}
+
+
+# classes `to_data` never writes; each must be refused, not transferred
+MALFORMED_CLASSES = [
+    _diag_class(2, [[2, []], [0, []]]),
+    _diag_class(2, [[3, []], [-1, []]]),
+    _diag_class(1, [[1.5, []]]),
+    {"m": -1, "diag": [], "scroll": [], "section": []},
+    {"m": 2.5, "diag": [], "scroll": [], "section": []},
+    _diag_class(1, [[1, []]], base=[["L", -1]]),
+    _diag_class(1, [[1, [["L", 0]]]]),
+    _diag_class(1, [[1, [["L", 1], ["L", 1]]]]),
+    _diag_class(1, [[1, [["omega", 1], ["L", 1]]]]),
+    _diag_class(1, [[1, []]], coeff=[([["b", 0]], "1")]),
+    _diag_class(1, [[1, []]], coeff=[([], "1"), ([], "2")]),
+    _scroll_class(3, 2, _diag_class(4, [[1, []]] * 4, coeff=[([], "5")])),
+    _scroll_class(3, 2, _diag_class(1, [[1, [["psi_x", 1]]]])),
+    _scroll_class(3, 2, _diag_class(1, [[1, [["omega", 1], ["theta_x", 1]]]])),
+]
+
+
 def _run_exit(monkeypatch, argv):
     """Exit code of the entry point run in process on `argv`."""
     monkeypatch.setattr(sys, "argv", ["hilbtaut"] + argv)
@@ -262,6 +293,10 @@ def _run_exit(monkeypatch, argv):
         (["transfer", "--class-json", ZERO_DENOMINATOR_CLASS], "--class-json"),
         (["transfer", "--class-json", EMPTY_CLASS, "--beta", "foo"], "--beta"),
         (["transfer", "--class-json", EMPTY_CLASS, "--beta", "L^x"], "--beta"),
+        *(
+            (["transfer", "--class-json", json.dumps(c)], "--class-json")
+            for c in MALFORMED_CLASSES
+        ),
     ],
 )
 def test_out_of_range_option_exits_1(monkeypatch, capsys, argv, option):

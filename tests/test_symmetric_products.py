@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hilbtaut.family import FamilyDescriptor
-from hilbtaut.tautmod import gamma_power, integrate, norm_mult
+from hilbtaut.basering import BaseClass
+from hilbtaut.tautmod import gamma_power, integrate, twist
 
 
 def macdonald(g, d, m, a):
@@ -44,7 +45,7 @@ def test_macdonald_gamma_power(g, d, ma):
     fam = FamilyDescriptor(0, chars={"twogm2": 2 * g - 2, "d": d})
     cls = gamma_power(fam, m, m - a)
     for _ in range(a):
-        cls = norm_mult(cls, "L")
+        cls = twist(cls, norm=BaseClass.gen(cls.ring, "L"))
     assert integrate(cls) == macdonald(g, d, m, a)
 
 

@@ -13,10 +13,11 @@ from hilbtaut.tautmod import (
     gamma_power,
     gamma_power_on_scroll,
     integrate,
-    norm_mult,
+    mult_D,
     nu_coeff,
     small_diag_gamma,
     to_data,
+    twist,
 )
 
 
@@ -222,14 +223,14 @@ def test_multi_node_additivity():
 
 def test_norm_mult_is_degreewise(fam):
     cls = TautClass.fundamental(fam, 3)
-    ell = norm_mult(cls, "L")
+    ell = twist(cls, norm=BaseClass.gen(fam.total_ring, "L"))
     assert ell.diag == {
         ((), ((1, ()), (1, ()), (1, (("L", 1),)))): CharPoly.const(3)
     }
     # a block of size n counts its size
     small = TautClass(fam, 3)
     small.add_diag((), blocks(3), 1)
-    out = norm_mult(small, "L")
+    out = twist(small, norm=BaseClass.gen(fam.total_ring, "L"))
     assert out.diag == {((), ((3, (("L", 1),)),)): CharPoly.const(3)}
 
 
@@ -246,9 +247,9 @@ def test_norm_mult_section_self_intersection():
     one = BaseClass.unit(bd.total_ring)
     theta = BaseClass.gen(bd.total_ring, "theta_x")
     psi = BaseClass.gen(bd.total_ring, "psi_x")
-    once = norm_mult(fund, "theta_x")
+    once = twist(fund, norm=theta)
     assert once == TautClass.from_twists(bd, 2, [(1, theta), (1, one)]).scale(2)
-    twice = norm_mult(once, "theta_x")
+    twice = twist(once, norm=theta)
     expected = TautClass.from_twists(bd, 2, [(1, theta), (1, one)], base=psi).scale(-2)
     expected.accumulate(TautClass.from_twists(bd, 2, [(1, theta), (1, theta)]), 2)
     assert twice == expected
@@ -260,7 +261,7 @@ def test_norm_mult_sections_are_disjoint():
     bd, fund = boundary_pair()
     theta_x = BaseClass.gen(bd.total_ring, "theta_x")
     theta_y = BaseClass.gen(bd.total_ring, "theta_y")
-    out = norm_mult(norm_mult(fund, "theta_x"), "theta_y")
+    out = twist(twist(fund, norm=theta_x), norm=theta_y)
     assert out == TautClass.from_twists(bd, 2, [(1, theta_x), (1, theta_y)]).scale(2)
 
 
@@ -268,8 +269,6 @@ def test_scroll_bundle_divisor_coefficients(fam):
     # the divisor of the scroll line bundle on a degree-k boundary scheme:
     # binom(n-j+1,2) psi_x + binom(j,2) psi_y - (n-j+1) [k]theta_x - j [k]theta_y
     from math import comb
-
-    from hilbtaut.tautmod import mult_D
 
     big = FamilyDescriptor(3, nodes=[Node("s", 1)])
     bd = big.boundary_family("s")
@@ -287,6 +286,24 @@ def test_scroll_bundle_divisor_coefficients(fam):
             }
             expect = {k: v for k, v in expect.items() if not v.is_zero()}
             assert out.diag == expect, (n, j)
+
+
+def test_twist_degree_two_pullback_lands_in_the_base_monomial():
+    bd = FamilyDescriptor(3, nodes=[Node("s", 1)]).boundary_family("s")
+    ring = bd.total_ring
+    theta = BaseClass.gen(ring, "theta_x")
+    payload = TautClass.from_twists(bd, 2, [(1, theta), (1, BaseClass.unit(ring))], coeff=3)
+    psi_tau = BaseClass(ring, {(("psi_x", 1), ("tauL", 1)): Fraction(1, 2)})
+    out = twist(payload, pullback=psi_tau)
+    key = ((("psi_x", 1), ("tauL", 1)), ((1, ()), (1, (("theta_x", 1),))))
+    assert out.diag == {key: CharPoly.const(Fraction(3, 2))}
+
+
+def test_twist_refuses_node_terms(fam):
+    cls = gamma_power(fam, 2, 2)
+    assert cls.scroll or cls.section
+    with pytest.raises(NotImplementedError):
+        twist(cls, pullback=BaseClass.unit(fam.total_ring))
 
 
 def test_serialization_roundtrip(fam):
