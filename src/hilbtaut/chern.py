@@ -40,38 +40,54 @@ def flag_G(i) -> CharPoly:
 # -- pushing flag polynomials down to the Hilbert scheme ----------------------------
 
 
-def push_monomial(fam: FamilyDescriptor, m, key) -> TautClass:
-    """Push one flag monomial in L1..Lm, G2..Gm down to the degree-m Hilbert scheme.
+def pushdown(fam: FamilyDescriptor, m, expr: CharPoly) -> TautClass:
+    """Push a flag polynomial in L1..Lm, G2..Gm down to the degree-m Hilbert scheme.
 
-    Stage i transfers the class accumulated on degree i-1 with twist L^(a_i),
-    the exponent of L_i, then applies the degree-i discriminant k_i times,
-    the exponent of G_i.
+    The result is m! times the Hilbert-scheme class.  Stage i transfers the
+    class accumulated on degree i-1 with twist L^(a_i), the exponent of L_i,
+    then applies the degree-i discriminant k_i times, the exponent of G_i.
+    Transfer and discriminant are linear, so the monomials whose remaining
+    stages agree are summed and pushed as one class: the groups are keyed by
+    the unprocessed suffix ((a_i, k_i), ..., (a_m, k_m)).
     """
-    powers = dict(key)
-    a = [powers.pop("L%d" % i, 0) for i in range(1, m + 1)]
-    k = [powers.pop("G%d" % i, 0) for i in range(2, m + 1)]
-    if powers:
-        raise ValueError(
-            "flag monomial %s has symbols outside L1..L%d, G2..G%d" % (mono_str(key), m, m)
-        )
+    if type(m) is not int or m < 1:
+        raise ValueError("flag length must be an integer >= 1, got %r" % (m,))
     ring = fam.total_ring
     ell = BaseClass.gen(ring, "L")
-    cls = TautClass.from_twists(fam, 1, [(1, ell ** a[0])])
-    for i in range(2, m + 1):
-        if cls.is_zero():
-            return TautClass.zero(fam, m)
-        cls = transfer(cls, ell ** a[i - 1])
-        for _ in range(k[i - 2]):
-            cls = gamma_action(cls)
-    return cls
-
-
-def pushdown(fam: FamilyDescriptor, m, expr: CharPoly) -> TautClass:
-    """Sum the per-monomial flag pushdowns (m! times the Hilbert-scheme class)."""
-    total = TautClass.zero(fam, m)
+    groups = {}
     for key, c in expr.terms.items():
-        total.accumulate(push_monomial(fam, m, key), c)
-    return total
+        powers = dict(key)
+        for name, p in key:
+            if type(p) is not int or p < 1:
+                raise ValueError(
+                    "flag monomial %s has exponent %r of %s; exponents are integers >= 1"
+                    % (mono_str(key), p, name)
+                )
+        a = [powers.pop("L%d" % i, 0) for i in range(1, m + 1)]
+        k = [powers.pop("G%d" % i, 0) for i in range(2, m + 1)]
+        if powers:
+            raise ValueError(
+                "flag monomial %s has symbols outside L1..L%d, G2..G%d" % (mono_str(key), m, m)
+            )
+        seed = TautClass.from_twists(fam, 1, [(1, ell ** a[0])], coeff=c)
+        suffix = tuple(zip(a[1:], k))
+        groups.setdefault(suffix, TautClass.zero(fam, 1)).accumulate(seed)
+    for i in range(2, m + 1):
+        shorter = {}
+        for ((a, k), *rest), cls in groups.items():
+            if cls.is_zero():
+                continue
+            cls = transfer(cls, ell ** a)
+            for _ in range(k):
+                cls = gamma_action(cls)
+            shorter.setdefault(tuple(rest), TautClass.zero(fam, i)).accumulate(cls)
+        groups = shorter
+    return groups.get((), TautClass.zero(fam, m))
+
+
+def push_monomial(fam: FamilyDescriptor, m, key) -> TautClass:
+    """Push one flag monomial down: the one-term case of `pushdown`."""
+    return pushdown(fam, m, CharPoly({key: 1}))
 
 
 def integrate_w(fam: FamilyDescriptor, m, expr: CharPoly) -> CharPoly:
@@ -96,7 +112,7 @@ def w3_monomial(fam: FamilyDescriptor, exponents) -> CharPoly:
     if sum(exponents) != 4:
         raise ValueError("degree must be 4")
     mono = tuple(sorted((name, e) for name, e in zip(W3_SYMBOLS, exponents) if e))
-    return integrate_w(fam, 3, CharPoly({mono: 1}))
+    return integrate(push_monomial(fam, 3, mono))
 
 
 # -- Chern classes of tautological bundles ------------------------------------------

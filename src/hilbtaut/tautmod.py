@@ -436,25 +436,25 @@ def gamma_power_on_scroll(fam, m, node_id, n, j, payload, ell) -> TautClass:
     if ell == 0:
         out.add_scroll(node_id, n, j, payload)
         return out
-    h1 = _complete_homog(payload, n, j, ell - 1)
-    out.add_section(node_id, n, j, h1)
+    h = _complete_homog(payload, n, j, ell - 1)
+    out.add_section(node_id, n, j, h[ell - 1])
     if ell >= 2:
-        h2 = _complete_homog(payload, n, j, ell - 2)
-        out.add_scroll(node_id, n, j, -_mult_e(_mult_e(h2, n, j + 1), n, j))
+        out.add_scroll(node_id, n, j, -_mult_e(_mult_e(h[ell - 2], n, j + 1), n, j))
     return out
 
 
 def _complete_homog(payload, n, j, k):
-    """h_k(e_j, e_{j+1}) applied to the payload."""
-    total = TautClass.zero(payload.fam, payload.m)
-    for i in range(k + 1):
-        term = payload
-        for _ in range(i):
-            term = _mult_e(term, n, j)
-        for _ in range(k - i):
-            term = _mult_e(term, n, j + 1)
-        total.accumulate(term)
-    return total
+    """[h_0, ..., h_k](e_j, e_{j+1}) applied to the payload, in one pass.
+
+    h_i = e_j h_(i-1) + e_(j+1)^i, carrying the power e_(j+1)^i P: 2k
+    applications of `_mult_e` in all.
+    """
+    h = [payload]
+    power = payload
+    for _ in range(k):
+        power = _mult_e(power, n, j + 1)
+        h.append(_mult_e(h[-1], n, j) + power)
+    return h
 
 
 # -- powers, small diagonal, integration ------------------------------------------

@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hilbtaut.basering import BaseClass
 from hilbtaut.charpoly import CharPoly
@@ -24,8 +25,9 @@ from hilbtaut.chern import (
     trisecant_grand_total,
     w3_monomial,
 )
-from hilbtaut.tautmod import gamma_power, pushforward_to_base, twist
+from hilbtaut.tautmod import gamma_action, gamma_power, pushforward_to_base, twist
 from hilbtaut.tautmod import TautClass, gamma_as_class
+from hilbtaut.transfer import transfer
 
 
 def sym(name):
@@ -90,6 +92,92 @@ def test_pushdown_rejects_symbols_off_the_flag(fam, expr):
     # on the 3-step flag only L1..L3 and G2..G3 are classes; each expr has the top degree 4
     with pytest.raises(ValueError, match="outside L1..L3, G2..G3"):
         integrate_w(fam, 3, expr)
+
+
+@pytest.mark.parametrize(
+    "exponents, bad",
+    [
+        ((5, -1, 0, 0, 0), r"L1\^5\*L2\^-1 has exponent -1 of L2"),
+        ((0, 0, -1, 5, 0), r"G2\^5\*L3\^-1 has exponent -1 of L3"),
+        ((-1, 5, 0, 0, 0), r"L1\^-1\*L2\^5 has exponent -1 of L1"),
+        ((2.0, 1, 1, 0, 0), r"has exponent 2.0 of L1"),
+    ],
+    ids=["L2_negative", "L3_negative", "L1_negative", "L1_float"],
+)
+def test_w3_monomial_rejects_exponents_that_are_not_positive_integers(fam, exponents, bad):
+    # the first two used to read 0: an earlier stage killed the class before
+    # the negative exponent was reached
+    with pytest.raises(ValueError, match=bad):
+        w3_monomial(fam, exponents)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_chern_class_on_hilb_rejects_flag_length_below_one(fam, m):
+    with pytest.raises(ValueError, match="flag length must be an integer >= 1, got %d" % m):
+        chern_class_on_hilb(fam, m)
+
+
+def per_monomial_pushdown(fam, m, expr):
+    """Reference: every monomial down the whole tower on its own, then the sum."""
+    ell = BaseClass.gen(fam.total_ring, "L")
+    total = TautClass.zero(fam, m)
+    for key, c in expr.terms.items():
+        powers = dict(key)
+        cls = TautClass.from_twists(fam, 1, [(1, ell ** powers.get("L1", 0))])
+        for i in range(2, m + 1):
+            cls = transfer(cls, ell ** powers.get("L%d" % i, 0))
+            for _ in range(powers.get("G%d" % i, 0)):
+                cls = gamma_action(cls)
+        total.accumulate(cls, c)
+    return total
+
+
+PUSHDOWN_FAMILIES = {
+    "symbolic1": symbolic_family(1),
+    "two_node": FamilyDescriptor(
+        1,
+        chars={"d": 3, "b": 2, "Lomega": -1, "omega2": 4, "twogm2": 2},
+        nodes=[Node("p", 2, tau_L=0), Node("q", 3, tau_L=0)],
+    ),
+    "symbolic2": symbolic_family(2),
+}
+
+
+def flag_polynomials(m):
+    """Up to 8 terms with coefficients in -3..3; exponents 0..2 of L1..Lm, G2..Gm."""
+    names = ["L%d" % i for i in range(1, m + 1)] + ["G%d" % i for i in range(2, m + 1)]
+    term = st.tuples(st.lists(st.integers(0, 2), min_size=len(names), max_size=len(names)),
+                     st.integers(-3, 3))
+    return st.lists(term, max_size=8).map(
+        lambda terms: sum(
+            (CharPoly({tuple((n, e) for n, e in sorted(zip(names, exps)) if e): c})
+             for exps, c in terms),
+            CharPoly.zero(),
+        )
+    )
+
+
+def test_stagewise_pushdown_equals_per_monomial_sum():
+    outcomes = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fam_name=st.sampled_from(sorted(PUSHDOWN_FAMILIES)),
+        m_expr=st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), flag_polynomials(m))),
+    )
+    @example(fam_name="two_node", m_expr=(3, CharPoly.zero()))
+    @example(fam_name="symbolic1", m_expr=(1, flag_L(1) * 2 - CharPoly.const(3)))
+    @example(fam_name="symbolic1", m_expr=(4, chern_splitting(4)))
+    def check(fam_name, m_expr):
+        m, expr = m_expr
+        fam = PUSHDOWN_FAMILIES[fam_name]
+        got = pushdown(fam, m, expr)
+        assert got == per_monomial_pushdown(fam, m, expr)
+        outcomes.append(not got.is_zero())
+
+    check()
+    # most draws must push to a nonzero class, or the property says little
+    assert sum(outcomes) * 2 >= len(outcomes), outcomes
 
 
 def test_closed_form_matches_splitting_nodefree():

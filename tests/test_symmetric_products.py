@@ -8,8 +8,13 @@ algebraic curve", Topology 1 (1962); Arbarello-Cornalba-Griffiths-Harris,
 Geometry of Algebraic Curves I, ch. VIII).  Over the product family C x P^1
 the relative Hilbert scheme is C^(m) x P^1, where Gamma is pulled back from
 C^(m), so its power of degree m + 1 vanishes.
+
+The tautological (secant) bundle L^[m] of a line bundle of degree d has total
+Chern class c(L^[m]) = (1 - x)^(m+g-1-d) exp(theta / (1 - x)) (ACGH I,
+ch. VIII), which checks the whole flag pushdown of the Chern splitting.
 """
 
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -17,7 +22,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from hilbtaut.family import FamilyDescriptor
 from hilbtaut.basering import BaseClass
-from hilbtaut.tautmod import gamma_power, integrate, twist
+from hilbtaut.chern import chern_class_on_hilb
+from hilbtaut.tautmod import TautClass, gamma_power, integrate, twist
 
 
 def macdonald(g, d, m, a):
@@ -47,6 +53,53 @@ def test_macdonald_gamma_power(g, d, ma):
     for _ in range(a):
         cls = twist(cls, norm=BaseClass.gen(cls.ring, "L"))
     assert integrate(cls) == macdonald(g, d, m, a)
+
+
+def binom(n, r):
+    """Binomial coefficient n choose r for any integer n (also negative), r >= 0."""
+    out = Fraction(1)
+    for i in range(r):
+        out = out * (n - i) / (i + 1)
+    return out
+
+
+def secant_chern_number(g, d, m, k):
+    """integral over C^(m) of c_k(L^[m]) N(L)^(m-k), with N(L) = d x.
+
+    The degree-k part of (1 - x)^(m+g-1-d) exp(theta / (1 - x)) is
+    sum_t theta^t / t! * binom(m+g-1-d-t, k-t) (-x)^(k-t), and
+    integral x^(m-t) theta^t = g!/(g-t)!, so theta^t / t! integrates to binom(g, t).
+    """
+    n = m + g - 1 - d
+    return d ** (m - k) * sum(
+        (-1) ** (k - t) * binom(n - t, k - t) * comb(g, t) for t in range(min(k, g) + 1)
+    )
+
+
+def assert_secant_chern_numbers(g, d, m):
+    fam = FamilyDescriptor(0, chars={"twogm2": 2 * g - 2, "d": d})
+    total = chern_class_on_hilb(fam, m)
+    assert not total.scroll and not total.section
+    ring, ell = fam.total_ring, BaseClass.gen(fam.total_ring, "L")
+    for k in range(m + 1):
+        ck = TautClass.zero(fam, m)
+        for (base, blocks), c in total.diag.items():
+            if sum(n - 1 + ring.degree(mono) for n, mono in blocks) == k:
+                ck.add_diag(base, blocks, c)
+        for _ in range(m - k):
+            ck = twist(ck, norm=ell)
+        assert integrate(ck) == secant_chern_number(g, d, m, k), (g, d, m, k)
+
+
+@settings(max_examples=15, deadline=None)
+@given(g=st.integers(0, 4), d=st.integers(1, 9), m=st.integers(1, 6))
+@example(g=4, d=9, m=6)
+def test_secant_bundle_chern_numbers(g, d, m):
+    assert_secant_chern_numbers(g, d, m)
+
+
+def test_secant_bundle_chern_numbers_m7():
+    assert_secant_chern_numbers(3, 5, 7)
 
 
 @pytest.mark.parametrize("g", range(4))
