@@ -46,14 +46,17 @@ class Ring:
         return tuple((n, p) for n, p in mono if n not in self.base)
 
     def normalize_monomial(self, mono):
-        """Canonical (coefficient, monomial) for a raw exponent map, or None if zero."""
+        """Canonical (sign, monomial) for a raw exponent map, or None if zero.
+
+        The sign is the int 1 or -1, and the monomial has the degree of `mono`.
+        """
         powers = {}
         for name, p in mono:
             if name not in self.symbols:
                 raise KeyError("symbol %r not in ring %s" % (name, self.label))
             if p:
                 powers[name] = powers.get(name, 0) + p
-        sign = Fraction(1)
+        sign = 1
         sections = [s for s in self.psi_of if powers.get(s)]
         if len(sections) > 1:
             return None  # disjoint sections: theta_x * theta_y = 0

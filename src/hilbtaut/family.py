@@ -68,6 +68,9 @@ class FamilyDescriptor:
             n.node_id: make_node_base_ring(dim_b, n.node_id) for n in self.nodes
         }
         self._boundary_families = {}
+        # constant operator data on this family's total space, built once
+        # (the phi^* images and scroll divisors of `tautmod`)
+        self.operator_data = {}
 
     # -- characters -----------------------------------------------------------
 

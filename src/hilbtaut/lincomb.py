@@ -174,7 +174,7 @@ def merge_monos(m1, m2):
 
 def mono_str(mono, unit="1"):
     """Text form `a*b^2` of a monomial; `unit` for the empty one."""
-    return "*".join(n if p == 1 else "%s^%d" % (n, p) for n, p in mono) or unit
+    return "*".join(n if p == 1 else "%s^%s" % (n, p) for n, p in mono) or unit
 
 
 def format_sum(items):

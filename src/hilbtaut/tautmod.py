@@ -71,18 +71,28 @@ class TautClass(LinComb):
             d += (n - 1) + self.ring.degree(mono)
         return d
 
-    def add_diag(self, base_mono, blocks, coeff):
-        if not coeff:
-            return
+    def _sorted_blocks(self, blocks):
+        """The blocks in key order (size down, then twist), checked to weigh m."""
         blocks = tuple(sorted(blocks, key=lambda b: (-b[0], b[1])))
-        base_mono = tuple(sorted(base_mono))
         if sum(n for n, _ in blocks) != self.m:
             raise ValueError("blocks of weight %s in degree-%d class" % (blocks, self.m))
+        return blocks
+
+    def add_diag(self, base_mono, blocks, coeff):
+        """Add a term from outside input: normalize its key, drop it above top codimension."""
+        if not coeff:
+            return
+        blocks = self._sorted_blocks(blocks)
+        base_mono = tuple(sorted(base_mono))
         if self._diag_codim(base_mono, blocks) > self.space_dim():
             return
         if not isinstance(coeff, CharPoly):
             coeff = CharPoly.const(coeff)
         add_term(self.diag, (base_mono, blocks), coeff)
+
+    def _put_diag(self, base_mono, blocks, coeff):
+        """Add a term an operator built: canonical base monomial, codimension in range."""
+        add_term(self.diag, (base_mono, self._sorted_blocks(blocks)), coeff)
 
     def _node_bucket(self, sector, node_id, n, j, payload):
         if not payload:
@@ -272,40 +282,43 @@ def gamma_action(tc: TautClass) -> TautClass:
     """Multiply a tautological class by the discriminant polarization."""
     fam, m = tc.fam, tc.m
     ring = tc.ring
+    top = tc.space_dim()
     out = TautClass(fam, m)
 
     for (base_mono, blocks), coeff in tc.diag.items():
         mult = Counter(n for n, _ in blocks)
-        # unite pairs of blocks
-        for i in range(len(blocks)):
-            for k in range(i + 1, len(blocks)):
-                n1, mono1 = blocks[i]
-                n2, mono2 = blocks[k]
-                prod = ring.merge(mono1, mono2)
+        # the union and interior terms have codimension one more than the key
+        if tc._diag_codim(base_mono, blocks) < top:
+            # unite pairs of blocks
+            for i in range(len(blocks)):
+                for k in range(i + 1, len(blocks)):
+                    n1, mono1 = blocks[i]
+                    n2, mono2 = blocks[k]
+                    prod = ring.merge(mono1, mono2)
+                    if prod is None:
+                        continue
+                    sign, mono = prod
+                    # aut(united) / aut(mu); mult[n2] drops by one once the n1 block is gone
+                    ratio = Fraction(mult[n1 + n2] + 1, mult[n1] * (mult[n2] - (n1 == n2)))
+                    rest = blocks[:i] + blocks[i + 1 : k] + blocks[k + 1 :]
+                    new_base, fiber = split_twist(ring, base_mono, mono)
+                    out._put_diag(
+                        new_base, rest + ((n1 + n2, fiber),), coeff * (sign * n1 * n2 * ratio)
+                    )
+            # interior multiplication by omega within each block
+            for i, (n, mono) in enumerate(blocks):
+                if n < 2:
+                    continue
+                prod = ring.merge(mono, (("omega", 1),))
                 if prod is None:
                     continue
-                sign, mono = prod
-                # aut(united) / aut(mu); mult[n2] drops by one once the n1 block is gone
-                ratio = Fraction(mult[n1 + n2] + 1, mult[n1] * (mult[n2] - (n1 == n2)))
-                rest = blocks[:i] + blocks[i + 1 : k] + blocks[k + 1 :]
-                new_base, fiber = split_twist(ring, base_mono, mono)
-                out.add_diag(
-                    new_base, rest + ((n1 + n2, fiber),), coeff * (sign * n1 * n2 * ratio)
+                sign, new_mono = prod
+                new_base, fiber = split_twist(ring, base_mono, new_mono)
+                out._put_diag(
+                    new_base,
+                    blocks[:i] + ((n, fiber),) + blocks[i + 1 :],
+                    coeff * (sign * Fraction(-n * (n - 1), 2)),
                 )
-        # interior multiplication by omega within each block
-        for i, (n, mono) in enumerate(blocks):
-            if n < 2:
-                continue
-            prod = ring.merge(mono, (("omega", 1),))
-            if prod is None:
-                continue
-            sign, new_mono = prod
-            new_base, fiber = split_twist(ring, base_mono, new_mono)
-            out.add_diag(
-                new_base,
-                blocks[:i] + ((n, fiber),) + blocks[i + 1 :],
-                coeff * (sign * Fraction(-n * (n - 1), 2)),
-            )
         # boundary terms: one scroll per node, per block of size >= 2, per j
         if fam.nodes and any(n >= 2 for n, _ in blocks):
             for node in fam.nodes:
@@ -331,8 +344,13 @@ def gamma_action(tc: TautClass) -> TautClass:
     # sections: Gamma . (-Gamma)F[P] = -(-Gamma)^2 F[P]
     #         = -(-Gamma)F[(e_j + e_{j+1}) P] + F[e_j e_{j+1} P]
     for (node_id, n, j), payload in tc.section.items():
-        ej_p = _mult_e(payload, n, j)
-        ej1_p = _mult_e(payload, n, j + 1)
+        # e_j P and e_(j+1) P share their Gamma P term: apply Gamma once
+        ej_p = mult_D(payload, n, j)
+        ej1_p = mult_D(payload, n, j + 1)
+        if payload.m >= 2:
+            gamma_p = gamma_action(payload)
+            ej_p.accumulate(gamma_p, -1)
+            ej1_p.accumulate(gamma_p, -1)
         out.add_section(node_id, n, j, -(ej_p + ej1_p))
         out.add_scroll(node_id, n, j, _mult_e(ej1_p, n, j))
     return out
@@ -349,23 +367,33 @@ def phi_star(bd, terms):
     On the normalized boundary family X^theta the polarization pulls back to
     itself and the canonical class to omega + theta_x + theta_y.
     """
-    ring = bd.total_ring
-    images = {
-        "L": BaseClass.gen(ring, "L"),
-        "omega": BaseClass(ring, {(("omega", 1),): 1, (("theta_x", 1),): 1, (("theta_y", 1),): 1}),
-    }
-    out = BaseClass.zero(ring)
+    out = BaseClass.zero(bd.total_ring)
     for mono, c in terms.items():
-        term = BaseClass.unit(ring, c)
-        for name, p in mono:
-            term = term * (images[name] ** p)
-        out.accumulate(term)
+        out.accumulate(_phi_image(bd, mono), c)
     return out
+
+
+def _phi_image(bd, mono):
+    """phi^* of one total-space monomial, built once per boundary family."""
+    data = bd.operator_data
+    if ("phi", mono) not in data:
+        ring = bd.total_ring
+        images = {
+            "L": BaseClass.gen(ring, "L"),
+            "omega": BaseClass(
+                ring, {(("omega", 1),): 1, (("theta_x", 1),): 1, (("theta_y", 1),): 1}
+            ),
+        }
+        image = BaseClass.unit(ring)
+        for name, p in mono:
+            image = image * (images[name] ** p)
+        data["phi", mono] = image
+    return data["phi", mono]
 
 
 def _payload_from_blocks(bd, m_payload, blocks, tau_mono, base_mono):
     """Build the boundary payload: remaining blocks pulled back, times tau twist."""
-    pairs = [(n, phi_star(bd, {mono: 1})) for n, mono in blocks]
+    pairs = [(n, _phi_image(bd, mono)) for n, mono in blocks]
     base = BaseClass(bd.total_ring, {merge_monos(tau_mono, base_mono): 1})
     return TautClass.from_twists(bd, m_payload, pairs, base=base)
 
@@ -384,20 +412,28 @@ def twist(tc: TautClass, pullback=None, norm=None) -> TautClass:
     if tc.scroll or tc.section:
         raise NotImplementedError("twist on nested node terms")
     ring = tc.ring
-    pulled = pullback.terms.items() if pullback is not None else ()
-    normed = norm.terms.items() if norm is not None else ()
+    pulled = (
+        [(mono, c, ring.degree(mono)) for mono, c in pullback.terms.items()] if pullback else ()
+    )
+    normed = [(mono, c, ring.degree(mono)) for mono, c in norm.terms.items()] if norm else ()
+    top = tc.space_dim()
     out = TautClass(tc.fam, tc.m)
     for (base_mono, blocks), coeff in tc.diag.items():
-        for mono, c in pulled:
-            out.add_diag(merge_monos(base_mono, mono), blocks, coeff * c)
-        for mono, c in normed:
+        # each monomial raises the codimension by its degree
+        room = top - tc._diag_codim(base_mono, blocks)
+        for mono, c, deg in pulled:
+            if deg <= room:
+                out._put_diag(merge_monos(base_mono, mono), blocks, coeff * c)
+        for mono, c, deg in normed:
+            if deg > room:
+                continue
             for i, (n, block_mono) in enumerate(blocks):
                 prod = ring.merge(block_mono, mono)
                 if prod is None:
                     continue
                 sign, new_mono = prod
                 new_base, fiber = split_twist(ring, base_mono, new_mono)
-                out.add_diag(
+                out._put_diag(
                     new_base, blocks[:i] + ((n, fiber),) + blocks[i + 1 :], coeff * (n * sign * c)
                 )
     return out
@@ -409,10 +445,14 @@ def mult_D(tc: TautClass, n, j) -> TautClass:
     D^n_j = binom(n-j+1, 2) psi_x + binom(j, 2) psi_y
             - (n-j+1) [m]_* theta_x - j [m]_* theta_y.
     """
-    ring = tc.ring
-    psi = BaseClass(ring, {(("psi_x", 1),): comb(n - j + 1, 2), (("psi_y", 1),): comb(j, 2)})
-    theta = BaseClass(ring, {(("theta_x", 1),): -(n - j + 1), (("theta_y", 1),): -j})
-    return twist(tc, psi, theta)
+    data = tc.fam.operator_data
+    if ("D", n, j) not in data:
+        ring = tc.ring
+        data["D", n, j] = (
+            BaseClass(ring, {(("psi_x", 1),): comb(n - j + 1, 2), (("psi_y", 1),): comb(j, 2)}),
+            BaseClass(ring, {(("theta_x", 1),): -(n - j + 1), (("theta_y", 1),): -j}),
+        )
+    return twist(tc, *data["D", n, j])
 
 
 def _mult_e(tc: TautClass, n, j) -> TautClass:

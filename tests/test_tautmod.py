@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -297,6 +299,43 @@ def test_twist_degree_two_pullback_lands_in_the_base_monomial():
     out = twist(payload, pullback=psi_tau)
     key = ((("psi_x", 1), ("tauL", 1)), ((1, ()), (1, (("theta_x", 1),))))
     assert out.diag == {key: CharPoly.const(Fraction(3, 2))}
+
+
+def test_twist_unit_pullback_keeps_a_top_codimension_key():
+    # transfer twists a section payload by tau = theta^* beta, which holds the
+    # unit when beta does: a key at top codimension keeps its unit image and
+    # loses only its tauL image
+    bd = symbolic_family(2).boundary_family("s")
+    ring = bd.total_ring
+    payload = TautClass(bd, 2)
+    top = ((("psi_x", 1),), ((1, (("L", 1),)), (1, (("theta_x", 1),))))
+    low = ((), top[1])
+    payload.add_diag(*top, 3)
+    payload.add_diag(*low, 5)
+    assert payload._diag_codim(*top) == payload.space_dim()
+    tau = BaseClass(ring, {(): 1, (("tauL", 1),): 2})
+    out = twist(payload, pullback=tau)
+    assert out.diag == {
+        top: CharPoly.const(3),
+        low: CharPoly.const(5),
+        ((("tauL", 1),), low[1]): CharPoly.const(10),
+    }
+
+
+def test_gamma_powers_are_pinned():
+    # sha256 over to_data(gamma_power(fam, m, k)) for every k <= m + dim_b:
+    # every exact coefficient and key of the discriminant powers below
+    w = {n: sym("w_" + n) for n in "pqr"}
+    three = FamilyDescriptor(1, nodes=[Node(n, x, tau_L=0) for n, x in w.items()], label="X3/B")
+    cases = [(symbolic_family(1), 6), (symbolic_family(2), 5), (three, 5), (symbolic_family(0), 6)]
+    digest = hashlib.sha256()
+    for cls_fam, m in cases:
+        for k in range(m + cls_fam.dim_b + 1):
+            data = to_data(gamma_power(cls_fam, m, k))
+            digest.update(json.dumps(data, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "2a7eff11b6565a99031e6cfadf6c90658bf2923cf1b4818dc84c54ef4c01d46a"
+    )
 
 
 def test_twist_refuses_node_terms(fam):
