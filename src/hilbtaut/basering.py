@@ -112,8 +112,8 @@ class BaseClass(LinComb):
         return BaseClass(ring, {(): coeff})
 
     @staticmethod
-    def gen(ring, name, coeff=1):
-        return BaseClass(ring, {((name, 1),): coeff})
+    def gen(ring, name):
+        return BaseClass(ring, {((name, 1),): 1})
 
     @staticmethod
     def zero(ring):

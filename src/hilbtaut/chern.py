@@ -18,10 +18,10 @@ from math import comb, factorial
 
 from .basering import BaseClass
 from .charpoly import CharPoly
-from .family import FamilyDescriptor, theta_star
+from .family import FamilyDescriptor
 from .lincomb import mono_str
 from .partitions import enumerate_distributions
-from .tautmod import TautClass, gamma_action, gamma_power, integrate, twist
+from .tautmod import TautClass, gamma_action, integrate
 from .transfer import transfer
 
 # -- polynomials on the full flag ---------------------------------------------------
@@ -79,6 +79,8 @@ def pushdown(fam: FamilyDescriptor, m, expr: CharPoly) -> TautClass:
                 continue
             cls = transfer(cls, ell ** a)
             for _ in range(k):
+                if cls.is_zero():
+                    break
                 cls = gamma_action(cls)
             shorter.setdefault(tuple(rest), TautClass.zero(fam, i)).accumulate(cls)
         groups = shorter
@@ -193,13 +195,10 @@ def trisecant_count(fam: FamilyDescriptor) -> CharPoly:
     rank-3 tautological bundle, evaluated on the 3-step flag (six times the
     number of unordered trisecants).
     """
-    numbers = chern_numbers_w3(fam)
-    return (
-        numbers["c1^4"]
-        - numbers["c1^2c2"] * 3
-        + numbers["c1c3"] * 2
-        + numbers["c2^2"]
-    )
+    if fam.dim_b != 1:
+        raise ValueError("the degree-4 Chern numbers need a 1-dimensional base")
+    c1, c2, c3 = _rank3_chern_classes()
+    return integrate_w(fam, 3, c1 ** 4 - c1 * c1 * c2 * 3 + c1 * c3 * 2 + c2 * c2)
 
 
 def trisecant_grand_total(fam: FamilyDescriptor) -> CharPoly:
@@ -256,67 +255,34 @@ def double_point_class(fam: FamilyDescriptor, target) -> TautClass:
 
     Computed on the length-2 Hilbert scheme as the descent of
     (f x f)^* (diagonal of the target) + sum_{i>=1} (-Gamma)^i c_{n-i}(T),
-    with the discriminant powers expanded through the module structure.  The
-    sign of the diagonal-excess sum is pinned by the Segre-class route and the
-    classical per-fiber count (d-1)(d-2)/2 - g for plane maps; the count of
-    ordered double points is twice this class's degree.
+    pushed down the 2-step flag as the flag polynomial
+    sum_(a,b,c) c L_1^a L_2^b + sum_{i>=1} (-1)^i c_{n-i}(T) L_1^(n-i) G_2^i
+    and divided by 2!.  For i >= 1 the class Gamma^i lives on the diagonal,
+    where both points carry the same class, so c_{n-i}(T) can sit on L_1.
+    The sign of the diagonal-excess sum is pinned by the Segre-class route
+    and the classical per-fiber count (d-1)(d-2)/2 - g for plane maps; the
+    count of ordered double points is twice this class's degree.
     """
     n = target["dim"]
-    ring = fam.total_ring
-    ell = BaseClass.gen(ring, "L")
-    total = TautClass.zero(fam, 2)
+    l1, l2, g2 = flag_L(1), flag_L(2), flag_G(2)
+    expr = CharPoly.zero()
     for a, b, c in target["diag"]:
-        total.accumulate(TautClass.from_twists(fam, 2, [(1, ell ** a), (1, ell ** b)], coeff=c))
+        expr.accumulate(l1 ** a * l2 ** b, c)
     for i in range(1, n + 1):
-        # (-Gamma)^i c_{n-i}(T)
-        coeff = target["tangent"][n - i] * (-1) ** i
-        total.accumulate(_twist_small_support(gamma_power(fam, 2, i), n - i), coeff)
-    return total
-
-
-def _twist_small_support(tc: TautClass, k) -> TautClass:
-    """Multiply a small-diagonal supported class by the k-th power of the bundle.
-
-    Diagonal terms are supported on the 2-point diagonal, where the pullback
-    restricts to the class itself; node terms restrict through the section.
-    """
-    if k == 0:
-        return tc
-    ring = tc.ring
-    out = TautClass.zero(tc.fam, tc.m)
-    for (base_mono, blocks), coeff in tc.diag.items():
-        if len(blocks) != 1 or blocks[0][0] != 2:
-            raise ValueError("class is not supported on the small diagonal")
-        norm = ring.merge(blocks[0][1], (("L", k),))
-        if norm is None:
-            continue
-        sign, mono = norm
-        out.add_diag(base_mono, ((2, mono),), coeff * sign)
-    for sector, adder in (("scroll", out.add_scroll), ("section", out.add_section)):
-        for (node_id, nn, j), payload in getattr(tc, sector).items():
-            tau = BaseClass(payload.ring, {theta_star((("L", k),)): 1})
-            adder(node_id, nn, j, twist(payload, pullback=tau))
-    return out
+        expr.accumulate(l1 ** (n - i) * g2 ** i, target["tangent"][n - i] * (-1) ** i)
+    return pushdown(fam, 2, expr).scale(Fraction(1, 2))
 
 
 def double_point_segre_route(fam: FamilyDescriptor, n) -> TautClass:
     """The same double-point class through the Segre-class degeneracy route.
 
     The n-th Segre class of the dual tautological bundle pulls back to the
-    ordered model as sum_i L_1^(n-i) (L_2 - Gamma)^i; each ordered monomial
-    L_1^a L_2^b Gamma^c descends to the discriminant power acting on the
-    two-point diagonal class with twists L^a, L^b.
+    2-step flag as sum_i L_1^(n-i) (L_2 - G_2)^i, pushed down and divided by
+    2!.  The two routes are different flag polynomials that agree only after
+    the pushdown.
     """
-    ring = fam.total_ring
-    ell = BaseClass.gen(ring, "L")
-    total = TautClass.zero(fam, 2)
+    l1, l2, g2 = flag_L(1), flag_L(2), flag_G(2)
+    expr = CharPoly.zero()
     for i in range(n + 1):
-        for c in range(i + 1):
-            coeff = Fraction(comb(i, c) * (-1) ** c)
-            base = TautClass.from_twists(
-                fam, 2, [(1, ell ** (n - i)), (1, ell ** (i - c))], coeff=coeff
-            )
-            for _ in range(c):
-                base = gamma_action(base)
-            total.accumulate(base)
-    return total
+        expr.accumulate(l1 ** (n - i) * (l2 - g2) ** i)
+    return pushdown(fam, 2, expr).scale(Fraction(1, 2))

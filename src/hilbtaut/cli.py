@@ -50,11 +50,16 @@ def _parse_value(text, where):
     raise DescriptorError("%s: cannot parse value %r (rational p/q or symbol)" % (where, text))
 
 
+# the keys each section accepts; [characters] takes any name
+_SECTION_KEYS = {"family": ("dim_b", "genus"), "node": ("weight", "tauL", "IT[...]")}
+
+
 def load_descriptor(path) -> FamilyDescriptor:
     """Parse and validate a family descriptor file."""
     sections = {"family": {}, "characters": {}}
     node_sections = {}
-    current = None
+    seen = set()
+    current = allowed = None
     try:
         lines = open(path).read().splitlines()
     except OSError as exc:
@@ -66,22 +71,33 @@ def load_descriptor(path) -> FamilyDescriptor:
         where = "%s:%d" % (path, lineno)
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
+            if name in seen:
+                raise DescriptorError("%s: repeated section [%s]" % (where, name))
+            seen.add(name)
             if name == "family" or name == "characters":
                 current = sections[name]
             elif name.startswith("node."):
                 node_id = name[5:]
                 if not node_id:
                     raise DescriptorError("%s: empty node id" % where)
-                current = node_sections.setdefault(node_id, {})
+                current = node_sections[node_id] = {}
             else:
                 raise DescriptorError("%s: unknown section [%s]" % (where, name))
+            allowed = _SECTION_KEYS.get(name.partition(".")[0])
             continue
         if "=" not in line:
             raise DescriptorError("%s: expected key = value" % where)
         if current is None:
             raise DescriptorError("%s: key outside of any section" % where)
         key, _, value = line.partition("=")
-        current[key.strip()] = (value.strip(), where)
+        key = key.strip()
+        if key in current:
+            raise DescriptorError("%s: repeated key %s, first at %s" % (where, key, current[key][1]))
+        if allowed and key not in allowed and not (key.startswith("IT[") and "IT[...]" in allowed):
+            raise DescriptorError(
+                "%s: unknown key %r; allowed keys: %s" % (where, key, ", ".join(allowed))
+            )
+        current[key] = (value.strip(), where)
 
     fam_raw = sections["family"]
     if "dim_b" not in fam_raw:

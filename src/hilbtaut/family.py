@@ -19,8 +19,6 @@ from .basering import (
 from .charpoly import CharPoly
 from .lincomb import merge_monos, mono_str
 
-STANDARD_CHARS = ("d", "b", "Lomega", "omega2", "twogm2")
-
 
 class Node:
     """A weighted relative node: a boundary datum with numerical data attached."""

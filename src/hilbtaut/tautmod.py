@@ -506,6 +506,8 @@ def gamma_power(fam, m, k) -> TautClass:
         return TautClass.fundamental(fam, m)
     out = gamma_as_class(fam, m)
     for _ in range(k - 1):
+        if out.is_zero():
+            break
         out = gamma_action(out)
     return out
 

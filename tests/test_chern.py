@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -26,7 +28,7 @@ from hilbtaut.chern import (
     w3_monomial,
 )
 from hilbtaut.tautmod import gamma_action, gamma_power, pushforward_to_base, twist
-from hilbtaut.tautmod import TautClass, gamma_as_class
+from hilbtaut.tautmod import TautClass, gamma_as_class, to_data
 from hilbtaut.transfer import transfer
 
 
@@ -163,6 +165,23 @@ def flag_polynomials(m):
     )
 
 
+def test_pushdown_stops_once_the_class_vanishes(fam, monkeypatch):
+    # G2^k is zero on the 2-step flag once k > 2 + dim_b
+    import hilbtaut.chern as chern
+
+    steps = []
+    action = chern.gamma_action
+
+    def counted(tc):
+        if tc.m == 2:
+            steps.append(tc)
+        return action(tc)
+
+    monkeypatch.setattr(chern, "gamma_action", counted)
+    assert pushdown(fam, 2, flag_G(2) ** 50).is_zero()
+    assert len(steps) <= 2 + fam.dim_b + 1
+
+
 def test_stagewise_pushdown_equals_per_monomial_sum():
     outcomes = []
 
@@ -231,6 +250,11 @@ def test_chern_numbers_need_a_curve_base():
         chern_numbers_w3(symbolic_family(2))
 
 
+def test_trisecant_count_needs_a_curve_base():
+    with pytest.raises(ValueError, match="1-dimensional base"):
+        trisecant_count(symbolic_family(2))
+
+
 def test_porteous_equals_grand_total(fam):
     assert trisecant_count(fam) == trisecant_grand_total(fam)
 
@@ -284,11 +308,34 @@ def test_single_curve_trisecant_scroll():
 # -- double points and the polarization powers on the length-2 scheme --------------------
 
 
-def test_double_point_routes_agree(fam):
-    for n in (2, 3):
-        formula = double_point_class(fam, projective_target(n))
-        segre = double_point_segre_route(fam, n)
-        assert formula == segre
+# every symbolic base dimension, plus a numeric two-node family with unequal weights
+DOUBLE_POINT_FAMILIES = [symbolic_family(k) for k in range(4)] + [
+    FamilyDescriptor(
+        1,
+        chars={"d": 3},
+        nodes=[Node("p", 2, tau_L=0), Node("q", Fraction(1, 3), tau_L=0)],
+    )
+]
+
+
+def test_double_point_classes_are_pinned():
+    # sha256 over to_data(double_point_class(...)) for projective targets of
+    # dimension n <= 5: every exact coefficient and key of the classes
+    data = [
+        to_data(double_point_class(f, projective_target(n)))
+        for f in DOUBLE_POINT_FAMILIES
+        for n in range(6)
+    ]
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    assert digest == "8dc0c3d7e9cb66193cd8f99aae3ae754084a50bf9752c2caf758b4f6759b2aff"
+
+
+def test_double_point_routes_agree():
+    for f in DOUBLE_POINT_FAMILIES:
+        for n in range(6):
+            formula = double_point_class(f, projective_target(n))
+            segre = double_point_segre_route(f, n)
+            assert formula == segre, (f.dim_b, n)
 
 
 def test_double_point_count_plane_maps(fam):
@@ -309,10 +356,9 @@ def test_double_point_first_excess_term_is_exact(fam):
     partial_target["tangent"][n - 1] = Fraction(0)
     partial = double_point_class(fam, partial_target)
     diff = full - partial
-    expected = gamma_as_class(fam, 2).scale(-target["tangent"][n - 1])
-    from hilbtaut.chern import _twist_small_support
-
-    assert diff == _twist_small_support(expected, n - 1)
+    ell = BaseClass.gen(fam.total_ring, "L")
+    expected = twist(gamma_as_class(fam, 2), norm=ell ** (n - 1))
+    assert diff == expected.scale(-target["tangent"][n - 1] / 2)
 
 
 def test_polarization_powers_m2_structure(fam):

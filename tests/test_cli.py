@@ -93,6 +93,34 @@ def test_load_parse_error_has_line_number(tmp_path):
         load_descriptor(path)
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("[family]\ndim_b = 1\n[characters]\nd = 3\nd = 5\n", 5, "repeated key d, first at "),
+        (
+            "[family]\ndim_b = 1\n[node.s]\nweight = 1\n[node.s]\nweight = 2\n",
+            5,
+            "repeated section [node.s]",
+        ),
+        ("[family]\ndim_b = 1\nfoo = 3\n", 3, "unknown key 'foo'; allowed keys: dim_b, genus"),
+        (
+            "[family]\ndim_b = 1\n[node.s]\nwieght = 1\n",
+            4,
+            "unknown key 'wieght'; allowed keys: weight, tauL, IT[...]",
+        ),
+    ],
+    ids=["repeated-key", "repeated-section", "unknown-family-key", "unknown-node-key"],
+)
+def test_ambiguous_or_unknown_descriptor_entries_exit_1(
+    monkeypatch, capsys, tmp_path, text, line, message
+):
+    path = write(tmp_path, text)
+    assert _run_exit(monkeypatch, ["chern-numbers", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "descriptor error: %s:%d: %s" % (path, line, message) in captured.err
+
+
 def test_psi_table_value_reaches_the_integral(tmp_path):
     text = "[family]\ndim_b = 2\n[node.s]\nweight = sigma\n"
     path = write(tmp_path, text)
@@ -119,6 +147,12 @@ def test_gamma_power_command(runner):
     result = runner.invoke(main, ["gamma-power", "--m", "3", "--k", "4", "--integrate"])
     assert result.exit_code == 0
     assert result.output.strip() == "13*omega2 - 9*sigma"
+
+
+def test_gamma_power_beyond_the_top_degree_is_zero(runner):
+    result = runner.invoke(main, ["gamma-power", "--m", "3", "--k", "100000000"])
+    assert result.exit_code == 0
+    assert result.output.strip() == "0"
 
 
 def test_pluecker_command(runner):

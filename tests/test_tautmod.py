@@ -338,6 +338,25 @@ def test_gamma_powers_are_pinned():
     )
 
 
+def test_gamma_power_stops_once_the_class_vanishes(fam, monkeypatch):
+    # Gamma^(m + dim_b + 1) is zero: no discriminant step is taken past it
+    import hilbtaut.tautmod as tautmod
+
+    m = 3
+    steps = []
+    action = tautmod.gamma_action
+
+    def counted(tc):
+        # payload recursion acts on lower Hilbert degrees and is not counted
+        if tc.m == m:
+            steps.append(tc)
+        return action(tc)
+
+    monkeypatch.setattr(tautmod, "gamma_action", counted)
+    assert gamma_power(fam, m, 50).is_zero()
+    assert len(steps) <= m + fam.dim_b + 1
+
+
 def test_twist_refuses_node_terms(fam):
     cls = gamma_power(fam, 2, 2)
     assert cls.scroll or cls.section
