@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lincomb import LinComb, add_term, format_sum, fraction, merge_monos, mono_str
+from .lincomb import LinComb, add_term, format_sum, fraction, mono_str
 
 
 class Ring:
@@ -82,7 +82,8 @@ class Ring:
 
     def merge(self, m1, m2):
         """Canonical (sign, monomial) of the product of two monomials, or None if zero."""
-        return self.normalize_monomial(merge_monos(m1, m2))
+        # normalize_monomial adds the exponents of repeated symbols and sorts
+        return self.normalize_monomial(m1 + m2)
 
     def __repr__(self):
         return "Ring(%s, dim=%d)" % (self.label, self.dim)

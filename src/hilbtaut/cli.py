@@ -13,6 +13,7 @@ fault, including a disagreement found by a cross-check.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 from itertools import product
@@ -50,8 +51,14 @@ def _parse_value(text, where):
     raise DescriptorError("%s: cannot parse value %r (rational p/q or symbol)" % (where, text))
 
 
-# the keys each section accepts; [characters] takes any name
-_SECTION_KEYS = {"family": ("dim_b", "genus"), "node": ("weight", "tauL", "IT[...]")}
+# the keys each section accepts: [characters] takes the names the engine reads,
+# a node section its integral keys IT[<node id>|<base monomial>|<pushed factors>]
+_SECTION_KEYS = {
+    "family": ("dim_b", "genus"),
+    "characters": ("d", "b", "Lomega", "omega2", "twogm2"),
+    "node": ("weight", "tauL", "IT[...]"),
+}
+_INTEGRAL_KEY = r"IT\[%s\|[\w*^]+\|[\w*^;]*\]"
 
 
 def load_descriptor(path) -> FamilyDescriptor:
@@ -93,7 +100,13 @@ def load_descriptor(path) -> FamilyDescriptor:
         key = key.strip()
         if key in current:
             raise DescriptorError("%s: repeated key %s, first at %s" % (where, key, current[key][1]))
-        if allowed and key not in allowed and not (key.startswith("IT[") and "IT[...]" in allowed):
+        if key.startswith("IT[") and "IT[...]" in allowed:
+            if not re.fullmatch(_INTEGRAL_KEY % re.escape(node_id), key):
+                raise DescriptorError(
+                    "%s: integral key %r must read IT[%s|<base monomial>|<pushed factors>]"
+                    % (where, key, node_id)
+                )
+        elif key not in allowed:
             raise DescriptorError(
                 "%s: unknown key %r; allowed keys: %s" % (where, key, ", ".join(allowed))
             )

@@ -60,18 +60,11 @@ class OrderedTensor:
         return self
 
 
-def _merge_monos(ring, m1, m2):
-    powers = dict(m1)
-    for name, p in m2:
-        powers[name] = powers.get(name, 0) + p
-    return ring.normalize_monomial(tuple(powers.items()))
-
-
 def ordered_union(t: OrderedTensor, i: int, j: int) -> OrderedTensor:
     """Unite slots i < j (0-based) by ring multiplication."""
     out = OrderedTensor(t.ring)
     for (labels, monos), c in t.terms.items():
-        prod = _merge_monos(t.ring, monos[i], monos[j])
+        prod = t.ring.merge(monos[i], monos[j])
         if prod is None:
             continue
         sign, mono = prod
@@ -107,7 +100,7 @@ def ordered_disc(t: OrderedTensor) -> OrderedTensor:
             n = len(labels[i])
             if n < 2:
                 continue
-            prod = _merge_monos(ring, monos[i], omega_mono)
+            prod = ring.merge(monos[i], omega_mono)
             if prod is None:
                 continue
             sign, mono = prod

@@ -1,4 +1,4 @@
-"""Transfer along the flaglet correspondence, and the punctual transfer calculus.
+"""Transfer along the flaglet correspondence, and the punctual Chern calculus.
 
 The transfer raises Hilbert degree by one and preserves codimension.  On the
 three kinds of tautological classes it acts by
@@ -9,9 +9,10 @@ three kinds of tautological classes it acts by
   scroll correction measuring the failure of the norm divisors to commute
   with the payload transfer.
 
-The punctual transfer is the analogous operation between small diagonals; it
-drives the Chern-class recursion on the punctual Hilbert scheme and the
-closed-form contact formulas.
+Between small diagonals the analogous step spreads each node component of
+degree m-1 over its two neighbours of degree m; it drives the Chern-class
+recursion on the punctual Hilbert scheme.  The closed-form contact formulas
+integrate the same punctual classes.
 """
 
 from __future__ import annotations
@@ -119,80 +120,13 @@ def psi_power_class(ring, m, i):
     return BaseClass(ring, {tuple(mono): Fraction(1)})
 
 
-def punctual_transfer(fam, pc: PunctualClass) -> PunctualClass:
-    """Linear extension of the punctual transfer rules to a full punctual class.
-
-    The interior part moves up unchanged; each scroll coefficient spreads over
-    the two neighbouring components, each section coefficient does the same
-    with a psi-power twist (and loses its section factor).
-    """
-    m = pc.m + 1
-    out = PunctualClass(fam, m, pc.interior)
-    for node in fam.nodes:
-        nid = node.node_id
-        ring = fam.node_base_ring(nid)
-        for i in range(1, m):
-            acc = BaseClass.zero(ring)
-            # C^m_i receives (m-i)/(m-1) of C^{m-1}_i and i/(m-1) of C^{m-1}_{i-1}
-            if i <= pc.m - 1:
-                acc.accumulate(pc.scroll[nid][i], Fraction(m - i, m - 1))
-                acc.accumulate(
-                    pc.section[nid][i] * psi_power_class(ring, m - 1, i), Fraction(m - i, m - 1)
-                )
-            if i - 1 >= 1:
-                acc.accumulate(pc.scroll[nid][i - 1], Fraction(i, m - 1))
-                acc.accumulate(
-                    pc.section[nid][i - 1] * psi_power_class(ring, m - 1, i), Fraction(i, m - 1)
-                )
-            out.scroll[nid][i] = acc
-    return out
-
-
-# -- discriminant on the small diagonal and the flaglet small diagonal ---------------
-
-
-def nu_minus(m, i):
-    return Fraction(i * (m - i - 1) * (m + 1), 2)
-
-
-def nu_plus(m_minus_1, i):
-    m = m_minus_1 + 1
-    return Fraction(i * (m - i) * (m - 2), 2)
-
-
-def small_flag_gamma(fam, m):
-    """The two divisor expansions on the flaglet small diagonal.
-
-    Returns (upper, lower, difference): the products with the degree-m and the
-    degree-(m-1) discriminant, each as a PunctualClass-shaped record with an
-    interior -omega part and scroll coefficients on both C^m_i and C^{m-1}_i,
-    encoded as dicts {("m", i): coeff} / {("m-1", i): coeff}.
-    """
-    if m < 2:
-        raise ValueError("m >= 2 required")
-    upper = {"omega": -Fraction(comb(m, 2))}
-    lower = {"omega": -Fraction(comb(m - 1, 2))}
-    for i in range(1, m):
-        upper[("m", i)] = nu_coeff(m, i)
-        lower[("m", i)] = nu_plus(m - 1, i)
-    for i in range(1, m - 1):
-        upper[("m-1", i)] = nu_minus(m, i)
-        lower[("m-1", i)] = nu_coeff(m - 1, i)
-    diff = {}
-    for key in set(upper) | set(lower):
-        value = upper.get(key, Fraction(0)) - lower.get(key, Fraction(0))
-        if value:
-            diff[key] = value
-    return upper, lower, diff
-
-
 # -- Chern classes of tautological bundles on the punctual Hilbert scheme -------------
 
 
 def punctual_chern(fam: FamilyDescriptor, m: int) -> PunctualClass:
     """Total Chern class of the rank-m tautological bundle of L on the punctual locus.
 
-    Recursion in m through the punctual transfer; the interior part is the
+    Recursion in m through the punctual spread; the interior part is the
     product of (1 + L + (i-1) omega) for i = 1..m, the node parts satisfy a
     closed recursion in the psi classes and theta^*(L).
     """
@@ -211,47 +145,44 @@ def _theta_star_L(node, tring):
     return BaseClass.zero(tring) if fixed_zero else BaseClass.gen(tring, "tauL")
 
 
+def _spread(parts, m, i):
+    """(m-i) X_i + i X_(i-1): what components i and i-1 of degree m-1 give to C^m_i."""
+    return parts[i] * (m - i) + parts[i - 1] * i
+
+
 def _punctual_chern_step(fam, prev: PunctualClass) -> PunctualClass:
+    """The punctual Chern class of degree m = prev.m + 1 from that of degree m-1.
+
+    With psi_k = psi^(m-1)_k and tau = 1 + theta^*L, component k of degree m-1
+    (scroll beta_k, section gamma_k) contributes
+    F(k) = gamma_k psi_k (psi_(k+1) + tau) + (tau - psi_k) beta_k to the scrolls
+    and G(k) = beta_k + gamma_k psi_k to the sections, each spread over C^m_k
+    and C^m_(k+1); the scrolls also receive nu(m, i) tau^(m-1) from the interior.
+    """
     m = prev.m + 1
     ring = fam.total_ring
-    omega = BaseClass.gen(ring, "omega")
-    ell = BaseClass.gen(ring, "L")
-    one = BaseClass.unit(ring)
     out = PunctualClass(fam, m)
-    out.interior = prev.interior * (one + ell + omega * (m - 1))
-    # theta^*(alpha_{m-1}) = (1 + theta^*L)^(m-1) since omega restricts trivially
+    out.interior = prev.interior * (
+        BaseClass.unit(ring) + BaseClass.gen(ring, "L") + BaseClass.gen(ring, "omega") * (m - 1)
+    )
     for node in fam.nodes:
         nid = node.node_id
         tring = fam.node_base_ring(nid)
-        tau1 = BaseClass.unit(tring) + _theta_star_L(node, tring)
-        interior_restr = tau1 ** (m - 1)
-
-        def psi(i, mm=m - 1):
-            return psi_power_class(tring, mm, i)
-
-        beta_prev = {i: prev.scroll[nid][i] for i in range(1, m - 1)}
-        gamma_prev = {i: prev.section[nid][i] for i in range(1, m - 1)}
-        beta_prev[0] = BaseClass.zero(tring)
-        beta_prev[m - 1] = BaseClass.zero(tring)
-        gamma_prev[0] = BaseClass.zero(tring)
-        gamma_prev[m - 1] = BaseClass.zero(tring)
+        tau = BaseClass.unit(tring) + _theta_star_L(node, tring)
+        # theta^*(alpha_{m-1}) = tau^(m-1) since omega restricts trivially
+        interior_restr = tau ** (m - 1)
+        psi = {k: psi_power_class(tring, m - 1, k) for k in range(1, m)}
+        # F(0) = F(m-1) = G(0) = G(m-1) = 0: degree m-1 has components 1..m-2
+        scroll_parts = [BaseClass.zero(tring)] * m
+        section_parts = [BaseClass.zero(tring)] * m
+        for k in range(1, m - 1):
+            beta, gamma = prev.scroll[nid][k], prev.section[nid][k]
+            gamma_psi = gamma * psi[k]
+            scroll_parts[k] = gamma_psi * (psi[k + 1] + tau) + (tau - psi[k]) * beta
+            section_parts[k] = beta + gamma_psi
         for i in range(1, m):
-            beta = (
-                gamma_prev[i] * psi(i) * psi(i + 1) * (m - i)
-                + gamma_prev[i - 1] * psi(i - 1) * psi(i) * i
-                + tau1 * (beta_prev[i] * (m - i) + beta_prev[i - 1] * i)
-                + (beta_prev[i] * (-1) + tau1 * gamma_prev[i]) * psi(i) * (m - i)
-                + (beta_prev[i - 1] * (-1) + tau1 * gamma_prev[i - 1]) * psi(i - 1) * i
-                + interior_restr * nu_coeff(m, i)
-            )
-            gamma = (
-                beta_prev[i] * (m - i)
-                + beta_prev[i - 1] * i
-                + gamma_prev[i] * psi(i) * (m - i)
-                + gamma_prev[i - 1] * psi(i - 1) * i
-            )
-            out.scroll[nid][i] = beta
-            out.section[nid][i] = gamma
+            out.scroll[nid][i] = _spread(scroll_parts, m, i) + interior_restr * nu_coeff(m, i)
+            out.section[nid][i] = _spread(section_parts, m, i)
     return out
 
 

@@ -108,8 +108,31 @@ def test_load_parse_error_has_line_number(tmp_path):
             4,
             "unknown key 'wieght'; allowed keys: weight, tauL, IT[...]",
         ),
+        (
+            "[family]\ndim_b = 1\n[characters]\nLomgea = 3\n",
+            4,
+            "unknown key 'Lomgea'; allowed keys: d, b, Lomega, omega2, twogm2",
+        ),
+        (
+            "[family]\ndim_b = 2\n[node.s]\nweight = 1\nIT[nonsense = 3\n",
+            5,
+            "integral key 'IT[nonsense' must read IT[s|<base monomial>|<pushed factors>]",
+        ),
+        (
+            "[family]\ndim_b = 2\n[node.s]\nweight = 1\nIT[t|psi_x|] = 3\n",
+            5,
+            "integral key 'IT[t|psi_x|]' must read IT[s|<base monomial>|<pushed factors>]",
+        ),
     ],
-    ids=["repeated-key", "repeated-section", "unknown-family-key", "unknown-node-key"],
+    ids=[
+        "repeated-key",
+        "repeated-section",
+        "unknown-family-key",
+        "unknown-node-key",
+        "unknown-character",
+        "malformed-integral-key",
+        "other-node-integral-key",
+    ],
 )
 def test_ambiguous_or_unknown_descriptor_entries_exit_1(
     monkeypatch, capsys, tmp_path, text, line, message

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import comb
 
@@ -8,16 +10,11 @@ from hilbtaut.charpoly import CharPoly
 from hilbtaut.family import FamilyDescriptor, Node, symbolic_family
 from hilbtaut.tautmod import TautClass, gamma_action, gamma_as_class, integrate
 from hilbtaut.transfer import (
-    PunctualClass,
-    nu_minus,
-    nu_plus,
     pluecker_c2,
     pluecker_s2,
     psi_power_class,
     punctual_chern,
-    punctual_transfer,
     segre_contact_step,
-    small_flag_gamma,
     transfer,
 )
 
@@ -97,24 +94,7 @@ def test_section_transfer_forms_agree(m1):
                 assert integrate(a) == integrate(b), (m1, n, j)
 
 
-# -- punctual transfer -----------------------------------------------------------------
-
-
-def _one_component(fam, m, i, sector):
-    """The punctual class of degree m with the unit class on one node component."""
-    pc = PunctualClass(fam, m)
-    getattr(pc, sector)["s"][i] = BaseClass.unit(fam.node_base_ring("s"))
-    return pc
-
-
-def test_punctual_scroll_coefficients(fam):
-    out = punctual_transfer(fam, _one_component(fam, 2, 1, "scroll"))
-    ring = fam.node_base_ring("s")
-    assert out.scroll["s"][1] == BaseClass.unit(ring, 1)
-    assert out.scroll["s"][2] == BaseClass.unit(ring, 1)
-    out = punctual_transfer(fam, _one_component(fam, 3, 1, "scroll"))
-    assert out.scroll["s"][1] == BaseClass.unit(ring, 1)
-    assert out.scroll["s"][2] == BaseClass.unit(ring, Fraction(2, 3))
+# -- psi powers -------------------------------------------------------------------------
 
 
 def test_punctual_coefficient_row_sums():
@@ -140,95 +120,22 @@ def test_psi_power_exponents(fam):
             assert powers.get("psi_y", 0) == comb(i, 2)
 
 
-def test_punctual_section_transfer(fam):
-    big = FamilyDescriptor(9, nodes=[Node("s", 1)])
-    out = punctual_transfer(big, _one_component(big, 2, 1, "section"))
-    bring = big.node_base_ring("s")
-    assert out.scroll["s"][1] == psi_power_class(bring, 2, 1)
-    assert out.scroll["s"][2] == psi_power_class(bring, 2, 2)
-
-
-def test_punctual_transfer_full_class_consistency(fam):
-    # a component C^{m-1}_i moves to (m-i)/(m-1) C^m_i + (i+1)/(m-1) C^m_{i+1};
-    # a section over it does the same with the psi-power twist psi^{m-1}_i,
-    # psi^{m-1}_{i+1}, and no section survives
-    big = FamilyDescriptor(9, nodes=[Node("s", 1)])
-    bring = big.node_base_ring("s")
-    zero = BaseClass.zero(bring)
-    for m in range(2, 6):
-        for i in range(1, m - 1):
-            low, high = Fraction(m - i, m - 1), Fraction(i + 1, m - 1)
-            twists = {
-                "scroll": (BaseClass.unit(bring), BaseClass.unit(bring)),
-                "section": (
-                    psi_power_class(bring, m - 1, i),
-                    psi_power_class(bring, m - 1, i + 1),
-                ),
-            }
-            for sector, (twist_i, twist_next) in twists.items():
-                moved = punctual_transfer(big, _one_component(big, m - 1, i, sector))
-                expected = {k: zero for k in range(1, m)}
-                expected[i] = twist_i * low
-                expected[i + 1] = twist_next * high
-                assert moved.scroll["s"] == expected, (m, i, sector)
-                assert all(c.is_zero() for c in moved.section["s"].values())
-
-
 # -- discriminants on the flaglet small diagonal ----------------------------------------
-
-
-def test_small_flag_coefficients():
-    assert nu_minus(3, 1) == 2
-    assert nu_plus(2, 1) == 1
-    for m in range(2, 9):
-        total = sum(nu_minus(m, i) for i in range(1, m - 1))
-        total_plus = sum(nu_plus(m - 1, i) for i in range(1, m))
-        assert total == total_plus == Fraction(m * (m - 2) * (m * m - 1), 12)
-
-
-def test_punctual_transfer_reproves_small_flag_coefficients():
-    # transferring the lower discriminant restriction from the smaller small
-    # diagonal must reproduce the cross coefficients of the flaglet lemma:
-    # the collapsing components drop and the rest spread by the two fractions
-    from hilbtaut.tautmod import nu_coeff
-
-    for m in range(3, 9):
-        for i in range(1, m):
-            lhs = Fraction(0)
-            if 1 <= i <= m - 2:
-                lhs += nu_coeff(m - 1, i) * Fraction(m - i, m - 1)
-            if 1 <= i - 1 <= m - 2:
-                lhs += nu_coeff(m - 1, i - 1) * Fraction(i, m - 1)
-            assert lhs == nu_plus(m - 1, i), (m, i)
 
 
 def test_small_flag_upper_line_pushes_to_small_diagonal():
     # pushed down to the small diagonal, the upper expansion loses exactly the
-    # collapsing components and agrees with the discriminant restriction
-    from hilbtaut.tautmod import nu_coeff, small_diag_gamma
+    # collapsing components: -binom(m,2) omega on the block, nu(m,i) sigma on C^m_i
+    from hilbtaut.tautmod import small_diag_gamma
 
-    fam = symbolic_family(1)
     m = 4
-    upper, _, _ = small_flag_gamma(fam, m)
-    pushed = small_diag_gamma(fam, m)
+    pushed = small_diag_gamma(symbolic_family(1), m)
     [(key, coeff)] = pushed.diag.items()
     assert key == ((), ((m, (("omega", 1),)),))
-    assert coeff == CharPoly.const(upper["omega"])
+    assert coeff == CharPoly.const(-comb(m, 2))
     for i in range(1, m):
         payload = pushed.scroll[("s", m, i)]
-        assert payload.diag == {((), ()): CharPoly.symbol("sigma") * upper[("m", i)]}
-
-
-def test_small_flag_gamma_difference():
-    upper, lower, diff = small_flag_gamma(symbolic_family(1), 4)
-    m = 4
-    assert upper["omega"] == -comb(m, 2)
-    assert lower["omega"] == -comb(m - 1, 2)
-    assert diff["omega"] == -(m - 1)
-    for i in range(1, m):
-        assert diff[("m", i)] == i * (m - i)
-    for i in range(1, m - 1):
-        assert diff[("m-1", i)] == i * (m - 1 - i)
+        assert payload.diag == {((), ()): sym("sigma") * Fraction(i * (m - i) * m, 2)}
 
 
 # -- punctual Chern recursion and closed contact formulas --------------------------------
@@ -263,6 +170,30 @@ def test_punctual_chern_interior_product(fam):
         for i in range(1, m + 1):
             expected = expected * (one + L + w * (i - 1))
         assert pc.interior == expected
+
+
+def _punctual_data(pc):
+    nodes = sorted(pc.scroll)
+    return {
+        "m": pc.m,
+        "interior": str(pc.interior),
+        "scroll": {n: {str(i): str(c) for i, c in pc.scroll[n].items()} for n in nodes},
+        "section": {n: {str(i): str(c) for i, c in pc.section[n].items()} for n in nodes},
+    }
+
+
+def test_punctual_chern_classes_are_pinned():
+    # sha256 over every exact punctual Chern class up to m = 10: bound and
+    # symbolic theta^*L, several nodes, and bases of dimension 0 to 3
+    fams = [symbolic_family(dim_b) for dim_b in range(4)] + [
+        FamilyDescriptor(
+            2, chars={"d": 3}, nodes=[Node("p", 2, tau_L=0), Node("q", Fraction(1, 3))]
+        ),
+        FamilyDescriptor(3, nodes=[Node("p", sym("w"), tau_L=5)]),
+    ]
+    data = [_punctual_data(punctual_chern(f, m)) for f in fams for m in range(1, 11)]
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    assert digest == "e1f7e0a7f6b7dc9af30374c20485399198d5746113088edc20d50ef3891a0b37"
 
 
 def test_pluecker_closed_forms_match_recursions(fam):
