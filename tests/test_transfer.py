@@ -10,6 +10,7 @@ from hilbtaut.charpoly import CharPoly
 from hilbtaut.family import FamilyDescriptor, Node, symbolic_family
 from hilbtaut.tautmod import TautClass, gamma_action, gamma_as_class, integrate
 from hilbtaut.transfer import (
+    _spread,
     pluecker_c2,
     pluecker_s2,
     psi_power_class,
@@ -97,6 +98,24 @@ def test_section_transfer_forms_agree(m1):
 # -- psi powers -------------------------------------------------------------------------
 
 
+def test_punctual_scroll_coefficients():
+    # one component k of degree m-1 spreads onto C^m_k with weight m-k and onto
+    # C^m_(k+1) with weight k+1, the punctual transfer fractions times m-1
+    for m in range(3, 9):
+        for k in range(1, m - 1):
+            parts = {j: Fraction(int(j == k)) for j in range(m)}
+            spread = {i: _spread(parts, m, i) for i in range(1, m)}
+            expected = {i: Fraction(0) for i in range(1, m)}
+            expected[k] = Fraction(m - k)
+            expected[k + 1] = Fraction(k + 1)
+            assert spread == expected, (m, k)
+    ring = symbolic_family(1).node_base_ring("s")
+    zero = BaseClass.zero(ring)
+    parts = {0: zero, 1: BaseClass.unit(ring), 2: zero}
+    assert _spread(parts, 3, 1) == BaseClass.unit(ring, 2)
+    assert _spread(parts, 3, 2) == BaseClass.unit(ring, 2)
+
+
 def test_punctual_coefficient_row_sums():
     # the two fractions always add up to (m+1)/(m-1)
     for m in range(3, 9):
@@ -136,6 +155,39 @@ def test_small_flag_upper_line_pushes_to_small_diagonal():
     for i in range(1, m):
         payload = pushed.scroll[("s", m, i)]
         assert payload.diag == {((), ()): sym("sigma") * Fraction(i * (m - i) * m, 2)}
+
+
+def test_punctual_transfer_reproves_small_flag_coefficients():
+    # spreading the lower discriminant coefficients nu(m-1, k) by the punctual
+    # rule, over m-1, gives the flaglet cross coefficient i(m-i)(m-2)/2 on C^m_i
+    from hilbtaut.tautmod import nu_coeff
+
+    for m in range(3, 9):
+        parts = {k: nu_coeff(m - 1, k) for k in range(1, m - 1)}
+        parts[0] = parts[m - 1] = Fraction(0)
+        for i in range(1, m):
+            lhs = _spread(parts, m, i) / (m - 1)
+            assert lhs == Fraction(i * (m - i) * (m - 2), 2), (m, i)
+
+
+def test_small_flag_gamma_difference():
+    # consecutive small diagonals: the omega blocks differ by -(m-1), and the
+    # scroll components of each carry exactly nu(n, i) sigma
+    from hilbtaut.tautmod import small_diag_gamma
+
+    fam = symbolic_family(1)
+    omega = {}
+    for n in range(2, 7):
+        pushed = small_diag_gamma(fam, n)
+        [(key, coeff)] = pushed.diag.items()
+        assert key == ((), ((n, (("omega", 1),)),))
+        omega[n] = coeff
+        assert set(pushed.scroll) == {("s", n, i) for i in range(1, n)}
+        for i in range(1, n):
+            payload = pushed.scroll[("s", n, i)]
+            assert payload.diag == {((), ()): sym("sigma") * Fraction(i * (n - i) * n, 2)}
+    for m in range(3, 7):
+        assert omega[m] - omega[m - 1] == CharPoly.const(-(m - 1))
 
 
 # -- punctual Chern recursion and closed contact formulas --------------------------------
