@@ -8,7 +8,8 @@ class is transferred with the new point's twist and multiplied by the
 stage's discriminant powers.  Pushing the fundamental class through the
 whole tower multiplies by m!, which is the degree of the full flag over the
 Hilbert scheme; flag-level numbers are therefore m! times the
-Hilbert-scheme numbers.
+Hilbert-scheme numbers.  Chern classes of tautological bundles are pushed
+down one factor per stage, never expanded.
 """
 
 from __future__ import annotations
@@ -124,7 +125,8 @@ def chern_splitting(m) -> CharPoly:
     """Total Chern class of the rank-m tautological bundle of a line bundle.
 
     The pullback to the full flag factors as the product over stages of
-    (1 + L_i - G_i + G_{i-1}).
+    (1 + L_i - G_i + G_{i-1}).  Only the rank-3 Chern numbers expand it;
+    `chern_class_on_hilb` pushes it down one factor per stage.
     """
     out = CharPoly.const(1)
     for i in range(1, m + 1):
@@ -133,8 +135,20 @@ def chern_splitting(m) -> CharPoly:
 
 
 def chern_class_on_hilb(fam: FamilyDescriptor, m) -> TautClass:
-    """Total Chern class of the tautological bundle on the Hilbert scheme."""
-    return pushdown(fam, m, chern_splitting(m)).scale(Fraction(1, factorial(m)))
+    """Total Chern class of the tautological bundle on the Hilbert scheme.
+
+    `chern_splitting(m)` pushed down one factor per stage: C_m / m! with
+    C_1 = 1 + L and C_(i+1) = transfer(C_i, 1 + L) + transfer(Gamma C_i)
+    - Gamma transfer(C_i) (docs/CONVENTIONS.md, "Flag polynomials").
+    """
+    if type(m) is not int or m < 1:
+        raise ValueError("flag length must be an integer >= 1, got %r" % (m,))
+    one_plus_l = BaseClass.unit(fam.total_ring) + BaseClass.gen(fam.total_ring, "L")
+    cls = TautClass.from_twists(fam, 1, [(1, one_plus_l)])
+    for _ in range(1, m):
+        step = transfer(cls, one_plus_l).accumulate(transfer(gamma_action(cls)))
+        cls = step.accumulate(gamma_action(transfer(cls)), -1)
+    return cls.scale(Fraction(1, factorial(m)))
 
 
 def chern_closed_form(fam: FamilyDescriptor, m) -> TautClass:

@@ -205,6 +205,61 @@ def test_stagewise_pushdown_equals_per_monomial_sum():
     assert sum(outcomes) * 2 >= len(outcomes), outcomes
 
 
+def test_chern_classes_are_pinned():
+    # sha256 over to_data(chern_class_on_hilb(...)) for m <= 7 on the families
+    # of the punctual digest: bound and symbolic theta^*L, bases of dimension
+    # 0 to 3; the digest matches the expanded full-flag product's classes
+    fams = [symbolic_family(dim_b) for dim_b in range(4)] + [
+        FamilyDescriptor(
+            2, chars={"d": 3}, nodes=[Node("p", 2, tau_L=0), Node("q", Fraction(1, 3))]
+        ),
+        FamilyDescriptor(3, nodes=[Node("p", sym("w"), tau_L=5)]),
+    ]
+    data = [to_data(chern_class_on_hilb(f, m)) for f in fams for m in range(1, 8)]
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    assert digest == "f14866f48b48ce8ef569dbb8b24d73125f65284eb0048d9bcb820bb795b90ca3"
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def numeric_families(draw):
+    """Numeric descriptors: rational characters and dim_b 0..2.
+
+    A positive-dimensional base gets 0..3 nodes, each with a positive rational
+    weight and a theta^*L that is either a rational (bound) or symbolic (free).
+    """
+    dim_b = draw(st.integers(0, 2))
+    chars = {k: draw(rationals) for k in ("d", "b", "Lomega", "omega2", "twogm2")}
+    nodes = [
+        Node(
+            "n%d" % i,
+            draw(st.fractions(min_value=Fraction(1, 4), max_value=5, max_denominator=4)),
+            tau_L=draw(st.none() | rationals),
+        )
+        for i in range(draw(st.integers(0, 3 if dim_b else 0)))
+    ]
+    return FamilyDescriptor(dim_b, chars=chars, nodes=nodes)
+
+
+THREE_NODES = FamilyDescriptor(
+    1,
+    chars={"d": 3, "b": Fraction(1, 2), "Lomega": -1, "omega2": 4, "twogm2": 2},
+    nodes=[Node("p", Fraction(2, 3), tau_L=0), Node("q", 3), Node("r", Fraction(5, 7))],
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fam=numeric_families(), m=st.integers(1, 4))
+@example(fam=THREE_NODES, m=4)  # scroll terms from bound and free theta^*L
+@example(fam=FamilyDescriptor(0, chars={"d": 2, "twogm2": 0}), m=4)
+def test_chern_recursion_equals_expanded_full_flag_product(fam, m):
+    # reference: expand the splitting, push its monomial groups down, divide by m!
+    expanded = pushdown(fam, m, chern_splitting(m)).scale(Fraction(1, factorial(m)))
+    assert chern_class_on_hilb(fam, m) == expanded
+
+
 def test_closed_form_matches_splitting_nodefree():
     nofam = FamilyDescriptor(1, label="smooth")
     for m in (1, 2, 3, 4):
