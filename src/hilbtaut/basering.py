@@ -116,10 +116,6 @@ class BaseClass(LinComb):
     def gen(ring, name):
         return BaseClass(ring, {((name, 1),): 1})
 
-    @staticmethod
-    def zero(ring):
-        return BaseClass(ring)
-
     def _check(self, other):
         if self.ring is not other.ring:
             raise ValueError("mixed rings: %s vs %s" % (self.ring.label, other.ring.label))
@@ -143,24 +139,11 @@ class BaseClass(LinComb):
 
     __rmul__ = __mul__
 
-    def monomials(self):
-        """Sorted (monomial, coefficient) pairs."""
-        return sorted(self.terms.items())
-
     def __str__(self):
-        return format_sum([(mono_str(mono), c) for mono, c in self.monomials()])
+        return format_sum([(mono_str(mono), c) for mono, c in sorted(self.terms.items())])
 
     def __repr__(self):
         return "BaseClass<%s>(%s)" % (self.ring.label, self)
-
-
-def section_power(ring: Ring, theta: str, r: int) -> BaseClass:
-    """The r-th self-intersection power of a marked section: (-psi)^(r-1) * theta."""
-    if r <= 0:
-        raise ValueError("section power needs r >= 1; use the unit class for r = 0")
-    if theta not in ring.psi_of:
-        raise ValueError("%r is not a section symbol of %s" % (theta, ring.label))
-    return BaseClass(ring, {((theta, r),): Fraction(1)})
 
 
 def make_total_space_ring(dim_b: int) -> Ring:

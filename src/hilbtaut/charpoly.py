@@ -43,10 +43,6 @@ class CharPoly(LinComb):
             return CharPoly.const(1)
         return CharPoly({((name, power),): 1})
 
-    @staticmethod
-    def zero():
-        return CharPoly()
-
     def _coerce(self, other):
         return _coerce(other)
 
@@ -84,7 +80,7 @@ class CharPoly(LinComb):
 
     def substitute(self, bindings):
         """Replace symbols by CharPoly/Fraction values given in `bindings`."""
-        out = CharPoly.zero()
+        out = CharPoly()
         for mono, coeff in self.terms.items():
             term = CharPoly.const(coeff)
             for name, power in mono:
@@ -94,13 +90,6 @@ class CharPoly(LinComb):
                     term = term * CharPoly.symbol(name, power)
             out.accumulate(term)
         return out
-
-    def symbols(self):
-        names = set()
-        for mono in self.terms:
-            for name, _ in mono:
-                names.add(name)
-        return names
 
     def _sorted_terms(self):
         def mono_key(mono):

@@ -35,7 +35,7 @@ def flag_L(i) -> CharPoly:
 
 def flag_G(i) -> CharPoly:
     """The pullback G_i of the degree-i discriminant; degrees 0 and 1 vanish."""
-    return CharPoly.symbol("G%d" % i) if i >= 2 else CharPoly.zero()
+    return CharPoly.symbol("G%d" % i) if i >= 2 else CharPoly()
 
 
 # -- pushing flag polynomials down to the Hilbert scheme ----------------------------
@@ -72,20 +72,20 @@ def pushdown(fam: FamilyDescriptor, m, expr: CharPoly) -> TautClass:
             )
         seed = TautClass.from_twists(fam, 1, [(1, ell ** a[0])], coeff=c)
         suffix = tuple(zip(a[1:], k))
-        groups.setdefault(suffix, TautClass.zero(fam, 1)).accumulate(seed)
+        groups.setdefault(suffix, TautClass(fam, 1)).accumulate(seed)
     for i in range(2, m + 1):
         shorter = {}
         for ((a, k), *rest), cls in groups.items():
-            if cls.is_zero():
+            if not cls:
                 continue
             cls = transfer(cls, ell ** a)
             for _ in range(k):
-                if cls.is_zero():
+                if not cls:
                     break
                 cls = gamma_action(cls)
-            shorter.setdefault(tuple(rest), TautClass.zero(fam, i)).accumulate(cls)
+            shorter.setdefault(tuple(rest), TautClass(fam, i)).accumulate(cls)
         groups = shorter
-    return groups.get((), TautClass.zero(fam, m))
+    return groups.get((), TautClass(fam, m))
 
 
 def push_monomial(fam: FamilyDescriptor, m, key) -> TautClass:
@@ -164,7 +164,7 @@ def chern_closed_form(fam: FamilyDescriptor, m) -> TautClass:
     """
     ring = fam.total_ring
     one_plus_l = BaseClass.unit(ring) + BaseClass.gen(ring, "L")
-    total = TautClass.zero(fam, m)
+    total = TautClass(fam, m)
     for sizes in enumerate_distributions(m):
         if sum(sizes) != m:
             continue
@@ -279,7 +279,7 @@ def double_point_class(fam: FamilyDescriptor, target) -> TautClass:
     """
     n = target["dim"]
     l1, l2, g2 = flag_L(1), flag_L(2), flag_G(2)
-    expr = CharPoly.zero()
+    expr = CharPoly()
     for a, b, c in target["diag"]:
         expr.accumulate(l1 ** a * l2 ** b, c)
     for i in range(1, n + 1):
@@ -296,7 +296,7 @@ def double_point_segre_route(fam: FamilyDescriptor, n) -> TautClass:
     the pushdown.
     """
     l1, l2, g2 = flag_L(1), flag_L(2), flag_G(2)
-    expr = CharPoly.zero()
+    expr = CharPoly()
     for i in range(n + 1):
         expr.accumulate(l1 ** (n - i) * (l2 - g2) ** i)
     return pushdown(fam, 2, expr).scale(Fraction(1, 2))

@@ -375,6 +375,11 @@ def trisecants_cmd(d, g, b, lomega, omega2, sigma, single_curve, output):
     given = (("d", d), ("twogm2", twogm2), ("b", b), ("Lomega", lomega), ("omega2", omega2))
     chars = {key: value for key, value in given if value is not None}
     if single_curve:
+        # one curve has only d and g; refuse the family options instead of dropping them
+        for flag, value in (("--b", b), ("--lomega", lomega), ("--omega2", omega2),
+                            ("--sigma", sigma)):
+            if value is not None:
+                raise click.BadParameter("one curve takes only --d and --g", param_hint=repr(flag))
         _emit(str(chern_mod.single_curve_trisecant_scroll(chars)), output)
         return
     weight = CharPoly.symbol("sigma") if sigma is None else sigma
@@ -423,7 +428,7 @@ def oracle_check_cmd(cases, seed, output):
         m = rng.randint(2, 5)
         classes = []
         for _ in range(m):
-            cls = BaseClass.zero(ring)
+            cls = BaseClass(ring)
             for g in gens:
                 cls.accumulate(g, Fraction(rng.randint(-2, 2)))
             classes.append(cls)

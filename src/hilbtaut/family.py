@@ -9,15 +9,13 @@ them.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .basering import (
     make_boundary_ring,
     make_node_base_ring,
     make_total_space_ring,
 )
 from .charpoly import CharPoly
-from .lincomb import merge_monos, mono_str
+from .lincomb import expand, merge_monos, mono_str
 
 
 class Node:
@@ -56,12 +54,11 @@ class FamilyDescriptor:
             if node.node_id in seen:
                 raise ValueError("duplicate node id %r" % node.node_id)
             seen.add(node.node_id)
+            if dim_b < 1:
+                raise ValueError("node %s needs dim_b >= 1, got dim_b = %d" % (node.node_id, dim_b))
             if node.weight.is_constant() and node.weight.constant_value() <= 0:
                 raise ValueError("node %s has nonpositive weight" % node.node_id)
         self.total_ring = make_total_space_ring(dim_b)
-        self._boundary_rings = {
-            n.node_id: make_boundary_ring(dim_b, n.node_id) for n in self.nodes
-        }
         self._node_base_rings = {
             n.node_id: make_node_base_ring(dim_b, n.node_id) for n in self.nodes
         }
@@ -79,7 +76,7 @@ class FamilyDescriptor:
         return CharPoly.symbol(key)
 
     def sigma(self):
-        total = CharPoly.zero()
+        total = CharPoly()
         for node in self.nodes:
             total.accumulate(node.weight)
         return total
@@ -91,9 +88,6 @@ class FamilyDescriptor:
             if node.node_id == node_id:
                 return node
         raise KeyError("no node %r" % node_id)
-
-    def boundary_ring(self, node_id):
-        return self._boundary_rings[node_id]
 
     def node_base_ring(self, node_id):
         return self._node_base_rings[node_id]
@@ -115,7 +109,7 @@ class FamilyDescriptor:
                 nodes=(),
                 label="%s^theta(%s)" % (self.label, node.node_id),
             )
-            fam.total_ring = self.boundary_ring(node_id)
+            fam.total_ring = make_boundary_ring(self.dim_b, node_id)
             fam.context_node = node
             self._boundary_families[node_id] = fam
         return self._boundary_families[node_id]
@@ -157,20 +151,11 @@ def integrate_classes(fam: FamilyDescriptor, factors):
     `factors` is one BaseClass per fiber factor; a single class integrates
     over the total space itself.  Raises ValueError on degree mismatch.
     """
-    from itertools import product as iproduct
-
     if not isinstance(factors, (list, tuple)):
         factors = [factors]
     ring = factors[0].ring
-    total = CharPoly.zero()
-    items = [list(f.terms.items()) for f in factors]
-    if any(not it for it in items):
-        return total
-    for combo in iproduct(*items):
-        slots = [mono for mono, _ in combo]
-        coeff = Fraction(1)
-        for _, c in combo:
-            coeff *= c
+    total = CharPoly()
+    for slots, coeff in expand(factors):
         total.accumulate(fiber_integral(fam, ring, slots), coeff)
     return total
 
@@ -203,7 +188,7 @@ def fiber_integral(fam: FamilyDescriptor, ring, slot_monos, base_mono=()):
     fdegs = [sum(p for _, p in f) for f in fibers]
     if any(d == 0 for d in fdegs):
         # pushforward of a pure pullback along a curve fibration vanishes
-        return CharPoly.zero()
+        return CharPoly()
     excess = sum(d - 1 for d in fdegs)
     if excess + tdeg != base_dim:
         raise ValueError(
@@ -256,8 +241,8 @@ def _base_integral(fam, base_mono, pushed):
     tau_value = None
     if tau_power and node is not None and node.tau_L is not None:
         tau_value = node.tau_L ** tau_power
-        if tau_value.is_zero():
-            return CharPoly.zero()
+        if not tau_value:
+            return CharPoly()
         base_mono = tuple((n, p) for n, p in base_mono if n != "tauL")
 
     if base_dim == 0:

@@ -44,6 +44,7 @@ class LinComb:
     only combinations on equal spaces add) and the attributes holding their
     dicts (`_sectors`).  Keys are canonical on entry: constructors that take
     outside input normalize them, and the operations here never do again.
+    The plain constructor gives the zero, and `not c` tests for it.
     """
 
     __slots__ = ()
@@ -142,9 +143,6 @@ class LinComb:
                 return True
         return False
 
-    def is_zero(self):
-        return not self
-
     # -- monomial-keyed combinations (one sector, keys from `merge_monos`) -----------
 
     def __pow__(self, n):
@@ -159,6 +157,19 @@ class LinComb:
     def graded_part(self, d):
         """The terms whose monomial has total degree `d`."""
         return self._like({k: c for k, c in self.terms.items() if sum(p for _, p in k) == d})
+
+
+def expand(factors):
+    """The terms of a product of combinations, multiplied out: (keys, coefficient).
+
+    `keys` holds one key per factor, in factor order, and the coefficient is
+    the product of theirs.  No factors give the unit term `((), 1)`; a zero
+    factor gives no terms.
+    """
+    out = [((), Fraction(1))]
+    for factor in factors:
+        out = [(keys + (key,), c * fc) for keys, c in out for key, fc in factor.terms.items()]
+    return out
 
 
 # -- monomials -------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from math import comb
 from .basering import BaseClass
 from .charpoly import CharPoly
 from .family import FamilyDescriptor, fiber_integral, theta_star
-from .lincomb import LinComb, add_term, merge_monos, mono_str
+from .lincomb import LinComb, add_term, expand, merge_monos, mono_str
 from .partitions import aut_count
 
 
@@ -110,10 +110,6 @@ class TautClass(LinComb):
     # -- constructors -------------------------------------------------------------
 
     @staticmethod
-    def zero(fam, m):
-        return TautClass(fam, m)
-
-    @staticmethod
     def fundamental(fam, m):
         out = TautClass(fam, m)
         out.add_diag((), tuple((1, ()) for _ in range(m)), 1)
@@ -128,25 +124,15 @@ class TautClass(LinComb):
         """
         ring = fam.total_ring
         out = TautClass(fam, m)
-        combos = [((), Fraction(1))]
-        for n, twist in pairs:
-            combos = [
-                (blocks + ((n, mono),), c * mc)
-                for blocks, c in combos
-                for mono, mc in twist.terms.items()
-            ]
-        base_items = [((), Fraction(1))]
-        if base is not None:
-            base_items = list(base.terms.items())
-        for blocks, c in combos:
-            # move pulled-back symbols out of the slots
-            base_extra = ()
-            fiber_blocks = []
-            for n, mono in blocks:
-                fiber_blocks.append((n, ring.fiber_part(mono)))
-                base_extra = merge_monos(base_extra, ring.base_part(mono))
-            for bmono, bc in base_items:
-                out.add_diag(merge_monos(base_extra, bmono), tuple(fiber_blocks), coeff * c * bc)
+        factors = [twist for _, twist in pairs] + ([] if base is None else [base])
+        for monos, c in expand(factors):
+            base_mono = () if base is None else monos[-1]
+            blocks = []
+            for (n, _), mono in zip(pairs, monos):
+                # move pulled-back symbols out of the slots
+                base_mono, fiber = split_twist(ring, base_mono, mono)
+                blocks.append((n, fiber))
+            out.add_diag(base_mono, blocks, coeff * c)
         return out
 
     # -- inspection ----------------------------------------------------------------
@@ -271,7 +257,7 @@ def nu_coeff(n, j):
 def gamma_as_class(fam, m):
     """The discriminant polarization as a diagonal class: half the 2-point diagonal."""
     if m < 2:
-        return TautClass.zero(fam, max(m, 0))
+        return TautClass(fam, max(m, 0))
     out = TautClass(fam, m)
     blocks = ((2, ()),) + tuple((1, ()) for _ in range(m - 2))
     out.add_diag((), blocks, Fraction(1, 2))
@@ -367,7 +353,7 @@ def phi_star(bd, terms):
     On the normalized boundary family X^theta the polarization pulls back to
     itself and the canonical class to omega + theta_x + theta_y.
     """
-    out = BaseClass.zero(bd.total_ring)
+    out = BaseClass(bd.total_ring)
     for mono, c in terms.items():
         out.accumulate(_phi_image(bd, mono), c)
     return out
@@ -506,7 +492,7 @@ def gamma_power(fam, m, k) -> TautClass:
         return TautClass.fundamental(fam, m)
     out = gamma_as_class(fam, m)
     for _ in range(k - 1):
-        if out.is_zero():
+        if not out:
             break
         out = gamma_action(out)
     return out
@@ -529,7 +515,7 @@ def integrate(tc: TautClass) -> CharPoly:
     one onto the boundary Hilbert scheme; bare scrolls integrate to zero.
     """
     fam = tc.fam
-    total = CharPoly.zero()
+    total = CharPoly()
     dim = tc.space_dim()
     for (base_mono, blocks), coeff in tc.diag.items():
         if tc._diag_codim(base_mono, blocks) != dim:
@@ -553,8 +539,8 @@ def pushforward_to_base(tc: TautClass):
     """
     if tc.m != 2:
         raise NotImplementedError("base pushforward implemented for degree 2")
-    interior = CharPoly.zero()
-    boundary = CharPoly.zero()
+    interior = CharPoly()
+    boundary = CharPoly()
     for (base_mono, blocks), coeff in tc.diag.items():
         if base_mono:
             raise NotImplementedError
@@ -578,7 +564,7 @@ def _kappa_symbol(mono):
         raise NotImplementedError("kappa pushforward of %r" % (mono,))
     if a == 0 and b == 0:
         # pushforward of the fundamental class of a curve fibration
-        return CharPoly.zero()
+        return CharPoly()
     if a == 0:
         return CharPoly.symbol("kappa_%d" % (b - 1))
     if b == 0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .lincomb import LinComb, add_term, fraction, mono_str
+from .lincomb import LinComb, add_term, expand, fraction, mono_str
 
 _OMEGA = (("omega", 1),)
 
@@ -41,22 +41,12 @@ class TensorClass(LinComb):
         add_term(self.terms, _sorted_blocks(key), coeff)
 
     @staticmethod
-    def zero(ring):
-        return TensorClass(ring)
-
-    @staticmethod
     def simple(ring, blocks):
         """Simple tensor from (size, BaseClass) pairs, expanded multilinearly."""
-        combos = [((), fraction(1))]
-        for n, twist in blocks:
-            combos = [
-                (key + ((n, mono),), c * mc)
-                for key, c in combos
-                for mono, mc in twist.terms.items()
-            ]
+        sizes = [n for n, _ in blocks]
         out = TensorClass(ring)
-        for key, c in combos:
-            out._add(key, c)
+        for monos, c in expand([twist for _, twist in blocks]):
+            out._add(tuple(zip(sizes, monos)), c)
         return out
 
     def __repr__(self):

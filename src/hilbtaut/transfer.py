@@ -63,7 +63,7 @@ def transfer(tc: TautClass, beta: BaseClass = None, variant="j") -> TautClass:
         )
         jtheta = j if variant == "j" else j + 1
         jD = j + 1 if variant == "j" else j
-        if not tau.is_zero():
+        if tau:
             out.add_scroll(node_id, n + 1, jtheta, twist(payload, pullback=tau))
         out.add_section(node_id, n, j, moved)
         correction = transfer(mult_D(payload, n, jD), phib) - mult_D(moved, n, jD)
@@ -87,21 +87,21 @@ class PunctualClass:
     def __init__(self, fam, m, interior=None):
         self.fam = fam
         self.m = m
-        self.interior = interior if interior is not None else BaseClass.zero(fam.total_ring)
+        self.interior = interior if interior is not None else BaseClass(fam.total_ring)
         self.scroll = {}
         self.section = {}
         for node in fam.nodes:
             tring = fam.node_base_ring(node.node_id)
-            self.scroll[node.node_id] = {i: BaseClass.zero(tring) for i in range(1, m)}
-            self.section[node.node_id] = {i: BaseClass.zero(tring) for i in range(1, m)}
+            self.scroll[node.node_id] = {i: BaseClass(tring) for i in range(1, m)}
+            self.section[node.node_id] = {i: BaseClass(tring) for i in range(1, m)}
 
     def __repr__(self):
         parts = ["%s" % self.interior]
         for nid in sorted(self.scroll):
             for i in range(1, self.m):
-                if not self.scroll[nid][i].is_zero():
+                if self.scroll[nid][i]:
                     parts.append("C^%d_%d(%s)[%s]" % (self.m, i, nid, self.scroll[nid][i]))
-                if not self.section[nid][i].is_zero():
+                if self.section[nid][i]:
                     parts.append(
                         "(-Gamma).C^%d_%d(%s)[%s]" % (self.m, i, nid, self.section[nid][i])
                     )
@@ -141,8 +141,8 @@ def punctual_chern(fam: FamilyDescriptor, m: int) -> PunctualClass:
 
 def _theta_star_L(node, tring):
     """theta^*(L) on the node base: the class tauL, unless the node fixes it to zero."""
-    fixed_zero = node.tau_L is not None and node.tau_L.is_zero()
-    return BaseClass.zero(tring) if fixed_zero else BaseClass.gen(tring, "tauL")
+    fixed_zero = node.tau_L is not None and not node.tau_L
+    return BaseClass(tring) if fixed_zero else BaseClass.gen(tring, "tauL")
 
 
 def _spread(parts, m, i):
@@ -173,8 +173,8 @@ def _punctual_chern_step(fam, prev: PunctualClass) -> PunctualClass:
         interior_restr = tau ** (m - 1)
         psi = {k: psi_power_class(tring, m - 1, k) for k in range(1, m)}
         # F(0) = F(m-1) = G(0) = G(m-1) = 0: degree m-1 has components 1..m-2
-        scroll_parts = [BaseClass.zero(tring)] * m
-        section_parts = [BaseClass.zero(tring)] * m
+        scroll_parts = [BaseClass(tring)] * m
+        section_parts = [BaseClass(tring)] * m
         for k in range(1, m - 1):
             beta, gamma = prev.scroll[nid][k], prev.section[nid][k]
             gamma_psi = gamma * psi[k]
@@ -241,12 +241,9 @@ def pluecker_s2(fam, m):
     binom(m+1,2) L2 + m(m^2-1)/2 Lomega + m(m^2-1)(3m-2)/24 omega2
     - m(m^2-1)(m+2)/24 sigma, whose node-free part agrees with the jet count.
     """
-    value = CharPoly.zero()
+    value = CharPoly()
     for k in range(1, m + 1):
-        if k == 1:
-            value.accumulate(fam.char("b"))
-        else:
-            value.accumulate(integrate_punctual_degree2(fam, segre_contact_step(fam, k)))
+        value.accumulate(integrate_punctual_degree2(fam, segre_contact_step(fam, k)))
     closed = (
         fam.char("b") * comb(m + 1, 2)
         + fam.char("Lomega") * Fraction(m * (m * m - 1), 2)
@@ -274,7 +271,7 @@ def pluecker_c2(fam, m):
     """Closed form for c_2 of the tautological bundle on the punctual locus (dim base 1)."""
     if fam.dim_b != 1:
         raise ValueError("the second-Chern contact recursion needs a 1-dimensional base")
-    value = CharPoly.zero()
+    value = CharPoly()
     for k in range(2, m + 1):
         value.accumulate(c2_contact_step(fam, k))
     closed = (

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from hilbtaut.charpoly import CharPoly
+from hilbtaut.chern import single_curve_trisecant_formula
 from hilbtaut.cli import DescriptorError, load_descriptor, main, run
 from hilbtaut.family import symbolic_family
 from hilbtaut.tautmod import from_data, gamma_power, integrate, to_data
@@ -32,7 +33,7 @@ def test_load_minimal_smooth(tmp_path):
     fam = load_descriptor(path)
     assert fam.dim_b == 1
     assert fam.nodes == []
-    assert fam.sigma().is_zero()
+    assert not fam.sigma()
 
 
 def test_load_one_node(tmp_path):
@@ -148,7 +149,7 @@ def test_psi_table_value_reaches_the_integral(tmp_path):
     text = "[family]\ndim_b = 2\n[node.s]\nweight = sigma\n"
     path = write(tmp_path, text)
     symbolic = integrate(gamma_power(load_descriptor(path), 3, 5))
-    assert "IT[s|psi_x|]" in symbolic.symbols()
+    assert "IT[s|psi_x|]" in {name for mono in symbolic.terms for name, _ in mono}
     write(tmp_path, text + "IT[s|psi_x|] = 7\n")
     bound = integrate(gamma_power(load_descriptor(path), 3, 5))
     assert bound == symbolic.substitute({"IT[s|psi_x|]": 7})
@@ -194,6 +195,23 @@ def test_trisecants_command(runner):
     )
     assert result.exit_code == 0
     assert result.output.strip() == "-2"
+
+
+@pytest.mark.parametrize("d, g", [(3, 0), (5, 1), (6, 3)])
+def test_trisecants_single_curve(runner, d, g):
+    result = runner.invoke(main, ["trisecants", "--single-curve", "--d", str(d), "--g", str(g)])
+    assert result.exit_code == 0, result.output
+    expected = single_curve_trisecant_formula({"d": d, "twogm2": 2 * g - 2})
+    assert result.output.strip() == str(expected)
+
+
+@pytest.mark.parametrize("option", ["--b", "--lomega", "--omega2", "--sigma"])
+def test_trisecants_single_curve_refuses_family_options(monkeypatch, capsys, option):
+    argv = ["trisecants", "--single-curve", "--d", "5", "--g", "1", option, "3"]
+    assert _run_exit(monkeypatch, argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'%s'" % option in captured.err
 
 
 def test_structured_output_roundtrip(runner):

@@ -1,0 +1,25 @@
+"""Checks that `FamilyDescriptor` makes on its node list."""
+
+import pytest
+
+from hilbtaut.charpoly import CharPoly
+from hilbtaut.family import FamilyDescriptor, Node
+
+
+def test_nodes_need_a_positive_dimensional_base():
+    with pytest.raises(ValueError, match="node s needs dim_b >= 1, got dim_b = 0"):
+        FamilyDescriptor(0, nodes=[Node("s", 1)])
+    # a point base without nodes is one curve, and a curve base may carry nodes
+    assert FamilyDescriptor(0).nodes == []
+    assert FamilyDescriptor(1, nodes=[Node("s", 1)]).node("s").node_id == "s"
+
+
+def test_duplicate_node_ids_are_refused():
+    with pytest.raises(ValueError, match="duplicate node id 'p'"):
+        FamilyDescriptor(1, nodes=[Node("p", 1), Node("q", 2), Node("p", 3)])
+
+
+@pytest.mark.parametrize("weight", [0, -1, CharPoly.const(-2)])
+def test_nonpositive_weights_are_refused(weight):
+    with pytest.raises(ValueError, match="node q has nonpositive weight"):
+        FamilyDescriptor(1, nodes=[Node("p", 1), Node("q", weight)])

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hilbtaut.basering import BaseClass
 from hilbtaut.charpoly import CharPoly
 from hilbtaut.family import symbolic_family
+from hilbtaut.lincomb import expand
 from hilbtaut.tautmod import TautClass, gamma_as_class, gamma_power, to_data
 
 small = st.integers(min_value=-3, max_value=3)
@@ -15,7 +16,7 @@ FAM = symbolic_family(1)
 
 
 def charpoly(vals):
-    out = CharPoly.zero()
+    out = CharPoly()
     for name, v in zip(["b", "d", "sigma", "omega2"], vals):
         out.accumulate(CharPoly.symbol(name), v)
     return out
@@ -56,6 +57,57 @@ def test_operations_leave_their_inputs_unchanged(make, avals, bvals, factor):
     assert scaled.scale(2) == a.scale(factor)
     assert acc == b.scale(factor - 1)
 
+
+def test_expand_unit_and_zero():
+    assert expand([]) == [((), 1)]
+    one = BaseClass.unit(FAM.total_ring)
+    assert expand([one, BaseClass(FAM.total_ring), one]) == []
+    assert expand([CharPoly()]) == []
+
+
+def test_expand_multiplies_coefficients_in_factor_order():
+    b, d = (("b", 1),), (("d", 1),)
+    x = CharPoly({b: 2, d: Fraction(1, 3)})
+    y = CharPoly({(): -5})
+    assert expand([x, y]) == [((b, ()), -10), ((d, ()), Fraction(-5, 3))]
+    assert expand([y, x]) == [(((), b), -10), (((), d), Fraction(-5, 3))]
+    # one key per factor, even when two factors are the same combination
+    assert expand([x, x]) == [
+        ((b, b), 4), ((b, d), Fraction(2, 3)), ((d, b), Fraction(2, 3)), ((d, d), Fraction(1, 9))
+    ]
+
+
+def test_expand_three_mixed_factors_by_hand():
+    ring = FAM.total_ring
+    L, w = BaseClass.gen(ring, "L"), BaseClass.gen(ring, "omega")
+    x, y, z = L + 1, w * 2 - 3, L - w
+    # (1 + L)(2w - 3)(L - w) = -3L + 3w - 3L^2 + 5Lw - 2w^2 + (degree 3, zero on X)
+    by_hand = BaseClass(ring, {
+        (("L", 1),): -3, (("omega", 1),): 3,
+        (("L", 2),): -3, (("L", 1), ("omega", 1)): 5, (("omega", 2),): -2,
+    })
+    assert x * y * z == by_hand
+    expanded = BaseClass(ring)
+    for keys, c in expand([x, y, z]):
+        expanded.accumulate(BaseClass(ring, {sum(keys, ()): c}))
+    assert expanded == by_hand
+    assert len(expand([x, y, z])) == 2 * 2 * 2
+
+
+@given(st.lists(st.lists(small, min_size=4, max_size=4), min_size=0, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_expand_sums_to_the_product(vals):
+    factors = [baseclass(v) for v in vals]
+    ring = FAM.total_ring
+    expanded = BaseClass(ring)
+    for keys, c in expand(factors):
+        assert len(keys) == len(factors)
+        assert all(key in f.terms for key, f in zip(keys, factors))
+        expanded.accumulate(BaseClass(ring, {sum(keys, ()): c}))
+    product = BaseClass.unit(ring)
+    for f in factors:
+        product = product * f
+    assert expanded == product
 
 
 @given(st.sampled_from([charpoly, baseclass]), st.lists(small, min_size=4, max_size=4),

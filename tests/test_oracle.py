@@ -48,7 +48,7 @@ def _random_classes(rng, r, m):
     gens = [BaseClass.unit(r), BaseClass.gen(r, "L"), BaseClass.gen(r, "omega")]
     out = []
     for _ in range(m):
-        cls = BaseClass.zero(r)
+        cls = BaseClass(r)
         for g in gens:
             cls = cls + g * Fraction(rng.randint(-3, 3))
         out.append(cls)
@@ -173,7 +173,7 @@ def test_p1_engine_degrees_match_jets():
     for m in range(2, 6):
         for n in range(2, m + 1):
             fam = FamilyDescriptor(0, chars={"d": 1}, label="line")
-            cls = TautClass.zero(fam, m)
+            cls = TautClass(fam, m)
             cls.add_diag((), ((n, ()),) + ((1, ()),) * (m - n), 1)
             for _ in range((m - n) + 1):
                 cls = twist(cls, norm=BaseClass.gen(cls.ring, "pt"))

@@ -83,7 +83,7 @@ def assert_secant_chern_numbers(g, d, m):
     assert not total.scroll and not total.section
     ring, ell = fam.total_ring, BaseClass.gen(fam.total_ring, "L")
     for k in range(m + 1):
-        ck = TautClass.zero(fam, m)
+        ck = TautClass(fam, m)
         for (base, blocks), c in total.diag.items():
             if sum(n - 1 + ring.degree(mono) for n, mono in blocks) == k:
                 ck.add_diag(base, blocks, c)
@@ -116,4 +116,4 @@ def test_product_family_top_gamma_power_vanishes(g, d, e):
     chars = {"d": d, "b": 2 * d * e, "Lomega": e * (2 * g - 2), "omega2": 0, "twogm2": 2 * g - 2}
     fam = FamilyDescriptor(1, chars=chars)
     for m in range(1, 7):
-        assert integrate(gamma_power(fam, m, m + 1)).is_zero(), (g, d, e, m)
+        assert not integrate(gamma_power(fam, m, m + 1)), (g, d, e, m)

@@ -8,7 +8,7 @@ def sym(name):
 
 
 B, D, LW, W2, SG, TG = (sym(k) for k in ("b", "d", "Lomega", "omega2", "sigma", "twogm2"))
-ZERO = CharPoly.zero()
+ZERO = CharPoly()
 
 FORMULARY = [
     # monomials in at most two point slots vanish
