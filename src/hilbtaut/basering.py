@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lincomb import LinComb, add_term, format_sum, fraction, mono_str
+from .lincomb import LinComb, add_term, exact, format_sum, mono_str
 
 
 class Ring:
@@ -106,7 +106,7 @@ class BaseClass(LinComb):
             for mono, coeff in terms.items():
                 norm = ring.normalize_monomial(mono)
                 if norm is not None:
-                    add_term(self.terms, norm[1], norm[0] * fraction(coeff))
+                    add_term(self.terms, norm[1], norm[0] * exact(coeff))
 
     @staticmethod
     def unit(ring, coeff=1):

@@ -3,14 +3,15 @@
 Every zero-dimensional class in the calculus evaluates to a polynomial in the
 numerical characters of the family (b, d, Lomega, omega2, sigma, twogm2, ...).
 Characters may be bound to rational numbers or left symbolic, so the common
-value type is a polynomial with Fraction coefficients.
+value type is a polynomial with exact rational coefficients (ints when
+integral, Fractions otherwise: see `lincomb.exact`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .lincomb import LinComb, add_term, format_sum, fraction, merge_monos, mono_str
+from .lincomb import LinComb, add_term, format_sum, merge_monos, mono_str, scaled
 
 # Preferred display order for the standard character symbols; everything else
 # sorts alphabetically after these.
@@ -50,12 +51,34 @@ class CharPoly(LinComb):
         return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
     def constant_value(self):
+        """The value of a constant polynomial, always as a Fraction."""
         if not self.is_constant():
             raise ValueError("polynomial is not constant: %s" % self)
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0))
+
+    # the scalar operations build the dict directly: they run once per
+    # coefficient of every class the engine builds
+
+    def scale(self, factor):
+        """Every coefficient times the scalar `factor`."""
+        if not factor:
+            return CharPoly()
+        return _poly(scaled(self.terms, factor))
+
+    def __add__(self, other):
+        if type(other) is not CharPoly:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        terms = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            add_term(terms, mono, coeff)
+        return _poly(terms)
+
+    __radd__ = __add__
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or type(other) is Fraction:
             return self.scale(other)
         other = _coerce(other)
         if other is NotImplemented:
@@ -68,12 +91,13 @@ class CharPoly(LinComb):
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 add_term(out, merge_monos(m1, m2), c1 * c2)
-        return self._like(out)
+        return _poly(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return self.scale(1 / fraction(scalar))
+        # 1 / int would be a float
+        return self.scale(1 / Fraction(scalar))
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -102,6 +126,13 @@ class CharPoly(LinComb):
 
     def __repr__(self):
         return "CharPoly(%s)" % self
+
+
+def _poly(terms):
+    """A CharPoly holding the canonical dict `terms` (nonzero exact coefficients)."""
+    out = object.__new__(CharPoly)
+    out.terms = terms
+    return out
 
 
 def _coerce(value):

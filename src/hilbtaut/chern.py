@@ -190,16 +190,23 @@ def chern_numbers_w3(fam: FamilyDescriptor):
 
     Returned on the 3-step flag (3! times the Hilbert-scheme numbers), as a
     dict with keys c1^4, c1^2c2, c1c3, c2^2; requires a 1-dimensional base.
+    The four polynomials share most of their flag monomials (66 distinct
+    of 144), so each distinct monomial is pushed down and integrated once.
     """
     if fam.dim_b != 1:
         raise ValueError("the degree-4 Chern numbers need a 1-dimensional base")
     c1, c2, c3 = _rank3_chern_classes()
-    return {
-        "c1^4": integrate_w(fam, 3, c1 ** 4),
-        "c1^2c2": integrate_w(fam, 3, c1 * c1 * c2),
-        "c1c3": integrate_w(fam, 3, c1 * c3),
-        "c2^2": integrate_w(fam, 3, c2 * c2),
-    }
+    polys = {"c1^4": c1 ** 4, "c1^2c2": c1 * c1 * c2, "c1c3": c1 * c3, "c2^2": c2 * c2}
+    values = {}
+    out = {}
+    for name, poly in polys.items():
+        total = CharPoly()
+        for key, c in poly.terms.items():
+            if key not in values:
+                values[key] = integrate(push_monomial(fam, 3, key))
+            total.accumulate(values[key], c)
+        out[name] = total
+    return out
 
 
 def trisecant_count(fam: FamilyDescriptor) -> CharPoly:

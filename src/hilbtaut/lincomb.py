@@ -6,6 +6,9 @@ map from keys to nonzero coefficients.  `LinComb` owns that map and its
 additive structure once.  A container may keep several maps side by side
 (the sectors of a tautological class); each is a plain dict.
 
+A scalar coefficient is an `int` when integral and a `Fraction` otherwise
+(`exact`): most coefficients are integers, and int arithmetic is far cheaper.
+
 Coefficients are values, never mutated in place: only a container's own
 dicts change, because coefficients (CharPolys, boundary payloads) are shared
 by reference between containers.  The in-place operations (`add_term`,
@@ -21,9 +24,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def fraction(value):
-    """`value` as a Fraction, without wrapping one that already is."""
-    return value if type(value) is Fraction else Fraction(value)
+def exact(value):
+    """The scalar `value` as a coefficient: an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def add_term(terms, key, coeff):
@@ -32,9 +39,22 @@ def add_term(terms, key, coeff):
     if old is not None:
         coeff = old + coeff
     if coeff:
+        if type(coeff) is Fraction and coeff.denominator == 1:
+            coeff = coeff.numerator
         terms[key] = coeff
     elif old is not None:
         del terms[key]
+
+
+def scaled(terms, factor):
+    """A new dict: every coefficient of `terms` times the nonzero `factor`."""
+    out = {}
+    for key, coeff in terms.items():
+        coeff = coeff * factor
+        if type(coeff) is Fraction and coeff.denominator == 1:
+            coeff = coeff.numerator
+        out[key] = coeff
+    return out
 
 
 class LinComb:
@@ -55,7 +75,7 @@ class LinComb:
         self.terms = {}
         if terms:
             for key, coeff in terms.items():
-                add_term(self.terms, key, fraction(coeff))
+                add_term(self.terms, key, exact(coeff))
 
     def _like(self, *sectors):
         """A combination on the same space holding the given canonical dicts."""
@@ -96,9 +116,7 @@ class LinComb:
         """Every coefficient times `factor` (a scalar of the coefficient ring)."""
         if not factor:
             return self._like()
-        return self._like(
-            *({k: c * factor for k, c in getattr(self, name).items()} for name in self._sectors)
-        )
+        return self._like(*(scaled(getattr(self, name), factor) for name in self._sectors))
 
     # scaling a coefficient that is itself a combination (a boundary payload)
     # goes through `*`; containers with a ring product override it
@@ -149,7 +167,7 @@ class LinComb:
         """The n-th power by repeated products, from the unit (the empty monomial)."""
         if n < 0:
             raise ValueError("negative power %d of a polynomial" % n)
-        out = self._like({(): Fraction(1)})
+        out = self._like({(): 1})
         for _ in range(n):
             out = out * self
         return out
@@ -166,7 +184,7 @@ def expand(factors):
     the product of theirs.  No factors give the unit term `((), 1)`; a zero
     factor gives no terms.
     """
-    out = [((), Fraction(1))]
+    out = [((), 1)]
     for factor in factors:
         out = [(keys + (key,), c * fc) for keys, c in out for key, fc in factor.terms.items()]
     return out

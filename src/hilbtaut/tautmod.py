@@ -38,7 +38,7 @@ from math import comb
 from .basering import BaseClass
 from .charpoly import CharPoly
 from .family import FamilyDescriptor, fiber_integral, theta_star
-from .lincomb import LinComb, add_term, expand, merge_monos, mono_str
+from .lincomb import LinComb, add_term, exact, expand, merge_monos, mono_str
 from .partitions import aut_count
 
 
@@ -177,10 +177,21 @@ def _coeff_data(c: CharPoly):
 
 
 def _coeff_from_data(data):
-    terms = {_mono_from_data(mono): Fraction(value) for mono, value in data}
+    terms = {_mono_from_data(mono): _rational_from_data(value) for mono, value in data}
+    if not terms:
+        raise ValueError("empty coefficient")
     if len(terms) != len(data):
         raise ValueError("coefficient %r repeats a monomial" % (data,))
     return CharPoly(terms)
+
+
+def _rational_from_data(text):
+    """A nonzero rational in the text `to_data` writes: `str` of a reduced Fraction."""
+    if type(text) is str:
+        value = Fraction(text)
+        if value and str(value) == text:
+            return value
+    raise ValueError("coefficient %r is not a nonzero rational in lowest terms" % (text,))
 
 
 def to_data(tc: TautClass):
@@ -250,8 +261,11 @@ def _mono_from_data(data, symbols=None):
 
 
 def nu_coeff(n, j):
-    """Exceptional multiplicity of the j-th scroll component for an n-fold point."""
-    return Fraction(j * (n - j) * n, 2)
+    """Exceptional multiplicity of the j-th scroll component for an n-fold point.
+
+    An integer: j (n - j) is even when n is odd.
+    """
+    return j * (n - j) * n // 2
 
 
 def gamma_as_class(fam, m):
@@ -285,12 +299,11 @@ def gamma_action(tc: TautClass) -> TautClass:
                         continue
                     sign, mono = prod
                     # aut(united) / aut(mu); mult[n2] drops by one once the n1 block is gone
-                    ratio = Fraction(mult[n1 + n2] + 1, mult[n1] * (mult[n2] - (n1 == n2)))
+                    num = sign * n1 * n2 * (mult[n1 + n2] + 1)
+                    factor = exact(Fraction(num, mult[n1] * (mult[n2] - (n1 == n2))))
                     rest = blocks[:i] + blocks[i + 1 : k] + blocks[k + 1 :]
                     new_base, fiber = split_twist(ring, base_mono, mono)
-                    out._put_diag(
-                        new_base, rest + ((n1 + n2, fiber),), coeff * (sign * n1 * n2 * ratio)
-                    )
+                    out._put_diag(new_base, rest + ((n1 + n2, fiber),), coeff * factor)
             # interior multiplication by omega within each block
             for i, (n, mono) in enumerate(blocks):
                 if n < 2:
@@ -303,7 +316,7 @@ def gamma_action(tc: TautClass) -> TautClass:
                 out._put_diag(
                     new_base,
                     blocks[:i] + ((n, fiber),) + blocks[i + 1 :],
-                    coeff * (sign * Fraction(-n * (n - 1), 2)),
+                    coeff * (-sign * comb(n, 2)),
                 )
         # boundary terms: one scroll per node, per block of size >= 2, per j
         if fam.nodes and any(n >= 2 for n, _ in blocks):
@@ -320,7 +333,7 @@ def gamma_action(tc: TautClass) -> TautClass:
                     if not payload:
                         continue
                     for j in range(1, n):
-                        factor = coeff * (nu_coeff(n, j) / mult[n]) * node.weight
+                        factor = coeff * exact(Fraction(nu_coeff(n, j), mult[n])) * node.weight
                         out.add_scroll(node.node_id, n, j, payload.scale(factor))
 
     # scrolls: Gamma . F = -((-Gamma) . F)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .lincomb import LinComb, add_term, expand, fraction, mono_str
+from .lincomb import LinComb, add_term, exact, expand, mono_str
 
 _OMEGA = (("omega", 1),)
 
@@ -34,7 +34,7 @@ class TensorClass(LinComb):
         self.terms = {}
         if terms:
             for key, coeff in terms.items():
-                self._add(key, fraction(coeff))
+                self._add(key, exact(coeff))
 
     def _add(self, key, coeff):
         """Add a term whose blocks may come in any order."""

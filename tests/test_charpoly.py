@@ -3,6 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from hilbtaut.charpoly import CharPoly
+from hilbtaut.lincomb import merge_monos
 
 
 def test_basic_arithmetic():
@@ -63,3 +64,76 @@ def test_hashable_and_equal_hashes_equal():
     assert first == second and hash(first) == hash(second)
     assert {first: 1}[second] == 1
     assert hash(CharPoly.const(0)) == hash(CharPoly())
+
+
+# -- the coefficient rule: an int when integral, a Fraction otherwise -----------------
+
+scalars = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=-6, max_value=6).map(Fraction),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+)
+nonzero_scalars = scalars.filter(bool)
+MONOS = [(), (("b", 1),), (("d", 1),), (("b", 1), ("d", 2))]
+coeff_maps = st.dictionaries(st.sampled_from(MONOS), scalars, max_size=4)
+
+
+def _ref(terms):
+    """A coefficient map in all-Fraction arithmetic, zero terms dropped."""
+    return {k: Fraction(c) for k, c in terms.items() if c}
+
+
+def _ref_add(p, q, factor=1):
+    out = dict(p)
+    for k, c in q.items():
+        out[k] = out.get(k, Fraction(0)) + c * Fraction(factor)
+    return _ref(out)
+
+
+def _ref_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            key = merge_monos(m1, m2)
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return _ref(out)
+
+
+def _assert_matches(poly, ref):
+    for c in poly.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+    assert poly.terms == ref
+    assert poly == CharPoly(ref)
+    assert str(poly) == str(CharPoly(ref))
+
+
+@given(coeff_maps, coeff_maps, nonzero_scalars, st.integers(min_value=0, max_value=3))
+@settings(max_examples=200)
+def test_coefficients_are_exact_ints_or_fractions(pmap, qmap, s, k):
+    p, q = CharPoly(pmap), CharPoly(qmap)
+    pr, qr = _ref(pmap), _ref(qmap)
+    _assert_matches(p, pr)
+    _assert_matches(p + q, _ref_add(pr, qr))
+    _assert_matches(p - q, _ref_add(pr, qr, -1))
+    _assert_matches(-p, _ref_add({}, pr, -1))
+    scaled = _ref({key: c * Fraction(s) for key, c in pr.items()})
+    _assert_matches(p.scale(s), scaled)
+    _assert_matches(p * s, scaled)
+    _assert_matches(s * p, scaled)
+    _assert_matches(p * q, _ref_mul(pr, qr))
+    _assert_matches(p / s, _ref({key: c / Fraction(s) for key, c in pr.items()}))
+    power = {(): Fraction(1)}
+    for _ in range(k):
+        power = _ref_mul(power, pr)
+    _assert_matches(p ** k, power)
+    value = CharPoly.const(s).constant_value()
+    assert type(value) is Fraction and value == s
+
+
+def test_integer_division_stays_exact():
+    quotient = CharPoly.const(5) / 6
+    assert quotient == CharPoly.const(Fraction(5, 6))
+    assert type(quotient.terms[()]) is Fraction
+    assert type((CharPoly.const(6) / 3).terms[()]) is int
+    assert type(CharPoly.const(4).constant_value()) is Fraction
+    assert type(CharPoly().constant_value()) is Fraction

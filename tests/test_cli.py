@@ -331,6 +331,11 @@ MALFORMED_CLASSES = [
     _diag_class(1, [[1, [["omega", 1], ["L", 1]]]]),
     _diag_class(1, [[1, []]], coeff=[([["b", 0]], "1")]),
     _diag_class(1, [[1, []]], coeff=[([], "1"), ([], "2")]),
+    _diag_class(1, [[1, []]], coeff=[]),
+    *(
+        _diag_class(1, [[1, []]], coeff=[([], value)])
+        for value in ("2/4", "0.5", "1e3", " 3", "+3", 3, "0", "-0")
+    ),
     _scroll_class(3, 2, _diag_class(4, [[1, []]] * 4, coeff=[([], "5")])),
     _scroll_class(3, 2, _diag_class(1, [[1, [["psi_x", 1]]]])),
     _scroll_class(3, 2, _diag_class(1, [[1, [["omega", 1], ["theta_x", 1]]]])),
