@@ -20,6 +20,9 @@ from fractions import Fraction
 from .lincomb import LinComb, add_term, exact, format_sum, mono_str
 
 
+_UNSET = object()
+
+
 class Ring:
     """A ring instance; symbols and relations are fixed at construction.
 
@@ -34,6 +37,7 @@ class Ring:
         self.symbols = frozenset(fiber) | self.base
         # section symbol name -> its psi symbol name
         self.psi_of = dict(psi_of or {})
+        self._merged = {}  # (m1, m2) -> merge(m1, m2)
 
     @staticmethod
     def degree(mono):
@@ -81,9 +85,17 @@ class Ring:
         return sign, mono
 
     def merge(self, m1, m2):
-        """Canonical (sign, monomial) of the product of two monomials, or None if zero."""
-        # normalize_monomial adds the exponents of repeated symbols and sorts
-        return self.normalize_monomial(m1 + m2)
+        """Canonical (sign, monomial) of the product of two monomials, or None if zero.
+
+        Memoized per ring: the operators merge the same few pairs many times.
+        Only results are kept, so a symbol outside the ring raises KeyError on
+        every call.
+        """
+        out = self._merged.get((m1, m2), _UNSET)
+        if out is _UNSET:
+            # normalize_monomial adds the exponents of repeated symbols and sorts
+            out = self._merged[m1, m2] = self.normalize_monomial(m1 + m2)
+        return out
 
     def __repr__(self):
         return "Ring(%s, dim=%d)" % (self.label, self.dim)

@@ -63,7 +63,7 @@ class CharPoly(LinComb):
         """Every coefficient times the scalar `factor`."""
         if not factor:
             return CharPoly()
-        return _poly(scaled(self.terms, factor))
+        return from_terms(scaled(self.terms, factor))
 
     def __add__(self, other):
         if type(other) is not CharPoly:
@@ -73,7 +73,7 @@ class CharPoly(LinComb):
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
             add_term(terms, mono, coeff)
-        return _poly(terms)
+        return from_terms(terms)
 
     __radd__ = __add__
 
@@ -91,7 +91,7 @@ class CharPoly(LinComb):
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 add_term(out, merge_monos(m1, m2), c1 * c2)
-        return _poly(out)
+        return from_terms(out)
 
     __rmul__ = __mul__
 
@@ -128,8 +128,11 @@ class CharPoly(LinComb):
         return "CharPoly(%s)" % self
 
 
-def _poly(terms):
-    """A CharPoly holding the canonical dict `terms` (nonzero exact coefficients)."""
+def from_terms(terms):
+    """A CharPoly holding the canonical dict `terms` (nonzero exact coefficients).
+
+    The dict is taken over, not copied: the caller built it and gives it up.
+    """
     out = object.__new__(CharPoly)
     out.terms = terms
     return out

@@ -123,17 +123,25 @@ def load_descriptor(path) -> FamilyDescriptor:
         raise DescriptorError("%s: dim_b must be >= 1" % fam_raw["dim_b"][1])
     genus = None
     if "genus" in fam_raw:
-        genus = _rational(fam_raw["genus"][0])
-        if genus is None:
-            raise DescriptorError("%s: genus must be rational" % fam_raw["genus"][1])
+        text, genus_where = fam_raw["genus"]
+        genus = _rational(text)
+        if genus is None or genus.denominator != 1:
+            raise DescriptorError("%s: genus must be an integer, got %r" % (genus_where, text))
         if genus < 0:
-            raise DescriptorError("%s: genus must be >= 0" % fam_raw["genus"][1])
+            raise DescriptorError("%s: genus must be >= 0" % genus_where)
 
     chars = {}
     for key, (value, where) in sections["characters"].items():
         chars[key] = _parse_value(value, where)
-    if genus is not None and "twogm2" not in chars:
-        chars["twogm2"] = CharPoly.const(2 * genus - 2)
+    if genus is not None:
+        twogm2 = CharPoly.const(2 * genus - 2)
+        if "twogm2" in chars and chars["twogm2"] != twogm2:
+            value, where = sections["characters"]["twogm2"]
+            raise DescriptorError(
+                "%s: twogm2 = %s conflicts with genus = %s at %s (2g - 2 = %s)"
+                % (where, value, genus, genus_where, twogm2)
+            )
+        chars["twogm2"] = twogm2
 
     nodes = []
     for node_id, body in node_sections.items():

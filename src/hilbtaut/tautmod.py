@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import comb
 
 from .basering import BaseClass
-from .charpoly import CharPoly
+from .charpoly import CharPoly, from_terms
 from .family import FamilyDescriptor, fiber_integral, theta_star
 from .lincomb import LinComb, add_term, exact, expand, merge_monos, mono_str
 from .partitions import aut_count
@@ -89,10 +89,6 @@ class TautClass(LinComb):
         if not isinstance(coeff, CharPoly):
             coeff = CharPoly.const(coeff)
         add_term(self.diag, (base_mono, blocks), coeff)
-
-    def _put_diag(self, base_mono, blocks, coeff):
-        """Add a term an operator built: canonical base monomial, codimension in range."""
-        add_term(self.diag, (base_mono, self._sorted_blocks(blocks)), coeff)
 
     def _node_bucket(self, sector, node_id, n, j, payload):
         if not payload:
@@ -284,6 +280,7 @@ def gamma_action(tc: TautClass) -> TautClass:
     ring = tc.ring
     top = tc.space_dim()
     out = TautClass(fam, m)
+    diag = {}  # owned accumulator: key -> {character monomial: scalar}
 
     for (base_mono, blocks), coeff in tc.diag.items():
         mult = Counter(n for n, _ in blocks)
@@ -303,7 +300,8 @@ def gamma_action(tc: TautClass) -> TautClass:
                     factor = exact(Fraction(num, mult[n1] * (mult[n2] - (n1 == n2))))
                     rest = blocks[:i] + blocks[i + 1 : k] + blocks[k + 1 :]
                     new_base, fiber = split_twist(ring, base_mono, mono)
-                    out._put_diag(new_base, rest + ((n1 + n2, fiber),), coeff * factor)
+                    key = new_base, tc._sorted_blocks(rest + ((n1 + n2, fiber),))
+                    _add_scaled(diag, key, coeff, factor)
             # interior multiplication by omega within each block
             for i, (n, mono) in enumerate(blocks):
                 if n < 2:
@@ -313,11 +311,8 @@ def gamma_action(tc: TautClass) -> TautClass:
                     continue
                 sign, new_mono = prod
                 new_base, fiber = split_twist(ring, base_mono, new_mono)
-                out._put_diag(
-                    new_base,
-                    blocks[:i] + ((n, fiber),) + blocks[i + 1 :],
-                    coeff * (-sign * comb(n, 2)),
-                )
+                key = new_base, tc._sorted_blocks(blocks[:i] + ((n, fiber),) + blocks[i + 1 :])
+                _add_scaled(diag, key, coeff, -sign * comb(n, 2))
         # boundary terms: one scroll per node, per block of size >= 2, per j
         if fam.nodes and any(n >= 2 for n, _ in blocks):
             for node in fam.nodes:
@@ -335,6 +330,7 @@ def gamma_action(tc: TautClass) -> TautClass:
                     for j in range(1, n):
                         factor = coeff * exact(Fraction(nu_coeff(n, j), mult[n])) * node.weight
                         out.add_scroll(node.node_id, n, j, payload.scale(factor))
+    out.diag = _finished(diag)
 
     # scrolls: Gamma . F = -((-Gamma) . F)
     for (node_id, n, j), payload in tc.scroll.items():
@@ -343,9 +339,9 @@ def gamma_action(tc: TautClass) -> TautClass:
     # sections: Gamma . (-Gamma)F[P] = -(-Gamma)^2 F[P]
     #         = -(-Gamma)F[(e_j + e_{j+1}) P] + F[e_j e_{j+1} P]
     for (node_id, n, j), payload in tc.section.items():
-        # e_j P and e_(j+1) P share their Gamma P term: apply Gamma once
-        ej_p = mult_D(payload, n, j)
-        ej1_p = mult_D(payload, n, j + 1)
+        # e_j P and e_(j+1) P share one twist pass and their Gamma P term
+        bd = payload.fam
+        ej_p, ej1_p = twists(payload, [scroll_divisor(bd, n, j), scroll_divisor(bd, n, j + 1)])
         if payload.m >= 2:
             gamma_p = gamma_action(payload)
             ej_p.accumulate(gamma_p, -1)
@@ -353,6 +349,24 @@ def gamma_action(tc: TautClass) -> TautClass:
         out.add_section(node_id, n, j, -(ej_p + ej1_p))
         out.add_scroll(node_id, n, j, _mult_e(ej1_p, n, j))
     return out
+
+
+def _add_scaled(acc, key, coeff, factor):
+    """Add the CharPoly `coeff` times the scalar `factor` at `key` of `acc`.
+
+    `acc` is an operator's own accumulator, key -> {monomial: scalar}, which
+    `_finished` turns into CharPolys once: no CharPoly is built per term.
+    """
+    terms = acc.get(key)
+    if terms is None:
+        terms = acc[key] = {}
+    for mono, c in coeff.terms.items():
+        add_term(terms, mono, c * factor)
+
+
+def _finished(acc):
+    """The diagonal sector held by the accumulator `acc` of `_add_scaled`."""
+    return {key: from_terms(terms) for key, terms in acc.items() if terms}
 
 
 def split_twist(ring, base_mono, mono):
@@ -401,29 +415,38 @@ def _payload_from_blocks(bd, m_payload, blocks, tau_mono, base_mono):
 
 
 def twist(tc: TautClass, pullback=None, norm=None) -> TautClass:
-    """Multiply a node-free class by pi^* pullback + [m]_* norm.
+    """Multiply a node-free class by pi^* pullback + [m]_* norm: `twists` of one divisor."""
+    return twists(tc, [(pullback, norm)])[0]
 
-    Both are BaseClasses on the class's total space, `pullback` in the
-    symbols pulled back from the base.  The pullback multiplies the base
-    monomial; on a polyblock diagonal the norm divisor restricts to the sum
-    over blocks of the class inserted in the block, weighted by the block size.
+
+def twists(tc: TautClass, divisors) -> list:
+    """[pi^* pullback + [m]_* norm] tc for every (pullback, norm) of `divisors`.
+
+    Both parts of a divisor are BaseClasses on the class's total space (or
+    None), `pullback` in the symbols pulled back from the base.  The
+    pullback multiplies the base monomial; on a polyblock diagonal the norm
+    divisor restricts to the sum over blocks of the class inserted in the
+    block, weighted by the block size.  One pass serves every divisor: each
+    output key is built once per (term, monomial, block), and only its
+    scalar coefficient differs between the divisors.
     """
     if tc.scroll or tc.section:
         raise NotImplementedError("twist on nested node terms")
     ring = tc.ring
-    pulled = (
-        [(mono, c, ring.degree(mono)) for mono, c in pullback.terms.items()] if pullback else ()
-    )
-    normed = [(mono, c, ring.degree(mono)) for mono, c in norm.terms.items()] if norm else ()
+    pulled = _monomial_table(ring, [pullback for pullback, _ in divisors])
+    normed = _monomial_table(ring, [norm for _, norm in divisors])
     top = tc.space_dim()
-    out = TautClass(tc.fam, tc.m)
+    accs = [{} for _ in divisors]
     for (base_mono, blocks), coeff in tc.diag.items():
         # each monomial raises the codimension by its degree
         room = top - tc._diag_codim(base_mono, blocks)
-        for mono, c, deg in pulled:
-            if deg <= room:
-                out._put_diag(merge_monos(base_mono, mono), blocks, coeff * c)
-        for mono, c, deg in normed:
+        for mono, deg, coeffs in pulled:
+            if deg > room:
+                continue
+            key = merge_monos(base_mono, mono), blocks
+            for d, c in coeffs:
+                _add_scaled(accs[d], key, coeff, c)
+        for mono, deg, coeffs in normed:
             if deg > room:
                 continue
             for i, (n, block_mono) in enumerate(blocks):
@@ -432,26 +455,45 @@ def twist(tc: TautClass, pullback=None, norm=None) -> TautClass:
                     continue
                 sign, new_mono = prod
                 new_base, fiber = split_twist(ring, base_mono, new_mono)
-                out._put_diag(
-                    new_base, blocks[:i] + ((n, fiber),) + blocks[i + 1 :], coeff * (n * sign * c)
-                )
+                key = new_base, tc._sorted_blocks(blocks[:i] + ((n, fiber),) + blocks[i + 1 :])
+                for d, c in coeffs:
+                    _add_scaled(accs[d], key, coeff, n * sign * c)
+    out = [TautClass(tc.fam, tc.m) for _ in divisors]
+    for cls, acc in zip(out, accs):
+        cls.diag = _finished(acc)
     return out
 
 
-def mult_D(tc: TautClass, n, j) -> TautClass:
-    """Multiply a boundary payload by the scroll line-bundle divisor D^n_j.
+def _monomial_table(ring, parts):
+    """(monomial, degree, [(divisor index, coefficient), ...]) over the parts' monomials."""
+    table = {}
+    for d, part in enumerate(parts):
+        if part:
+            for mono, c in part.terms.items():
+                table.setdefault(mono, []).append((d, c))
+    return [(mono, ring.degree(mono), coeffs) for mono, coeffs in table.items()]
+
+
+def scroll_divisor(fam, n, j):
+    """D^n_j on the boundary family `fam` as a (pullback, norm) pair for `twists`.
 
     D^n_j = binom(n-j+1, 2) psi_x + binom(j, 2) psi_y
-            - (n-j+1) [m]_* theta_x - j [m]_* theta_y.
+            - (n-j+1) [m]_* theta_x - j [m]_* theta_y,
+    built once per (family, n, j).
     """
-    data = tc.fam.operator_data
+    data = fam.operator_data
     if ("D", n, j) not in data:
-        ring = tc.ring
+        ring = fam.total_ring
         data["D", n, j] = (
             BaseClass(ring, {(("psi_x", 1),): comb(n - j + 1, 2), (("psi_y", 1),): comb(j, 2)}),
             BaseClass(ring, {(("theta_x", 1),): -(n - j + 1), (("theta_y", 1),): -j}),
         )
-    return twist(tc, *data["D", n, j])
+    return data["D", n, j]
+
+
+def mult_D(tc: TautClass, n, j) -> TautClass:
+    """Multiply a boundary payload by the scroll line-bundle divisor D^n_j."""
+    return twist(tc, *scroll_divisor(tc.fam, n, j))
 
 
 def _mult_e(tc: TautClass, n, j) -> TautClass:

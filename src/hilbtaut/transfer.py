@@ -23,7 +23,7 @@ from math import comb
 from .basering import BaseClass
 from .charpoly import CharPoly
 from .family import FamilyDescriptor, integrate_classes, theta_star
-from .tautmod import TautClass, mult_D, nu_coeff, phi_star, split_twist, twist
+from .tautmod import TautClass, mult_D, nu_coeff, phi_star, scroll_divisor, split_twist, twists
 
 # -- the flaglet transfer -----------------------------------------------------------
 
@@ -63,10 +63,11 @@ def transfer(tc: TautClass, beta: BaseClass = None, variant="j") -> TautClass:
         )
         jtheta = j if variant == "j" else j + 1
         jD = j + 1 if variant == "j" else j
-        if tau:
-            out.add_scroll(node_id, n + 1, jtheta, twist(payload, pullback=tau))
+        # the tau twist and D^n_(j') act on the same payload: one twist pass
+        tau_p, d_p = twists(payload, [(tau, None), scroll_divisor(bd, n, jD)])
+        out.add_scroll(node_id, n + 1, jtheta, tau_p)
         out.add_section(node_id, n, j, moved)
-        correction = transfer(mult_D(payload, n, jD), phib) - mult_D(moved, n, jD)
+        correction = transfer(d_p, phib) - mult_D(moved, n, jD)
         out.add_scroll(node_id, n, j, correction)
     return out
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hilbtaut.basering import (
     BaseClass,
     make_boundary_ring,
+    make_node_base_ring,
     make_total_space_ring,
 )
 from hilbtaut.charpoly import CharPoly
@@ -91,6 +92,67 @@ def test_section_power(bring):
             expected = minus_psi ** (r - 1) * theta
             assert theta ** r == expected
             assert BaseClass(ring, {(("theta_x", r),): 1}) == expected
+
+
+def canonical_monomials(ring):
+    """Every canonical monomial of degree at most the ring's dimension."""
+    out = [()]
+    for name in sorted(ring.symbols):
+        out = [
+            mono + (((name, p),) if p else ())
+            for mono in out
+            for p in range(ring.dim - ring.degree(mono) + 1)
+        ]
+    return [mono for mono in out if ring.normalize_monomial(mono) == (1, mono)]
+
+
+@pytest.mark.parametrize(
+    "make_ring",
+    [
+        lambda: make_total_space_ring(0),
+        lambda: make_total_space_ring(1),
+        lambda: make_total_space_ring(2),
+        lambda: make_boundary_ring(2, "s"),
+        lambda: make_node_base_ring(3, "s"),
+    ],
+    ids=["total0", "total1", "total2", "boundary", "node_base"],
+)
+def test_merge_memo_equals_normalizing_the_product(make_ring):
+    ring = make_ring()
+    monos = canonical_monomials(ring)
+    results = []
+    for _ in range(2):  # the second round reads the memo
+        for m1 in monos:
+            for m2 in monos:
+                expected = ring.normalize_monomial(m1 + m2)
+                assert ring.merge(m1, m2) == expected, (m1, m2)
+                results.append(expected)
+    assert None in results and len(results) == 2 * len(monos) ** 2
+
+
+def test_merge_raises_on_unknown_symbols_every_time(xring):
+    known = (("L", 1),)
+    for _ in range(3):
+        with pytest.raises(KeyError, match="psi_x"):
+            xring.merge(known, (("psi_x", 1),))
+        with pytest.raises(KeyError, match="tauL"):
+            xring.merge((("tauL", 1),), ())
+    assert xring.merge(known, known) == (1, (("L", 2),))
+
+
+def test_families_do_not_share_a_merge_memo():
+    # the boundary rings of node s over 1- and 2-dimensional bases share their
+    # label and symbols; only the dimension tells the degree-2 product apart
+    low = symbolic_family(1).boundary_family("s").total_ring
+    high = symbolic_family(2).boundary_family("s").total_ring
+    assert low.label == high.label
+    square = (("L", 1),), (("theta_x", 1),)
+    assert low.merge(*square) is None
+    assert high.merge(*square) == (1, (("L", 1), ("theta_x", 1)))
+    assert low.merge(*square) is None
+    cube = (("L", 2),), (("omega", 1),)
+    assert symbolic_family(1).total_ring.merge(*cube) is None
+    assert symbolic_family(2).total_ring.merge(*cube) == (1, (("L", 2), ("omega", 1)))
 
 
 def test_mixed_rings_error(xring, bring):

@@ -1,5 +1,6 @@
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -81,11 +82,29 @@ def test_load_rejects_bad_dim(tmp_path):
         load_descriptor(path)
 
 
-@pytest.mark.parametrize("genus", ["1/0", "x", "-1"])
+@pytest.mark.parametrize("genus", ["1/0", "x", "-1", "1/2", "5/2"])
 def test_load_rejects_bad_genus(tmp_path, genus):
     path = write(tmp_path, "[family]\ndim_b = 1\ngenus = %s\n" % genus)
     with pytest.raises(DescriptorError, match=":3: genus"):
         load_descriptor(path)
+
+
+@pytest.mark.parametrize("twogm2", ["7", "3/2", "t"])
+def test_load_rejects_twogm2_conflicting_with_genus(tmp_path, monkeypatch, capsys, twogm2):
+    text = "[family]\ndim_b = 1\ngenus = 2\n[characters]\ntwogm2 = %s\n" % twogm2
+    path = write(tmp_path, text)
+    message = ":5: twogm2 = %s conflicts with genus = 2 at .*:3 \\(2g - 2 = 2\\)" % twogm2
+    with pytest.raises(DescriptorError, match=message):
+        load_descriptor(path)
+    assert _run_exit(monkeypatch, ["chern-numbers", path]) == 1
+    assert "%s:5: twogm2" % path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("genus, twogm2", [("2", "2"), ("0", "-2"), ("4/2", "6/3")])
+def test_load_accepts_consistent_genus_and_twogm2(tmp_path, genus, twogm2):
+    text = "[family]\ndim_b = 1\ngenus = %s\n[characters]\ntwogm2 = %s\n" % (genus, twogm2)
+    fam = load_descriptor(write(tmp_path, text))
+    assert fam.char("twogm2") == CharPoly.const(2 * Fraction(genus) - 2)
 
 
 def test_load_parse_error_has_line_number(tmp_path):

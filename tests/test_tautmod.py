@@ -1,8 +1,10 @@
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hilbtaut.basering import BaseClass
 from hilbtaut.charpoly import CharPoly
@@ -17,9 +19,11 @@ from hilbtaut.tautmod import (
     integrate,
     mult_D,
     nu_coeff,
+    scroll_divisor,
     small_diag_gamma,
     to_data,
     twist,
+    twists,
 )
 
 
@@ -320,6 +324,118 @@ def test_twist_unit_pullback_keeps_a_top_codimension_key():
         low: CharPoly.const(5),
         ((("tauL", 1),), low[1]): CharPoly.const(10),
     }
+
+
+BOUNDARY_BASE = ("psi_x", "psi_y", "tauL")
+BOUNDARY_FIBER = ("L", "omega", "theta_x", "theta_y")
+
+
+def names_mono(names):
+    """The monomial multiplying the symbols `names` (repeats give powers)."""
+    return tuple(sorted(Counter(names).items()))
+
+
+def names_of(symbols, max_size):
+    return st.lists(st.sampled_from(symbols), max_size=max_size).map(tuple)
+
+
+@st.composite
+def twist_cases(draw):
+    """(dim_b, m, payload terms, divisors) as plain data, for `build_twist_case`.
+
+    A term is (constant, coefficient of the symbol a, base symbols,
+    [(block size, twist symbols), ...]); a divisor is ("D", n, j) or
+    ("free", [(base symbols, c), ...], [(symbols, c), ...]).
+    """
+    dim_b = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=1, max_value=3))
+    terms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=m - 1))) if m > 1 else [])
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [m])]
+        blocks = [(n, draw(names_of(BOUNDARY_FIBER, 1))) for n in sizes]
+        coeff = draw(st.tuples(st.integers(-3, 3), st.integers(-2, 2)))
+        terms.append(coeff + (draw(names_of(BOUNDARY_BASE, 2)), blocks))
+    scalars = st.integers(-3, 3).filter(bool)
+    divisors = draw(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=2, max_value=5).flatmap(
+                    lambda n: st.tuples(st.just("D"), st.just(n), st.integers(1, n))
+                ),
+                st.tuples(
+                    st.just("free"),
+                    st.lists(st.tuples(names_of(BOUNDARY_BASE, 2), scalars), max_size=3),
+                    st.lists(
+                        st.tuples(names_of(BOUNDARY_BASE + BOUNDARY_FIBER, 2), scalars),
+                        max_size=3,
+                    ),
+                ),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return dim_b, m, terms, divisors
+
+
+def build_twist_case(dim_b, m, terms, divisors):
+    bd = FamilyDescriptor(dim_b + 1, nodes=[Node("s", 1)]).boundary_family("s")
+    ring = bd.total_ring
+    payload = TautClass(bd, m)
+    for c0, ca, base, blocks in terms:
+        coeff = CharPoly.const(c0) + CharPoly.symbol("a") * ca
+        pairs = [(n, BaseClass(ring, {names_mono(names): 1})) for n, names in blocks]
+        base = BaseClass(ring, {names_mono(base): 1})
+        payload.accumulate(TautClass.from_twists(bd, m, pairs, coeff=coeff, base=base))
+    out = []
+    for kind, *data in divisors:
+        if kind == "D":
+            out.append(scroll_divisor(bd, *data))
+            continue
+        pull, norm = (BaseClass(ring, {names_mono(names): c for names, c in part}) for part in data)
+        # a missing part is None, a zero one the empty BaseClass
+        out.append((pull or None, norm))
+    return payload, out
+
+
+TOP_KEY = [(1, 0, ("psi_x",), [(2, ("L",))])]  # psi_x * Gamma_(2)[L] on dim_b = 1
+
+
+@given(twist_cases())
+@settings(max_examples=80, deadline=None)
+# keys at top codimension, with the scroll divisors paired as gamma_action pairs them:
+# j = 1 (no psi_y in D^n_1) and j = n - 1 (no psi_x in D^n_n)
+@example((1, 2, TOP_KEY, [("D", 3, 1), ("D", 3, 2)]))
+@example((1, 2, TOP_KEY + [(0, 1, (), [(1, ("theta_x",)), (1, ())])], [("D", 4, 3), ("D", 4, 4)]))
+# transfer's pair: a pullback holding the unit monomial, then D^n_(j+1)
+@example(
+    (
+        2,
+        2,
+        [(2, 0, ("tauL",), [(1, ("L",)), (1, ("theta_x",))]), (5, 0, (), [(1, ("L",)), (1, ())])],
+        [("free", [((), 1), (("tauL",), 2)], []), ("D", 3, 2)],
+    )
+)
+# a zero divisor between two nonzero ones
+@example(
+    (
+        3,
+        3,
+        [(1, 1, ("psi_y",), [(2, ("omega",)), (1, ("theta_y",))])],
+        [("D", 2, 1), ("free", [], []), ("D", 2, 2)],
+    )
+)
+def test_one_twist_pass_equals_separate_twists(case):
+    payload, divisors = build_twist_case(*case)
+    got = twists(payload, divisors)
+    assert got == [twist(payload, pullback, norm) for pullback, norm in divisors]
+    top = payload.space_dim()
+    for (pullback, norm), cls in zip(divisors, got):
+        assert cls.m == payload.m and cls.fam is payload.fam
+        assert all(c <= top for c in cls.codim_parts())
+        if not pullback and not norm:
+            assert not cls
 
 
 def test_gamma_powers_are_pinned():
