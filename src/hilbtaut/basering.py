@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lincomb import LinComb, add_term, exact, format_sum, mono_str
+from .lincomb import LinComb, add_term, exact, format_sum, merge_monos, mono_str
 
 
 _UNSET = object()
@@ -43,11 +43,10 @@ class Ring:
     def degree(mono):
         return sum(p for _, p in mono)
 
-    def base_part(self, mono):
-        return tuple((n, p) for n, p in mono if n in self.base)
-
-    def fiber_part(self, mono):
-        return tuple((n, p) for n, p in mono if n not in self.base)
+    def split(self, base_mono, mono):
+        """(base_mono times the pulled-back symbols of `mono`, the rest of `mono`)."""
+        pulled = tuple((n, p) for n, p in mono if n in self.base)
+        return merge_monos(base_mono, pulled), tuple((n, p) for n, p in mono if n not in self.base)
 
     def normalize_monomial(self, mono):
         """Canonical (sign, monomial) for a raw exponent map, or None if zero.

@@ -319,14 +319,17 @@ def _parse_base_class(fam, text):
     if text == "1":
         return out
     for factor in text.split("*"):
-        name, _, power = factor.partition("^")
-        name, power = name.strip(), power.strip() or "1"
+        name, caret, power = (part.strip() for part in factor.partition("^"))
+        power = power if caret else "1"
         if name not in ring.symbols or not power.isdecimal():
             raise click.BadParameter(
                 "%r is not a power of one of %s" % (factor, ", ".join(sorted(ring.symbols))),
                 param_hint="'--beta'",
             )
-        out = out * (BaseClass.gen(ring, name) ** int(power))
+        # int() refuses thousands of digits; a symbol has degree 1, so such a power is 0
+        digits = power.lstrip("0") or "0"
+        exponent = int(digits) if len(digits) <= 18 else ring.dim + 1
+        out = out * (BaseClass.gen(ring, name) ** exponent)
     return out
 
 

@@ -148,57 +148,42 @@ def symbolic_family(dim_b=1):
 def integrate_classes(fam: FamilyDescriptor, factors):
     """Top-degree integral over a fiber product of the family's total space.
 
-    `factors` is one BaseClass per fiber factor; a single class integrates
-    over the total space itself.  Raises ValueError on degree mismatch.
+    `factors` is a list of BaseClasses, one per fiber factor; `[cls]`
+    integrates over the total space itself.  Raises ValueError on degree mismatch.
     """
-    if not isinstance(factors, (list, tuple)):
-        factors = [factors]
-    ring = factors[0].ring
     total = CharPoly()
     for slots, coeff in expand(factors):
-        total.accumulate(fiber_integral(fam, ring, slots), coeff)
+        total.accumulate(fiber_integral(fam, slots), coeff)
     return total
 
 
-def fiber_integral(fam: FamilyDescriptor, ring, slot_monos, base_mono=()):
+def fiber_integral(fam: FamilyDescriptor, slot_monos, base_mono=()):
     """Integrate a product of per-factor monomials over a fiber product of X/base.
 
-    Each slot contributes one curve factor of the fiber product; `base_mono`
-    is pulled back from the base.  The factors push down the fibration one at
-    a time: a degree-1 fiber factor contributes its fiber degree, a degree-2
-    factor its total-space integral (a degree-1 class on the base).  Over a
-    1-dimensional base this forces exactly one degree-2 factor; over a point
-    base all factors have degree 1.
+    Each slot contributes one curve factor of the fiber product and holds
+    only fiber symbols; `base_mono` is pulled back from the base.  The
+    factors push down the fibration one at a time: a degree-1 fiber factor
+    contributes its fiber degree, a degree-2 factor its total-space integral
+    (a degree-1 class on the base).  Over a 1-dimensional base this forces
+    exactly one degree-2 factor; over a point base all factors have degree 1.
 
     Raises ValueError when the total degree is not top-dimensional.
     """
-    base_dim = fam.dim_b
-    # split off base pullbacks hiding inside slots
-    base_powers = {}
-    for name, p in base_mono:
-        base_powers[name] = base_powers.get(name, 0) + p
-    fibers = []
-    for mono in slot_monos:
-        fibers.append(ring.fiber_part(mono))
-        for name, p in ring.base_part(mono):
-            base_powers[name] = base_powers.get(name, 0) + p
-    base_mono = tuple(sorted((n, p) for n, p in base_powers.items() if p))
+    fdegs = [sum(p for _, p in mono) for mono in slot_monos]
     tdeg = sum(p for _, p in base_mono)
-
-    fdegs = [sum(p for _, p in f) for f in fibers]
-    if any(d == 0 for d in fdegs):
-        # pushforward of a pure pullback along a curve fibration vanishes
-        return CharPoly()
-    excess = sum(d - 1 for d in fdegs)
-    if excess + tdeg != base_dim:
+    excess = sum(fdegs) - len(fdegs)
+    if excess + tdeg != fam.dim_b:
         raise ValueError(
             "not top-dimensional: base degree %d + fiber excess %d != base dim %d"
-            % (tdeg, excess, base_dim)
+            % (tdeg, excess, fam.dim_b)
         )
+    if 0 in fdegs:
+        # pushforward of a pure pullback along a curve fibration vanishes
+        return CharPoly()
 
     value = CharPoly.const(1)
-    pushed = []  # degree->1+ classes on the base, as (kind, data)
-    for mono, d in zip(fibers, fdegs):
+    pushed = []  # factors of degree >= 2, integrated over the base
+    for mono, d in zip(slot_monos, fdegs):
         if d == 1:
             value = value * fam.fiber_degree(mono[0][0])
             continue
@@ -225,11 +210,13 @@ def theta_star(mono):
             return None
         if name == "L":
             powers["tauL"] = powers.get("tauL", 0) + p
-        elif name == "pt":
-            return None
         else:
             raise AssertionError("unexpected symbol %r at a node" % name)
     return tuple(sorted(powers.items()))
+
+
+# integrals over X of the degree-2 total-space monomials, base of dimension 1
+_NAMED_INTEGRALS = {(("L", 2),): "b", (("L", 1), ("omega", 1)): "Lomega", (("omega", 2),): "omega2"}
 
 
 def _base_integral(fam, base_mono, pushed):
@@ -249,7 +236,8 @@ def _base_integral(fam, base_mono, pushed):
         assert not base_mono and not pushed
         result = CharPoly.const(1)
     elif base_dim == 1 and not base_mono and len(pushed) == 1 and node is None:
-        result = main_pushforward_char(fam, pushed[0])
+        # the total space over a curve base has only the fiber symbols L, omega
+        result = fam.char(_NAMED_INTEGRALS[pushed[0]])
     else:
         where = node.node_id if node is not None else fam.label
         key = "IT[%s|%s|%s]" % (
@@ -264,16 +252,3 @@ def _base_integral(fam, base_mono, pushed):
     if tau_value is not None:
         result = result * tau_value
     return result
-
-
-def main_pushforward_char(fam, mono):
-    """Integral over X of a degree-2 total-space monomial (base of dimension 1)."""
-    named = {
-        (("L", 2),): "b",
-        (("L", 1), ("omega", 1)): "Lomega",
-        (("omega", 2),): "omega2",
-    }
-    mono = tuple(sorted(mono))
-    if mono in named:
-        return fam.char(named[mono])
-    return CharPoly.symbol("PF[%s|%s]" % (fam.label, mono_str(mono)))

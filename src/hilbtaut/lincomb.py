@@ -164,11 +164,16 @@ class LinComb:
     # -- monomial-keyed combinations (one sector, keys from `merge_monos`) -----------
 
     def __pow__(self, n):
-        """The n-th power by repeated products, from the unit (the empty monomial)."""
+        """The n-th power by repeated products, from the unit (the empty monomial).
+
+        Stops once the power is zero, so a huge n of a nilpotent class is quick.
+        """
         if n < 0:
             raise ValueError("negative power %d of a polynomial" % n)
         out = self._like({(): 1})
         for _ in range(n):
+            if not out:
+                break
             out = out * self
         return out
 

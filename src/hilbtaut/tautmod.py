@@ -126,7 +126,7 @@ class TautClass(LinComb):
             blocks = []
             for (n, _), mono in zip(pairs, monos):
                 # move pulled-back symbols out of the slots
-                base_mono, fiber = split_twist(ring, base_mono, mono)
+                base_mono, fiber = ring.split(base_mono, mono)
                 blocks.append((n, fiber))
             out.add_diag(base_mono, blocks, coeff * c)
         return out
@@ -299,7 +299,7 @@ def gamma_action(tc: TautClass) -> TautClass:
                     num = sign * n1 * n2 * (mult[n1 + n2] + 1)
                     factor = exact(Fraction(num, mult[n1] * (mult[n2] - (n1 == n2))))
                     rest = blocks[:i] + blocks[i + 1 : k] + blocks[k + 1 :]
-                    new_base, fiber = split_twist(ring, base_mono, mono)
+                    new_base, fiber = ring.split(base_mono, mono)
                     key = new_base, tc._sorted_blocks(rest + ((n1 + n2, fiber),))
                     _add_scaled(diag, key, coeff, factor)
             # interior multiplication by omega within each block
@@ -310,7 +310,7 @@ def gamma_action(tc: TautClass) -> TautClass:
                 if prod is None:
                     continue
                 sign, new_mono = prod
-                new_base, fiber = split_twist(ring, base_mono, new_mono)
+                new_base, fiber = ring.split(base_mono, new_mono)
                 key = new_base, tc._sorted_blocks(blocks[:i] + ((n, fiber),) + blocks[i + 1 :])
                 _add_scaled(diag, key, coeff, -sign * comb(n, 2))
         # boundary terms: one scroll per node, per block of size >= 2, per j
@@ -367,11 +367,6 @@ def _add_scaled(acc, key, coeff, factor):
 def _finished(acc):
     """The diagonal sector held by the accumulator `acc` of `_add_scaled`."""
     return {key: from_terms(terms) for key, terms in acc.items() if terms}
-
-
-def split_twist(ring, base_mono, mono):
-    """Move the pulled-back symbols of a block twist into the base monomial."""
-    return merge_monos(base_mono, ring.base_part(mono)), ring.fiber_part(mono)
 
 
 def phi_star(bd, terms):
@@ -454,7 +449,7 @@ def twists(tc: TautClass, divisors) -> list:
                 if prod is None:
                     continue
                 sign, new_mono = prod
-                new_base, fiber = split_twist(ring, base_mono, new_mono)
+                new_base, fiber = ring.split(base_mono, new_mono)
                 key = new_base, tc._sorted_blocks(blocks[:i] + ((n, fiber),) + blocks[i + 1 :])
                 for d, c in coeffs:
                     _add_scaled(accs[d], key, coeff, n * sign * c)
@@ -569,14 +564,9 @@ def integrate(tc: TautClass) -> CharPoly:
     1/aut(mu) symmetrization normalization; node sections project with degree
     one onto the boundary Hilbert scheme; bare scrolls integrate to zero.
     """
-    fam = tc.fam
     total = CharPoly()
-    dim = tc.space_dim()
     for (base_mono, blocks), coeff in tc.diag.items():
-        if tc._diag_codim(base_mono, blocks) != dim:
-            raise ValueError("not top-dimensional: %s" % ((base_mono, blocks),))
-        slots = [mono for _, mono in blocks]
-        value = fiber_integral(fam, tc.ring, slots, base_mono=base_mono)
+        value = fiber_integral(tc.fam, [mono for _, mono in blocks], base_mono)
         total.accumulate(value * coeff, Fraction(1, aut_count(n for n, _ in blocks)))
     for payload in tc.section.values():
         total.accumulate(integrate(payload))
@@ -596,9 +586,7 @@ def pushforward_to_base(tc: TautClass):
         raise NotImplementedError("base pushforward implemented for degree 2")
     interior = CharPoly()
     boundary = CharPoly()
-    for (base_mono, blocks), coeff in tc.diag.items():
-        if base_mono:
-            raise NotImplementedError
+    for (_, blocks), coeff in tc.diag.items():
         value = CharPoly.const(1)
         for _, mono in blocks:
             value = value * _kappa_symbol(mono)

@@ -23,7 +23,7 @@ from math import comb
 from .basering import BaseClass
 from .charpoly import CharPoly
 from .family import FamilyDescriptor, integrate_classes, theta_star
-from .tautmod import TautClass, mult_D, nu_coeff, phi_star, scroll_divisor, split_twist, twists
+from .tautmod import TautClass, mult_D, nu_coeff, phi_star, scroll_divisor, twists
 
 # -- the flaglet transfer -----------------------------------------------------------
 
@@ -45,7 +45,7 @@ def transfer(tc: TautClass, beta: BaseClass = None, variant="j") -> TautClass:
     for (base_mono, blocks), coeff in tc.diag.items():
         singles = sum(1 for n, _ in blocks if n == 1)
         for mono, mc in beta.terms.items():
-            new_base, fiber = split_twist(ring, base_mono, mono)
+            new_base, fiber = ring.split(base_mono, mono)
             out.add_diag(new_base, blocks + ((1, fiber),), coeff * (mc * (singles + 1)))
 
     for (node_id, n, j), payload in tc.scroll.items():
@@ -197,7 +197,7 @@ def integrate_punctual_degree2(fam, pc: PunctualClass) -> CharPoly:
     """
     if fam.dim_b != 1:
         raise ValueError("numeric punctual integration needs a 1-dimensional base")
-    total = integrate_classes(fam, pc.interior.graded_part(2))
+    total = integrate_classes(fam, [pc.interior.graded_part(2)])
     for node in fam.nodes:
         for cls in pc.section[node.node_id].values():
             total.accumulate(node.weight, cls.terms.get((), 0))

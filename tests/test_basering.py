@@ -196,7 +196,7 @@ def test_integrate_fiber_product():
 def test_integrate_zero_class():
     fam = symbolic_family(1)
     ring = fam.total_ring
-    assert not integrate_classes(fam, BaseClass(ring))
+    assert not integrate_classes(fam, [BaseClass(ring)])
 
 
 def test_integrate_two_excess_factors_vanishes():

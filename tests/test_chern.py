@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -28,7 +29,7 @@ from hilbtaut.chern import (
     w3_monomial,
 )
 from hilbtaut.tautmod import gamma_action, gamma_power, pushforward_to_base, twist
-from hilbtaut.tautmod import TautClass, gamma_as_class, to_data
+from hilbtaut.tautmod import TautClass, gamma_as_class, integrate, to_data
 from hilbtaut.transfer import transfer
 
 
@@ -400,6 +401,61 @@ def test_double_point_count_plane_maps(fam):
     k0 = sym("kappa_0")
     # per-fiber count (d-1)(d-2)/2 - g with d = kappaL_0, 2g - 2 = kappa_0
     assert interior == kL0 * kL0 * Fraction(1, 2) - kL0 * Fraction(3, 2) - k0 * Fraction(1, 2)
+
+
+THREE_NODE_FAMILY = FamilyDescriptor(
+    1,
+    chars={"d": 5, "b": 3, "Lomega": -2, "omega2": 7, "twogm2": 4},
+    nodes=[Node("p", 2, tau_L=0), Node("q", Fraction(1, 3), tau_L=0), Node("r", 5, tau_L=0)],
+)
+
+
+def _degree3_classes_on_hilb2(fam):
+    """Every degree-3 flag monomial in L1, L2, G2 pushed down, and the P^3 double points."""
+    for a in range(4):
+        for b in range(4 - a):
+            expr = flag_L(1) ** a * flag_L(2) ** b * flag_G(2) ** (3 - a - b)
+            yield "L1^%d*L2^%d*G2^%d" % (a, b, 3 - a - b), pushdown(fam, 2, expr)
+    yield "double points", double_point_class(fam, projective_target(3))
+
+
+@pytest.mark.parametrize("family", [symbolic_family(1), THREE_NODE_FAMILY])
+def test_pushforward_to_base_integrates_to_the_degree(family):
+    # integrating the base image over the curve base gives the class's degree:
+    # each kappa symbol is a pushforward of X/B, each node term one point of B
+    kappas = {"kappaL_0": "d", "kappa_0": "twogm2", "kappaL_1": "b",
+              "kappaLw_0_0": "Lomega", "kappa_1": "omega2"}
+    bindings = {k: family.char(v) for k, v in kappas.items()}
+    bindings.update({"delta[%s|1]" % node.node_id: 1 for node in family.nodes})
+    with_boundary = 0
+    for name, cls in _degree3_classes_on_hilb2(family):
+        interior, boundary = pushforward_to_base(cls)
+        with_boundary += bool(boundary)
+        pushed = interior.substitute(bindings) + boundary.substitute(bindings)
+        assert pushed == integrate(cls), name
+    assert with_boundary
+
+
+def _bound_tau_family(tau_L):
+    return FamilyDescriptor(2, nodes=[Node("s", CharPoly.symbol("sigma"), tau_L=tau_L)])
+
+
+def test_node_fixing_theta_star_L_to_zero_kills_its_tauL_integrals():
+    # over a surface base, a node with tau_L = 0 integrates like the unbound
+    # node with every boundary integral of a tauL monomial set to 0
+    bound, free = _bound_tau_family(0), _bound_tau_family(None)
+    with_tau = 0
+    for m in (2, 3):
+        symbols = ["L%d" % i for i in range(1, m + 1)] + ["G%d" % i for i in range(2, m + 1)]
+        for exps in product(range(m + 3), repeat=len(symbols)):
+            if sum(exps) != m + 2:
+                continue
+            expr = CharPoly({tuple((s, e) for s, e in zip(symbols, exps) if e): 1})
+            unbound = integrate_w(free, m, expr)
+            zeros = {n: 0 for mono in unbound.terms for n, _ in mono if "tauL" in n}
+            with_tau += bool(zeros)
+            assert integrate_w(bound, m, expr) == unbound.substitute(zeros), exps
+    assert with_tau
 
 
 def test_double_point_first_excess_term_is_exact(fam):

@@ -304,6 +304,16 @@ def test_transfer_command(runner):
     assert "Gamma_(2,1)" in result.output
 
 
+@pytest.mark.parametrize("power", ["30000000", "1000000000", "7" * 5000])
+def test_transfer_by_a_huge_power_prints_zero(monkeypatch, capsys, power):
+    # L^k vanishes for k above the total space's dimension, however many digits k has
+    fundamental = json.dumps(to_data(gamma_power(symbolic_family(1), 1, 0)))
+    argv = ["transfer", "--class-json", fundamental, "--beta", "L^" + power]
+    monkeypatch.setattr(sys, "argv", ["hilbtaut"] + argv)
+    run()
+    assert capsys.readouterr().out == "0\n"
+
+
 def test_double_points_command(runner):
     result = runner.invoke(main, ["double-points", "--n", "3"])
     assert result.exit_code == 0
@@ -392,6 +402,8 @@ def _run_exit(monkeypatch, argv):
         (["transfer", "--class-json", ZERO_DENOMINATOR_CLASS], "--class-json"),
         (["transfer", "--class-json", EMPTY_CLASS, "--beta", "foo"], "--beta"),
         (["transfer", "--class-json", EMPTY_CLASS, "--beta", "L^x"], "--beta"),
+        (["transfer", "--class-json", EMPTY_CLASS, "--beta", "L^"], "--beta"),
+        (["transfer", "--class-json", EMPTY_CLASS, "--beta", "L^ *omega"], "--beta"),
         *(
             (["transfer", "--class-json", json.dumps(c)], "--class-json")
             for c in MALFORMED_CLASSES
