@@ -158,9 +158,10 @@ def chern_closed_form(fam: FamilyDescriptor, m) -> TautClass:
     times the reduced diagonal class with a (1 + L) twist in every block.
     In the unreduced ordered normalization the coefficient picks up the
     factor aut(mu) * chi(mu) familiar from the symmetrized statement, where
-    chi(mu) = prod over the blocks of (n-1)!.  This is the node-free part;
-    node families pick up scroll and section corrections computed by the
-    splitting pushdown.
+    chi(mu) = prod over the blocks of (n-1)!.  It is the whole diagonal
+    sector of `chern_class_on_hilb`.  On node families that class may also
+    hold node terms, but each diagonal term of their payloads carries a base
+    monomial above the boundary base's dimension: they are zero classes.
     """
     ring = fam.total_ring
     one_plus_l = BaseClass.unit(ring) + BaseClass.gen(ring, "L")
@@ -282,9 +283,13 @@ def double_point_class(fam: FamilyDescriptor, target) -> TautClass:
     where both points carry the same class, so c_{n-i}(T) can sit on L_1.
     The sign of the diagonal-excess sum is pinned by the Segre-class route
     and the classical per-fiber count (d-1)(d-2)/2 - g for plane maps; the
-    count of ordered double points is twice this class's degree.
+    count of ordered double points is twice this class's degree.  A target of
+    dimension above 2 + dim_b gives a flag polynomial above top degree: the
+    zero class, returned before anything is built.
     """
     n = target["dim"]
+    if n > 2 + fam.dim_b:
+        return TautClass(fam, 2)
     l1, l2, g2 = flag_L(1), flag_L(2), flag_G(2)
     expr = CharPoly()
     for a, b, c in target["diag"]:
@@ -300,8 +305,10 @@ def double_point_segre_route(fam: FamilyDescriptor, n) -> TautClass:
     The n-th Segre class of the dual tautological bundle pulls back to the
     2-step flag as sum_i L_1^(n-i) (L_2 - G_2)^i, pushed down and divided by
     2!.  The two routes are different flag polynomials that agree only after
-    the pushdown.
+    the pushdown.  Above top degree, n > 2 + dim_b, it is the zero class.
     """
+    if n > 2 + fam.dim_b:
+        return TautClass(fam, 2)
     l1, l2, g2 = flag_L(1), flag_L(2), flag_G(2)
     expr = CharPoly()
     for i in range(n + 1):

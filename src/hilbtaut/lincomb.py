@@ -141,12 +141,6 @@ class LinComb:
         out = self._like(*(dict(getattr(self, name)) for name in self._sectors))
         return out.accumulate(other, -1)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:

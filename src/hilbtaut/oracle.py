@@ -9,9 +9,7 @@ directly on lists, sharing nothing with the tensymmetric module it checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
-
-from .partitions import BPartition
+from itertools import combinations
 
 
 class OrderedTensor:
@@ -123,66 +121,3 @@ def symmetrize(t: OrderedTensor):
                            key=lambda b: (-b[0], b[1])))
         out[key] = out.get(key, Fraction(0)) + c
     return {k: c for k, c in out.items() if c}
-
-
-def count_block_permutations(blocks):
-    """Brute-force order of the block permutation group of a b-partition."""
-    blocks = [frozenset(b) for b in blocks]
-    count = 0
-    for perm in permutations(blocks):
-        if all(len(a) == len(b) for a, b in zip(blocks, perm)):
-            count += 1
-    return count
-
-
-def enumerate_bpartitions(m, sizes):
-    """All b-partitions of {1..m} with the given block sizes."""
-    sizes = tuple(sizes)
-    if sum(sizes) != m:
-        raise ValueError("distribution weight %d != %d" % (sum(sizes), m))
-    out = []
-
-    def rec(remaining, sizes_left, chosen):
-        if not sizes_left:
-            out.append(BPartition(chosen))
-            return
-        first = min(remaining)
-        seen = set()
-        for pos, n in enumerate(sizes_left):
-            if n in seen:
-                continue
-            seen.add(n)
-            rest_sizes = sizes_left[:pos] + sizes_left[pos + 1 :]
-            others = sorted(remaining - {first})
-            for extra in combinations(others, n - 1):
-                block = frozenset((first,) + extra)
-                rec(remaining - block, rest_sizes, chosen + [block])
-
-    rec(frozenset(range(1, m + 1)), sizes, [])
-    return out
-
-
-# -- projective line degrees -----------------------------------------------------------
-
-
-def p1_jet_chern(m, n):
-    """First Chern number of the (n-1)-jet bundle of O(m) on the projective line.
-
-    Computed through the filtration with graded pieces O(m - 2i): the sum of
-    m - 2i for i = 0..n-1.
-    """
-    return sum(m - 2 * i for i in range(n))
-
-
-def p1_diagonal_degree(m, n):
-    """Degree in P^m of the locus of divisors with an n-fold point, via jets.
-
-    The locus is the degeneracy locus of n generic sections of the jet bundle
-    of O(m), so its degree is the first Chern number of that bundle.  The
-    degenerate case n = 1 imposes no condition and returns 1.
-    """
-    if not 1 <= n <= m:
-        raise ValueError("need 1 <= n <= m")
-    if n == 1:
-        return 1
-    return p1_jet_chern(m, n)

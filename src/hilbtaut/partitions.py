@@ -1,45 +1,15 @@
-"""Block-size tuples (distributions) and b-partitions.
+"""Block-size tuples (distributions) and their automorphism counts.
 
 A distribution is the nonincreasing tuple of its block sizes, e.g. (2, 1, 1);
 size n occurs mu(n) times.  Diagonal loci in the Hilbert scheme are indexed by
-distributions; the ordered checker model uses labelled b-partitions instead.
+distributions; the ordered checker model labels the points of each block
+instead, and `aut_count` is the degree that forgetting the labels divides by.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from math import factorial
-
-
-class BPartition:
-    """Ordered block partition of {1..m}: disjoint nonempty blocks covering all."""
-
-    __slots__ = ("blocks", "m")
-
-    def __init__(self, blocks):
-        blocks = tuple(frozenset(b) for b in blocks)
-        seen = set()
-        for b in blocks:
-            if not b:
-                raise ValueError("empty block")
-            if seen & b:
-                raise ValueError("blocks are not disjoint")
-            seen |= b
-        if seen and seen != set(range(1, max(seen) + 1)):
-            raise ValueError("blocks must cover {1..m}")
-        self.blocks = blocks
-        self.m = len(seen)
-
-    def distribution(self):
-        return tuple(sorted((len(b) for b in self.blocks), reverse=True))
-
-    def __eq__(self, other):
-        return isinstance(other, BPartition) and sorted(map(sorted, self.blocks)) == sorted(
-            map(sorted, other.blocks)
-        )
-
-    def __repr__(self):
-        return "BPartition(%r)" % ([sorted(b) for b in self.blocks],)
 
 
 def aut_count(sizes) -> int:

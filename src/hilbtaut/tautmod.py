@@ -133,17 +133,6 @@ class TautClass(LinComb):
 
     # -- inspection ----------------------------------------------------------------
 
-    def codim_parts(self):
-        """Set of codimensions present (diagnostic)."""
-        out = set()
-        for (base_mono, blocks), _ in self.diag.items():
-            out.add(self._diag_codim(base_mono, blocks))
-        for (node_id, n, j), p in self.scroll.items():
-            out |= {n + c for c in p.codim_parts()} or {n}
-        for (node_id, n, j), p in self.section.items():
-            out |= {n + 1 + c for c in p.codim_parts()} or {n + 1}
-        return out
-
     def render(self):
         """Human-readable text form."""
         pieces = []
@@ -499,41 +488,7 @@ def _mult_e(tc: TautClass, n, j) -> TautClass:
     return out
 
 
-def gamma_power_on_scroll(fam, m, node_id, n, j, payload, ell) -> TautClass:
-    """(-Gamma)^ell applied to the twisted scroll F^{n,m}_j(node)[payload].
-
-    Closed form through the polarized rank-2 structure:
-    (-G)^ell F[P] = (-G) F[h_{ell-1}(e_j, e_{j+1}) P] - F[e_j e_{j+1} h_{ell-2}(e) P]
-    with h_k the complete homogeneous symmetric polynomial of degree k.
-    """
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    out = TautClass(fam, m)
-    if ell == 0:
-        out.add_scroll(node_id, n, j, payload)
-        return out
-    h = _complete_homog(payload, n, j, ell - 1)
-    out.add_section(node_id, n, j, h[ell - 1])
-    if ell >= 2:
-        out.add_scroll(node_id, n, j, -_mult_e(_mult_e(h[ell - 2], n, j + 1), n, j))
-    return out
-
-
-def _complete_homog(payload, n, j, k):
-    """[h_0, ..., h_k](e_j, e_{j+1}) applied to the payload, in one pass.
-
-    h_i = e_j h_(i-1) + e_(j+1)^i, carrying the power e_(j+1)^i P: 2k
-    applications of `_mult_e` in all.
-    """
-    h = [payload]
-    power = payload
-    for _ in range(k):
-        power = _mult_e(power, n, j + 1)
-        h.append(_mult_e(h[-1], n, j) + power)
-    return h
-
-
-# -- powers, small diagonal, integration ------------------------------------------
+# -- powers and integration -------------------------------------------------------
 
 
 def gamma_power(fam, m, k) -> TautClass:
@@ -546,15 +501,6 @@ def gamma_power(fam, m, k) -> TautClass:
             break
         out = gamma_action(out)
     return out
-
-
-def small_diag_gamma(fam, m) -> TautClass:
-    """Discriminant times the small diagonal: scroll chain minus binom(m,2) omega."""
-    if m < 2:
-        raise ValueError("small diagonal needs m >= 2")
-    small = TautClass(fam, m)
-    small.add_diag((), ((m, ()),), 1)
-    return gamma_action(small)
 
 
 def integrate(tc: TautClass) -> CharPoly:

@@ -1,0 +1,67 @@
+"""Reference code the tests compare the engine against.
+
+Closed forms and brute forces that no part of the package runs: the codimensions
+a class holds, the discriminant powers on a scroll through the polarized
+rank-2 structure, and the labelled block partitions of a distribution.
+"""
+
+from itertools import permutations
+
+from hilbtaut.tautmod import TautClass, gamma_action, mult_D
+
+
+def codim_parts(cls):
+    """The set of codimensions of the terms of a tautological class."""
+    out = {cls._diag_codim(base_mono, blocks) for base_mono, blocks in cls.diag}
+    for (_, n, _), p in cls.scroll.items():
+        out |= {n + c for c in codim_parts(p)} or {n}
+    for (_, n, _), p in cls.section.items():
+        out |= {n + 1 + c for c in codim_parts(p)} or {n + 1}
+    return out
+
+
+def mult_e(payload, n, j):
+    """e^n_j P = D^n_j P - Gamma P on a boundary payload P."""
+    out = mult_D(payload, n, j)
+    if payload.m >= 2:
+        out.accumulate(gamma_action(payload), -1)
+    return out
+
+
+def gamma_power_on_scroll(fam, m, node_id, n, j, payload, ell):
+    """(-Gamma)^ell applied to the twisted scroll F^{n,m}_j(node)[payload].
+
+    Closed form through the polarized rank-2 structure:
+    (-G)^ell F[P] = (-G) F[h_{ell-1}(e_j, e_{j+1}) P] - F[e_j e_{j+1} h_{ell-2}(e) P]
+    with h_k the complete homogeneous symmetric polynomial of degree k,
+    h_i = e_j h_(i-1) + e_(j+1)^i.
+    """
+    out = TautClass(fam, m)
+    if ell == 0:
+        out.add_scroll(node_id, n, j, payload)
+        return out
+    h = [payload]
+    power = payload
+    for _ in range(ell - 1):
+        power = mult_e(power, n, j + 1)
+        h.append(mult_e(h[-1], n, j) + power)
+    out.add_section(node_id, n, j, h[ell - 1])
+    if ell >= 2:
+        out.add_scroll(node_id, n, j, -mult_e(mult_e(h[ell - 2], n, j + 1), n, j))
+    return out
+
+
+def block_partitions(mu):
+    """The distinct set partitions of {1..m} into blocks of the sizes mu.
+
+    Brute force: cut every permutation of {1..m} into consecutive blocks of
+    sizes mu and keep each resulting set of blocks once.
+    """
+    out = set()
+    for perm in permutations(range(1, sum(mu) + 1)):
+        blocks, start = [], 0
+        for n in mu:
+            blocks.append(frozenset(perm[start : start + n]))
+            start += n
+        out.add(frozenset(blocks))
+    return out

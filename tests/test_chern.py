@@ -31,6 +31,7 @@ from hilbtaut.chern import (
 from hilbtaut.tautmod import gamma_action, gamma_power, pushforward_to_base, twist
 from hilbtaut.tautmod import TautClass, gamma_as_class, integrate, to_data
 from hilbtaut.transfer import transfer
+from reference import codim_parts
 
 
 def sym(name):
@@ -267,17 +268,37 @@ def test_closed_form_matches_splitting_nodefree():
         assert chern_closed_form(nofam, m) == chern_class_on_hilb(nofam, m)
 
 
+# the families with nodes and dim_b >= 1 whose Chern node sectors and
+# over-top double points are pinned
+NODE_FAMILIES = [symbolic_family(k) for k in (1, 2, 3)] + [
+    FamilyDescriptor(2, nodes=[Node("p", sym("w"), tau_L=3), Node("q", 1)]),
+    THREE_NODES,
+]
+
+
+def _node_payload_degrees(cls):
+    """(base degree, payload base dimension) of each diagonal term of each node payload."""
+    for sector in (cls.scroll, cls.section):
+        for payload in sector.values():
+            for base_mono, _ in payload.diag:
+                yield sum(p for _, p in base_mono), payload.fam.dim_b
+            yield from _node_payload_degrees(payload)
+
+
 def test_closed_form_matches_diagonal_sector_nodal(fam):
-    for m in (2, 3):
-        closed = chern_closed_form(fam, m)
-        full = chern_class_on_hilb(fam, m)
-        assert closed.diag == full.diag
-    assert chern_class_on_hilb(fam, 3).scroll  # node corrections are present
+    # the closed form is the whole diagonal sector; the node terms carry base
+    # monomials above the boundary base's dimension, so they are zero classes
+    for f in NODE_FAMILIES:
+        for m in range(1, 6):
+            full = chern_class_on_hilb(f, m)
+            assert chern_closed_form(f, m).diag == full.diag, (f.dim_b, m)
+            assert all(deg > dim_b for deg, dim_b in _node_payload_degrees(full)), (f.dim_b, m)
+    assert chern_class_on_hilb(fam, 3).scroll  # node terms are present
 
 
 def test_closed_form_truncation(fam):
     cls = chern_closed_form(fam, 3)
-    assert max(cls.codim_parts()) <= 3 + fam.dim_b
+    assert max(codim_parts(cls)) <= 3 + fam.dim_b
 
 
 # -- Chern numbers, trisecants --------------------------------------------------------
@@ -392,6 +413,13 @@ def test_double_point_routes_agree():
             formula = double_point_class(f, projective_target(n))
             segre = double_point_segre_route(f, n)
             assert formula == segre, (f.dim_b, n)
+    # above the top degree 2 + dim_b both routes give the zero class at once
+    for f in [symbolic_family(0)] + NODE_FAMILIES:
+        top = 2 + f.dim_b
+        for n in list(range(top + 1, top + 5)) + [400]:
+            zero = TautClass(f, 2)
+            formula = double_point_class(f, projective_target(n))
+            assert formula == zero == double_point_segre_route(f, n), (f.dim_b, n)
 
 
 def test_double_point_count_plane_maps(fam):

@@ -5,18 +5,11 @@ from math import factorial
 
 from hilbtaut.basering import BaseClass, make_total_space_ring
 from hilbtaut.family import FamilyDescriptor
-from hilbtaut.oracle import (
-    OrderedTensor,
-    enumerate_bpartitions,
-    ordered_disc,
-    ordered_union,
-    p1_diagonal_degree,
-    p1_jet_chern,
-    symmetrize,
-)
+from hilbtaut.oracle import OrderedTensor, ordered_disc, ordered_union, symmetrize
 from hilbtaut.partitions import aut_count, enumerate_distributions
 from hilbtaut.tensym import TensorClass, discriminant_op, u_omega_total
 from hilbtaut.tautmod import TautClass, gamma_as_class, gamma_power, integrate, twist
+from reference import block_partitions
 
 
 def ring():
@@ -91,7 +84,7 @@ def test_symmetrization_degrees():
     for mu in enumerate_distributions(5):
         if sum(mu) < 2:
             continue
-        bps = enumerate_bpartitions(sum(mu), mu)
+        bps = block_partitions(mu)
         # the number of labeled models equals weight! / (aut * prod sizes!)
         expected = factorial(sum(mu))
         for n, k in Counter(mu).items():
@@ -160,16 +153,10 @@ def test_node_free_random_twisted_powers():
         assert phi(taut) == pruned
 
 
-def test_p1_jet_degrees():
-    for m in range(2, 7):
-        for n in range(2, m + 1):
-            assert p1_jet_chern(m, n) == n * (m - n + 1)
-            assert p1_diagonal_degree(m, n) == n * (m - n + 1)
-    assert p1_diagonal_degree(4, 1) == 1
-
-
 def test_p1_engine_degrees_match_jets():
-    # degrees of the multiple-point loci in the symmetric product of the line
+    # degrees of the multiple-point loci in the symmetric product of the line:
+    # the first Chern number of the (n-1)-jet bundle of O(m), whose filtration
+    # has graded pieces O(m - 2i)
     for m in range(2, 6):
         for n in range(2, m + 1):
             fam = FamilyDescriptor(0, chars={"d": 1}, label="line")
@@ -177,4 +164,5 @@ def test_p1_engine_degrees_match_jets():
             cls.add_diag((), ((n, ()),) + ((1, ()),) * (m - n), 1)
             for _ in range((m - n) + 1):
                 cls = twist(cls, norm=BaseClass.gen(cls.ring, "pt"))
-            assert integrate(cls).constant_value() == p1_diagonal_degree(m, n)
+            jets = sum(m - 2 * i for i in range(n))
+            assert integrate(cls).constant_value() == jets == n * (m - n + 1), (m, n)

@@ -15,16 +15,15 @@ from hilbtaut.tautmod import (
     gamma_action,
     gamma_as_class,
     gamma_power,
-    gamma_power_on_scroll,
     integrate,
     mult_D,
     nu_coeff,
     scroll_divisor,
-    small_diag_gamma,
     to_data,
     twist,
     twists,
 )
+from reference import codim_parts, gamma_power_on_scroll
 
 
 def sym(name):
@@ -54,7 +53,9 @@ def test_nu_vectors():
 
 
 def test_small_diag_gamma(fam):
-    out = small_diag_gamma(fam, 4)
+    small = TautClass(fam, 4)
+    small.add_diag((), blocks(4), 1)
+    out = gamma_action(small)
     # -binom(4,2) omega on the small diagonal
     assert out.diag == {((), ((4, (("omega", 1),)),)): CharPoly.const(-6)}
     for j in range(1, 4):
@@ -433,7 +434,7 @@ def test_one_twist_pass_equals_separate_twists(case):
     top = payload.space_dim()
     for (pullback, norm), cls in zip(divisors, got):
         assert cls.m == payload.m and cls.fam is payload.fam
-        assert all(c <= top for c in cls.codim_parts())
+        assert all(c <= top for c in codim_parts(cls))
         if not pullback and not norm:
             assert not cls
 
@@ -521,7 +522,7 @@ def test_gamma_action_preserves_weight_and_raises_codim(fam):
     )
     out = gamma_action(cls)
     assert out.m == cls.m
-    assert {c - 1 for c in out.codim_parts()} == cls.codim_parts()
+    assert {c - 1 for c in codim_parts(out)} == codim_parts(cls)
 
 
 def test_codim_pruning(fam):

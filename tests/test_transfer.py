@@ -18,6 +18,7 @@ from hilbtaut.transfer import (
     segre_contact_step,
     transfer,
 )
+from reference import codim_parts
 
 
 def sym(name):
@@ -55,7 +56,7 @@ def test_transfer_raises_degree_preserves_codim(fam):
         cls = gamma_power(fam, m, k)
         out = transfer(cls)
         assert out.m == m + 1
-        assert cls.codim_parts() == out.codim_parts()
+        assert codim_parts(cls) == codim_parts(out)
 
 
 def test_transfer_omega_kills_section_shift(fam):
@@ -145,10 +146,10 @@ def test_psi_power_exponents(fam):
 def test_small_flag_upper_line_pushes_to_small_diagonal():
     # pushed down to the small diagonal, the upper expansion loses exactly the
     # collapsing components: -binom(m,2) omega on the block, nu(m,i) sigma on C^m_i
-    from hilbtaut.tautmod import small_diag_gamma
-
     m = 4
-    pushed = small_diag_gamma(symbolic_family(1), m)
+    small = TautClass(symbolic_family(1), m)
+    small.add_diag((), ((m, ()),), 1)
+    pushed = gamma_action(small)
     [(key, coeff)] = pushed.diag.items()
     assert key == ((), ((m, (("omega", 1),)),))
     assert coeff == CharPoly.const(-comb(m, 2))
@@ -173,12 +174,12 @@ def test_punctual_transfer_reproves_small_flag_coefficients():
 def test_small_flag_gamma_difference():
     # consecutive small diagonals: the omega blocks differ by -(m-1), and the
     # scroll components of each carry exactly nu(n, i) sigma
-    from hilbtaut.tautmod import small_diag_gamma
-
     fam = symbolic_family(1)
     omega = {}
     for n in range(2, 7):
-        pushed = small_diag_gamma(fam, n)
+        small = TautClass(fam, n)
+        small.add_diag((), ((n, ()),), 1)
+        pushed = gamma_action(small)
         [(key, coeff)] = pushed.diag.items()
         assert key == ((), ((n, (("omega", 1),)),))
         omega[n] = coeff
