@@ -15,7 +15,7 @@ down one factor per stage, never expanded.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .basering import BaseClass
 from .charpoly import CharPoly
@@ -268,7 +268,9 @@ def single_curve_trisecant_formula(chars=None) -> CharPoly:
 def projective_target(n):
     """Diagonal decomposition and tangent Chern classes of projective n-space."""
     diag = [(i, n - i, Fraction(1)) for i in range(n + 1)]
-    tangent = [Fraction(comb(n + 1, j)) for j in range(n + 1)]
+    tangent = [Fraction(1)]  # binom(n + 1, j) by one product each: comb is slow at large n
+    for j in range(1, n + 1):
+        tangent.append(tangent[-1] * (n + 2 - j) / j)
     return {"dim": n, "diag": diag, "tangent": tangent}
 
 

@@ -424,7 +424,10 @@ def double_points_cmd(n, push_to_base, descriptor, output):
 @click.option("--seed", type=int, default=0)
 @_output_option
 def oracle_check_cmd(cases, seed, output):
-    """Randomized agreement checks between the engine and the ordered model."""
+    """Check one Gamma step of `tensym` against the ordered model on random singletons.
+
+    Each case is one tensor of 2 to 5 singleton blocks, so no interior omega term arises.
+    """
     import random
 
     from .basering import make_total_space_ring

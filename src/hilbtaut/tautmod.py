@@ -78,6 +78,16 @@ class TautClass(LinComb):
             raise ValueError("blocks of weight %s in degree-%d class" % (blocks, self.m))
         return blocks
 
+    def _rekeyed(self, base_mono, rest, n, block_mono, mono):
+        """(sign, key) of block (n, block_mono * mono) beside `rest`; sign 0 if it vanishes."""
+        ring = self.fam.total_ring
+        prod = ring.merge(block_mono, mono)
+        if prod is None:
+            return 0, None
+        sign, merged = prod
+        new_base, fiber = ring.split(base_mono, merged)
+        return sign, (new_base, self._sorted_blocks(rest + ((n, fiber),)))
+
     def add_diag(self, base_mono, blocks, coeff):
         """Add a term from outside input: normalize its key, drop it above top codimension."""
         if not coeff:
@@ -266,7 +276,6 @@ def gamma_as_class(fam, m):
 def gamma_action(tc: TautClass) -> TautClass:
     """Multiply a tautological class by the discriminant polarization."""
     fam, m = tc.fam, tc.m
-    ring = tc.ring
     top = tc.space_dim()
     out = TautClass(fam, m)
     diag = {}  # owned accumulator: key -> {character monomial: scalar}
@@ -278,30 +287,23 @@ def gamma_action(tc: TautClass) -> TautClass:
             # unite pairs of blocks
             for i in range(len(blocks)):
                 for k in range(i + 1, len(blocks)):
-                    n1, mono1 = blocks[i]
-                    n2, mono2 = blocks[k]
-                    prod = ring.merge(mono1, mono2)
-                    if prod is None:
+                    (n1, mono1), (n2, mono2) = blocks[i], blocks[k]
+                    rest = blocks[:i] + blocks[i + 1 : k] + blocks[k + 1 :]
+                    sign, key = tc._rekeyed(base_mono, rest, n1 + n2, mono1, mono2)
+                    if not sign:
                         continue
-                    sign, mono = prod
                     # aut(united) / aut(mu); mult[n2] drops by one once the n1 block is gone
                     num = sign * n1 * n2 * (mult[n1 + n2] + 1)
                     factor = exact(Fraction(num, mult[n1] * (mult[n2] - (n1 == n2))))
-                    rest = blocks[:i] + blocks[i + 1 : k] + blocks[k + 1 :]
-                    new_base, fiber = ring.split(base_mono, mono)
-                    key = new_base, tc._sorted_blocks(rest + ((n1 + n2, fiber),))
                     _add_scaled(diag, key, coeff, factor)
             # interior multiplication by omega within each block
             for i, (n, mono) in enumerate(blocks):
                 if n < 2:
                     continue
-                prod = ring.merge(mono, (("omega", 1),))
-                if prod is None:
-                    continue
-                sign, new_mono = prod
-                new_base, fiber = ring.split(base_mono, new_mono)
-                key = new_base, tc._sorted_blocks(blocks[:i] + ((n, fiber),) + blocks[i + 1 :])
-                _add_scaled(diag, key, coeff, -sign * comb(n, 2))
+                rest = blocks[:i] + blocks[i + 1 :]
+                sign, key = tc._rekeyed(base_mono, rest, n, mono, (("omega", 1),))
+                if sign:
+                    _add_scaled(diag, key, coeff, -sign * comb(n, 2))
         # boundary terms: one scroll per node, per block of size >= 2, per j
         if fam.nodes and any(n >= 2 for n, _ in blocks):
             for node in fam.nodes:
@@ -312,8 +314,10 @@ def gamma_action(tc: TautClass) -> TautClass:
                     tau = theta_star(mono)
                     if tau is None:
                         continue
-                    rest = blocks[:i] + blocks[i + 1 :]
-                    payload = _payload_from_blocks(bd, m - n, rest, tau, base_mono)
+                    # the other blocks pulled back, the whole term twisted by tau
+                    pairs = [(nb, _phi_image(bd, mb)) for nb, mb in blocks[:i] + blocks[i + 1 :]]
+                    base = BaseClass(bd.total_ring, {merge_monos(tau, base_mono): 1})
+                    payload = TautClass.from_twists(bd, m - n, pairs, base=base)
                     if not payload:
                         continue
                     for j in range(1, n):
@@ -328,15 +332,9 @@ def gamma_action(tc: TautClass) -> TautClass:
     # sections: Gamma . (-Gamma)F[P] = -(-Gamma)^2 F[P]
     #         = -(-Gamma)F[(e_j + e_{j+1}) P] + F[e_j e_{j+1} P]
     for (node_id, n, j), payload in tc.section.items():
-        # e_j P and e_(j+1) P share one twist pass and their Gamma P term
-        bd = payload.fam
-        ej_p, ej1_p = twists(payload, [scroll_divisor(bd, n, j), scroll_divisor(bd, n, j + 1)])
-        if payload.m >= 2:
-            gamma_p = gamma_action(payload)
-            ej_p.accumulate(gamma_p, -1)
-            ej1_p.accumulate(gamma_p, -1)
+        ej_p, ej1_p = _mult_e(payload, n, (j, j + 1))
         out.add_section(node_id, n, j, -(ej_p + ej1_p))
-        out.add_scroll(node_id, n, j, _mult_e(ej1_p, n, j))
+        out.add_scroll(node_id, n, j, _mult_e(ej1_p, n, (j,))[0])
     return out
 
 
@@ -388,37 +386,21 @@ def _phi_image(bd, mono):
     return data["phi", mono]
 
 
-def _payload_from_blocks(bd, m_payload, blocks, tau_mono, base_mono):
-    """Build the boundary payload: remaining blocks pulled back, times tau twist."""
-    pairs = [(n, _phi_image(bd, mono)) for n, mono in blocks]
-    base = BaseClass(bd.total_ring, {merge_monos(tau_mono, base_mono): 1})
-    return TautClass.from_twists(bd, m_payload, pairs, base=base)
-
-
 # -- operators on boundary payloads ---------------------------------------------
-
-
-def twist(tc: TautClass, pullback=None, norm=None) -> TautClass:
-    """Multiply a node-free class by pi^* pullback + [m]_* norm: `twists` of one divisor."""
-    return twists(tc, [(pullback, norm)])[0]
 
 
 def twists(tc: TautClass, divisors) -> list:
     """[pi^* pullback + [m]_* norm] tc for every (pullback, norm) of `divisors`.
 
-    Both parts of a divisor are BaseClasses on the class's total space (or
-    None), `pullback` in the symbols pulled back from the base.  The
-    pullback multiplies the base monomial; on a polyblock diagonal the norm
-    divisor restricts to the sum over blocks of the class inserted in the
-    block, weighted by the block size.  One pass serves every divisor: each
-    output key is built once per (term, monomial, block), and only its
-    scalar coefficient differs between the divisors.
+    Both parts are BaseClasses on the class's total space, or None.  The
+    pullback, in base symbols, multiplies the base monomial; the norm enters
+    each block of a polyblock diagonal, weighted by its size.  One pass serves
+    every divisor: each output key is built once, and only its scalar differs.
     """
     if tc.scroll or tc.section:
         raise NotImplementedError("twist on nested node terms")
-    ring = tc.ring
-    pulled = _monomial_table(ring, [pullback for pullback, _ in divisors])
-    normed = _monomial_table(ring, [norm for _, norm in divisors])
+    pulled = _monomial_table(tc.ring, [pullback for pullback, _ in divisors])
+    normed = _monomial_table(tc.ring, [norm for _, norm in divisors])
     top = tc.space_dim()
     accs = [{} for _ in divisors]
     for (base_mono, blocks), coeff in tc.diag.items():
@@ -433,13 +415,10 @@ def twists(tc: TautClass, divisors) -> list:
         for mono, deg, coeffs in normed:
             if deg > room:
                 continue
-            for i, (n, block_mono) in enumerate(blocks):
-                prod = ring.merge(block_mono, mono)
-                if prod is None:
+            for i, (n, twist) in enumerate(blocks):
+                sign, key = tc._rekeyed(base_mono, blocks[:i] + blocks[i + 1 :], n, twist, mono)
+                if not sign:
                     continue
-                sign, new_mono = prod
-                new_base, fiber = ring.split(base_mono, new_mono)
-                key = new_base, tc._sorted_blocks(blocks[:i] + ((n, fiber),) + blocks[i + 1 :])
                 for d, c in coeffs:
                     _add_scaled(accs[d], key, coeff, n * sign * c)
     out = [TautClass(tc.fam, tc.m) for _ in divisors]
@@ -477,15 +456,16 @@ def scroll_divisor(fam, n, j):
 
 def mult_D(tc: TautClass, n, j) -> TautClass:
     """Multiply a boundary payload by the scroll line-bundle divisor D^n_j."""
-    return twist(tc, *scroll_divisor(tc.fam, n, j))
+    return twists(tc, [scroll_divisor(tc.fam, n, j)])[0]
 
 
-def _mult_e(tc: TautClass, n, j) -> TautClass:
-    """Multiply a boundary payload by e^n_j = D^n_j - Gamma^(payload degree)."""
-    out = mult_D(tc, n, j)
-    if tc.m >= 2:
-        out.accumulate(gamma_action(tc), -1)
-    return out
+def _mult_e(tc: TautClass, n, js) -> list:
+    """[e^n_j tc for j in js], e^n_j = D^n_j - Gamma: one twist pass, one Gamma tc."""
+    out = twists(tc, [scroll_divisor(tc.fam, n, j) for j in js])
+    if tc.m < 2:
+        return out
+    gamma_tc = gamma_action(tc)
+    return [cls.accumulate(gamma_tc, -1) for cls in out]
 
 
 # -- powers and integration -------------------------------------------------------

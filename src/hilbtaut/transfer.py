@@ -24,6 +24,7 @@ from .basering import BaseClass
 from .charpoly import CharPoly
 from .family import FamilyDescriptor, integrate_classes, theta_star
 from .tautmod import TautClass, mult_D, nu_coeff, phi_star, scroll_divisor, twists
+from .tautmod import _add_scaled, _finished  # the operators' diagonal accumulator
 
 # -- the flaglet transfer -----------------------------------------------------------
 
@@ -41,12 +42,16 @@ def transfer(tc: TautClass, beta: BaseClass = None, variant="j") -> TautClass:
     if beta.ring is not ring:
         raise ValueError("twist must live on the same total space")
     out = TautClass(fam, m0 + 1)
-
+    diag = {}
     for (base_mono, blocks), coeff in tc.diag.items():
         singles = sum(1 for n, _ in blocks if n == 1)
+        room = out.space_dim() - tc._diag_codim(base_mono, blocks)  # left for the new twist
         for mono, mc in beta.terms.items():
-            new_base, fiber = ring.split(base_mono, mono)
-            out.add_diag(new_base, blocks + ((1, fiber),), coeff * (mc * (singles + 1)))
+            if ring.degree(mono) <= room:
+                new_base, fiber = ring.split(base_mono, mono)
+                key = new_base, out._sorted_blocks(blocks + ((1, fiber),))
+                _add_scaled(diag, key, coeff, mc * (singles + 1))
+    out.diag = _finished(diag)
 
     for (node_id, n, j), payload in tc.scroll.items():
         bd = fam.boundary_family(node_id)

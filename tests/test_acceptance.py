@@ -19,7 +19,7 @@ from hilbtaut.tautmod import (
     gamma_power,
     integrate,
     nu_coeff,
-    twist,
+    twists,
 )
 from hilbtaut.tensym import TensorClass, discriminant_op, u_omega_total
 from hilbtaut.transfer import pluecker_c2, pluecker_s2, transfer
@@ -208,7 +208,7 @@ def test_criterion_9_projective_line_degrees():
             cls = TautClass(fam, m)
             cls.add_diag((), ((n, ()),) + ((1, ()),) * (m - n), 1)
             for _ in range((m - n) + 1):
-                cls = twist(cls, norm=BaseClass.gen(cls.ring, "pt"))
+                cls = twists(cls, [(None, BaseClass.gen(cls.ring, "pt"))])[0]
             engine = integrate(cls).constant_value()
             jets = sum(m - 2 * i for i in range(n))  # c_1 of the jet bundle of O(m)
             assert engine == jets == n * (m - n + 1), (m, n)

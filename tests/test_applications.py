@@ -4,7 +4,7 @@ from hilbtaut.charpoly import CharPoly
 from hilbtaut.family import FamilyDescriptor, Node, symbolic_family
 from hilbtaut.chern import flag_G, flag_L, integrate_w, trisecant_grand_total
 from hilbtaut.basering import BaseClass
-from hilbtaut.tautmod import TautClass, gamma_power, integrate, twist
+from hilbtaut.tautmod import TautClass, gamma_power, integrate, twists
 
 
 def sym(name):
@@ -73,7 +73,7 @@ def line_family():
 
 def hyperplane_power(cls, k):
     for _ in range(k):
-        cls = twist(cls, norm=BaseClass.gen(cls.ring, "pt"))
+        cls = twists(cls, [(None, BaseClass.gen(cls.ring, "pt"))])[0]
     return cls
 
 

@@ -2,7 +2,7 @@ import hashlib
 import json
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,7 +28,7 @@ from hilbtaut.chern import (
     trisecant_grand_total,
     w3_monomial,
 )
-from hilbtaut.tautmod import gamma_action, gamma_power, pushforward_to_base, twist
+from hilbtaut.tautmod import gamma_action, gamma_power, pushforward_to_base, twists
 from hilbtaut.tautmod import TautClass, gamma_as_class, integrate, to_data
 from hilbtaut.transfer import transfer
 from reference import codim_parts
@@ -84,7 +84,7 @@ def test_first_chern_class_is_norm_minus_discriminant(fam):
         deg1 = chern_splitting(m).graded_part(1)
         cls = pushdown(fam, m, deg1).scale(Fraction(1, factorial(m)))
         ell = BaseClass.gen(fam.total_ring, "L")
-        expected = twist(TautClass.fundamental(fam, m), norm=ell) - gamma_as_class(fam, m)
+        expected = twists(TautClass.fundamental(fam, m), [(None, ell)])[0] - gamma_as_class(fam, m)
         assert cls == expected
 
 
@@ -285,15 +285,46 @@ def _node_payload_degrees(cls):
             yield from _node_payload_degrees(payload)
 
 
-def test_closed_form_matches_diagonal_sector_nodal(fam):
+@st.composite
+def nodal_families(draw):
+    """dim_b 1..3 with 0..3 nodes: numeric or symbolic weights, theta^*L symbolic, 0 or 3."""
+    nodes = [
+        Node(
+            "n%d" % i,
+            draw(st.sampled_from([sym("w%d" % i), Fraction(2, 3), 3])),
+            tau_L=draw(st.sampled_from([None, 0, 3])),
+        )
+        for i in range(draw(st.integers(0, 3)))
+    ]
+    return FamilyDescriptor(draw(st.integers(1, 3)), nodes=nodes)
+
+
+def _check_closed_form_is_diagonal_sector(f, m):
     # the closed form is the whole diagonal sector; the node terms carry base
     # monomials above the boundary base's dimension, so they are zero classes
+    full = chern_class_on_hilb(f, m)
+    assert chern_closed_form(f, m).diag == full.diag, (f.dim_b, m)
+    assert all(deg > dim_b for deg, dim_b in _node_payload_degrees(full)), (f.dim_b, m)
+    return full
+
+
+def _with_node_family_examples(test):
     for f in NODE_FAMILIES:
         for m in range(1, 6):
-            full = chern_class_on_hilb(f, m)
-            assert chern_closed_form(f, m).diag == full.diag, (f.dim_b, m)
-            assert all(deg > dim_b for deg, dim_b in _node_payload_degrees(full)), (f.dim_b, m)
-    assert chern_class_on_hilb(fam, 3).scroll  # node terms are present
+            test = example(fam=f, m=m)(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None)
+@given(fam=nodal_families(), m=st.integers(1, 6))
+@_with_node_family_examples
+def test_closed_form_matches_diagonal_sector_nodal(fam, m):
+    _check_closed_form_is_diagonal_sector(fam, m)
+
+
+def test_closed_form_matches_diagonal_sector_at_m10():
+    full = _check_closed_form_is_diagonal_sector(symbolic_family(1), 10)
+    assert full.scroll  # node terms are present
 
 
 def test_closed_form_truncation(fam):
@@ -407,6 +438,13 @@ def test_double_point_classes_are_pinned():
     assert digest == "8dc0c3d7e9cb66193cd8f99aae3ae754084a50bf9752c2caf758b4f6759b2aff"
 
 
+def test_projective_tangent_chern_classes_are_binomials():
+    for n in range(41):
+        tangent = projective_target(n)["tangent"]
+        assert tangent == [comb(n + 1, j) for j in range(n + 1)], n
+        assert all(type(c) is Fraction for c in tangent)
+
+
 def test_double_point_routes_agree():
     for f in DOUBLE_POINT_FAMILIES:
         for n in range(6):
@@ -496,7 +534,7 @@ def test_double_point_first_excess_term_is_exact(fam):
     partial = double_point_class(fam, partial_target)
     diff = full - partial
     ell = BaseClass.gen(fam.total_ring, "L")
-    expected = twist(gamma_as_class(fam, 2), norm=ell ** (n - 1))
+    expected = twists(gamma_as_class(fam, 2), [(None, ell ** (n - 1))])[0]
     assert diff == expected.scale(-target["tangent"][n - 1] / 2)
 
 

@@ -8,7 +8,7 @@ from hilbtaut.family import FamilyDescriptor
 from hilbtaut.oracle import OrderedTensor, ordered_disc, ordered_union, symmetrize
 from hilbtaut.partitions import aut_count, enumerate_distributions
 from hilbtaut.tensym import TensorClass, discriminant_op, u_omega_total
-from hilbtaut.tautmod import TautClass, gamma_as_class, gamma_power, integrate, twist
+from hilbtaut.tautmod import TautClass, gamma_as_class, gamma_power, integrate, twists
 from reference import block_partitions
 
 
@@ -163,6 +163,6 @@ def test_p1_engine_degrees_match_jets():
             cls = TautClass(fam, m)
             cls.add_diag((), ((n, ()),) + ((1, ()),) * (m - n), 1)
             for _ in range((m - n) + 1):
-                cls = twist(cls, norm=BaseClass.gen(cls.ring, "pt"))
+                cls = twists(cls, [(None, BaseClass.gen(cls.ring, "pt"))])[0]
             jets = sum(m - 2 * i for i in range(n))
             assert integrate(cls).constant_value() == jets == n * (m - n + 1), (m, n)

@@ -24,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 from hilbtaut.family import FamilyDescriptor
 from hilbtaut.basering import BaseClass
 from hilbtaut.chern import chern_class_on_hilb
-from hilbtaut.tautmod import TautClass, gamma_power, integrate, twist
+from hilbtaut.tautmod import TautClass, gamma_power, integrate, twists
 
 
 def macdonald(g, d, m, a):
@@ -52,7 +52,7 @@ def test_macdonald_gamma_power(g, d, ma):
     fam = FamilyDescriptor(0, chars={"twogm2": 2 * g - 2, "d": d})
     cls = gamma_power(fam, m, m - a)
     for _ in range(a):
-        cls = twist(cls, norm=BaseClass.gen(cls.ring, "L"))
+        cls = twists(cls, [(None, BaseClass.gen(cls.ring, "L"))])[0]
     assert integrate(cls) == macdonald(g, d, m, a)
 
 
@@ -88,7 +88,7 @@ def assert_secant_chern_numbers(g, d, m):
             if sum(n - 1 + ring.degree(mono) for n, mono in blocks) == k:
                 ck.add_diag(base, blocks, c)
         for _ in range(m - k):
-            ck = twist(ck, norm=ell)
+            ck = twists(ck, [(None, ell)])[0]
         assert integrate(ck) == secant_chern_number(g, d, m, k), (g, d, m, k)
 
 

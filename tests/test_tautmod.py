@@ -20,7 +20,6 @@ from hilbtaut.tautmod import (
     nu_coeff,
     scroll_divisor,
     to_data,
-    twist,
     twists,
 )
 from reference import codim_parts, gamma_power_on_scroll
@@ -230,14 +229,14 @@ def test_multi_node_additivity():
 
 def test_norm_mult_is_degreewise(fam):
     cls = TautClass.fundamental(fam, 3)
-    ell = twist(cls, norm=BaseClass.gen(fam.total_ring, "L"))
+    ell = twists(cls, [(None, BaseClass.gen(fam.total_ring, "L"))])[0]
     assert ell.diag == {
         ((), ((1, ()), (1, ()), (1, (("L", 1),)))): CharPoly.const(3)
     }
     # a block of size n counts its size
     small = TautClass(fam, 3)
     small.add_diag((), blocks(3), 1)
-    out = twist(small, norm=BaseClass.gen(fam.total_ring, "L"))
+    out = twists(small, [(None, BaseClass.gen(fam.total_ring, "L"))])[0]
     assert out.diag == {((), ((3, (("L", 1),)),)): CharPoly.const(3)}
 
 
@@ -254,9 +253,9 @@ def test_norm_mult_section_self_intersection():
     one = BaseClass.unit(bd.total_ring)
     theta = BaseClass.gen(bd.total_ring, "theta_x")
     psi = BaseClass.gen(bd.total_ring, "psi_x")
-    once = twist(fund, norm=theta)
+    once = twists(fund, [(None, theta)])[0]
     assert once == TautClass.from_twists(bd, 2, [(1, theta), (1, one)]).scale(2)
-    twice = twist(once, norm=theta)
+    twice = twists(once, [(None, theta)])[0]
     expected = TautClass.from_twists(bd, 2, [(1, theta), (1, one)], base=psi).scale(-2)
     expected.accumulate(TautClass.from_twists(bd, 2, [(1, theta), (1, theta)]), 2)
     assert twice == expected
@@ -268,7 +267,7 @@ def test_norm_mult_sections_are_disjoint():
     bd, fund = boundary_pair()
     theta_x = BaseClass.gen(bd.total_ring, "theta_x")
     theta_y = BaseClass.gen(bd.total_ring, "theta_y")
-    out = twist(twist(fund, norm=theta_x), norm=theta_y)
+    out = twists(twists(fund, [(None, theta_x)])[0], [(None, theta_y)])[0]
     assert out == TautClass.from_twists(bd, 2, [(1, theta_x), (1, theta_y)]).scale(2)
 
 
@@ -301,7 +300,7 @@ def test_twist_degree_two_pullback_lands_in_the_base_monomial():
     theta = BaseClass.gen(ring, "theta_x")
     payload = TautClass.from_twists(bd, 2, [(1, theta), (1, BaseClass.unit(ring))], coeff=3)
     psi_tau = BaseClass(ring, {(("psi_x", 1), ("tauL", 1)): Fraction(1, 2)})
-    out = twist(payload, pullback=psi_tau)
+    out = twists(payload, [(psi_tau, None)])[0]
     key = ((("psi_x", 1), ("tauL", 1)), ((1, ()), (1, (("theta_x", 1),))))
     assert out.diag == {key: CharPoly.const(Fraction(3, 2))}
 
@@ -319,7 +318,7 @@ def test_twist_unit_pullback_keeps_a_top_codimension_key():
     payload.add_diag(*low, 5)
     assert payload._diag_codim(*top) == payload.space_dim()
     tau = BaseClass(ring, {(): 1, (("tauL", 1),): 2})
-    out = twist(payload, pullback=tau)
+    out = twists(payload, [(tau, None)])[0]
     assert out.diag == {
         top: CharPoly.const(3),
         low: CharPoly.const(5),
@@ -430,7 +429,7 @@ TOP_KEY = [(1, 0, ("psi_x",), [(2, ("L",))])]  # psi_x * Gamma_(2)[L] on dim_b =
 def test_one_twist_pass_equals_separate_twists(case):
     payload, divisors = build_twist_case(*case)
     got = twists(payload, divisors)
-    assert got == [twist(payload, pullback, norm) for pullback, norm in divisors]
+    assert got == [twists(payload, [divisor])[0] for divisor in divisors]
     top = payload.space_dim()
     for (pullback, norm), cls in zip(divisors, got):
         assert cls.m == payload.m and cls.fam is payload.fam
@@ -478,7 +477,7 @@ def test_twist_refuses_node_terms(fam):
     cls = gamma_power(fam, 2, 2)
     assert cls.scroll or cls.section
     with pytest.raises(NotImplementedError):
-        twist(cls, pullback=BaseClass.unit(fam.total_ring))
+        twists(cls, [(BaseClass.unit(fam.total_ring), None)])
 
 
 def test_serialization_roundtrip(fam):
