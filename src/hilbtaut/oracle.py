@@ -1,19 +1,24 @@
-"""Independent brute-force checkers for the unordered calculus.
+"""Independent brute-force checker for the unordered calculus.
 
-The ordered model works on plain tensors (lists of ring classes) with the
-big-diagonal action as a sum of pair unions minus interior omega terms; its
-symmetrization must match the unordered operators.  Everything here is coded
-directly on lists, sharing nothing with the tensymmetric module it checks.
+The ordered model works on labeled tensors: every slot carries the set of
+original positions it unites and one ring monomial.  One Gamma step is a single
+pass over the input terms, writing each pair union and each interior omega
+term straight into the output.  Its symmetrization must match the unordered
+operators.  Coefficients stay in Python's own int/Fraction arithmetic and the
+only package code borrowed is the ring's monomial product `Ring.merge`, so
+nothing here is shared with the tensymmetric module it checks.  The per-pair
+union the tests compare this pass against lives in tests/reference.py.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
+
+OMEGA = (("omega", 1),)
 
 
 class OrderedTensor:
-    """Q-combination of pure tensors: keys are tuples of slot monomials.
+    """Q-combination of pure tensors: keys are (labels, monomials) tuples.
 
     Slots may be merged, in which case a parallel tuple of labels tracks which
     original positions were united (the b-partition of the diagonal locus).
@@ -23,89 +28,63 @@ class OrderedTensor:
 
     def __init__(self, ring, terms=None):
         self.ring = ring
-        self.terms = dict(terms or {})
-        self.terms = {k: c for k, c in self.terms.items() if c}
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
 
     @staticmethod
     def pure(ring, classes):
-        """Tensor with one BaseClass per slot, expanded multilinearly."""
-        combos = [((), Fraction(1))]
+        """Tensor with one BaseClass per slot, expanded multilinearly; slot i
+        gets the label {i+1}."""
+        combos = [((), 1)]
         for cls in classes:
             combos = [
-                (key + ((frozenset([len(key) + 1]), mono),), c * mc)
-                for key, c in combos
+                (monos + (mono,), c * mc)
+                for monos, c in combos
                 for mono, mc in cls.terms.items()
             ]
-        # relabel: slot i gets label {i+1}
-        out = OrderedTensor(ring)
-        for key, c in combos:
-            labels = tuple(frozenset([i + 1]) for i in range(len(key)))
-            monos = tuple(mono for _, mono in key)
-            out._add((labels, monos), c)
-        return out
+        labels = tuple(frozenset([i + 1]) for i in range(len(classes)))
+        return OrderedTensor(ring, {(labels, monos): c for monos, c in combos})
 
     def _add(self, key, coeff):
-        if not coeff:
-            return
-        self.terms[key] = self.terms.get(key, Fraction(0)) + coeff
-        if not self.terms[key]:
-            del self.terms[key]
-
-    def accumulate(self, other, factor=1):
-        """Add factor * other into this tensor in place; returns self."""
-        for key, c in other.terms.items():
-            self._add(key, c * factor)
-        return self
-
-
-def ordered_union(t: OrderedTensor, i: int, j: int) -> OrderedTensor:
-    """Unite slots i < j (0-based) by ring multiplication."""
-    out = OrderedTensor(t.ring)
-    for (labels, monos), c in t.terms.items():
-        prod = t.ring.merge(monos[i], monos[j])
-        if prod is None:
-            continue
-        sign, mono = prod
-        new_labels = tuple(
-            lab | labels[j] if k == i else lab
-            for k, lab in enumerate(labels)
-            if k != j
-        )
-        new_monos = tuple(
-            mono if k == i else m for k, m in enumerate(monos) if k != j
-        )
-        out._add((new_labels, new_monos), c * sign)
-    return out
+        """Add coeff at key in place, dropping a zero sum."""
+        coeff += self.terms.get(key, 0)
+        if coeff:
+            self.terms[key] = coeff
+        else:
+            self.terms.pop(key, None)
 
 
 def ordered_disc(t: OrderedTensor) -> OrderedTensor:
     """Big-diagonal action on the ordered model.
 
-    Sum over slot pairs of the union, weighted by the product of the slot
-    multiplicities (the number of underlying points each slot carries), minus
-    the interior omega terms with one binomial per slot.
+    Sum over slot pairs i < j of the union (slot i takes the product of both
+    monomials and both labels, slot j goes), weighted by the product of the
+    slot multiplicities (the number of underlying points each slot carries),
+    minus the interior omega terms with one binomial per slot.
     """
-    ring = t.ring
-    omega_mono = (("omega", 1),)
-    out = OrderedTensor(ring)
+    merge = t.ring.merge
+    out = OrderedTensor(t.ring)
     for (labels, monos), c in t.terms.items():
-        k = len(labels)
-        base = OrderedTensor(ring, {(labels, monos): c})
-        for i, j in combinations(range(k), 2):
-            ni, nj = len(labels[i]), len(labels[j])
-            out.accumulate(ordered_union(base, i, j), ni * nj)
-        for i in range(k):
-            n = len(labels[i])
-            if n < 2:
-                continue
-            prod = ring.merge(monos[i], omega_mono)
+        for i, j in combinations(range(len(labels)), 2):
+            prod = merge(monos[i], monos[j])
             if prod is None:
                 continue
             sign, mono = prod
             out._add(
-                (labels, monos[:i] + (mono,) + monos[i + 1 :]),
-                -c * sign * Fraction(n * (n - 1), 2),
+                (
+                    labels[:i] + (labels[i] | labels[j],) + labels[i + 1 : j] + labels[j + 1 :],
+                    monos[:i] + (mono,) + monos[i + 1 : j] + monos[j + 1 :],
+                ),
+                c * sign * len(labels[i]) * len(labels[j]),
             )
+        for i, lab in enumerate(labels):
+            n = len(lab)
+            if n < 2:
+                continue
+            prod = merge(monos[i], OMEGA)
+            if prod is None:
+                continue
+            sign, mono = prod
+            out._add((labels, monos[:i] + (mono,) + monos[i + 1 :]), -c * sign * (n * (n - 1) // 2))
     return out
 
 
@@ -119,5 +98,5 @@ def symmetrize(t: OrderedTensor):
     for (labels, monos), c in t.terms.items():
         key = tuple(sorted(((len(lab), mono) for lab, mono in zip(labels, monos)),
                            key=lambda b: (-b[0], b[1])))
-        out[key] = out.get(key, Fraction(0)) + c
+        out[key] = out.get(key, 0) + c
     return {k: c for k, c in out.items() if c}

@@ -2,11 +2,13 @@
 
 Closed forms and brute forces that no part of the package runs: the codimensions
 a class holds, the discriminant powers on a scroll through the polarized
-rank-2 structure, and the labelled block partitions of a distribution.
+rank-2 structure, the labelled block partitions of a distribution, and the
+per-pair union of the ordered model.
 """
 
 from itertools import permutations
 
+from hilbtaut.oracle import OrderedTensor
 from hilbtaut.tautmod import TautClass, gamma_action, mult_D
 
 
@@ -65,3 +67,30 @@ def block_partitions(mu):
             start += n
         out.add(frozenset(blocks))
     return out
+
+
+def ordered_union(t, i, j):
+    """Unite slots i < j (0-based) of an ordered tensor by ring multiplication."""
+    out = OrderedTensor(t.ring)
+    for (labels, monos), c in t.terms.items():
+        prod = t.ring.merge(monos[i], monos[j])
+        if prod is None:
+            continue
+        sign, mono = prod
+        new_labels = tuple(
+            lab | labels[j] if k == i else lab
+            for k, lab in enumerate(labels)
+            if k != j
+        )
+        new_monos = tuple(
+            mono if k == i else m for k, m in enumerate(monos) if k != j
+        )
+        out._add((new_labels, new_monos), c * sign)
+    return out
+
+
+def accumulate(t, other, factor=1):
+    """Add factor * other into the ordered tensor t in place; returns t."""
+    for key, c in other.terms.items():
+        t._add(key, c * factor)
+    return t

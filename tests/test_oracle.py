@@ -1,15 +1,16 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 from hilbtaut.basering import BaseClass, make_total_space_ring
 from hilbtaut.family import FamilyDescriptor
-from hilbtaut.oracle import OrderedTensor, ordered_disc, ordered_union, symmetrize
+from hilbtaut.oracle import OrderedTensor, ordered_disc, symmetrize
 from hilbtaut.partitions import aut_count, enumerate_distributions
 from hilbtaut.tensym import TensorClass, discriminant_op, u_omega_total
 from hilbtaut.tautmod import TautClass, gamma_as_class, gamma_power, integrate, twists
-from reference import block_partitions
+from reference import accumulate, block_partitions, ordered_union
 
 
 def ring():
@@ -37,15 +38,87 @@ def test_ordered_term_counts():
     assert {len(lab) for lab in labels} == {1, 2}
 
 
-def _random_classes(rng, r, m):
+def test_omega_term_sign_on_a_merged_slot():
+    # one slot carrying two points: no pair to unite, only the interior term
+    r = ring()
+    t = OrderedTensor(r, {((frozenset({1, 2}),), ((),)): 1})
+    assert ordered_disc(t).terms == {((frozenset({1, 2}),), ((("omega", 1),),)): -1}
+
+
+def test_unions_and_omega_term_together():
+    # three slots, the first merged: unions weighted n_i * n_j, one omega term
+    r = ring()
+    a, b, c, d = (frozenset({k}) for k in (1, 2, 3, 4))
+    L = (("L", 1),)
+    t = OrderedTensor(r, {((a | b, c, d), ((), L, ())): 1})
+    assert ordered_disc(t).terms == {
+        ((a | b | c, d), (L, ())): 2,
+        ((a | b | d, c), ((), L)): 2,
+        ((a | b, c | d), ((), L)): 1,
+        ((a | b, c, d), ((("omega", 1),), L, ())): -1,
+    }
+
+
+def _random_classes(rng, r, m, dens=None):
+    """m classes in 1, L, omega with coefficients in -3..3, each divided by a
+    draw from dens when given."""
     gens = [BaseClass.unit(r), BaseClass.gen(r, "L"), BaseClass.gen(r, "omega")]
     out = []
     for _ in range(m):
         cls = BaseClass(r)
         for g in gens:
-            cls = cls + g * Fraction(rng.randint(-3, 3))
+            coeff = Fraction(rng.randint(-3, 3))
+            if dens:
+                coeff /= rng.choice(dens)
+            cls = cls + g * coeff
         out.append(cls)
     return out
+
+
+def per_pair_disc(t):
+    """One Gamma step as a sum of per-pair unions of one-term tensors.
+
+    Each union is weighted by n_i * n_j; each merged slot of n points adds
+    its interior omega term with the factor -binom(n, 2) as a Fraction.
+    """
+    out = OrderedTensor(t.ring)
+    for (labels, monos), c in t.terms.items():
+        base = OrderedTensor(t.ring, {(labels, monos): c})
+        for i, j in combinations(range(len(labels)), 2):
+            accumulate(out, ordered_union(base, i, j), len(labels[i]) * len(labels[j]))
+        for i, lab in enumerate(labels):
+            n = len(lab)
+            prod = t.ring.merge(monos[i], (("omega", 1),))
+            if n < 2 or prod is None:
+                continue
+            sign, mono = prod
+            key = (labels, monos[:i] + (mono,) + monos[i + 1 :])
+            out._add(key, -c * sign * Fraction(n * (n - 1), 2))
+    return out
+
+
+def test_single_pass_matches_per_pair_unions_with_labels():
+    # unsymmetrized labeled terms, one and two steps, int and p/q inputs
+    rng = random.Random(20261019)
+    r = ring()
+    fractions_seen = 0
+    for m in (2, 3, 4, 5):
+        for steps in (1, 2):
+            for dens in (None, (2, 3, 5)):
+                for _ in range(3):
+                    classes = _random_classes(rng, r, m, dens)
+                    fast = slow = OrderedTensor.pure(r, classes)
+                    for _ in range(steps):
+                        fast, slow = ordered_disc(fast), per_pair_disc(slow)
+                    assert fast.terms == slow.terms, (m, steps, dens)
+                    if dens is None:
+                        assert all(type(c) is int for c in fast.terms.values())
+                    else:
+                        fractions_seen += any(
+                            type(c) is Fraction and c.denominator > 1
+                            for c in fast.terms.values()
+                        )
+    assert fractions_seen >= 20
 
 
 def test_symmetrization_commutes_with_disc_randomized():
@@ -66,10 +139,11 @@ def test_symmetrization_commutes_with_disc_randomized():
 
 
 def test_symmetrization_commutes_iterated():
+    # 25 cases of weight 3 to 5, then two of weight 6
     rng = random.Random(7)
     r = ring()
-    for _ in range(25):
-        m = rng.randint(3, 5)
+    for case in range(27):
+        m = rng.randint(3, 5) if case < 25 else 6
         classes = _random_classes(rng, r, m)
         t_ord = ordered_disc(ordered_disc(OrderedTensor.pure(r, classes)))
         t_ts = TensorClass.simple(r, [(1, c) for c in classes])

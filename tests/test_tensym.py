@@ -4,9 +4,9 @@ from itertools import combinations
 from math import factorial
 
 from hilbtaut.basering import BaseClass, make_total_space_ring
-from hilbtaut.oracle import OrderedTensor, ordered_union, symmetrize
+from hilbtaut.oracle import OrderedTensor, symmetrize
 from hilbtaut.tensym import TensorClass, discriminant_op, u_omega_total
-from reference import block_partitions
+from reference import accumulate, block_partitions, ordered_union
 
 
 def ring():
@@ -52,7 +52,7 @@ def test_d_dagger_three_lifts():
     pure = OrderedTensor.pure(r, factors)
     lifts = OrderedTensor(r)
     for i, k in combinations(labels, 2):
-        lifts.accumulate(ordered_union(pure, i, k))
+        accumulate(lifts, ordered_union(pure, i, k))
     assert symmetrize(lifts) == expected.terms
 
 
