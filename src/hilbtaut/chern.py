@@ -1,5 +1,5 @@
 """Chern classes of tautological bundles, the full-flag evaluation pipeline,
-and the enumerative applications (trisecants, contact loci, double points).
+and the enumerative applications (trisecants, double points into P^n).
 
 A polynomial in the flag classes L_1..L_m and the discriminants of degrees
 2..m is a CharPoly in the symbols L1..Lm and G2..Gm.  It evaluates by pushing
@@ -8,14 +8,14 @@ class is transferred with the new point's twist and multiplied by the
 stage's discriminant powers.  Pushing the fundamental class through the
 whole tower multiplies by m!, which is the degree of the full flag over the
 Hilbert scheme; flag-level numbers are therefore m! times the
-Hilbert-scheme numbers.  Chern classes of tautological bundles are pushed
-down one factor per stage, never expanded.
+Hilbert-scheme numbers: `integrate(pushdown(fam, m, expr))`.  Chern classes of
+tautological bundles are pushed down one factor per stage, never expanded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .basering import BaseClass
 from .charpoly import CharPoly
@@ -93,15 +93,6 @@ def push_monomial(fam: FamilyDescriptor, m, key) -> TautClass:
     return pushdown(fam, m, CharPoly({key: 1}))
 
 
-def integrate_w(fam: FamilyDescriptor, m, expr: CharPoly) -> CharPoly:
-    """Exact integral of a top-degree flag polynomial over the full flag space."""
-    top = m + fam.dim_b
-    for key in expr.terms:
-        if sum(p for _, p in key) != top:
-            raise ValueError("monomial %s is not top-dimensional on the flag" % mono_str(key))
-    return integrate(pushdown(fam, m, expr))
-
-
 W3_SYMBOLS = ("L1", "L2", "L3", "G2", "G3")  # the order of `w3_monomial`'s exponents
 
 
@@ -167,8 +158,6 @@ def chern_closed_form(fam: FamilyDescriptor, m) -> TautClass:
     one_plus_l = BaseClass.unit(ring) + BaseClass.gen(ring, "L")
     total = TautClass(fam, m)
     for sizes in enumerate_distributions(m):
-        if sum(sizes) != m:
-            continue
         coeff = Fraction(1)
         for n in sizes:
             coeff *= Fraction((-1) ** (n - 1), n)
@@ -220,7 +209,7 @@ def trisecant_count(fam: FamilyDescriptor) -> CharPoly:
     if fam.dim_b != 1:
         raise ValueError("the degree-4 Chern numbers need a 1-dimensional base")
     c1, c2, c3 = _rank3_chern_classes()
-    return integrate_w(fam, 3, c1 ** 4 - c1 * c1 * c2 * 3 + c1 * c3 * 2 + c2 * c2)
+    return integrate(pushdown(fam, 3, c1 ** 4 - c1 * c1 * c2 * 3 + c1 * c3 * 2 + c2 * c2))
 
 
 def trisecant_grand_total(fam: FamilyDescriptor) -> CharPoly:
@@ -249,7 +238,7 @@ def single_curve_trisecant_scroll(chars=None) -> CharPoly:
     """
     fam = FamilyDescriptor(0, chars=chars or {}, label="X")
     c1, c2, c3 = _rank3_chern_classes()
-    flag_number = integrate_w(fam, 3, c1 * c2 - c3)
+    flag_number = integrate(pushdown(fam, 3, c1 * c2 - c3))
     return flag_number / 6
 
 
@@ -262,42 +251,32 @@ def single_curve_trisecant_formula(chars=None) -> CharPoly:
     ) / 6
 
 
-# -- contact loci and double points ---------------------------------------------------
+# -- double points -------------------------------------------------------------------
 
 
-def projective_target(n):
-    """Diagonal decomposition and tangent Chern classes of projective n-space."""
-    diag = [(i, n - i, Fraction(1)) for i in range(n + 1)]
-    tangent = [Fraction(1)]  # binom(n + 1, j) by one product each: comb is slow at large n
-    for j in range(1, n + 1):
-        tangent.append(tangent[-1] * (n + 2 - j) / j)
-    return {"dim": n, "diag": diag, "tangent": tangent}
-
-
-def double_point_class(fam: FamilyDescriptor, target) -> TautClass:
-    """Virtual double-point class of a fiberwise map to a smooth n-fold.
+def double_point_class(fam: FamilyDescriptor, n) -> TautClass:
+    """Virtual double-point class of a fiberwise map to projective n-space.
 
     Computed on the length-2 Hilbert scheme as the descent of
-    (f x f)^* (diagonal of the target) + sum_{i>=1} (-Gamma)^i c_{n-i}(T),
+    (f x f)^* (diagonal of P^n) + sum_{i>=1} (-Gamma)^i c_{n-i}(T),
     pushed down the 2-step flag as the flag polynomial
-    sum_(a,b,c) c L_1^a L_2^b + sum_{i>=1} (-1)^i c_{n-i}(T) L_1^(n-i) G_2^i
+    sum_a L_1^a L_2^(n-a) + sum_{i>=1} (-1)^i binom(n+1, n-i) L_1^(n-i) G_2^i
     and divided by 2!.  For i >= 1 the class Gamma^i lives on the diagonal,
     where both points carry the same class, so c_{n-i}(T) can sit on L_1.
     The sign of the diagonal-excess sum is pinned by the Segre-class route
     and the classical per-fiber count (d-1)(d-2)/2 - g for plane maps; the
-    count of ordered double points is twice this class's degree.  A target of
-    dimension above 2 + dim_b gives a flag polynomial above top degree: the
-    zero class, returned before anything is built.
+    count of ordered double points is twice this class's degree.  For
+    n > 2 + dim_b the flag polynomial is above top degree: the zero class,
+    returned before anything is built.
     """
-    n = target["dim"]
     if n > 2 + fam.dim_b:
         return TautClass(fam, 2)
     l1, l2, g2 = flag_L(1), flag_L(2), flag_G(2)
     expr = CharPoly()
-    for a, b, c in target["diag"]:
-        expr.accumulate(l1 ** a * l2 ** b, c)
+    for a in range(n + 1):
+        expr.accumulate(l1 ** a * l2 ** (n - a))
     for i in range(1, n + 1):
-        expr.accumulate(l1 ** (n - i) * g2 ** i, target["tangent"][n - i] * (-1) ** i)
+        expr.accumulate(l1 ** (n - i) * g2 ** i, comb(n + 1, n - i) * (-1) ** i)
     return pushdown(fam, 2, expr).scale(Fraction(1, 2))
 
 

@@ -152,10 +152,11 @@ def load_descriptor(path) -> FamilyDescriptor:
             raise DescriptorError(
                 "%s: node %s weight must be positive" % (body["weight"][1], node_id)
             )
-        tau = None
-        if "tauL" in body:
-            tau = _parse_value(*body["tauL"])
-        elif dim_b == 1:
+        tau = _parse_value(*body["tauL"]) if "tauL" in body else None
+        if dim_b == 1:
+            if tau:  # the node base is a point, where theta^*L is 0
+                value, where = body["tauL"]
+                raise DescriptorError("%s: tauL = %s, but dim_b = 1 fixes it to 0" % (where, value))
             tau = CharPoly.const(0)
         table = {}
         for key, (value, where) in body.items():
@@ -364,7 +365,7 @@ def punctual_chern_cmd(m, descriptor, output):
 @_descriptor_option
 @_output_option
 def pluecker_cmd(which, m, descriptor, output):
-    """Closed contact formulas, cross-checked against their recursions."""
+    """Closed contact formulas; s2 is cross-checked against its recursion at run time."""
     fam = _curve_base_family(descriptor)
     value = pluecker_s2(fam, m) if which == "s2" else pluecker_c2(fam, m)
     _emit(_alias_l2(value), output)
@@ -409,7 +410,7 @@ def double_points_cmd(n, push_to_base, descriptor, output):
     from .tautmod import pushforward_to_base
 
     fam = _family(descriptor)
-    cls = chern_mod.double_point_class(fam, chern_mod.projective_target(n))
+    cls = chern_mod.double_point_class(fam, n)
     if push_to_base:
         interior, boundary = pushforward_to_base(cls)
         _emit({"interior": str(interior), "boundary": str(boundary)}, output)

@@ -25,23 +25,15 @@ def aut_count(sizes) -> int:
     return out
 
 
-def enumerate_distributions(maxweight: int):
-    """All distributions of weight <= maxweight as size tuples, each once.
-
-    Ordered by weight, then lexicographically on the nonincreasing part list.
-    """
-    if maxweight < 0:
-        raise ValueError("maxweight must be >= 0")
-    out = []
-    for w in range(maxweight + 1):
-        out.extend(sorted(_partitions_of(w)))
-    return out
+def enumerate_distributions(weight: int):
+    """All distributions of the given weight as size tuples, each once, in lexicographic order."""
+    if weight < 0:
+        raise ValueError("weight must be >= 0")
+    return sorted(_partitions_of(weight, weight))
 
 
-def _partitions_of(n, cap=None):
-    """Nonincreasing integer partitions of n as tuples."""
-    if cap is None:
-        cap = n
+def _partitions_of(n, cap):
+    """Nonincreasing integer partitions of n into parts <= cap, as tuples."""
     if n == 0:
         return [()]
     out = []

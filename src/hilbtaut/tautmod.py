@@ -454,11 +454,6 @@ def scroll_divisor(fam, n, j):
     return data["D", n, j]
 
 
-def mult_D(tc: TautClass, n, j) -> TautClass:
-    """Multiply a boundary payload by the scroll line-bundle divisor D^n_j."""
-    return twists(tc, [scroll_divisor(tc.fam, n, j)])[0]
-
-
 def _mult_e(tc: TautClass, n, js) -> list:
     """[e^n_j tc for j in js], e^n_j = D^n_j - Gamma: one twist pass, one Gamma tc."""
     out = twists(tc, [scroll_divisor(tc.fam, n, j) for j in js])

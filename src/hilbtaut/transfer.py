@@ -11,8 +11,8 @@ three kinds of tautological classes it acts by
 
 Between small diagonals the analogous step spreads each node component of
 degree m-1 over its two neighbours of degree m; it drives the Chern-class
-recursion on the punctual Hilbert scheme.  The closed-form contact formulas
-integrate the same punctual classes.
+recursion on the punctual Hilbert scheme.  The s2 contact formula is checked
+against the integrated Segre recursion; c2 sums its recursion in closed form.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import comb
 from .basering import BaseClass
 from .charpoly import CharPoly
 from .family import FamilyDescriptor, integrate_classes, theta_star
-from .tautmod import TautClass, mult_D, nu_coeff, phi_star, scroll_divisor, twists
+from .tautmod import TautClass, nu_coeff, phi_star, scroll_divisor, twists
 from .tautmod import _add_scaled, _finished  # the operators' diagonal accumulator
 
 # -- the flaglet transfer -----------------------------------------------------------
@@ -69,10 +69,11 @@ def transfer(tc: TautClass, beta: BaseClass = None, variant="j") -> TautClass:
         jtheta = j if variant == "j" else j + 1
         jD = j + 1 if variant == "j" else j
         # the tau twist and D^n_(j') act on the same payload: one twist pass
-        tau_p, d_p = twists(payload, [(tau, None), scroll_divisor(bd, n, jD)])
+        divisor = scroll_divisor(bd, n, jD)
+        tau_p, d_p = twists(payload, [(tau, None), divisor])
         out.add_scroll(node_id, n + 1, jtheta, tau_p)
         out.add_section(node_id, n, j, moved)
-        correction = transfer(d_p, phib) - mult_D(moved, n, jD)
+        correction = transfer(d_p, phib) - twists(moved, [divisor])[0]
         out.add_scroll(node_id, n, j, correction)
     return out
 
@@ -263,31 +264,16 @@ def pluecker_s2(fam, m):
     return closed
 
 
-def c2_contact_step(fam, m) -> CharPoly:
-    """Integrated m-th step of the second-Chern recursion, base of dimension 1."""
-    return (
-        fam.char("b") * (m - 1)
-        + fam.char("omega2") * ((m - 1) * comb(m - 1, 2))
-        + fam.char("Lomega") * Fraction((m - 1) * (3 * m - 4), 2)
-        - fam.sigma() * (2 * comb(m + 1, 4))
-    )
-
-
 def pluecker_c2(fam, m):
-    """Closed form for c_2 of the tautological bundle on the punctual locus (dim base 1)."""
+    """Closed form for c_2 of the tautological bundle on the punctual locus (dim base 1).
+
+    The sum over k = 2..m of the integrated steps of the second-Chern recursion.
+    """
     if fam.dim_b != 1:
         raise ValueError("the second-Chern contact recursion needs a 1-dimensional base")
-    value = CharPoly()
-    for k in range(2, m + 1):
-        value.accumulate(c2_contact_step(fam, k))
-    closed = (
+    return (
         fam.char("b") * comb(m, 2)
         + fam.char("omega2") * (3 * comb(m + 1, 4) - comb(m, 3))
         + fam.char("Lomega") * (3 * comb(m + 1, 3) - 2 * comb(m, 2))
         - fam.sigma() * (2 * comb(m + 2, 5))
     )
-    if value != closed:
-        raise ArithmeticError(
-            "second-Chern recursion disagrees with its closed form at m=%d" % m
-        )
-    return closed

@@ -2,14 +2,15 @@
 
 Closed forms and brute forces that no part of the package runs: the codimensions
 a class holds, the discriminant powers on a scroll through the polarized
-rank-2 structure, the labelled block partitions of a distribution, and the
-per-pair union of the ordered model.
+rank-2 structure, the distributions up to a weight and the labelled block
+partitions of one, and the per-pair union of the ordered model.
 """
 
 from itertools import permutations
 
 from hilbtaut.oracle import OrderedTensor
-from hilbtaut.tautmod import TautClass, gamma_action, mult_D
+from hilbtaut.partitions import enumerate_distributions
+from hilbtaut.tautmod import TautClass, gamma_action, scroll_divisor, twists
 
 
 def codim_parts(cls):
@@ -24,7 +25,7 @@ def codim_parts(cls):
 
 def mult_e(payload, n, j):
     """e^n_j P = D^n_j P - Gamma P on a boundary payload P."""
-    out = mult_D(payload, n, j)
+    out = twists(payload, [scroll_divisor(payload.fam, n, j)])[0]
     if payload.m >= 2:
         out.accumulate(gamma_action(payload), -1)
     return out
@@ -51,6 +52,11 @@ def gamma_power_on_scroll(fam, m, node_id, n, j, payload, ell):
     if ell >= 2:
         out.add_scroll(node_id, n, j, -mult_e(mult_e(h[ell - 2], n, j + 1), n, j))
     return out
+
+
+def distributions_up_to(maxweight):
+    """Every distribution of weight <= maxweight, by weight."""
+    return [mu for weight in range(maxweight + 1) for mu in enumerate_distributions(weight)]
 
 
 def block_partitions(mu):

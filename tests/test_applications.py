@@ -2,7 +2,7 @@
 
 from hilbtaut.charpoly import CharPoly
 from hilbtaut.family import FamilyDescriptor, Node, symbolic_family
-from hilbtaut.chern import flag_G, flag_L, integrate_w, trisecant_grand_total
+from hilbtaut.chern import flag_G, flag_L, pushdown, trisecant_grand_total
 from hilbtaut.basering import BaseClass
 from hilbtaut.tautmod import TautClass, gamma_power, integrate, twists
 
@@ -50,9 +50,9 @@ def drop_sigma(poly):
 def test_secant_case_subtotals():
     fam = symbolic_family(1)
     for key, expected in EXACT_CASES.items():
-        assert integrate_w(fam, 3, secant_case(*key)) == expected, key
+        assert integrate(pushdown(fam, 3, secant_case(*key))) == expected, key
     for key, expected in SMOOTH_CASES.items():
-        value = integrate_w(fam, 3, secant_case(*key))
+        value = integrate(pushdown(fam, 3, secant_case(*key)))
         assert drop_sigma(value) == expected, key
 
 
@@ -60,7 +60,7 @@ def test_secant_cases_sum_to_grand_total():
     fam = symbolic_family(1)
     total = CharPoly()
     for key in list(EXACT_CASES) + list(SMOOTH_CASES):
-        total = total + integrate_w(fam, 3, secant_case(*key))
+        total = total + integrate(pushdown(fam, 3, secant_case(*key)))
     assert total == trisecant_grand_total(fam)
 
 
@@ -181,24 +181,24 @@ def test_surface_pencil_critical_points_lie_on_ramification_curve():
 def test_embedded_space_fibers_have_no_virtual_double_points():
     # hyperplane sections included in 3-space are injective, and the virtual
     # double-point count vanishes: the node term cancels the interior exactly
-    from hilbtaut.chern import double_point_class, projective_target
+    from hilbtaut.chern import double_point_class
     from hilbtaut.tautmod import integrate
 
     for n in (3, 4, 5):
         fam = surface_section_pencil(n)
-        cls = double_point_class(fam, projective_target(3))
+        cls = double_point_class(fam, 3)
         assert not integrate(cls), n
 
 
 def test_embedded_plane_fibers_have_no_virtual_double_points():
     # plane-curve fibers included in the plane: the double-point class itself
     # pushes to zero on the base
-    from hilbtaut.chern import double_point_class, projective_target
+    from hilbtaut.chern import double_point_class
     from hilbtaut.tautmod import pushforward_to_base
 
     for n in (3, 4, 6):
         fam = plane_pencil(n)
-        cls = double_point_class(fam, projective_target(2))
+        cls = double_point_class(fam, 2)
         interior, boundary = pushforward_to_base(cls)
         assert not boundary
         bound = interior.substitute(

@@ -13,8 +13,8 @@ and 6.7):
 * c1(T_X) = -omega - (2g_B - 2) F and c2(T_X) = (2 - 2g_B)(2 - 2g) + sigma.
 
 The sigma of c2(T_X) is the only way the nodes enter, so the comparison with
-`integrate_w` checks the engine's scroll and section sectors.  The genus g_B
-of the base is kept as a symbol and must cancel.  The arithmetic here uses
+`integrate(pushdown(...))` checks the engine's scroll and section sectors.
+The genus g_B of the base is kept as a symbol and must cancel.  The arithmetic here uses
 only `CharPoly` (as the Chow ring of X and for the characters) and
 `Fraction`; the engine is called only for the other side of each comparison.
 """
@@ -26,8 +26,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hilbtaut.charpoly import CharPoly
-from hilbtaut.chern import chern_splitting, integrate_w
+from hilbtaut.chern import chern_splitting, pushdown
 from hilbtaut.family import FamilyDescriptor, Node, symbolic_family
+from hilbtaut.tautmod import integrate
 
 sym = CharPoly.symbol
 ONE = CharPoly.const(1)
@@ -111,14 +112,14 @@ def test_the_ten_monomials_and_the_hand_values():
 
 @pytest.mark.parametrize("expr", MONOMIALS, ids=str)
 def test_monomials_match_the_engine(expr):
-    assert integrate_w(symbolic_family(1), 2, expr) == oracle(expr)
+    assert integrate(pushdown(symbolic_family(1), 2, expr)) == oracle(expr)
 
 
 @pytest.mark.parametrize("name", sorted(CHERN_NUMBERS))
 def test_chern_numbers_of_the_tautological_bundle(name):
     assert chern_splitting(2) == CHERN
     expr = CHERN_NUMBERS[name]
-    assert integrate_w(symbolic_family(1), 2, expr) == oracle(expr)
+    assert integrate(pushdown(symbolic_family(1), 2, expr)) == oracle(expr)
 
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -142,4 +143,4 @@ def test_numeric_families_match_the_engine(chars, genus, node_weights):
     for expr in MONOMIALS + list(CHERN_NUMBERS.values()):
         expected = oracle(expr).substitute(values)
         assert expected.is_constant()
-        assert integrate_w(fam, 2, expr) == expected, expr
+        assert integrate(pushdown(fam, 2, expr)) == expected, expr

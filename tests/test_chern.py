@@ -19,8 +19,6 @@ from hilbtaut.chern import (
     double_point_segre_route,
     flag_G,
     flag_L,
-    integrate_w,
-    projective_target,
     pushdown,
     single_curve_trisecant_formula,
     single_curve_trisecant_scroll,
@@ -95,7 +93,7 @@ def test_first_chern_class_is_norm_minus_discriminant(fam):
 def test_pushdown_rejects_symbols_off_the_flag(fam, expr):
     # on the 3-step flag only L1..L3 and G2..G3 are classes; each expr has the top degree 4
     with pytest.raises(ValueError, match="outside L1..L3, G2..G3"):
-        integrate_w(fam, 3, expr)
+        integrate(pushdown(fam, 3, expr))
 
 
 @pytest.mark.parametrize(
@@ -385,7 +383,7 @@ def test_deep_flag_monomials_match_direct_fiber_integrals(fam):
         expr = CharPoly.const(1)
         for i, a in enumerate(exps, 1):
             expr = expr * flag_L(i) ** a
-        value = integrate_w(fam, m, expr)
+        value = integrate(pushdown(fam, m, expr))
         direct = integrate_classes(fam, [L ** a for a in exps])
         assert value == direct, (m, exps)
 
@@ -430,7 +428,7 @@ def test_double_point_classes_are_pinned():
     # sha256 over to_data(double_point_class(...)) for projective targets of
     # dimension n <= 5: every exact coefficient and key of the classes
     data = [
-        to_data(double_point_class(f, projective_target(n)))
+        to_data(double_point_class(f, n))
         for f in DOUBLE_POINT_FAMILIES
         for n in range(6)
     ]
@@ -438,17 +436,10 @@ def test_double_point_classes_are_pinned():
     assert digest == "8dc0c3d7e9cb66193cd8f99aae3ae754084a50bf9752c2caf758b4f6759b2aff"
 
 
-def test_projective_tangent_chern_classes_are_binomials():
-    for n in range(41):
-        tangent = projective_target(n)["tangent"]
-        assert tangent == [comb(n + 1, j) for j in range(n + 1)], n
-        assert all(type(c) is Fraction for c in tangent)
-
-
 def test_double_point_routes_agree():
     for f in DOUBLE_POINT_FAMILIES:
         for n in range(6):
-            formula = double_point_class(f, projective_target(n))
+            formula = double_point_class(f, n)
             segre = double_point_segre_route(f, n)
             assert formula == segre, (f.dim_b, n)
     # above the top degree 2 + dim_b both routes give the zero class at once
@@ -456,12 +447,12 @@ def test_double_point_routes_agree():
         top = 2 + f.dim_b
         for n in list(range(top + 1, top + 5)) + [400]:
             zero = TautClass(f, 2)
-            formula = double_point_class(f, projective_target(n))
+            formula = double_point_class(f, n)
             assert formula == zero == double_point_segre_route(f, n), (f.dim_b, n)
 
 
 def test_double_point_count_plane_maps(fam):
-    m2 = double_point_class(fam, projective_target(2))
+    m2 = double_point_class(fam, 2)
     interior, boundary = pushforward_to_base(m2)
     kL0 = sym("kappaL_0")
     k0 = sym("kappa_0")
@@ -482,7 +473,7 @@ def _degree3_classes_on_hilb2(fam):
         for b in range(4 - a):
             expr = flag_L(1) ** a * flag_L(2) ** b * flag_G(2) ** (3 - a - b)
             yield "L1^%d*L2^%d*G2^%d" % (a, b, 3 - a - b), pushdown(fam, 2, expr)
-    yield "double points", double_point_class(fam, projective_target(3))
+    yield "double points", double_point_class(fam, 3)
 
 
 @pytest.mark.parametrize("family", [symbolic_family(1), THREE_NODE_FAMILY])
@@ -517,25 +508,26 @@ def test_node_fixing_theta_star_L_to_zero_kills_its_tauL_integrals():
             if sum(exps) != m + 2:
                 continue
             expr = CharPoly({tuple((s, e) for s, e in zip(symbols, exps) if e): 1})
-            unbound = integrate_w(free, m, expr)
+            unbound = integrate(pushdown(free, m, expr))
             zeros = {n: 0 for mono in unbound.terms for n, _ in mono if "tauL" in n}
             with_tau += bool(zeros)
-            assert integrate_w(bound, m, expr) == unbound.substitute(zeros), exps
+            assert integrate(pushdown(bound, m, expr)) == unbound.substitute(zeros), exps
     assert with_tau
 
 
 def test_double_point_first_excess_term_is_exact(fam):
-    # the i = 1 term of the excess sum is minus the discriminant times c_{n-1}
+    # the i = 1 term of the excess sum is minus the discriminant times c_{n-1}(T)
     n = 3
-    target = projective_target(n)
-    full = double_point_class(fam, target)
-    partial_target = {"dim": n, "diag": target["diag"], "tangent": list(target["tangent"])}
-    partial_target["tangent"][n - 1] = Fraction(0)
-    partial = double_point_class(fam, partial_target)
-    diff = full - partial
+    l1, l2, g2 = flag_L(1), flag_L(2), flag_G(2)
+    partial = CharPoly()  # the double-point polynomial of P^n without its i = 1 term
+    for a in range(n + 1):
+        partial.accumulate(l1 ** a * l2 ** (n - a))
+    for i in range(2, n + 1):
+        partial.accumulate(l1 ** (n - i) * g2 ** i, comb(n + 1, n - i) * (-1) ** i)
+    diff = double_point_class(fam, n) - pushdown(fam, 2, partial).scale(Fraction(1, 2))
     ell = BaseClass.gen(fam.total_ring, "L")
     expected = twists(gamma_as_class(fam, 2), [(None, ell ** (n - 1))])[0]
-    assert diff == expected.scale(-target["tangent"][n - 1] / 2)
+    assert diff == expected.scale(Fraction(-comb(n + 1, n - 1), 2))
 
 
 def test_polarization_powers_m2_structure(fam):

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from hilbtaut.charpoly import CharPoly
-from hilbtaut.chern import single_curve_trisecant_formula
+from hilbtaut.chern import double_point_class, single_curve_trisecant_formula
 from hilbtaut.cli import DescriptorError, load_descriptor, main, run
 from hilbtaut.family import symbolic_family
 from hilbtaut.tautmod import from_data, gamma_power, integrate, to_data
@@ -143,6 +143,13 @@ def test_load_parse_error_has_line_number(tmp_path):
             5,
             "integral key 'IT[t|psi_x|]' must read IT[s|<base monomial>|<pushed factors>]",
         ),
+        ("[family]\ndim_b = 1\n[characters]\nd = 3/0\n", 4, "cannot parse value '3/0'"),
+        ("[family]\ndim_b = 1\n[node.]\nweight = 1\n", 3, "empty node id"),
+        ("[family]\ndim_b = 1\n[nodes]\n", 3, "unknown section [nodes]"),
+        ("dim_b = 1\n[family]\n", 1, "key outside of any section"),
+        ("[family]\ndim_b = one\n", 2, "dim_b must be an integer"),
+        ("[family]\ndim_b = 1\n[node.s]\nweight = 1\ntauL = 3\n", 5, "tauL = 3, but dim_b = 1"),
+        ("[family]\ndim_b = 1\n[node.s]\nweight = 1\ntauL = t\n", 5, "tauL = t, but dim_b = 1"),
     ],
     ids=[
         "repeated-key",
@@ -152,6 +159,13 @@ def test_load_parse_error_has_line_number(tmp_path):
         "unknown-character",
         "malformed-integral-key",
         "other-node-integral-key",
+        "unparsable-value",
+        "empty-node-id",
+        "unknown-section",
+        "key-before-any-section",
+        "non-integer-dim-b",
+        "numeric-tauL-over-a-curve",
+        "symbolic-tauL-over-a-curve",
     ],
 )
 def test_ambiguous_or_unknown_descriptor_entries_exit_1(
@@ -162,6 +176,54 @@ def test_ambiguous_or_unknown_descriptor_entries_exit_1(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "descriptor error: %s:%d: %s" % (path, line, message) in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[characters]\nd = 3\n", "[family] needs dim_b"),
+        ("[family]\ndim_b = 1\n[node.s]\ntauL = 0\n", "node s needs a weight"),
+        (None, "cannot read "),
+    ],
+    ids=["missing-dim-b", "node-without-weight", "unreadable-path"],
+)
+def test_descriptor_errors_without_a_line_exit_1(monkeypatch, capsys, tmp_path, text, message):
+    path = write(tmp_path, text) if text is not None else str(tmp_path / "missing.ini")
+    assert _run_exit(monkeypatch, ["chern-numbers", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "descriptor error: " in captured.err
+    assert path in captured.err and message in captured.err
+
+
+def test_tauL_zero_over_a_curve_and_three_over_a_surface_are_accepted(tmp_path):
+    node = "[node.s]\nweight = 1\ntauL = %s\n"
+    fam = load_descriptor(write(tmp_path, "[family]\ndim_b = 1\n" + node % "0"))
+    assert fam.node("s").tau_L == CharPoly.const(0)
+    fam = load_descriptor(write(tmp_path, "[family]\ndim_b = 2\n" + node % "3"))
+    assert fam.node("s").tau_L == CharPoly.const(3)
+
+
+@pytest.mark.parametrize(
+    "tau, value, term",
+    [
+        (None, None, "5/2*IT[s|tauL|]"),
+        ("3", CharPoly.const(3), "15/2*IT[s|1|]"),
+        ("t", CharPoly.symbol("t"), "5/2*IT[s|1|]*t"),
+    ],
+    ids=["free", "numeric", "symbolic"],
+)
+def test_bound_theta_star_L_reaches_the_integral(runner, tmp_path, tau, value, term):
+    text = "[family]\ndim_b = 2\n[node.s]\nweight = 1\n"
+    free = integrate(double_point_class(load_descriptor(write(tmp_path, text, "free.ini")), 4))
+    path = write(tmp_path, text + ("tauL = %s\n" % tau if tau else ""))
+    result = runner.invoke(main, ["double-points", "--n", "4", path])
+    assert result.exit_code == 0, result.output
+    assert term in result.output.strip().split(" + ")
+    # binding theta^*L = value turns the boundary integral of tauL into value times that of 1
+    if value is not None:
+        free = free.substitute({"IT[s|tauL|]": CharPoly.symbol("IT[s|1|]") * value})
+    assert result.output.strip() == str(free)
 
 
 def test_psi_table_value_reaches_the_integral(tmp_path):

@@ -35,6 +35,7 @@ TWO_POINT_CLASS = json.dumps(
 
 FAMILY_COMMANDS = [
     ["gamma-power", "--m", "2", "--k", "1"],
+    ["gamma-power", "--m", "2", "--k", "3"],
     ["gamma-power", "--m", "3", "--k", "4", "--integrate"],
     ["chern", "--m", "3"],
     ["chern", "--m", "3", "--closed-form"],

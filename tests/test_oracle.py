@@ -7,10 +7,10 @@ from math import factorial
 from hilbtaut.basering import BaseClass, make_total_space_ring
 from hilbtaut.family import FamilyDescriptor
 from hilbtaut.oracle import OrderedTensor, ordered_disc, symmetrize
-from hilbtaut.partitions import aut_count, enumerate_distributions
+from hilbtaut.partitions import aut_count
 from hilbtaut.tensym import TensorClass, discriminant_op, u_omega_total
 from hilbtaut.tautmod import TautClass, gamma_as_class, gamma_power, integrate, twists
-from reference import accumulate, block_partitions, ordered_union
+from reference import accumulate, block_partitions, distributions_up_to, ordered_union
 
 
 def ring():
@@ -155,7 +155,7 @@ def test_symmetrization_commutes_iterated():
 def test_symmetrization_degrees():
     # diagonal loci push down with degree aut(mu); removing one n-block for a
     # scroll divides by the multiplicity of n
-    for mu in enumerate_distributions(5):
+    for mu in distributions_up_to(5):
         if sum(mu) < 2:
             continue
         bps = block_partitions(mu)

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
+import pytest
 from hypothesis import given, strategies as st
 
 from hilbtaut.basering import BaseClass, make_total_space_ring
@@ -11,7 +12,7 @@ from hilbtaut.family import FamilyDescriptor
 from hilbtaut.partitions import aut_count, enumerate_distributions
 from hilbtaut.tautmod import TautClass
 from hilbtaut.tensym import TensorClass, discriminant_op
-from reference import block_partitions, codim_parts
+from reference import block_partitions, codim_parts, distributions_up_to
 
 
 def partition_count(n):
@@ -49,7 +50,7 @@ def united_shapes(parts):
 def test_weight_degree_blocks_identity():
     # the reduced diagonal of mu has codimension weight - number of blocks
     fam = FamilyDescriptor(1)
-    for mu in enumerate_distributions(6):
+    for mu in distributions_up_to(6):
         one = BaseClass.unit(fam.total_ring)
         cls = TautClass.from_twists(fam, sum(mu), [(n, one) for n in mu])
         assert codim_parts(cls) == {sum(mu) - len(mu)}, mu
@@ -66,7 +67,7 @@ def test_aut_count_examples():
 
 def test_aut_count_matches_bruteforce():
     # the orderings of the blocks that keep every block size in place
-    for mu in enumerate_distributions(6):
+    for mu in distributions_up_to(6):
         assert sum(p == mu for p in permutations(mu)) == aut_count(mu), mu
 
 
@@ -106,18 +107,12 @@ def test_union_conserves_weight(parts):
 
 
 def test_enumerate_distributions():
-    zero = enumerate_distributions(0)
-    assert zero == [()]
-    upto3 = enumerate_distributions(3)
-    exactly3 = [mu for mu in upto3 if sum(mu) == 3]
-    assert len(exactly3) == 3
-    assert set(exactly3) == {(3,), (2, 1), (1, 1, 1)}
+    assert enumerate_distributions(0) == [()]
+    assert enumerate_distributions(3) == [(1, 1, 1), (2, 1), (3,)]
     for m in range(1, 8):
-        exact = [mu for mu in enumerate_distributions(m) if sum(mu) == m]
-        assert len(exact) == partition_count(m)
-    # deterministic and duplicate-free
-    listed = enumerate_distributions(5)
-    assert listed == enumerate_distributions(5)
-    assert len(listed) == len(set(listed))
-    assert len([mu for mu in listed if sum(mu) == 5]) == 7
-
+        listed = enumerate_distributions(m)
+        assert len(listed) == len(set(listed)) == partition_count(m)
+        assert all(sum(mu) == m and list(mu) == sorted(mu, reverse=True) for mu in listed)
+    assert len(enumerate_distributions(5)) == 7
+    with pytest.raises(ValueError, match="weight"):
+        enumerate_distributions(-1)

@@ -16,7 +16,6 @@ from hilbtaut.tautmod import (
     gamma_as_class,
     gamma_power,
     integrate,
-    mult_D,
     nu_coeff,
     scroll_divisor,
     to_data,
@@ -283,7 +282,7 @@ def test_scroll_bundle_divisor_coefficients(fam):
     # tensor (one insertion per point slot)
     for n in (2, 3, 4):
         for j in range(1, n):
-            out = mult_D(payload, n, j)
+            out = twists(payload, [scroll_divisor(bd, n, j)])[0]
             expect = {
                 ((("psi_x", 1),), blocks(1, 1)): CharPoly.const(comb(n - j + 1, 2)),
                 ((("psi_y", 1),), blocks(1, 1)): CharPoly.const(comb(j, 2)),
