@@ -20,7 +20,7 @@ from math import comb, factorial
 from .basering import BaseClass
 from .charpoly import CharPoly
 from .family import FamilyDescriptor
-from .lincomb import mono_str
+from .lincomb import add_term, mono_str
 from .partitions import enumerate_distributions
 from .tautmod import TautClass, gamma_action, integrate
 from .transfer import transfer
@@ -49,14 +49,25 @@ def pushdown(fam: FamilyDescriptor, m, expr: CharPoly) -> TautClass:
     then applies the degree-i discriminant k_i times, the exponent of G_i.
     Transfer and discriminant are linear, so the monomials whose remaining
     stages agree are summed and pushed as one class: the groups are keyed by
-    the unprocessed suffix ((a_i, k_i), ..., (a_m, k_m)).
+    the unprocessed suffix ((a_i, k_i), ..., (a_m, k_m)).  At stage i the
+    groups sharing (a_i, rest) are folded by Horner's rule in the
+    discriminant: acc <- Gamma acc + transfer(class_k, L^(a_i)) for k from the
+    highest k_i down to 0, which applies Gamma max k_i times per group.
     """
     if type(m) is not int or m < 1:
         raise ValueError("flag length must be an integer >= 1, got %r" % (m,))
+    return _push_terms(fam, m, expr.terms)
+
+
+def _push_terms(fam: FamilyDescriptor, m, terms) -> TautClass:
+    """`pushdown` of the flag polynomial {flag monomial: coefficient}.
+
+    A coefficient may be a scalar or a CharPoly: it rides along the stages.
+    """
     ring = fam.total_ring
     ell = BaseClass.gen(ring, "L")
     groups = {}
-    for key, c in expr.terms.items():
+    for key, c in terms.items():
         powers = dict(key)
         for name, p in key:
             if type(p) is not int or p < 1:
@@ -74,16 +85,21 @@ def pushdown(fam: FamilyDescriptor, m, expr: CharPoly) -> TautClass:
         suffix = tuple(zip(a[1:], k))
         groups.setdefault(suffix, TautClass(fam, 1)).accumulate(seed)
     for i in range(2, m + 1):
-        shorter = {}
+        by_power = {}  # (a_i, rest) -> {k_i: class on degree i-1}
         for ((a, k), *rest), cls in groups.items():
-            if not cls:
-                continue
-            cls = transfer(cls, ell ** a)
-            for _ in range(k):
-                if not cls:
-                    break
-                cls = gamma_action(cls)
-            shorter.setdefault(tuple(rest), TautClass(fam, i)).accumulate(cls)
+            if cls:
+                by_power.setdefault((a, tuple(rest)), {})[k] = cls
+        shorter = {}
+        for (a, rest), classes in by_power.items():
+            acc = TautClass(fam, i)
+            ks = sorted(classes, reverse=True)
+            for k, lower in zip(ks, ks[1:] + [0]):
+                acc.accumulate(transfer(classes[k], ell ** a))
+                for _ in range(k - lower):
+                    if not acc:
+                        break
+                    acc = gamma_action(acc)
+            shorter.setdefault(rest, TautClass(fam, i)).accumulate(acc)
         groups = shorter
     return groups.get((), TautClass(fam, m))
 
@@ -103,6 +119,8 @@ def w3_monomial(fam: FamilyDescriptor, exponents) -> CharPoly:
     """
     if fam.dim_b != 1:
         raise ValueError("the 3-step flag formulary needs a 1-dimensional base")
+    if len(exponents) != len(W3_SYMBOLS):
+        raise ValueError("exponents %r are not five, (a1, a2, a3, k2, k3)" % (tuple(exponents),))
     if sum(exponents) != 4:
         raise ValueError("degree must be 4")
     mono = tuple(sorted((name, e) for name, e in zip(W3_SYMBOLS, exponents) if e))
@@ -180,22 +198,30 @@ def chern_numbers_w3(fam: FamilyDescriptor):
 
     Returned on the 3-step flag (3! times the Hilbert-scheme numbers), as a
     dict with keys c1^4, c1^2c2, c1c3, c2^2; requires a 1-dimensional base.
-    The four polynomials share most of their flag monomials (66 distinct
-    of 144), so each distinct monomial is pushed down and integrated once.
+    The four polynomials share most of their flag monomials (66 distinct of
+    144), so they go down the tower in one pass: the coefficient of each
+    monomial is sum_name c_name * #name, with one tag symbol #name per number
+    that no descriptor can spell, and the one integral is split by tag.
     """
     if fam.dim_b != 1:
         raise ValueError("the degree-4 Chern numbers need a 1-dimensional base")
     c1, c2, c3 = _rank3_chern_classes()
     polys = {"c1^4": c1 ** 4, "c1^2c2": c1 * c1 * c2, "c1c3": c1 * c3, "c2^2": c2 * c2}
-    values = {}
-    out = {}
+    tags = {"#" + name: name for name in polys}
+    terms = {}
     for name, poly in polys.items():
-        total = CharPoly()
         for key, c in poly.terms.items():
-            if key not in values:
-                values[key] = integrate(push_monomial(fam, 3, key))
-            total.accumulate(values[key], c)
-        out[name] = total
+            terms.setdefault(key, CharPoly()).accumulate(CharPoly.symbol("#" + name), c)
+    out = {name: CharPoly() for name in polys}
+    for mono, c in integrate(_push_terms(fam, 3, terms)).terms.items():
+        tagged = [(n, p) for n, p in mono if n in tags]
+        if len(tagged) != 1 or tagged[0][1] != 1:
+            raise ValueError(
+                "term %s of the Chern numbers does not carry exactly one of the tags %s"
+                % (mono_str(mono), ", ".join(tags))
+            )
+        rest = tuple(f for f in mono if f != tagged[0])
+        add_term(out[tags[tagged[0][0]]].terms, rest, c)
     return out
 
 

@@ -3,14 +3,17 @@
 Closed forms and brute forces that no part of the package runs: the codimensions
 a class holds, the discriminant powers on a scroll through the polarized
 rank-2 structure, the distributions up to a weight and the labelled block
-partitions of one, and the per-pair union of the ordered model.
+partitions of one, the per-pair union of the ordered model, and the four
+rank-3 Chern numbers with every flag monomial pushed down on its own.
 """
 
 from itertools import permutations
 
+from hilbtaut.charpoly import CharPoly
+from hilbtaut.chern import chern_splitting, push_monomial
 from hilbtaut.oracle import OrderedTensor
 from hilbtaut.partitions import enumerate_distributions
-from hilbtaut.tautmod import TautClass, gamma_action, scroll_divisor, twists
+from hilbtaut.tautmod import TautClass, gamma_action, integrate, scroll_divisor, twists
 
 
 def codim_parts(cls):
@@ -100,3 +103,19 @@ def accumulate(t, other, factor=1):
     for key, c in other.terms.items():
         t._add(key, c * factor)
     return t
+
+
+def chern_numbers_per_monomial(fam):
+    """`chern_numbers_w3` with each distinct flag monomial pushed down and integrated once."""
+    c1, c2, c3 = (chern_splitting(3).graded_part(k) for k in (1, 2, 3))
+    polys = {"c1^4": c1 ** 4, "c1^2c2": c1 * c1 * c2, "c1c3": c1 * c3, "c2^2": c2 * c2}
+    values = {}
+    out = {}
+    for name, poly in polys.items():
+        total = CharPoly()
+        for key, c in poly.terms.items():
+            if key not in values:
+                values[key] = integrate(push_monomial(fam, 3, key))
+            total.accumulate(values[key], c)
+        out[name] = total
+    return out

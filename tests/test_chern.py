@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
@@ -29,7 +30,7 @@ from hilbtaut.chern import (
 from hilbtaut.tautmod import gamma_action, gamma_power, pushforward_to_base, twists
 from hilbtaut.tautmod import TautClass, gamma_as_class, integrate, to_data
 from hilbtaut.transfer import transfer
-from reference import codim_parts
+from reference import chern_numbers_per_monomial, codim_parts
 
 
 def sym(name):
@@ -61,6 +62,18 @@ def test_formulary(fam):
 def test_w3_monomial_rejects_wrong_degree(fam):
     with pytest.raises(ValueError):
         w3_monomial(fam, (1, 1, 1, 0, 0o0 + 0))  # degree 3
+
+
+@pytest.mark.parametrize(
+    "exponents",
+    [(4,), (0, 0, 0, 0, 4, 0), (0, 0, 0, 0, 4, 1, -1)],
+    ids=["one", "six", "seven"],
+)
+def test_w3_monomial_rejects_exponents_that_are_not_five(fam, exponents):
+    # each has degree 4; zip used to drop the extras and pad nothing, so the
+    # first read 0 and the other two the value of G3^4
+    with pytest.raises(ValueError, match=re.escape("exponents %r are not five" % (exponents,))):
+        w3_monomial(fam, exponents)
 
 
 # -- splitting, flaglet factorization, closed form ----------------------------------------
@@ -182,6 +195,24 @@ def test_pushdown_stops_once_the_class_vanishes(fam, monkeypatch):
     assert len(steps) <= 2 + fam.dim_b + 1
 
 
+def test_pushdown_folds_discriminant_powers_by_horner(fam, monkeypatch):
+    # 1 + G2 + G2^2 + G2^3 share (a_2, rest) = (0, ()): Gamma applied 3 times, not 1 + 2 + 3
+    import hilbtaut.chern as chern
+
+    calls = []
+    action = chern.gamma_action
+
+    def counted(tc):
+        calls.append(tc)
+        return action(tc)
+
+    monkeypatch.setattr(chern, "gamma_action", counted)
+    expr = CharPoly.const(1) + flag_G(2) + flag_G(2) ** 2 + flag_G(2) ** 3
+    got = pushdown(fam, 2, expr)
+    assert len(calls) == 3
+    assert got == per_monomial_pushdown(fam, 2, expr)
+
+
 def test_stagewise_pushdown_equals_per_monomial_sum():
     outcomes = []
 
@@ -193,6 +224,14 @@ def test_stagewise_pushdown_equals_per_monomial_sum():
     @example(fam_name="two_node", m_expr=(3, CharPoly()))
     @example(fam_name="symbolic1", m_expr=(1, flag_L(1) * 2 - CharPoly.const(3)))
     @example(fam_name="symbolic1", m_expr=(4, chern_splitting(4)))
+    # Horner's rule over gapped discriminant powers in one (a_i, rest) group
+    @example(fam_name="symbolic1", m_expr=(2, flag_L(2) * (flag_G(2) ** 3 + flag_G(2) + 1)))
+    @example(
+        fam_name="symbolic2",
+        m_expr=(3, flag_L(3) * (flag_G(3) ** 4 + flag_G(3) ** 2 * flag_L(1) + flag_L(2))),
+    )
+    # the high power dies before the low one is added
+    @example(fam_name="symbolic1", m_expr=(2, flag_G(2) ** 7 + flag_G(2)))
     def check(fam_name, m_expr):
         m, expr = m_expr
         fam = PUSHDOWN_FAMILIES[fam_name]
@@ -349,6 +388,34 @@ def test_chern_numbers_w3(fam):
         bd2 * 6 - B * D * 30 - B * TG * 3 - D * LW * 6 + B * 36 + LW * 24 + W2 * 4
         - SG * 2
     )
+
+
+@pytest.mark.parametrize(
+    "family, zeros",
+    [
+        (symbolic_family(1), 0),
+        (FamilyDescriptor(1, nodes=[Node(n, sym("w_" + n), tau_L=0) for n in "pqr"]), 0),
+        (FamilyDescriptor(1, chars={"d": 5, "b": Fraction(3, 2), "twogm2": 2},
+                          nodes=[Node("s", sym("w"))]), 0),
+        # C x P^1 at g = 1, d = 3, e = 1
+        (FamilyDescriptor(1, chars={"d": 3, "b": 6, "Lomega": 0, "omega2": 0, "twogm2": 0}), 3),
+    ],
+    ids=["symbolic1", "three_symbolic_weights", "weight_w", "product_g1_d3"],
+)
+def test_one_pass_chern_numbers_equal_per_monomial_route(family, zeros):
+    got = chern_numbers_w3(family)
+    want = chern_numbers_per_monomial(family)
+    # same keys in the same order, and the same printed values
+    assert [(k, str(v)) for k, v in got.items()] == [(k, str(v)) for k, v in want.items()]
+    assert got == want
+    assert sum(not v for v in got.values()) == zeros
+
+
+def test_chern_number_split_refuses_a_tag_spelled_character():
+    # a character named like a tag puts two tags, or a tag squared, into a term
+    tagged = FamilyDescriptor(1, chars={"d": sym("#c1^4")})
+    with pytest.raises(ValueError, match="does not carry exactly one of the tags"):
+        chern_numbers_w3(tagged)
 
 
 def test_chern_numbers_need_a_curve_base():

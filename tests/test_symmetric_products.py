@@ -7,7 +7,9 @@ integral x^(m-k) theta^k = g!/(g-k)! (Macdonald, "Symmetric products of an
 algebraic curve", Topology 1 (1962); Arbarello-Cornalba-Griffiths-Harris,
 Geometry of Algebraic Curves I, ch. VIII).  Over the product family C x P^1
 the relative Hilbert scheme is C^(m) x P^1, where Gamma is pulled back from
-C^(m), so its power of degree m + 1 vanishes.
+C^(m), so its power of degree m + 1 vanishes.  There L^[m] is the secant
+bundle of L_C pulled back, twisted by O(e) from P^1, so every Chern number of
+L^[3] is a number on C^(3) times e.
 
 The tautological (secant) bundle L^[m] of a line bundle of degree d has total
 Chern class c(L^[m]) = (1 - x)^(m+g-1-d) exp(theta / (1 - x)) (ACGH I,
@@ -23,7 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hilbtaut.family import FamilyDescriptor
 from hilbtaut.basering import BaseClass
-from hilbtaut.chern import chern_class_on_hilb
+from hilbtaut.chern import chern_class_on_hilb, chern_numbers_w3
 from hilbtaut.tautmod import TautClass, gamma_power, integrate, twists
 
 
@@ -108,12 +110,63 @@ def test_secant_bundle_chern_numbers_up_to_m10(g, d, m):
     assert_secant_chern_numbers(g, d, m)
 
 
+def product_family(g, d, e):
+    """C x P^1 polarized by L = d (point) + e (fiber): L^2 = 2de, L.omega = e(2g-2), omega^2 = 0."""
+    chars = {"d": d, "b": 2 * d * e, "Lomega": e * (2 * g - 2), "omega2": 0, "twogm2": 2 * g - 2}
+    return FamilyDescriptor(1, chars=chars)
+
+
 @pytest.mark.parametrize("g", range(4))
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("e", [1, 2])
 def test_product_family_top_gamma_power_vanishes(g, d, e):
-    # C x P^1 polarized by L = d (point) + e (fiber): L^2 = 2de, L.omega = e(2g-2), omega^2 = 0
-    chars = {"d": d, "b": 2 * d * e, "Lomega": e * (2 * g - 2), "omega2": 0, "twogm2": 2 * g - 2}
-    fam = FamilyDescriptor(1, chars=chars)
+    fam = product_family(g, d, e)
     for m in range(1, 7):
         assert not integrate(gamma_power(fam, m, m + 1)), (g, d, e, m)
+
+
+def secant_chern_numbers_m3(g, d):
+    """integral over C^(3) of c1^3, c1 c2 and c3 of the secant bundle F = L_C^[3].
+
+    c_k(F) = sum_t theta^t / t! * binom(g+2-d-t, k-t) (-x)^(k-t); a product is
+    a dict {(i, t): coefficient of x^i theta^t}, and x^(3-t) theta^t
+    integrates to g!/(g-t)!.
+    """
+    n = g + 2 - d
+    c1, c2, c3 = (
+        {(k - t, t): (-1) ** (k - t) * binom(n - t, k - t) / factorial(t) for t in range(k + 1)}
+        for k in (1, 2, 3)
+    )
+
+    def times(p, q):
+        out = {}
+        for (i1, t1), a in p.items():
+            for (i2, t2), b in q.items():
+                out[i1 + i2, t1 + t2] = out.get((i1 + i2, t1 + t2), 0) + a * b
+        return out
+
+    def integral(p):
+        return sum(c * (factorial(g) // factorial(g - t)) for (_, t), c in p.items() if t <= g)
+
+    return integral(times(times(c1, c1), c1)), integral(times(c1, c2)), integral(c3)
+
+
+@pytest.mark.parametrize("g", range(4))
+@pytest.mark.parametrize("d", [1, 3, 5])
+@pytest.mark.parametrize("e", [1, 2])
+def test_product_family_chern_numbers(g, d, e):
+    # L^[3] = F x O(e) on C^(3) x P^1: with h the point class of P^1,
+    # c(L^[3]) = prod (1 + f_i + e h), so c1 = c1F + 3eh, c2 = c2F + 2eh c1F,
+    # c3 = c3F + eh c2F, and each number keeps the part linear in h
+    c1_3, c1c2, c3 = secant_chern_numbers_m3(g, d)
+    expected = {
+        "c1^4": 12 * e * c1_3,
+        "c1^2c2": 2 * e * c1_3 + 6 * e * c1c2,
+        "c1c3": e * c1c2 + 3 * e * c3,
+        "c2^2": 4 * e * c1c2,
+    }
+    numbers = chern_numbers_w3(product_family(g, d, e))
+    # flag level: 3! times the numbers on the Hilbert scheme
+    assert {k: v.constant_value() for k, v in numbers.items()} == {
+        k: 6 * Fraction(v) for k, v in expected.items()
+    }
