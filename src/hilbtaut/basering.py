@@ -166,10 +166,10 @@ def make_total_space_ring(dim_b: int) -> Ring:
     return Ring("X/B(dim %d)" % dim_b, dim_b + 1, fiber)
 
 
-def make_boundary_ring(dim_b: int, node_id: str) -> Ring:
+def make_boundary_ring(dim_b: int) -> Ring:
     """Ring over the normalized boundary family X^theta (dimension dim_b)."""
     return Ring(
-        "X^theta(%s)" % node_id,
+        "X^theta",
         dim_b,
         ("L", "omega", "theta_x", "theta_y"),
         base=("psi_x", "psi_y", "tauL"),
@@ -177,6 +177,6 @@ def make_boundary_ring(dim_b: int, node_id: str) -> Ring:
     )
 
 
-def make_node_base_ring(dim_b: int, node_id: str) -> Ring:
-    """Ring over the boundary base T of a node (dimension dim_b - 1)."""
-    return Ring("T(%s)" % node_id, dim_b - 1, ("psi_x", "psi_y", "tauL"))
+def make_node_base_ring(dim_b: int) -> Ring:
+    """Ring over the boundary base T that every node shares (dimension dim_b - 1)."""
+    return Ring("T", dim_b - 1, ("psi_x", "psi_y", "tauL"))

@@ -59,10 +59,9 @@ class FamilyDescriptor:
             if node.weight.is_constant() and node.weight.constant_value() <= 0:
                 raise ValueError("node %s has nonpositive weight" % node.node_id)
         self.total_ring = make_total_space_ring(dim_b)
-        self._node_base_rings = {
-            n.node_id: make_node_base_ring(dim_b, n.node_id) for n in self.nodes
-        }
-        self._boundary_families = {}
+        # the boundary base T that every node shares, and X^theta / T over it
+        self.node_base_ring = make_node_base_ring(dim_b) if self.nodes else None
+        self._boundary_family = None
         # constant operator data on this family's total space, built once
         # (the phi^* images and scroll divisors of `tautmod`)
         self.operator_data = {}
@@ -89,32 +88,21 @@ class FamilyDescriptor:
                 return node
         raise KeyError("no node %r" % node_id)
 
-    def node_base_ring(self, node_id):
-        return self._node_base_rings[node_id]
-
-    def boundary_family(self, node_id):
-        """The normalized boundary family X^theta / T attached to a node.
+    def boundary_family(self):
+        """The normalized boundary family X^theta / T that every node shares.
 
         The base dimension drops by one, the relative canonical degree by two
-        (the node is separated into two marked points).  Boundary families are
-        treated as node-free; their total-space ring carries the two sections.
+        (a node is separated into two marked points).  The boundary family is
+        node-free; its total-space ring carries the two sections.  A node's
+        own data enter only at integration (`fiber_integral`'s `node`).
         """
-        if node_id not in self._boundary_families:
-            node = self.node(node_id)
+        if self._boundary_family is None:
             chars = dict(self.chars)
             chars["twogm2"] = self.char("twogm2") - CharPoly.const(2)
-            fam = FamilyDescriptor(
-                self.dim_b - 1,
-                chars=chars,
-                nodes=(),
-                label="%s^theta(%s)" % (self.label, node.node_id),
-            )
-            fam.total_ring = make_boundary_ring(self.dim_b, node_id)
-            fam.context_node = node
-            self._boundary_families[node_id] = fam
-        return self._boundary_families[node_id]
-
-    context_node = None  # set on boundary families
+            fam = FamilyDescriptor(self.dim_b - 1, chars=chars, label="%s^theta" % self.label)
+            fam.total_ring = make_boundary_ring(self.dim_b)
+            self._boundary_family = fam
+        return self._boundary_family
 
     # -- fiber-level data ------------------------------------------------------
 
@@ -157,7 +145,7 @@ def integrate_classes(fam: FamilyDescriptor, factors):
     return total
 
 
-def fiber_integral(fam: FamilyDescriptor, slot_monos, base_mono=()):
+def fiber_integral(fam: FamilyDescriptor, slot_monos, base_mono=(), node=None):
     """Integrate a product of per-factor monomials over a fiber product of X/base.
 
     Each slot contributes one curve factor of the fiber product and holds
@@ -166,6 +154,8 @@ def fiber_integral(fam: FamilyDescriptor, slot_monos, base_mono=()):
     contributes its fiber degree, a degree-2 factor its total-space integral
     (a degree-1 class on the base).  Over a 1-dimensional base this forces
     exactly one degree-2 factor; over a point base all factors have degree 1.
+    On a boundary family, `node` is the Node whose boundary base T is
+    integrated over: its tau_L, psi_table and id enter the result.
 
     Raises ValueError when the total degree is not top-dimensional.
     """
@@ -195,7 +185,7 @@ def fiber_integral(fam: FamilyDescriptor, slot_monos, base_mono=()):
             base_mono = merge_monos(base_mono, tau)
         else:
             pushed.append(mono)
-    return value * _base_integral(fam, base_mono, pushed)
+    return value * _base_integral(fam, base_mono, pushed, node)
 
 
 def theta_star(mono):
@@ -219,14 +209,15 @@ def theta_star(mono):
 _NAMED_INTEGRALS = {(("L", 2),): "b", (("L", 1), ("omega", 1)): "Lomega", (("omega", 2),): "omega2"}
 
 
-def _base_integral(fam, base_mono, pushed):
-    """Integrate over the base: pulled-back monomial times pushed-down factors."""
+def _base_integral(fam, base_mono, pushed, node):
+    """Integrate a base monomial times pushed-down factors over the base, or over T of `node`."""
+    if node is None and fam.total_ring.psi_of:
+        raise ValueError("an integral over %s needs the node whose base it is" % fam.label)
     base_dim = fam.dim_b
-    node = fam.context_node
     # bind theta^*L when the node fixes its value
     tau_power = dict(base_mono).get("tauL", 0)
     tau_value = None
-    if tau_power and node is not None and node.tau_L is not None:
+    if tau_power and node.tau_L is not None:
         tau_value = node.tau_L ** tau_power
         if not tau_value:
             return CharPoly()

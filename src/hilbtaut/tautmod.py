@@ -228,7 +228,8 @@ def from_data(fam: FamilyDescriptor, data) -> TautClass:
     for sector, adder in (("scroll", tc.add_scroll), ("section", tc.add_section)):
         for term in data[sector]:
             n = _int_from_data(term["n"], 2, "scroll size n")
-            payload = from_data(fam.boundary_family(term["node"]), term["payload"])
+            fam.node(term["node"])  # raises KeyError on a node the family lacks
+            payload = from_data(fam.boundary_family(), term["payload"])
             if payload.m != tc.m - n:
                 raise ValueError("payload of degree %d on F^{%d,%d}" % (payload.m, n, tc.m))
             adder(term["node"], n, _int_from_data(term["j"], 1, "scroll index j"), payload)
@@ -304,25 +305,25 @@ def gamma_action(tc: TautClass) -> TautClass:
                 sign, key = tc._rekeyed(base_mono, rest, n, mono, (("omega", 1),))
                 if sign:
                     _add_scaled(diag, key, coeff, -sign * comb(n, 2))
-        # boundary terms: one scroll per node, per block of size >= 2, per j
-        if fam.nodes and any(n >= 2 for n, _ in blocks):
-            for node in fam.nodes:
-                bd = fam.boundary_family(node.node_id)
-                for i, (n, mono) in enumerate(blocks):
-                    if n < 2:
-                        continue
-                    tau = theta_star(mono)
-                    if tau is None:
-                        continue
-                    # the other blocks pulled back, the whole term twisted by tau
-                    pairs = [(nb, _phi_image(bd, mb)) for nb, mb in blocks[:i] + blocks[i + 1 :]]
-                    base = BaseClass(bd.total_ring, {merge_monos(tau, base_mono): 1})
-                    payload = TautClass.from_twists(bd, m - n, pairs, base=base)
-                    if not payload:
-                        continue
-                    for j in range(1, n):
-                        factor = coeff * exact(Fraction(nu_coeff(n, j), mult[n])) * node.weight
-                        out.add_scroll(node.node_id, n, j, payload.scale(factor))
+        # boundary terms: per block of size >= 2, one payload on the shared
+        # boundary family, scrolled per j and per node with the node's weight
+        if not fam.nodes:
+            continue
+        for i, (n, mono) in enumerate(blocks):
+            tau = theta_star(mono) if n >= 2 else None
+            if tau is None:
+                continue
+            bd = fam.boundary_family()
+            # the other blocks pulled back, the whole term twisted by tau
+            pairs = [(nb, _phi_image(bd, mb)) for nb, mb in blocks[:i] + blocks[i + 1 :]]
+            base = BaseClass(bd.total_ring, {merge_monos(tau, base_mono): 1})
+            payload = TautClass.from_twists(bd, m - n, pairs, base=base)
+            if not payload:
+                continue
+            for j in range(1, n):
+                factor = coeff * exact(Fraction(nu_coeff(n, j), mult[n]))
+                for node in fam.nodes:
+                    out.add_scroll(node.node_id, n, j, payload.scale(factor * node.weight))
     out.diag = _finished(diag)
 
     # scrolls: Gamma . F = -((-Gamma) . F)
@@ -478,19 +479,21 @@ def gamma_power(fam, m, k) -> TautClass:
     return out
 
 
-def integrate(tc: TautClass) -> CharPoly:
+def integrate(tc: TautClass, node=None) -> CharPoly:
     """Exact degree of a zero-dimensional tautological class.
 
     Diagonal terms integrate over the fiber product of the family with the
     1/aut(mu) symmetrization normalization; node sections project with degree
     one onto the boundary Hilbert scheme; bare scrolls integrate to zero.
+    A payload on the boundary family integrates with the data of `node`,
+    the Node its section key names.
     """
     total = CharPoly()
     for (base_mono, blocks), coeff in tc.diag.items():
-        value = fiber_integral(tc.fam, [mono for _, mono in blocks], base_mono)
+        value = fiber_integral(tc.fam, [mono for _, mono in blocks], base_mono, node)
         total.accumulate(value * coeff, Fraction(1, aut_count(n for n, _ in blocks)))
-    for payload in tc.section.values():
-        total.accumulate(integrate(payload))
+    for (node_id, _, _), payload in tc.section.items():
+        total.accumulate(integrate(payload, tc.fam.node(node_id)))
     # scroll terms are pulled back from the scroll base and die in top degree
     return total
 
@@ -512,7 +515,7 @@ def pushforward_to_base(tc: TautClass):
         for _, mono in blocks:
             value = value * _kappa_symbol(mono)
         interior.accumulate(value * coeff, Fraction(1, aut_count(n for n, _ in blocks)))
-    # scrolls collapse onto the boundary base
+    # sections collapse onto the boundary base; scrolls push forward to zero
     for (node_id, n, j), payload in tc.section.items():
         for (bmono, bblocks), c in payload.diag.items():
             tag = "delta[%s|%s]" % (node_id, mono_str(bmono))

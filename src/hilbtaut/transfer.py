@@ -54,11 +54,11 @@ def transfer(tc: TautClass, beta: BaseClass = None, variant="j") -> TautClass:
     out.diag = _finished(diag)
 
     for (node_id, n, j), payload in tc.scroll.items():
-        bd = fam.boundary_family(node_id)
+        bd = fam.boundary_family()
         out.add_scroll(node_id, n, j, transfer(payload, phi_star(bd, beta.terms)))
 
     for (node_id, n, j), payload in tc.section.items():
-        bd = fam.boundary_family(node_id)
+        bd = fam.boundary_family()
         phib = phi_star(bd, beta.terms)
         moved = transfer(payload, phib)
         # theta^* is injective on the monomials it keeps (L^k -> tauL^k)
@@ -97,8 +97,8 @@ class PunctualClass:
         self.interior = interior if interior is not None else BaseClass(fam.total_ring)
         self.scroll = {}
         self.section = {}
+        tring = fam.node_base_ring
         for node in fam.nodes:
-            tring = fam.node_base_ring(node.node_id)
             self.scroll[node.node_id] = {i: BaseClass(tring) for i in range(1, m)}
             self.section[node.node_id] = {i: BaseClass(tring) for i in range(1, m)}
 
@@ -172,9 +172,9 @@ def _punctual_chern_step(fam, prev: PunctualClass) -> PunctualClass:
     out.interior = prev.interior * (
         BaseClass.unit(ring) + BaseClass.gen(ring, "L") + BaseClass.gen(ring, "omega") * (m - 1)
     )
+    tring = fam.node_base_ring
     for node in fam.nodes:
         nid = node.node_id
-        tring = fam.node_base_ring(nid)
         tau = BaseClass.unit(tring) + _theta_star_L(node, tring)
         # theta^*(alpha_{m-1}) = tau^(m-1) since omega restricts trivially
         interior_restr = tau ** (m - 1)
@@ -230,9 +230,9 @@ def segre_contact_step(fam, m) -> PunctualClass:
         + ell * omega * Fraction(3 * m * (m - 1), 2)
         + omega * omega * ((m - 1) * comb(m, 2))
     )
+    tring = fam.node_base_ring
     for node in fam.nodes:
         nid = node.node_id
-        tring = fam.node_base_ring(nid)
         tau = _theta_star_L(node, tring)
         for i in range(1, m):
             out.scroll[nid][i] = tau * (-3 * nu_coeff(m, i))

@@ -64,7 +64,7 @@ def test_criterion_2_discriminant_powers():
 
 def test_criterion_3_node_scroll_polarization():
     fam = FamilyDescriptor(1, nodes=[Node("s", 1)])
-    payload = TautClass.fundamental(fam.boundary_family("s"), 1)
+    payload = TautClass.fundamental(fam.boundary_family(), 1)
     cls = gamma_power_on_scroll(fam, 3, "s", 2, 1, payload, 2)
     assert integrate(cls) == CharPoly.const(-6)
     report(3, "squared polarization on the first degree-2 scroll = -6")
@@ -136,7 +136,7 @@ def test_criterion_7_transfer_identities():
     checked = 0
     for m1 in (3, 4, 5):
         m0 = m1 - 1
-        bd = fam2.boundary_family("s")
+        bd = fam2.boundary_family()
         for n in range(2, min(4, m0) + 1):
             payload = TautClass.fundamental(bd, m0 - n)
             for j in range(1, n):

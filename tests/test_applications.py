@@ -220,7 +220,7 @@ def test_section_transfer_forms_agree_twisted_payload():
 
     fam = FamilyDescriptor(2, nodes=[Node("s", 1)])
     ring = fam.total_ring
-    bd = fam.boundary_family("s")
+    bd = fam.boundary_family()
     bring = bd.total_ring
     theta = BaseClass.gen(bring, "theta_x")
     ell = BaseClass.gen(bring, "L")

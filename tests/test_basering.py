@@ -20,7 +20,7 @@ def xring():
 
 @pytest.fixture
 def bring():
-    return make_boundary_ring(2, "s")
+    return make_boundary_ring(2)
 
 
 def rand_class(ring, draw_coeffs):
@@ -37,7 +37,7 @@ coeffs = st.lists(st.integers(min_value=-3, max_value=3), min_size=8, max_size=8
 @given(coeffs, coeffs)
 @settings(max_examples=60)
 def test_multiply_commutative(a, b):
-    ring = make_boundary_ring(2, "s")
+    ring = make_boundary_ring(2)
     x, y = rand_class(ring, a), rand_class(ring, b)
     assert x * y == y * x
 
@@ -45,7 +45,7 @@ def test_multiply_commutative(a, b):
 @given(coeffs, coeffs, coeffs)
 @settings(max_examples=60)
 def test_multiply_associative_distributive(a, b, c):
-    ring = make_boundary_ring(2, "s")
+    ring = make_boundary_ring(2)
     x, y, z = (rand_class(ring, v) for v in (a, b, c))
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
@@ -81,7 +81,7 @@ def test_section_relations(bring):
 
 def test_section_power(bring):
     # theta^r = (-psi)^(r-1) theta, both by repeated products and by normalizing theta^r
-    big = make_boundary_ring(3, "s")  # theta^3 is visible on a 3-dimensional family
+    big = make_boundary_ring(3)  # theta^3 is visible on a 3-dimensional family
     tx, psi_x = BaseClass.gen(big, "theta_x"), BaseClass.gen(big, "psi_x")
     assert tx ** 3 == psi_x ** 2 * tx
     assert tx ** 3
@@ -112,8 +112,8 @@ def canonical_monomials(ring):
         lambda: make_total_space_ring(0),
         lambda: make_total_space_ring(1),
         lambda: make_total_space_ring(2),
-        lambda: make_boundary_ring(2, "s"),
-        lambda: make_node_base_ring(3, "s"),
+        lambda: make_boundary_ring(2),
+        lambda: make_node_base_ring(3),
     ],
     ids=["total0", "total1", "total2", "boundary", "node_base"],
 )
@@ -143,8 +143,8 @@ def test_merge_raises_on_unknown_symbols_every_time(xring):
 def test_families_do_not_share_a_merge_memo():
     # the boundary rings of node s over 1- and 2-dimensional bases share their
     # label and symbols; only the dimension tells the degree-2 product apart
-    low = symbolic_family(1).boundary_family("s").total_ring
-    high = symbolic_family(2).boundary_family("s").total_ring
+    low = symbolic_family(1).boundary_family().total_ring
+    high = symbolic_family(2).boundary_family().total_ring
     assert low.label == high.label
     square = (("L", 1),), (("theta_x", 1),)
     assert low.merge(*square) is None
@@ -163,7 +163,7 @@ def test_mixed_rings_error(xring, bring):
 @given(coeffs)
 @settings(max_examples=40)
 def test_canonicalization_idempotent(a):
-    ring = make_boundary_ring(2, "s")
+    ring = make_boundary_ring(2)
     x = rand_class(ring, a)
     again = BaseClass(ring, x.terms)
     assert again == x
@@ -174,7 +174,7 @@ def test_canonicalization_idempotent(a):
 def test_relation_closure_of_products(a, b):
     # no canonical monomial mixes the two sections, carries a section past its
     # psi rewrite, or exceeds the dimension of the space
-    ring = make_boundary_ring(2, "s")
+    ring = make_boundary_ring(2)
     x, y = rand_class(ring, a), rand_class(ring, b)
     for mono in (x * y).terms:
         powers = dict(mono)

@@ -403,9 +403,9 @@ def _diag_class(m, blocks, base=(), coeff=(([], "1"),)):
     return {"m": m, "diag": [term], "scroll": [], "section": []}
 
 
-def _scroll_class(m, n, payload):
-    """Serialized scroll F^{n,m}_1 of the default family's node over `payload`."""
-    scroll = {"node": "s", "n": n, "j": 1, "payload": payload}
+def _scroll_class(m, n, payload, node="s"):
+    """Serialized scroll F^{n,m}_1 over `payload`, by default on the default family's node."""
+    scroll = {"node": node, "n": n, "j": 1, "payload": payload}
     return {"m": m, "diag": [], "scroll": [scroll], "section": []}
 
 
@@ -430,6 +430,10 @@ MALFORMED_CLASSES = [
     _scroll_class(3, 2, _diag_class(4, [[1, []]] * 4, coeff=[([], "5")])),
     _scroll_class(3, 2, _diag_class(1, [[1, [["psi_x", 1]]]])),
     _scroll_class(3, 2, _diag_class(1, [[1, [["omega", 1], ["theta_x", 1]]]])),
+    # a node the family does not have
+    _scroll_class(3, 2, _diag_class(1, [[1, []]]), node="zz"),
+    # a payload with a scroll of its own: boundary families have no nodes
+    _scroll_class(5, 2, _scroll_class(3, 2, _diag_class(1, [[1, []]]))),
 ]
 
 

@@ -56,6 +56,17 @@ PLAIN_COMMANDS = [
     ["trisecants", "--single-curve", "--d", "5", "--g", "1"],
     ["oracle-check", "--cases", "5", "--seed", "3"],
 ]
+# two nodes with different weights, tau_L and IT values over a surface base:
+# each node sector must be integrated with its own node's data
+TWO_NODE_COMMANDS = [
+    ["gamma-power", "--m", "2", "--k", "4", "--integrate", "--output", "text"],
+    ["gamma-power", "--m", "3", "--k", "5", "--integrate", "--output", "text"],
+    ["gamma-power", "--m", "4", "--k", "6", "--integrate", "--output", "text"],
+    ["gamma-power", "--m", "2", "--k", "3", "--output", "json"],
+    ["double-points", "--n", "3", "--output", "json"],
+    ["double-points", "--n", "4", "--output", "text"],
+    ["punctual-chern", "--m", "3", "--output", "json"],
+]
 INVOCATIONS = [
     argv + descriptor + ["--output", output]
     for output in ("text", "json")
@@ -64,7 +75,7 @@ INVOCATIONS = [
         + [(a, ["sample-family.ini"]) for a in FAMILY_COMMANDS]
         + [(a, []) for a in PLAIN_COMMANDS]
     )
-]
+] + [argv[:-2] + ["tests/two-node-surface.ini"] + argv[-2:] for argv in TWO_NODE_COMMANDS]
 
 
 def key(argv):

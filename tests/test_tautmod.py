@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hilbtaut.basering import BaseClass
 from hilbtaut.charpoly import CharPoly
+from hilbtaut.chern import chern_class_on_hilb
 from hilbtaut.family import FamilyDescriptor, Node, symbolic_family
 from hilbtaut.tautmod import (
     TautClass,
@@ -160,7 +161,7 @@ def test_degree_five_sixth_power_regression(fam):
 
 def test_scroll_polarization_degree():
     fam = FamilyDescriptor(1, nodes=[Node("s", 1)])
-    bd = fam.boundary_family("s")
+    bd = fam.boundary_family()
     payload = TautClass.fundamental(bd, 1)
     cls = gamma_power_on_scroll(fam, 3, "s", 2, 1, payload, 2)
     assert integrate(cls) == CharPoly.const(-6)
@@ -168,7 +169,7 @@ def test_scroll_polarization_degree():
 
 def test_scroll_power_matches_iteration(fam):
     # closed form for the polarization powers on a scroll vs direct iteration
-    bd = fam.boundary_family("s")
+    bd = fam.boundary_family()
     for m, n in ((3, 2), (4, 2), (4, 3), (5, 3)):
         payload = TautClass.fundamental(bd, m - n)
         for j in range(1, n):
@@ -188,18 +189,18 @@ def test_sector_triangularity(fam):
     assert out.diag and out.scroll and not out.section
 
     scroll = TautClass(fam, 3)
-    scroll.add_scroll("s", 2, 1, TautClass.fundamental(fam.boundary_family("s"), 1))
+    scroll.add_scroll("s", 2, 1, TautClass.fundamental(fam.boundary_family(), 1))
     out = gamma_action(scroll)
     assert not out.diag and not out.scroll and out.section
 
     section = TautClass(fam, 3)
-    section.add_section("s", 2, 1, TautClass.fundamental(fam.boundary_family("s"), 1))
+    section.add_section("s", 2, 1, TautClass.fundamental(fam.boundary_family(), 1))
     out = gamma_action(section)
     assert not out.diag and out.section
 
     # with enough room on the boundary the scroll part of a section survives
     section4 = TautClass(fam, 4)
-    section4.add_section("s", 2, 1, TautClass.fundamental(fam.boundary_family("s"), 2))
+    section4.add_section("s", 2, 1, TautClass.fundamental(fam.boundary_family(), 2))
     out = gamma_action(section4)
     assert not out.diag and out.scroll and out.section
 
@@ -226,6 +227,59 @@ def test_multi_node_additivity():
         assert integrate(gamma_power(fam2, m, k)) == integrate(gamma_power(fam1, m, k))
 
 
+@st.composite
+def node_families(draw):
+    """(dim_b, characters, nodes, m): 1-3 nodes with their own weights, tau_L and IT values."""
+    dim_b = draw(st.integers(1, 3))
+    chars = {"d": draw(st.sampled_from([2, Fraction(5, 2)]))} if draw(st.booleans()) else {}
+    nodes = []
+    for node_id in "pqr"[: draw(st.integers(1, 3))]:
+        weight = draw(st.sampled_from([1, 2, Fraction(1, 3), sym("w_" + node_id)]))
+        psi_table = {}
+        if dim_b >= 2 and draw(st.booleans()):
+            # an integral over the node's boundary base T, of dimension dim_b - 1
+            key = "IT[%s|psi_y%s|]" % (node_id, "" if dim_b == 2 else "^2")
+            psi_table[key] = CharPoly.const(draw(st.sampled_from([-1, 5, Fraction(7, 2)])))
+        tau_L = draw(st.sampled_from([None, 0, 3]))
+        nodes.append(Node(node_id, weight, tau_L=tau_L, psi_table=psi_table))
+    return dim_b, chars, nodes, draw(st.integers(2, 4 - (dim_b == 3)))
+
+
+@given(node_families())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_node_contributions_add_up(case):
+    # each node enters through its own data only: the integral over a family
+    # is the node-free integral plus every one-node family's excess over it,
+    # and each node's sectors of the Chern class are those of its one-node family
+    dim_b, chars, nodes, m = case
+
+    def family(nodes):
+        return FamilyDescriptor(dim_b, chars=chars, nodes=nodes)
+
+    def integral(nodes):
+        return integrate(gamma_power(family(nodes), m, m + dim_b))
+
+    free = integral([])
+    expected = free + sum((integral([node]) - free for node in nodes), CharPoly())
+    assert integral(nodes) == expected
+
+    def node_entries(data, node_id):
+        return [[t for t in data[s] if t["node"] == node_id] for s in ("scroll", "section")]
+
+    chern = to_data(chern_class_on_hilb(family(nodes), 3))
+    for node in nodes:
+        alone = to_data(chern_class_on_hilb(family([node]), 3))
+        assert node_entries(chern, node.node_id) == node_entries(alone, node.node_id)
+
+
+def test_boundary_integral_needs_its_node(fam):
+    # a payload integrates over the boundary base of the node its key names
+    payload = TautClass.fundamental(fam.boundary_family(), 0)
+    with pytest.raises(ValueError, match="needs the node"):
+        integrate(payload)
+    assert integrate(payload, fam.node("s")) == CharPoly.const(1)
+
+
 def test_norm_mult_is_degreewise(fam):
     cls = TautClass.fundamental(fam, 3)
     ell = twists(cls, [(None, BaseClass.gen(fam.total_ring, "L"))])[0]
@@ -241,7 +295,7 @@ def test_norm_mult_is_degreewise(fam):
 
 def boundary_pair():
     """Degree-2 fundamental class on a boundary family over a curve base."""
-    bd = FamilyDescriptor(2, nodes=[Node("s", 1)]).boundary_family("s")
+    bd = FamilyDescriptor(2, nodes=[Node("s", 1)]).boundary_family()
     return bd, TautClass.fundamental(bd, 2)
 
 
@@ -276,7 +330,7 @@ def test_scroll_bundle_divisor_coefficients(fam):
     from math import comb
 
     big = FamilyDescriptor(3, nodes=[Node("s", 1)])
-    bd = big.boundary_family("s")
+    bd = big.boundary_family()
     payload = TautClass.fundamental(bd, 2)
     # the reduced norm divisor on a degree-2 scheme is twice the canonical
     # tensor (one insertion per point slot)
@@ -294,7 +348,7 @@ def test_scroll_bundle_divisor_coefficients(fam):
 
 
 def test_twist_degree_two_pullback_lands_in_the_base_monomial():
-    bd = FamilyDescriptor(3, nodes=[Node("s", 1)]).boundary_family("s")
+    bd = FamilyDescriptor(3, nodes=[Node("s", 1)]).boundary_family()
     ring = bd.total_ring
     theta = BaseClass.gen(ring, "theta_x")
     payload = TautClass.from_twists(bd, 2, [(1, theta), (1, BaseClass.unit(ring))], coeff=3)
@@ -308,7 +362,7 @@ def test_twist_unit_pullback_keeps_a_top_codimension_key():
     # transfer twists a section payload by tau = theta^* beta, which holds the
     # unit when beta does: a key at top codimension keeps its unit image and
     # loses only its tauL image
-    bd = symbolic_family(2).boundary_family("s")
+    bd = symbolic_family(2).boundary_family()
     ring = bd.total_ring
     payload = TautClass(bd, 2)
     top = ((("psi_x", 1),), ((1, (("L", 1),)), (1, (("theta_x", 1),))))
@@ -379,7 +433,7 @@ def twist_cases(draw):
 
 
 def build_twist_case(dim_b, m, terms, divisors):
-    bd = FamilyDescriptor(dim_b + 1, nodes=[Node("s", 1)]).boundary_family("s")
+    bd = FamilyDescriptor(dim_b + 1, nodes=[Node("s", 1)]).boundary_family()
     ring = bd.total_ring
     payload = TautClass(bd, m)
     for c0, ca, base, blocks in terms:

@@ -64,7 +64,7 @@ def test_transfer_omega_kills_section_shift(fam):
     # node, so only the section summand survives in the section rule
     ring = fam.total_ring
     omega = BaseClass.gen(ring, "omega")
-    bd = fam.boundary_family("s")
+    bd = fam.boundary_family()
     src = TautClass(fam, 2)
     src.add_section("s", 2, 1, TautClass.fundamental(bd, 0))
     out = transfer(src, omega)
@@ -80,7 +80,7 @@ def test_section_transfer_forms_agree(m1):
     L = BaseClass.gen(ring, "L")
     one = BaseClass.unit(ring)
     m0 = m1 - 1
-    bd = fam.boundary_family("s")
+    bd = fam.boundary_family()
     for n in range(2, min(4, m0) + 1):
         payload = TautClass.fundamental(bd, m0 - n)
         for j in range(1, n):
@@ -110,7 +110,7 @@ def test_punctual_scroll_coefficients():
             expected[k] = Fraction(m - k)
             expected[k + 1] = Fraction(k + 1)
             assert spread == expected, (m, k)
-    ring = symbolic_family(1).node_base_ring("s")
+    ring = symbolic_family(1).node_base_ring
     zero = BaseClass(ring)
     parts = {0: zero, 1: BaseClass.unit(ring), 2: zero}
     assert _spread(parts, 3, 1) == BaseClass.unit(ring, 2)
@@ -127,7 +127,7 @@ def test_punctual_coefficient_row_sums():
 
 def test_psi_power_exponents(fam):
     big = FamilyDescriptor(40, nodes=[Node("s", 1)])
-    bring = big.node_base_ring("s")
+    bring = big.node_base_ring
     assert psi_power_class(bring, 2, 1) == BaseClass.gen(bring, "psi_x")
     expected = BaseClass.gen(bring, "psi_x") * BaseClass.gen(bring, "psi_y")
     assert psi_power_class(bring, 3, 2) == expected
@@ -203,7 +203,7 @@ def test_punctual_chern_base_cases(fam):
     )
     pc = punctual_chern(fam, 2)
     assert pc.interior == (one + L) * (one + L + w)
-    tring = fam.node_base_ring("s")
+    tring = fam.node_base_ring
     # theta^*L vanishes over a 1-dimensional base, so the first scroll
     # coefficient is nu(2,1) = 1 times the unit
     assert pc.scroll["s"][1] == BaseClass.unit(tring)
@@ -314,7 +314,7 @@ def test_c2_closed_form_sums_its_steps(fam):
 
 def test_segre_step_section_coefficients(fam):
     step = segre_contact_step(fam, 4)
-    tring = fam.node_base_ring("s")
+    tring = fam.node_base_ring
     for i in range(1, 4):
         assert step.section["s"][i] == BaseClass.unit(tring, -i * (4 - i))
 
@@ -327,7 +327,7 @@ def test_segre_step_scroll_twists_over_bigger_base():
     big = FamilyDescriptor(2, nodes=[Node("s", 1)])
     m = 4
     step = segre_contact_step(big, m)
-    tring = big.node_base_ring("s")
+    tring = big.node_base_ring
     tau = BaseClass.gen(tring, "tauL")
     for i in range(1, m):
         assert step.scroll["s"][i] == tau * (-3 * nu_coeff(m, i))
