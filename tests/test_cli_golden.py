@@ -33,6 +33,36 @@ TWO_POINT_CLASS = json.dumps(
     }
 )
 
+
+def _payload(terms):
+    """A degree-1 payload on the boundary family: (base, twist, coefficient) per term."""
+    diag = [{"base": b, "blocks": [[1, t]], "coeff": [[[], c]]} for b, t, c in terms]
+    return {"m": 1, "diag": diag, "scroll": [], "section": []}
+
+
+# a Hilbert-degree-3 class on tests/two-node-surface.ini whose node payloads
+# are not proportional to the node weights: node p and node q each carry their
+# own scroll and section over the same index (n, j) = (2, 1)
+TWO_NODE_CLASS = json.dumps(
+    {
+        "m": 3,
+        "diag": [
+            {"base": [], "blocks": [[2, []], [1, [["L", 1]]]], "coeff": [[[], "1/2"]]}
+        ],
+        "scroll": [
+            {"node": "p", "n": 2, "j": 1,
+             "payload": _payload([([], [["L", 1]], "2"), ([["psi_x", 1]], [], "3")])},
+            {"node": "q", "n": 2, "j": 1, "payload": _payload([([], [["omega", 1]], "1/5")])},
+        ],
+        "section": [
+            {"node": "p", "n": 2, "j": 1, "payload": _payload([([["tauL", 1]], [], "7")])},
+            {"node": "q", "n": 2, "j": 1,
+             "payload": _payload([([], [], "4"), ([], [["theta_x", 1]], "-1")])},
+        ],
+    }
+)
+CLASSES = (TWO_POINT_CLASS, TWO_NODE_CLASS)
+
 FAMILY_COMMANDS = [
     ["gamma-power", "--m", "2", "--k", "1"],
     ["gamma-power", "--m", "2", "--k", "3"],
@@ -66,6 +96,13 @@ TWO_NODE_COMMANDS = [
     ["double-points", "--n", "3", "--output", "json"],
     ["double-points", "--n", "4", "--output", "text"],
     ["punctual-chern", "--m", "3", "--output", "json"],
+    ["transfer", "--class-json", TWO_NODE_CLASS, "--beta", "L", "--output", "text"],
+    ["transfer", "--class-json", TWO_NODE_CLASS, "--beta", "L", "--output", "json"],
+]
+# six nodes over a curve base: the node order a-f in the JSON and the text
+SIX_NODE_COMMANDS = [
+    ["gamma-power", "--m", "3", "--k", "3", "--output", "json"],
+    ["chern", "--m", "3", "--output", "text"],
 ]
 INVOCATIONS = [
     argv + descriptor + ["--output", output]
@@ -75,7 +112,14 @@ INVOCATIONS = [
         + [(a, ["sample-family.ini"]) for a in FAMILY_COMMANDS]
         + [(a, []) for a in PLAIN_COMMANDS]
     )
-] + [argv[:-2] + ["tests/two-node-surface.ini"] + argv[-2:] for argv in TWO_NODE_COMMANDS]
+] + [
+    argv[:-2] + [descriptor] + argv[-2:]
+    for commands, descriptor in (
+        (TWO_NODE_COMMANDS, "tests/two-node-surface.ini"),
+        (SIX_NODE_COMMANDS, "tests/six-node-curve.ini"),
+    )
+    for argv in commands
+]
 
 
 def key(argv):
@@ -83,7 +127,7 @@ def key(argv):
 
 
 def label(argv):
-    return " ".join("<class>" if arg == TWO_POINT_CLASS else arg for arg in argv)
+    return " ".join("<class>" if arg in CLASSES else arg for arg in argv)
 
 
 def stdout_of(argv):
