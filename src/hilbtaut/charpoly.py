@@ -138,6 +138,23 @@ def from_terms(terms):
     return out
 
 
+def split_tags(poly, tags):
+    """{tag: the terms of `poly` carrying the symbol `tag`, with it removed}.
+
+    ValueError names a term that carries not exactly one of `tags`, or one squared.
+    """
+    out = {}
+    for mono, coeff in poly.terms.items():
+        tagged = [pair for pair in mono if pair[0] in tags]
+        if len(tagged) != 1 or tagged[0][1] != 1:
+            raise ValueError(
+                "term %s does not carry exactly one of the tags %s"
+                % (mono_str(mono), ", ".join(tags))
+            )
+        out.setdefault(tagged[0][0], {})[tuple(p for p in mono if p != tagged[0])] = coeff
+    return {tag: from_terms(terms) for tag, terms in out.items()}
+
+
 def _coerce(value):
     if isinstance(value, CharPoly):
         return value

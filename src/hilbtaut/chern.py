@@ -18,9 +18,9 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .basering import BaseClass
-from .charpoly import CharPoly
+from .charpoly import CharPoly, split_tags
 from .family import FamilyDescriptor
-from .lincomb import add_term, mono_str
+from .lincomb import mono_str
 from .partitions import enumerate_distributions
 from .tautmod import TautClass, gamma_action, integrate
 from .transfer import transfer
@@ -207,22 +207,12 @@ def chern_numbers_w3(fam: FamilyDescriptor):
         raise ValueError("the degree-4 Chern numbers need a 1-dimensional base")
     c1, c2, c3 = _rank3_chern_classes()
     polys = {"c1^4": c1 ** 4, "c1^2c2": c1 * c1 * c2, "c1c3": c1 * c3, "c2^2": c2 * c2}
-    tags = {"#" + name: name for name in polys}
     terms = {}
     for name, poly in polys.items():
         for key, c in poly.terms.items():
             terms.setdefault(key, CharPoly()).accumulate(CharPoly.symbol("#" + name), c)
-    out = {name: CharPoly() for name in polys}
-    for mono, c in integrate(_push_terms(fam, 3, terms)).terms.items():
-        tagged = [(n, p) for n, p in mono if n in tags]
-        if len(tagged) != 1 or tagged[0][1] != 1:
-            raise ValueError(
-                "term %s of the Chern numbers does not carry exactly one of the tags %s"
-                % (mono_str(mono), ", ".join(tags))
-            )
-        rest = tuple(f for f in mono if f != tagged[0])
-        add_term(out[tags[tagged[0][0]]].terms, rest, c)
-    return out
+    parts = split_tags(integrate(_push_terms(fam, 3, terms)), ["#" + name for name in polys])
+    return {name: parts.get("#" + name, CharPoly()) for name in polys}
 
 
 def trisecant_count(fam: FamilyDescriptor) -> CharPoly:

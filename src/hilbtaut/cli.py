@@ -85,8 +85,11 @@ def load_descriptor(path) -> FamilyDescriptor:
                 current = sections[name]
             elif name.startswith("node."):
                 node_id = name[5:]
-                if not node_id:
-                    raise DescriptorError("%s: empty node id" % where)
+                if not Node.ID.fullmatch(node_id):
+                    raise DescriptorError(
+                        "%s: %s node id %r, not a plain word %s"
+                        % (where, "bad" if node_id else "empty", node_id, Node.ID.pattern)
+                    )
                 current = node_sections[node_id] = {}
             else:
                 raise DescriptorError("%s: unknown section [%s]" % (where, name))

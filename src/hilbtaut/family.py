@@ -9,6 +9,8 @@ them.
 
 from __future__ import annotations
 
+import re
+
 from .basering import (
     make_boundary_ring,
     make_node_base_ring,
@@ -21,10 +23,15 @@ from .lincomb import expand, merge_monos, mono_str
 class Node:
     """A weighted relative node: a boundary datum with numerical data attached."""
 
-    __slots__ = ("node_id", "weight", "tau_L", "psi_table")
+    __slots__ = ("node_id", "tag", "weight", "tau_L", "psi_table")
+    ID = re.compile("[A-Za-z0-9_]+")  # a plain word: `|` would make IT[...] ambiguous
 
     def __init__(self, node_id, weight, tau_L=None, psi_table=None):
         self.node_id = str(node_id)
+        if not Node.ID.fullmatch(self.node_id):
+            raise ValueError("node id %r is not a plain word %s" % (self.node_id, Node.ID.pattern))
+        # marks its terms in a boundary payload; no descriptor or `#c1c3` spells it
+        self.tag = "#node." + self.node_id
         self.weight = weight if isinstance(weight, CharPoly) else CharPoly.const(weight)
         # value of theta^*(L) on the boundary base; None means "keep symbolic"
         if tau_L is not None and not isinstance(tau_L, CharPoly):
@@ -58,6 +65,8 @@ class FamilyDescriptor:
                 raise ValueError("node %s needs dim_b >= 1, got dim_b = %d" % (node.node_id, dim_b))
             if node.weight.is_constant() and node.weight.constant_value() <= 0:
                 raise ValueError("node %s has nonpositive weight" % node.node_id)
+        # every boundary payload is scaled by sum weight * tag over the nodes
+        self.tagged_weight = sum((n.weight * CharPoly.symbol(n.tag) for n in self.nodes), CharPoly())
         self.total_ring = make_total_space_ring(dim_b)
         # the boundary base T that every node shares, and X^theta / T over it
         self.node_base_ring = make_node_base_ring(dim_b) if self.nodes else None
@@ -75,10 +84,7 @@ class FamilyDescriptor:
         return CharPoly.symbol(key)
 
     def sigma(self):
-        total = CharPoly()
-        for node in self.nodes:
-            total.accumulate(node.weight)
-        return total
+        return sum((node.weight for node in self.nodes), CharPoly())
 
     # -- nodes, rings, boundary families --------------------------------------
 

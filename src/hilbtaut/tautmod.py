@@ -5,8 +5,9 @@ Classes of Hilbert degree m are stored in three sectors:
 * diagonal terms: twisted polyblock diagonal classes, indexed by a
   distribution together with one twisting monomial per block (plus a monomial
   pulled back from the base);
-* node scroll terms F^{n,m}_j(theta)[P], indexed by (node, n, j) with a
-  recursive payload P of degree m-n on the boundary family;
+* node scroll terms F^{n,m}_j(theta)[P], indexed by (n, j) with one payload P
+  of degree m-n on the boundary family for all nodes: each term of its
+  coefficients carries one node tag `#node.<id>`, split off by `by_node`;
 * node section terms (-Gamma) . F^{n,m}_j(theta)[P], same index shape.
 
 Normalization of the diagonal sector: the stored coefficient of a key is the
@@ -36,7 +37,7 @@ from fractions import Fraction
 from math import comb
 
 from .basering import BaseClass
-from .charpoly import CharPoly, from_terms
+from .charpoly import CharPoly, from_terms, split_tags
 from .family import FamilyDescriptor, fiber_integral, theta_star
 from .lincomb import LinComb, add_term, exact, expand, merge_monos, mono_str
 from .partitions import aut_count
@@ -53,8 +54,8 @@ class TautClass(LinComb):
         self.fam = fam
         self.m = m
         self.diag = {}  # (base_mono, blocks) -> CharPoly
-        self.scroll = {}  # (node_id, n, j) -> payload TautClass
-        self.section = {}  # (node_id, n, j) -> payload TautClass
+        self.scroll = {}  # (n, j) -> payload TautClass, one node tag per term
+        self.section = {}  # (n, j) -> payload TautClass, one node tag per term
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -100,18 +101,30 @@ class TautClass(LinComb):
             coeff = CharPoly.const(coeff)
         add_term(self.diag, (base_mono, blocks), coeff)
 
-    def _node_bucket(self, sector, node_id, n, j, payload):
+    def _add_node(self, sector, n, j, payload):
+        """Add a tagged payload at (n, j) of the node sector `sector`."""
         if not payload:
             return
         if not (2 <= n <= self.m and 1 <= j <= n - 1):
             raise ValueError("bad scroll index n=%d j=%d for m=%d" % (n, j, self.m))
-        add_term(getattr(self, sector), (node_id, n, j), payload)
+        add_term(getattr(self, sector), (n, j), payload)
 
     def add_scroll(self, node_id, n, j, payload):
-        self._node_bucket("scroll", node_id, n, j, payload)
+        """Add F^{n,m}_j(node)[payload], tagging the payload with its node."""
+        self._add_node("scroll", n, j, payload * CharPoly.symbol(self.fam.node(node_id).tag))
 
     def add_section(self, node_id, n, j, payload):
-        self._node_bucket("section", node_id, n, j, payload)
+        self._add_node("section", n, j, payload * CharPoly.symbol(self.fam.node(node_id).tag))
+
+    def by_node(self, sector):
+        """{(node_id, n, j): untagged nonzero payload} of the node sector `sector`, sorted."""
+        tags = {node.tag: node.node_id for node in self.fam.nodes}
+        parts = {}  # (node_id, n, j) -> (the tagged payload, the node's diagonal)
+        for (n, j), payload in getattr(self, sector).items():
+            for key, coeff in payload.diag.items():
+                for tag, part in split_tags(coeff, tags).items():
+                    parts.setdefault((tags[tag], n, j), (payload, {}))[1][key] = part
+        return {k: p._like(diag, {}, {}) for k, (p, diag) in sorted(parts.items())}
 
     # -- constructors -------------------------------------------------------------
 
@@ -153,12 +166,10 @@ class TautClass(LinComb):
             if base_mono:
                 body = "%s*%s" % (mono_str(base_mono), body)
             pieces.append("(%s)*%s" % (c, body))
-        for (node_id, n, j), p in sorted(self.scroll.items()):
-            pieces.append("F^{%d,%d}_%d(%s)[%s]" % (n, self.m, j, node_id, p.render()))
-        for (node_id, n, j), p in sorted(self.section.items()):
-            pieces.append(
-                "(-Gamma).F^{%d,%d}_%d(%s)[%s]" % (n, self.m, j, node_id, p.render())
-            )
+        for sector, prefix in (("scroll", ""), ("section", "(-Gamma).")):
+            for (node_id, n, j), p in self.by_node(sector).items():
+                body = "F^{%d,%d}_%d(%s)[%s]" % (n, self.m, j, node_id, p.render())
+                pieces.append(prefix + body)
         return " + ".join(pieces) if pieces else "0"
 
     def __repr__(self):
@@ -202,7 +213,7 @@ def to_data(tc: TautClass):
         )
     out = {"m": tc.m, "diag": diag, "scroll": [], "section": []}
     for sector in ("scroll", "section"):
-        for (node_id, n, j), payload in sorted(getattr(tc, sector).items()):
+        for (node_id, n, j), payload in tc.by_node(sector).items():
             out[sector].append(
                 {"node": node_id, "n": n, "j": j, "payload": to_data(payload)}
             )
@@ -228,7 +239,6 @@ def from_data(fam: FamilyDescriptor, data) -> TautClass:
     for sector, adder in (("scroll", tc.add_scroll), ("section", tc.add_section)):
         for term in data[sector]:
             n = _int_from_data(term["n"], 2, "scroll size n")
-            fam.node(term["node"])  # raises KeyError on a node the family lacks
             payload = from_data(fam.boundary_family(), term["payload"])
             if payload.m != tc.m - n:
                 raise ValueError("payload of degree %d on F^{%d,%d}" % (payload.m, n, tc.m))
@@ -306,7 +316,7 @@ def gamma_action(tc: TautClass) -> TautClass:
                 if sign:
                     _add_scaled(diag, key, coeff, -sign * comb(n, 2))
         # boundary terms: per block of size >= 2, one payload on the shared
-        # boundary family, scrolled per j and per node with the node's weight
+        # boundary family, scaled by sum weight * tag over the nodes, per j
         if not fam.nodes:
             continue
         for i, (n, mono) in enumerate(blocks):
@@ -320,22 +330,22 @@ def gamma_action(tc: TautClass) -> TautClass:
             payload = TautClass.from_twists(bd, m - n, pairs, base=base)
             if not payload:
                 continue
+            tagged = coeff * fam.tagged_weight
             for j in range(1, n):
-                factor = coeff * exact(Fraction(nu_coeff(n, j), mult[n]))
-                for node in fam.nodes:
-                    out.add_scroll(node.node_id, n, j, payload.scale(factor * node.weight))
+                factor = tagged * exact(Fraction(nu_coeff(n, j), mult[n]))
+                out._add_node("scroll", n, j, payload.scale(factor))
     out.diag = _finished(diag)
 
     # scrolls: Gamma . F = -((-Gamma) . F)
-    for (node_id, n, j), payload in tc.scroll.items():
-        out.add_section(node_id, n, j, -payload)
+    for (n, j), payload in tc.scroll.items():
+        out._add_node("section", n, j, -payload)
 
     # sections: Gamma . (-Gamma)F[P] = -(-Gamma)^2 F[P]
     #         = -(-Gamma)F[(e_j + e_{j+1}) P] + F[e_j e_{j+1} P]
-    for (node_id, n, j), payload in tc.section.items():
+    for (n, j), payload in tc.section.items():
         ej_p, ej1_p = _mult_e(payload, n, (j, j + 1))
-        out.add_section(node_id, n, j, -(ej_p + ej1_p))
-        out.add_scroll(node_id, n, j, _mult_e(ej1_p, n, (j,))[0])
+        out._add_node("section", n, j, -(ej_p + ej1_p))
+        out._add_node("scroll", n, j, _mult_e(ej1_p, n, (j,))[0])
     return out
 
 
@@ -492,7 +502,7 @@ def integrate(tc: TautClass, node=None) -> CharPoly:
     for (base_mono, blocks), coeff in tc.diag.items():
         value = fiber_integral(tc.fam, [mono for _, mono in blocks], base_mono, node)
         total.accumulate(value * coeff, Fraction(1, aut_count(n for n, _ in blocks)))
-    for (node_id, _, _), payload in tc.section.items():
+    for (node_id, _, _), payload in tc.by_node("section").items():
         total.accumulate(integrate(payload, tc.fam.node(node_id)))
     # scroll terms are pulled back from the scroll base and die in top degree
     return total
@@ -516,10 +526,9 @@ def pushforward_to_base(tc: TautClass):
             value = value * _kappa_symbol(mono)
         interior.accumulate(value * coeff, Fraction(1, aut_count(n for n, _ in blocks)))
     # sections collapse onto the boundary base; scrolls push forward to zero
-    for (node_id, n, j), payload in tc.section.items():
-        for (bmono, bblocks), c in payload.diag.items():
-            tag = "delta[%s|%s]" % (node_id, mono_str(bmono))
-            boundary.accumulate(CharPoly.symbol(tag) * c)
+    for (node_id, n, j), payload in tc.by_node("section").items():
+        for (bmono, _), c in payload.diag.items():
+            boundary.accumulate(CharPoly.symbol("delta[%s|%s]" % (node_id, mono_str(bmono))) * c)
     return interior, boundary
 
 

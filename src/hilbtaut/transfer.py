@@ -53,28 +53,28 @@ def transfer(tc: TautClass, beta: BaseClass = None, variant="j") -> TautClass:
                 _add_scaled(diag, key, coeff, mc * (singles + 1))
     out.diag = _finished(diag)
 
-    for (node_id, n, j), payload in tc.scroll.items():
-        bd = fam.boundary_family()
-        out.add_scroll(node_id, n, j, transfer(payload, phi_star(bd, beta.terms)))
-
-    for (node_id, n, j), payload in tc.section.items():
+    if tc.scroll or tc.section:
         bd = fam.boundary_family()
         phib = phi_star(bd, beta.terms)
-        moved = transfer(payload, phib)
         # theta^* is injective on the monomials it keeps (L^k -> tauL^k)
         tau = BaseClass(
             bd.total_ring,
             {t: c for mono, c in beta.terms.items() if (t := theta_star(mono)) is not None},
         )
+    for (n, j), payload in tc.scroll.items():
+        out._add_node("scroll", n, j, transfer(payload, phib))
+
+    for (n, j), payload in tc.section.items():
+        moved = transfer(payload, phib)
         jtheta = j if variant == "j" else j + 1
         jD = j + 1 if variant == "j" else j
         # the tau twist and D^n_(j') act on the same payload: one twist pass
         divisor = scroll_divisor(bd, n, jD)
         tau_p, d_p = twists(payload, [(tau, None), divisor])
-        out.add_scroll(node_id, n + 1, jtheta, tau_p)
-        out.add_section(node_id, n, j, moved)
+        out._add_node("scroll", n + 1, jtheta, tau_p)
+        out._add_node("section", n, j, moved)
         correction = transfer(d_p, phib) - twists(moved, [divisor])[0]
-        out.add_scroll(node_id, n, j, correction)
+        out._add_node("scroll", n, j, correction)
     return out
 
 

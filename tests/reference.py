@@ -19,9 +19,9 @@ from hilbtaut.tautmod import TautClass, gamma_action, integrate, scroll_divisor,
 def codim_parts(cls):
     """The set of codimensions of the terms of a tautological class."""
     out = {cls._diag_codim(base_mono, blocks) for base_mono, blocks in cls.diag}
-    for (_, n, _), p in cls.scroll.items():
+    for (_, n, _), p in cls.by_node("scroll").items():
         out |= {n + c for c in codim_parts(p)} or {n}
-    for (_, n, _), p in cls.section.items():
+    for (_, n, _), p in cls.by_node("section").items():
         out |= {n + 1 + c for c in codim_parts(p)} or {n + 1}
     return out
 

@@ -145,6 +145,10 @@ def test_load_parse_error_has_line_number(tmp_path):
         ),
         ("[family]\ndim_b = 1\n[characters]\nd = 3/0\n", 4, "cannot parse value '3/0'"),
         ("[family]\ndim_b = 1\n[node.]\nweight = 1\n", 3, "empty node id"),
+        ("[family]\ndim_b = 1\n[node.a|b]\nweight = 1\n", 3, "bad node id 'a|b'"),
+        ("[family]\ndim_b = 1\n[node.x]y]\nweight = 1\n", 3, "bad node id 'x]y'"),
+        ("[family]\ndim_b = 1\n[node.a b]\nweight = 1\n", 3, "bad node id 'a b'"),
+        ("[family]\ndim_b = 1\n[node. p]\nweight = 1\n", 3, "bad node id ' p'"),
         ("[family]\ndim_b = 1\n[nodes]\n", 3, "unknown section [nodes]"),
         ("dim_b = 1\n[family]\n", 1, "key outside of any section"),
         ("[family]\ndim_b = one\n", 2, "dim_b must be an integer"),
@@ -161,6 +165,10 @@ def test_load_parse_error_has_line_number(tmp_path):
         "other-node-integral-key",
         "unparsable-value",
         "empty-node-id",
+        "node-id-with-a-bar",
+        "node-id-with-a-bracket",
+        "node-id-with-a-space",
+        "node-id-with-a-leading-space",
         "unknown-section",
         "key-before-any-section",
         "non-integer-dim-b",

@@ -31,6 +31,10 @@ ALLOWED = {
 
 ONE_POINT = {"m": 1, "diag": [{"base": [], "blocks": [[1, []]], "coeff": [[[], "1"]]}],
              "scroll": [], "section": []}
+# a scroll and a section of the default family's node over a one-point payload
+NODE_TERMS = {"m": 3, "diag": [],
+              "scroll": [{"node": "s", "n": 2, "j": 1, "payload": ONE_POINT}],
+              "section": [{"node": "s", "n": 2, "j": 1, "payload": ONE_POINT}]}
 
 INVOCATIONS = [
     ["gamma-power", "--m", "3", "--k", "4", "--integrate", SAMPLE],
@@ -43,6 +47,7 @@ INVOCATIONS = [
     ["formulary", SAMPLE],
     ["transfer", "--class-json", json.dumps(ONE_POINT), "--beta", "L*omega^1"],
     ["transfer", "--class-json", json.dumps(ONE_POINT), "--output", "json"],
+    ["transfer", "--class-json", json.dumps(NODE_TERMS)],
     ["punctual-chern", "--m", "3"],
     ["punctual-chern", "--m", "3", "--output", "json", SAMPLE],
     ["pluecker", "--which", "s2", "--m", "3", SAMPLE],

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -58,7 +59,7 @@ def test_small_diag_gamma(fam):
     # -binom(4,2) omega on the small diagonal
     assert out.diag == {((), ((4, (("omega", 1),)),)): CharPoly.const(-6)}
     for j in range(1, 4):
-        payload = out.scroll[("s", 4, j)]
+        payload = out.by_node("scroll")[("s", 4, j)]
         assert payload.diag == {((), ()): nu_coeff(4, j) * sym("sigma")}
 
 
@@ -88,7 +89,7 @@ def test_gamma_as_class(fam):
 def test_disc_square_shape(fam):
     out = gamma_power(fam, 2, 2)
     assert out.diag == {((), ((2, (("omega", 1),)),)): CharPoly.const(Fraction(-1, 2))}
-    payload = out.scroll[("s", 2, 1)]
+    payload = out.by_node("scroll")[("s", 2, 1)]
     assert payload.diag == {((), ()): sym("sigma") * Fraction(1, 2)}
 
 
@@ -100,7 +101,7 @@ def test_disc_square_general_m(fam):
         ((), ((2, (("omega", 1),)), (1, ()), (1, ()))): CharPoly.const(Fraction(-1, 2)),
     }
     assert out.diag == expect
-    assert set(out.scroll) == {("s", 2, 1)}
+    assert set(out.by_node("scroll")) == {("s", 2, 1)}
 
 
 def test_gamma_cube_m3(fam):
@@ -111,10 +112,10 @@ def test_gamma_cube_m3(fam):
     }
     assert out.diag == expect
     # scroll sector: two components of the triple-point locus plus the section
-    assert set(out.scroll) == {("s", 3, 1), ("s", 3, 2)}
+    assert set(out.by_node("scroll")) == {("s", 3, 1), ("s", 3, 2)}
     for j in (1, 2):
-        assert out.scroll[("s", 3, j)].diag == {((), ()): sym("sigma") * 3}
-    assert set(out.section) == {("s", 2, 1)}
+        assert out.by_node("scroll")[("s", 3, j)].diag == {((), ()): sym("sigma") * 3}
+    assert set(out.by_node("section")) == {("s", 2, 1)}
 
 
 def test_gamma_times_triple_block(fam):
@@ -130,7 +131,7 @@ def test_gamma_times_triple_block(fam):
     }
     assert out.diag == expect
     for j in (1, 2):
-        payload = out.scroll[("s", 3, j)]
+        payload = out.by_node("scroll")[("s", 3, j)]
         assert payload.diag == {((), ((1, ()), (1, ()))): sym("sigma") * 3}
 
 
@@ -266,10 +267,62 @@ def test_node_contributions_add_up(case):
     def node_entries(data, node_id):
         return [[t for t in data[s] if t["node"] == node_id] for s in ("scroll", "section")]
 
+    # below top degree, so the scroll and section terms survive
+    power = to_data(gamma_power(family(nodes), m, m + dim_b - 1))
     chern = to_data(chern_class_on_hilb(family(nodes), 3))
     for node in nodes:
+        alone = to_data(gamma_power(family([node]), m, m + dim_b - 1))
+        assert node_entries(power, node.node_id) == node_entries(alone, node.node_id)
         alone = to_data(chern_class_on_hilb(family([node]), 3))
         assert node_entries(chern, node.node_id) == node_entries(alone, node.node_id)
+
+
+@pytest.mark.parametrize("weights", [[1], [1, 2, 3], [1, 2, Fraction(1, 2), 3, Fraction(2, 3), 5]])
+def test_node_sectors_cost_the_same_for_any_number_of_nodes(weights, monkeypatch):
+    # one tagged payload per scroll index serves every node, so the count of
+    # discriminant steps does not grow with the number of nodes
+    import hilbtaut.tautmod as tautmod
+
+    calls = []
+    action = tautmod.gamma_action
+
+    def counted(tc):
+        calls.append(tc.m)
+        return action(tc)
+
+    monkeypatch.setattr(tautmod, "gamma_action", counted)
+    nodes = [Node("n%d" % i, w) for i, w in enumerate(weights)]
+    integrate(gamma_power(FamilyDescriptor(1, nodes=nodes), 5, 6))
+    assert len(calls) == 19
+
+
+def test_node_sectors_hold_one_tagged_payload_per_scroll_index():
+    fam = FamilyDescriptor(1, nodes=[Node("p", 2), Node("q", sym("w"))])
+    cls = gamma_power(fam, 3, 3)
+    assert set(cls.scroll) == {(3, 1), (3, 2)} and set(cls.section) == {(2, 1)}
+    assert cls.scroll[(3, 1)].diag == {((), ()): sym("#node.p") * 6 + sym("#node.q") * sym("w") * 3}
+    assert set(cls.by_node("scroll")) == {(x, 3, j) for x in "pq" for j in (1, 2)}
+    assert cls.by_node("scroll")[("q", 3, 1)].diag == {((), ()): sym("w") * 3}
+
+
+@pytest.mark.parametrize(
+    "coeff, term",
+    [
+        (CharPoly.const(3), "1"),
+        (sym("#node.p") * sym("#node.q"), "#node.p*#node.q"),
+        (sym("#node.p") * sym("#node.p") * sym("w"), "#node.p^2*w"),
+    ],
+    ids=["no-tag", "two-tags", "squared-tag"],
+)
+def test_a_payload_term_without_exactly_one_node_tag_is_refused(coeff, term):
+    fam = FamilyDescriptor(1, nodes=[Node("p", 1), Node("q", 2)])
+    cls = TautClass(fam, 3)
+    # stored as the engine stores it, bypassing the tagging of add_section
+    cls.section[(2, 1)] = TautClass.fundamental(fam.boundary_family(), 1).scale(coeff)
+    message = "term %s does not carry exactly one of the tags #node.p, #node.q" % term
+    for reader in (integrate, to_data):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            reader(cls)
 
 
 def test_boundary_integral_needs_its_node(fam):
