@@ -368,7 +368,7 @@ def punctual_chern_cmd(m, descriptor, output):
 @_descriptor_option
 @_output_option
 def pluecker_cmd(which, m, descriptor, output):
-    """Closed contact formulas; s2 is cross-checked against its recursion at run time."""
+    """Closed Pluecker-type contact formulas s2 and c2 over a curve base."""
     fam = _curve_base_family(descriptor)
     value = pluecker_s2(fam, m) if which == "s2" else pluecker_c2(fam, m)
     _emit(_alias_l2(value), output)
@@ -376,7 +376,7 @@ def pluecker_cmd(which, m, descriptor, output):
 
 @main.command("trisecants")
 @_rational_option("--d")
-@_rational_option("--g", minimum=0)
+@click.option("--g", type=click.IntRange(min=0), default=None)
 @_rational_option("--b")
 @_rational_option("--lomega")
 @_rational_option("--omega2")

@@ -17,7 +17,7 @@ from .basering import (
     make_total_space_ring,
 )
 from .charpoly import CharPoly
-from .lincomb import expand, merge_monos, mono_str
+from .lincomb import merge_monos, mono_str
 
 
 class Node:
@@ -137,18 +137,6 @@ def symbolic_family(dim_b=1):
         tau = CharPoly.const(0) if dim_b == 1 else None
         nodes.append(Node("s", CharPoly.symbol("sigma"), tau_L=tau))
     return FamilyDescriptor(dim_b, nodes=nodes)
-
-
-def integrate_classes(fam: FamilyDescriptor, factors):
-    """Top-degree integral over a fiber product of the family's total space.
-
-    `factors` is a list of BaseClasses, one per fiber factor; `[cls]`
-    integrates over the total space itself.  Raises ValueError on degree mismatch.
-    """
-    total = CharPoly()
-    for slots, coeff in expand(factors):
-        total.accumulate(fiber_integral(fam, slots), coeff)
-    return total
 
 
 def fiber_integral(fam: FamilyDescriptor, slot_monos, base_mono=(), node=None):

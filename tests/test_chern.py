@@ -28,9 +28,9 @@ from hilbtaut.chern import (
     w3_monomial,
 )
 from hilbtaut.tautmod import gamma_action, gamma_power, pushforward_to_base, twists
-from hilbtaut.tautmod import TautClass, gamma_as_class, integrate, to_data
+from hilbtaut.tautmod import TautClass, integrate, to_data
 from hilbtaut.transfer import transfer
-from reference import chern_numbers_per_monomial, codim_parts
+from reference import chern_numbers_per_monomial, codim_parts, integrate_classes
 
 
 def sym(name):
@@ -95,7 +95,7 @@ def test_first_chern_class_is_norm_minus_discriminant(fam):
         deg1 = chern_splitting(m).graded_part(1)
         cls = pushdown(fam, m, deg1).scale(Fraction(1, factorial(m)))
         ell = BaseClass.gen(fam.total_ring, "L")
-        expected = twists(TautClass.fundamental(fam, m), [(None, ell)])[0] - gamma_as_class(fam, m)
+        expected = twists(TautClass.fundamental(fam, m), [(None, ell)])[0] - gamma_power(fam, m, 1)
         assert cls == expected
 
 
@@ -435,9 +435,6 @@ def test_porteous_equals_grand_total(fam):
 def test_deep_flag_monomials_match_direct_fiber_integrals(fam):
     # discriminant-free monomials push down the whole tower to a plain fiber
     # integral over the ordered product, one factor per stage
-    from hilbtaut.basering import BaseClass
-    from hilbtaut.family import integrate_classes
-
     ring = fam.total_ring
     L = BaseClass.gen(ring, "L")
     for m, exps in [
@@ -593,7 +590,7 @@ def test_double_point_first_excess_term_is_exact(fam):
         partial.accumulate(l1 ** (n - i) * g2 ** i, comb(n + 1, n - i) * (-1) ** i)
     diff = double_point_class(fam, n) - pushdown(fam, 2, partial).scale(Fraction(1, 2))
     ell = BaseClass.gen(fam.total_ring, "L")
-    expected = twists(gamma_as_class(fam, 2), [(None, ell ** (n - 1))])[0]
+    expected = twists(gamma_power(fam, 2, 1), [(None, ell ** (n - 1))])[0]
     assert diff == expected.scale(Fraction(-comb(n + 1, n - 1), 2))
 
 
@@ -634,16 +631,3 @@ def test_kappa_pushforward(fam):
         cls = gamma_power(big, 2, k).scale(Fraction((-1) ** k))
         interior, _ = pushforward_to_base(cls)
         assert interior == CharPoly.symbol("kappa_%d" % (k - 2)) * Fraction(-1, 2)
-
-
-# -- contact locus recursion step --------------------------------------------------------
-
-
-def test_mcontact_step_interior(fam):
-    from hilbtaut.transfer import segre_contact_step
-
-    ring = fam.total_ring
-    L = BaseClass.gen(ring, "L")
-    w = BaseClass.gen(ring, "omega")
-    step = segre_contact_step(fam, 3)
-    assert step.interior == L * L * 3 + L * w * 9 + w * w * 6

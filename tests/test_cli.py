@@ -470,6 +470,8 @@ def _run_exit(monkeypatch, argv):
         (["trisecants", "--sigma", "x"], "--sigma"),
         (["trisecants", "--sigma", "0"], "--sigma"),
         (["trisecants", "--g", "-1"], "--g"),
+        (["trisecants", "--d", "5", "--g", "1/2", "--sigma", "2"], "--g"),
+        (["trisecants", "--single-curve", "--d", "5", "--g", "3/2"], "--g"),
         (["transfer", "--class-json", "{}"], "--class-json"),
         (["transfer", "--class-json", "[1"], "--class-json"),
         (["transfer", "--class-json", UNKNOWN_SYMBOL_CLASS], "--class-json"),

@@ -128,8 +128,11 @@ def test_defs_follow_decorators(tmp_path):
     assert defs(str(path)) == [(1, "sample.f"), (2, "sample.f.g"), (6, "sample.C.h")]
 
 
-def test_every_def_is_entered_by_the_command_line():
-    package, seen = entered(INVOCATIONS)
+def test_every_def_is_entered_by_the_command_line(tmp_path):
+    # a genus with a matching twogm2: load_descriptor compares the two
+    both = tmp_path / "genus-and-twogm2.ini"
+    both.write_text("[family]\ndim_b = 1\ngenus = 2\n[characters]\ntwogm2 = 2\n")
+    package, seen = entered(INVOCATIONS + [["pluecker", "--which", "c2", "--m", "3", str(both)]])
     paths = sorted(glob.glob(os.path.join(package, "*.py")))
     assert paths
     never = [

@@ -9,7 +9,7 @@ from hilbtaut.basering import BaseClass
 from hilbtaut.charpoly import CharPoly
 from hilbtaut.family import symbolic_family
 from hilbtaut.lincomb import expand
-from hilbtaut.tautmod import TautClass, gamma_as_class, gamma_power, to_data
+from hilbtaut.tautmod import TautClass, gamma_power, to_data
 
 small = st.integers(min_value=-3, max_value=3)
 FAM = symbolic_family(1)
@@ -30,7 +30,7 @@ def baseclass(vals):
 def tautclass(vals):
     # diagonal terms, node scrolls and node sections; `+` shares the payloads
     out = gamma_power(FAM, 3, 2).scale(vals[0])
-    return out + gamma_power(FAM, 3, 3).scale(vals[1]) + gamma_as_class(FAM, 3).scale(vals[2])
+    return out + gamma_power(FAM, 3, 3).scale(vals[1]) + gamma_power(FAM, 3, 1).scale(vals[2])
 
 
 def snapshot(value):

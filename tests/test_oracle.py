@@ -9,7 +9,7 @@ from hilbtaut.family import FamilyDescriptor
 from hilbtaut.oracle import OrderedTensor, ordered_disc, symmetrize
 from hilbtaut.partitions import aut_count
 from hilbtaut.tensym import TensorClass, discriminant_op, u_omega_total
-from hilbtaut.tautmod import TautClass, gamma_as_class, gamma_power, integrate, twists
+from hilbtaut.tautmod import TautClass, gamma_power, integrate, twists
 from reference import accumulate, block_partitions, distributions_up_to, ordered_union
 
 
@@ -184,7 +184,7 @@ def test_node_free_gamma_powers_match_tensym():
         return out
 
     for m in (2, 3, 4):
-        seed = TensorClass(r, phi(gamma_as_class(nofam, m)))
+        seed = TensorClass(r, phi(gamma_power(nofam, m, 1)))
         for k in (1, 2, 3, 4):
             cur = seed
             for _ in range(k - 1):

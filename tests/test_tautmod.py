@@ -15,7 +15,6 @@ from hilbtaut.tautmod import (
     TautClass,
     from_data,
     gamma_action,
-    gamma_as_class,
     gamma_power,
     integrate,
     nu_coeff,
@@ -78,12 +77,19 @@ def test_small_diag_gamma_squared_degree(fam):
 # -- discriminant powers -----------------------------------------------------------
 
 
-def test_gamma_as_class(fam):
-    assert not gamma_as_class(fam, 1)
-    g2 = gamma_as_class(fam, 2)
-    assert g2.diag == {((), blocks(2)): CharPoly.const(Fraction(1, 2))}
-    g3 = gamma_as_class(fam, 3)
-    assert g3.diag == {((), blocks(2, 1)): CharPoly.const(Fraction(1, 2))}
+@pytest.mark.parametrize(
+    "family",
+    [symbolic_family(1), FamilyDescriptor(1, nodes=[Node("p", 2), Node("q", Fraction(1, 3))])],
+    ids=["symbolic", "two-nodes"],
+)
+def test_gamma_once_is_half_the_two_point_diagonal(family):
+    # Gamma . 1 is the typed half-diagonal (2, 1^(m-2)), with no node terms
+    for m in range(2):
+        assert not gamma_power(family, m, 1)
+    for m in range(2, 9):
+        once = gamma_power(family, m, 1)
+        assert once.diag == {((), blocks(2, *[1] * (m - 2))): CharPoly.const(Fraction(1, 2))}
+        assert not once.scroll and not once.section
 
 
 def test_disc_square_shape(fam):
@@ -293,7 +299,8 @@ def test_node_sectors_cost_the_same_for_any_number_of_nodes(weights, monkeypatch
     monkeypatch.setattr(tautmod, "gamma_action", counted)
     nodes = [Node("n%d" % i, w) for i, w in enumerate(weights)]
     integrate(gamma_power(FamilyDescriptor(1, nodes=nodes), 5, 6))
-    assert len(calls) == 19
+    # the first of the six steps is Gamma . 1, on the fundamental class
+    assert len(calls) == 20
 
 
 def test_node_sectors_hold_one_tagged_payload_per_scroll_index():
