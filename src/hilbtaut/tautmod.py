@@ -468,12 +468,34 @@ def _mult_e(tc: TautClass, n, js) -> list:
 
 
 def gamma_power(fam, m, k) -> TautClass:
-    """(Gamma^(m))^k fully expanded into the three sectors: k Gamma steps from 1."""
+    """(Gamma^(m))^k fully expanded into the three sectors: k Gamma steps from 1.
+
+    Each step's zero classes are dropped before the next one (`_without_zero_classes`).
+    """
+    for name, value in (("m", m), ("k", k)):
+        if type(value) is not int or value < 0:
+            raise ValueError("%s must be an integer >= 0, got %r" % (name, value))
     out = TautClass.fundamental(fam, m)
     for _ in range(k):
         if not out:
             break
-        out = gamma_action(out)
+        out = _without_zero_classes(gamma_action(out))
+    return out
+
+
+def _without_zero_classes(tc: TautClass) -> TautClass:
+    """`tc` without its diagonal terms whose base monomial has degree above dim_b.
+
+    Such a term is pulled back from above the dimension of the base: a zero
+    class.  No operator lowers the degree of a base monomial, so all its
+    descendants are zero too.  A node key whose payload empties goes.
+    """
+    dim_b = tc.fam.dim_b
+    diag = {key: c for key, c in tc.diag.items() if tc.ring.degree(key[0]) <= dim_b}
+    out = tc._like(diag, {}, {})
+    for sector in ("scroll", "section"):
+        for (n, j), payload in getattr(tc, sector).items():
+            out._add_node(sector, n, j, _without_zero_classes(payload))
     return out
 
 

@@ -6,7 +6,8 @@ integrated steps of the second-Segre contact recursion, the discriminant
 powers on a scroll through the polarized rank-2 structure, the distributions
 up to a weight and the labelled block partitions of one, the per-pair union of
 the ordered model, and the four rank-3 Chern numbers with every flag monomial
-pushed down on its own.
+pushed down on its own, and the discriminant powers by plain iteration with
+their zero classes dropped afterwards.
 """
 
 from fractions import Fraction
@@ -87,6 +88,31 @@ def gamma_power_on_scroll(fam, m, node_id, n, j, payload, ell):
     out.add_section(node_id, n, j, h[ell - 1])
     if ell >= 2:
         out.add_scroll(node_id, n, j, -mult_e(mult_e(h[ell - 2], n, j + 1), n, j))
+    return out
+
+
+def unreduced_gamma_power(fam, m, k):
+    """k discriminant steps from the fundamental class, keeping every term."""
+    out = TautClass.fundamental(fam, m)
+    for _ in range(k):
+        out = gamma_action(out)
+    return out
+
+
+def drop_zero_classes(cls):
+    """`cls` without its diagonal terms whose base monomial is above the base dimension.
+
+    Such a term is pulled back from a class of degree above dim_b on the base
+    of its family, so it is zero.  Each node's payload is reduced on its own
+    and kept only when something is left.
+    """
+    out = TautClass(cls.fam, cls.m)
+    for (base_mono, blocks), coeff in cls.diag.items():
+        if sum(p for _, p in base_mono) <= cls.fam.dim_b:
+            out.diag[base_mono, blocks] = coeff
+    for sector, adder in (("scroll", out.add_scroll), ("section", out.add_section)):
+        for (node_id, n, j), payload in cls.by_node(sector).items():
+            adder(node_id, n, j, drop_zero_classes(payload))
     return out
 
 

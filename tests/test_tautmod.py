@@ -3,13 +3,16 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from hilbtaut.basering import BaseClass
 from hilbtaut.charpoly import CharPoly
 from hilbtaut.chern import chern_class_on_hilb
+from hilbtaut.cli import load_descriptor, main as cli_main
 from hilbtaut.family import FamilyDescriptor, Node, symbolic_family
 from hilbtaut.tautmod import (
     TautClass,
@@ -22,7 +25,14 @@ from hilbtaut.tautmod import (
     to_data,
     twists,
 )
-from reference import codim_parts, gamma_power_on_scroll
+from reference import (
+    codim_parts,
+    drop_zero_classes,
+    gamma_power_on_scroll,
+    unreduced_gamma_power,
+)
+
+TESTS = Path(__file__).parent
 
 
 def sym(name):
@@ -551,20 +561,99 @@ def test_one_twist_pass_equals_separate_twists(case):
             assert not cls
 
 
+def three_node_family():
+    w = {n: sym("w_" + n) for n in "pqr"}
+    return FamilyDescriptor(1, nodes=[Node(n, x, tau_L=0) for n, x in w.items()], label="X3/B")
+
+
 def test_gamma_powers_are_pinned():
     # sha256 over to_data(gamma_power(fam, m, k)) for every k <= m + dim_b:
-    # every exact coefficient and key of the discriminant powers below
-    w = {n: sym("w_" + n) for n in "pqr"}
-    three = FamilyDescriptor(1, nodes=[Node(n, x, tau_L=0) for n, x in w.items()], label="X3/B")
-    cases = [(symbolic_family(1), 6), (symbolic_family(2), 5), (three, 5), (symbolic_family(0), 6)]
+    # every exact coefficient and key of the discriminant powers below.  The
+    # digest is that of the plain iteration with its zero classes dropped
+    # afterwards (reference.drop_zero_classes), computed before gamma_power
+    # dropped them between steps
+    cases = [
+        (symbolic_family(1), 6),
+        (symbolic_family(2), 5),
+        (three_node_family(), 5),
+        (symbolic_family(0), 6),
+    ]
     digest = hashlib.sha256()
     for cls_fam, m in cases:
         for k in range(m + cls_fam.dim_b + 1):
             data = to_data(gamma_power(cls_fam, m, k))
             digest.update(json.dumps(data, sort_keys=True).encode())
     assert digest.hexdigest() == (
-        "2a7eff11b6565a99031e6cfadf6c90658bf2923cf1b4818dc84c54ef4c01d46a"
+        "2b01199c26efcba39b125b0ebae946248a98873dcd259d31969e52cbf4567fb9"
     )
+
+
+REDUCED_CASES = [
+    (symbolic_family(1), 6),
+    (symbolic_family(2), 5),
+    (three_node_family(), 5),
+    (load_descriptor(str(TESTS / "two-node-surface.ini")), 4),
+    (symbolic_family(3), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "cls_fam, max_m", REDUCED_CASES, ids=["dim1", "dim2", "three-node", "two-node-surface", "dim3"]
+)
+def test_gamma_power_is_the_reduced_iteration(cls_fam, max_m):
+    # dropping the zero classes after every step leaves what dropping them
+    # once at the end leaves: no zero class has a nonzero descendant
+    for m in range(max_m + 1):
+        for k in range(m + cls_fam.dim_b + 1):
+            plain = unreduced_gamma_power(cls_fam, m, k)
+            reduced = gamma_power(cls_fam, m, k)
+            assert reduced == drop_zero_classes(plain), (m, k)
+        assert integrate(reduced) == integrate(plain), m
+
+
+@given(node_families())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_gamma_power_is_the_reduced_iteration_on_node_families(case):
+    dim_b, chars, nodes, m = case
+    cls_fam = FamilyDescriptor(dim_b, chars=chars, nodes=nodes)
+    for k in range(m + dim_b + 1):
+        plain = unreduced_gamma_power(cls_fam, m, k)
+        reduced = gamma_power(cls_fam, m, k)
+        assert reduced == drop_zero_classes(plain), k
+    assert integrate(reduced) == integrate(plain)
+
+
+def base_degrees(cls):
+    """(base dimension, base monomial degree) of every diagonal key, payloads included."""
+    out = {(cls.fam.dim_b, sum(p for _, p in base_mono)) for base_mono, _ in cls.diag}
+    for sector in ("scroll", "section"):
+        for payload in getattr(cls, sector).values():
+            out |= base_degrees(payload)
+    return out
+
+
+def test_gamma_power_holds_no_zero_classes():
+    for cls_fam, max_m in REDUCED_CASES:
+        seen = set()
+        for m in range(max_m + 1):
+            for k in range(m + cls_fam.dim_b + 1):
+                seen |= base_degrees(gamma_power(cls_fam, m, k))
+        assert all(degree <= dim_b for dim_b, degree in seen), cls_fam
+        # payloads are reached: the boundary family's base dimension occurs
+        assert cls_fam.dim_b - 1 in {dim_b for dim_b, _ in seen}, cls_fam
+    # the Chern path still keeps its zero classes: tauL is zero on the
+    # 0-dimensional boundary base of a curve family
+    out = CliRunner().invoke(cli_main, ["chern", "--m", "3"])
+    assert out.exit_code == 0
+    assert "F^{2,3}_1(s)[(1/6*sigma)*tauL*Gamma_(1)[1]]" in out.output
+
+
+@pytest.mark.parametrize(
+    "m, k, name", [(3, -1, "k"), (-2, 1, "m"), (Fraction(3), 1, "m"), (3, 1.0, "k"), (True, 1, "m")]
+)
+def test_gamma_power_checks_its_arguments(fam, m, k, name):
+    with pytest.raises(ValueError, match="^%s must be an integer >= 0, got " % name):
+        gamma_power(fam, m, k)
 
 
 def test_gamma_power_stops_once_the_class_vanishes(fam, monkeypatch):
