@@ -22,7 +22,7 @@ from .charpoly import CharPoly, split_tags
 from .family import FamilyDescriptor
 from .lincomb import mono_str
 from .partitions import enumerate_distributions
-from .tautmod import TautClass, gamma_action, integrate
+from .tautmod import TautClass, checked_int, gamma_action, integrate
 from .transfer import transfer
 
 # -- polynomials on the full flag ---------------------------------------------------
@@ -54,8 +54,7 @@ def pushdown(fam: FamilyDescriptor, m, expr: CharPoly) -> TautClass:
     discriminant: acc <- Gamma acc + transfer(class_k, L^(a_i)) for k from the
     highest k_i down to 0, which applies Gamma max k_i times per group.
     """
-    if type(m) is not int or m < 1:
-        raise ValueError("flag length must be an integer >= 1, got %r" % (m,))
+    checked_int(m, 1, "flag length")
     return _push_terms(fam, m, expr.terms)
 
 
@@ -150,8 +149,7 @@ def chern_class_on_hilb(fam: FamilyDescriptor, m) -> TautClass:
     C_1 = 1 + L and C_(i+1) = transfer(C_i, 1 + L) + transfer(Gamma C_i)
     - Gamma transfer(C_i) (docs/CONVENTIONS.md, "Flag polynomials").
     """
-    if type(m) is not int or m < 1:
-        raise ValueError("flag length must be an integer >= 1, got %r" % (m,))
+    checked_int(m, 1, "flag length")
     one_plus_l = BaseClass.unit(fam.total_ring) + BaseClass.gen(fam.total_ring, "L")
     cls = TautClass.from_twists(fam, 1, [(1, one_plus_l)])
     for _ in range(1, m):

@@ -13,6 +13,7 @@ fault, including a disagreement found by a cross-check.
 from __future__ import annotations
 
 import json
+import random
 import re
 import sys
 from fractions import Fraction
@@ -20,11 +21,12 @@ from itertools import product
 
 import click
 
-from .basering import BaseClass
+from .basering import BaseClass, make_total_space_ring
 from .charpoly import CharPoly
-from .family import FamilyDescriptor, Node, symbolic_family
-from .lincomb import mono_str
-from .tautmod import gamma_power, integrate, to_data
+from .family import FamilyDescriptor, Node, integral_key, symbolic_family
+from .lincomb import merge_monos, mono_str
+from .oracle import OrderedTensor, ordered_disc, symmetrize
+from .tautmod import from_data, gamma_power, integrate, pushforward_to_base, to_data
 from .transfer import pluecker_c2, pluecker_s2, punctual_chern, transfer
 from . import chern as chern_mod
 
@@ -58,7 +60,27 @@ _SECTION_KEYS = {
     "characters": ("d", "b", "Lomega", "omega2", "twogm2"),
     "node": ("weight", "tauL", "IT[...]"),
 }
-_INTEGRAL_KEY = r"IT\[%s\|[\w*^]+\|[\w*^;]*\]"
+
+
+def _monomial(text, symbols):
+    """The monomial `a*b^2` of names in `symbols` (`1` the unit), or None."""
+    mono = ()
+    for factor in [] if text == "1" else text.split("*"):
+        name, caret, power = factor.partition("^")
+        if name not in symbols or (caret and not re.fullmatch("[1-9][0-9]{0,8}", power)):
+            return None
+        mono = merge_monos(mono, ((name, int(power or 1)),))
+    return mono
+
+
+def _is_integral_key(key, node_id):
+    """Whether `key` is an integral of node `node_id` exactly as `integral_key` writes it."""
+    match = re.fullmatch(r"IT\[%s\|([^|]*)\|([^|]*)\]" % re.escape(node_id), key)
+    if not match:
+        return False
+    base = _monomial(match[1], ("psi_x", "psi_y", "tauL"))
+    pushed = [_monomial(f, ("L", "omega")) for f in match[2].split(";")] if match[2] else []
+    return base is not None and all(pushed) and key == integral_key(node_id, base, pushed)
 
 
 def load_descriptor(path) -> FamilyDescriptor:
@@ -104,10 +126,11 @@ def load_descriptor(path) -> FamilyDescriptor:
         if key in current:
             raise DescriptorError("%s: repeated key %s, first at %s" % (where, key, current[key][1]))
         if key.startswith("IT[") and "IT[...]" in allowed:
-            if not re.fullmatch(_INTEGRAL_KEY % re.escape(node_id), key):
+            if not _is_integral_key(key, node_id):
                 raise DescriptorError(
-                    "%s: integral key %r must read IT[%s|<base monomial>|<pushed factors>]"
-                    % (where, key, node_id)
+                    "%s: integral key %r must read IT[%s|<base monomial>|<pushed factors>]: "
+                    "sorted names, no ^1, base in psi_x, psi_y, tauL, sorted ;-joined "
+                    "factors in L, omega" % (where, key, node_id)
                 )
         elif key not in allowed:
             raise DescriptorError(
@@ -161,10 +184,7 @@ def load_descriptor(path) -> FamilyDescriptor:
                 value, where = body["tauL"]
                 raise DescriptorError("%s: tauL = %s, but dim_b = 1 fixes it to 0" % (where, value))
             tau = CharPoly.const(0)
-        table = {}
-        for key, (value, where) in body.items():
-            if key.startswith("IT["):
-                table[key] = _parse_value(value, where)
+        table = {k: _parse_value(*v) for k, v in body.items() if k.startswith("IT[")}
         nodes.append(Node(node_id, weight, tau_L=tau, psi_table=table))
     return FamilyDescriptor(dim_b, chars=chars, nodes=nodes)
 
@@ -300,8 +320,6 @@ def formulary_cmd(descriptor, output):
 @_output_option
 def transfer_cmd(class_json, beta, descriptor, output):
     """Apply the flaglet transfer to a serialized tautological class."""
-    from .tautmod import from_data
-
     fam = _family(descriptor)
     try:
         cls = from_data(fam, json.loads(class_json))
@@ -410,8 +428,6 @@ def trisecants_cmd(d, g, b, lomega, omega2, sigma, single_curve, output):
 @_output_option
 def double_points_cmd(n, push_to_base, descriptor, output):
     """Virtual double-point class for a fiberwise map to projective n-space."""
-    from .tautmod import pushforward_to_base
-
     fam = _family(descriptor)
     cls = chern_mod.double_point_class(fam, n)
     if push_to_base:
@@ -428,36 +444,24 @@ def double_points_cmd(n, push_to_base, descriptor, output):
 @click.option("--seed", type=int, default=0)
 @_output_option
 def oracle_check_cmd(cases, seed, output):
-    """Check one Gamma step of `tensym` against the ordered model on random singletons.
+    """Check one Gamma step of the ordered model against the pair union of `tensym`.
 
-    Each case is one tensor of 2 to 5 singleton blocks, so no interior omega term arises.
+    Each case is one tensor of 2 to 5 random singleton blocks. On singletons Gamma
+    only unites pairs: the interior omega term needs a block of size >= 2.
     """
-    import random
-
-    from .basering import make_total_space_ring
-    from .tensym import TensorClass, discriminant_op, u_omega_total
-    from .oracle import OrderedTensor, ordered_disc, symmetrize
+    from .tensym import TensorClass, discriminant_op  # looked up per call, so tests can patch it
 
     rng = random.Random(seed)
     ring = make_total_space_ring(1)
-    gens = [BaseClass.unit(ring), BaseClass.gen(ring, "L"), BaseClass.gen(ring, "omega")]
+    gens = ((), (("L", 1),), (("omega", 1),))
     failures = 0
     for _ in range(cases):
         m = rng.randint(2, 5)
-        classes = []
-        for _ in range(m):
-            cls = BaseClass(ring)
-            for g in gens:
-                cls.accumulate(g, Fraction(rng.randint(-2, 2)))
-            classes.append(cls)
-        t_ord = OrderedTensor.pure(ring, classes)
-        lhs = symmetrize(ordered_disc(t_ord))
-        t_ts = TensorClass.simple(ring, [(1, c) for c in classes])
-        rhs = (discriminant_op(t_ts) - u_omega_total(t_ts)).terms
-        if lhs != rhs:
+        classes = [BaseClass(ring, {g: rng.randint(-2, 2) for g in gens}) for _ in range(m)]
+        lhs = symmetrize(ordered_disc(OrderedTensor.pure(ring, classes)))
+        if lhs != discriminant_op(TensorClass.simple(ring, [(1, c) for c in classes])).terms:
             failures += 1
-    result = {"cases": cases, "failures": failures}
-    _emit(result, output)
+    _emit({"cases": cases, "failures": failures}, output)
     if failures:
         # an engine fault, not bad input: run() exits 2
         raise ArithmeticError("oracle disagreement in %d of %d cases" % (failures, cases))

@@ -224,12 +224,7 @@ def _base_integral(fam, base_mono, pushed, node):
         # the total space over a curve base has only the fiber symbols L, omega
         result = fam.char(_NAMED_INTEGRALS[pushed[0]])
     else:
-        where = node.node_id if node is not None else fam.label
-        key = "IT[%s|%s|%s]" % (
-            where,
-            mono_str(base_mono),
-            ";".join(sorted(mono_str(m) for m in pushed)),
-        )
+        key = integral_key(node.node_id if node is not None else fam.label, base_mono, pushed)
         if node is not None and key in node.psi_table:
             result = node.psi_table[key]
         else:
@@ -237,3 +232,8 @@ def _base_integral(fam, base_mono, pushed, node):
     if tau_value is not None:
         result = result * tau_value
     return result
+
+
+def integral_key(where, base_mono, pushed):
+    """IT[where|base monomial|pushed factors, sorted and `;`-joined]: an integral left open."""
+    return "IT[%s|%s|%s]" % (where, mono_str(base_mono), ";".join(sorted(map(mono_str, pushed))))

@@ -101,7 +101,7 @@ class TautClass(LinComb):
             coeff = CharPoly.const(coeff)
         add_term(self.diag, (base_mono, blocks), coeff)
 
-    def _add_node(self, sector, n, j, payload):
+    def _add_tagged(self, sector, n, j, payload):
         """Add a tagged payload at (n, j) of the node sector `sector`."""
         if not payload:
             return
@@ -109,12 +109,9 @@ class TautClass(LinComb):
             raise ValueError("bad scroll index n=%d j=%d for m=%d" % (n, j, self.m))
         add_term(getattr(self, sector), (n, j), payload)
 
-    def add_scroll(self, node_id, n, j, payload):
-        """Add F^{n,m}_j(node)[payload], tagging the payload with its node."""
-        self._add_node("scroll", n, j, payload * CharPoly.symbol(self.fam.node(node_id).tag))
-
-    def add_section(self, node_id, n, j, payload):
-        self._add_node("section", n, j, payload * CharPoly.symbol(self.fam.node(node_id).tag))
+    def add_node(self, sector, node_id, n, j, payload):
+        """Add F^{n,m}_j(node)[payload] to `sector` ("scroll" or "section"), tagging the payload."""
+        self._add_tagged(sector, n, j, payload * CharPoly.symbol(self.fam.node(node_id).tag))
 
     def by_node(self, sector):
         """{(node_id, n, j): untagged nonzero payload} of the node sector `sector`, sorted."""
@@ -225,7 +222,7 @@ def from_data(fam: FamilyDescriptor, data) -> TautClass:
 
     Raises ValueError on anything `to_data` does not write.
     """
-    tc = TautClass(fam, _int_from_data(data["m"], 0, "m"))
+    tc = TautClass(fam, checked_int(data["m"], 0, "m"))
     ring = tc.ring
     for term in data["diag"]:
         base = _mono_from_data(term["base"], ring.base)
@@ -234,19 +231,21 @@ def from_data(fam: FamilyDescriptor, data) -> TautClass:
             mono = _mono_from_data(twist_data, ring.symbols - ring.base)
             if ring.normalize_monomial(mono) != (1, mono):
                 raise ValueError("twist %s is not canonical in %s" % (mono_str(mono), ring.label))
-            blocks.append((_int_from_data(n, 1, "block size"), mono))
+            blocks.append((checked_int(n, 1, "block size"), mono))
         tc.add_diag(base, blocks, _coeff_from_data(term["coeff"]))
-    for sector, adder in (("scroll", tc.add_scroll), ("section", tc.add_section)):
+    for sector in ("scroll", "section"):
         for term in data[sector]:
-            n = _int_from_data(term["n"], 2, "scroll size n")
+            n = checked_int(term["n"], 2, "scroll size n")
             payload = from_data(fam.boundary_family(), term["payload"])
             if payload.m != tc.m - n:
                 raise ValueError("payload of degree %d on F^{%d,%d}" % (payload.m, n, tc.m))
-            adder(term["node"], n, _int_from_data(term["j"], 1, "scroll index j"), payload)
+            j = checked_int(term["j"], 1, "scroll index j")
+            tc.add_node(sector, term["node"], n, j, payload)
     return tc
 
 
-def _int_from_data(value, minimum, what):
+def checked_int(value, minimum, what):
+    """`value` if it is an int (not a bool) >= `minimum`; else a ValueError naming `what`."""
     if type(value) is not int or value < minimum:
         raise ValueError("%s must be an integer >= %d, got %r" % (what, minimum, value))
     return value
@@ -254,7 +253,7 @@ def _int_from_data(value, minimum, what):
 
 def _mono_from_data(data, symbols=None):
     """A monomial [[name, exponent], ...]: names sorted, distinct and in `symbols`."""
-    mono = tuple((name, _int_from_data(p, 1, "exponent")) for name, p in data)
+    mono = tuple((name, checked_int(p, 1, "exponent")) for name, p in data)
     for name, _ in mono:
         if not isinstance(name, str) or (symbols is not None and name not in symbols):
             raise ValueError("symbol %r not allowed in %r" % (name, data))
@@ -315,7 +314,7 @@ def gamma_action(tc: TautClass) -> TautClass:
                 continue
             bd = fam.boundary_family()
             # the other blocks pulled back, the whole term twisted by tau
-            pairs = [(nb, _phi_image(bd, mb)) for nb, mb in blocks[:i] + blocks[i + 1 :]]
+            pairs = [(nb, phi_star(bd, mb)) for nb, mb in blocks[:i] + blocks[i + 1 :]]
             base = BaseClass(bd.total_ring, {merge_monos(tau, base_mono): 1})
             payload = TautClass.from_twists(bd, m - n, pairs, base=base)
             if not payload:
@@ -323,19 +322,19 @@ def gamma_action(tc: TautClass) -> TautClass:
             tagged = coeff * fam.tagged_weight
             for j in range(1, n):
                 factor = tagged * exact(Fraction(nu_coeff(n, j), mult[n]))
-                out._add_node("scroll", n, j, payload.scale(factor))
+                out._add_tagged("scroll", n, j, payload.scale(factor))
     out.diag = _finished(diag)
 
     # scrolls: Gamma . F = -((-Gamma) . F)
     for (n, j), payload in tc.scroll.items():
-        out._add_node("section", n, j, -payload)
+        out._add_tagged("section", n, j, -payload)
 
     # sections: Gamma . (-Gamma)F[P] = -(-Gamma)^2 F[P]
     #         = -(-Gamma)F[(e_j + e_{j+1}) P] + F[e_j e_{j+1} P]
     for (n, j), payload in tc.section.items():
         ej_p, ej1_p = _mult_e(payload, n, (j, j + 1))
-        out._add_node("section", n, j, -(ej_p + ej1_p))
-        out._add_node("scroll", n, j, _mult_e(ej1_p, n, (j,))[0])
+        out._add_tagged("section", n, j, -(ej_p + ej1_p))
+        out._add_tagged("scroll", n, j, _mult_e(ej1_p, n, (j,))[0])
     return out
 
 
@@ -357,20 +356,12 @@ def _finished(acc):
     return {key: from_terms(terms) for key, terms in acc.items() if terms}
 
 
-def phi_star(bd, terms):
-    """Pull total-space terms {monomial: coefficient} back to the boundary family.
+def phi_star(bd, mono):
+    """Pull a total-space monomial back to the boundary family, once per family.
 
     On the normalized boundary family X^theta the polarization pulls back to
     itself and the canonical class to omega + theta_x + theta_y.
     """
-    out = BaseClass(bd.total_ring)
-    for mono, c in terms.items():
-        out.accumulate(_phi_image(bd, mono), c)
-    return out
-
-
-def _phi_image(bd, mono):
-    """phi^* of one total-space monomial, built once per boundary family."""
     data = bd.operator_data
     if ("phi", mono) not in data:
         ring = bd.total_ring
@@ -472,9 +463,8 @@ def gamma_power(fam, m, k) -> TautClass:
 
     Each step's zero classes are dropped before the next one (`_without_zero_classes`).
     """
-    for name, value in (("m", m), ("k", k)):
-        if type(value) is not int or value < 0:
-            raise ValueError("%s must be an integer >= 0, got %r" % (name, value))
+    checked_int(m, 0, "m")
+    checked_int(k, 0, "k")
     out = TautClass.fundamental(fam, m)
     for _ in range(k):
         if not out:
@@ -495,7 +485,7 @@ def _without_zero_classes(tc: TautClass) -> TautClass:
     out = tc._like(diag, {}, {})
     for sector in ("scroll", "section"):
         for (n, j), payload in getattr(tc, sector).items():
-            out._add_node(sector, n, j, _without_zero_classes(payload))
+            out._add_tagged(sector, n, j, _without_zero_classes(payload))
     return out
 
 

@@ -1,26 +1,18 @@
-"""The tensymmetric algebra TS(R) and its formal discriminant operator.
+"""The tensymmetric algebra TS(R) and the pair-union part of its discriminant.
 
 Elements are Q-combinations of block-symmetric simple tensors: for each block
-size n a multiset of mu(n) ring classes.  The discriminant acts on them in
-two ways, with no symmetrization weights: it unites each pair of blocks with
-coefficient n1 * n2, and it multiplies one factor of each n-block by omega
-with coefficient binom(n, 2).  The geometric engine applies the same
-operators with the pushforward normalization factors; this module is the
-plain formal model that `oracle-check` compares with the ordered model.
+size n a multiset of mu(n) ring classes.  The discriminant unites each pair of
+blocks with coefficient n1 * n2 and multiplies one factor of each n-block by
+omega with coefficient binom(n, 2), with no symmetrization weights.  On the
+singleton tensors of `oracle-check` only the union acts, so this module holds
+that part alone; the tests keep the omega part as a reference.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 
 from .lincomb import LinComb, add_term, exact, expand, mono_str
-
-_OMEGA = (("omega", 1),)
-
-
-def _sorted_blocks(blocks):
-    return tuple(sorted(blocks, key=lambda b: (-b[0], b[1])))
 
 
 class TensorClass(LinComb):
@@ -38,7 +30,7 @@ class TensorClass(LinComb):
 
     def _add(self, key, coeff):
         """Add a term whose blocks may come in any order."""
-        add_term(self.terms, _sorted_blocks(key), coeff)
+        add_term(self.terms, tuple(sorted(key, key=lambda b: (-b[0], b[1]))), coeff)
 
     @staticmethod
     def simple(ring, blocks):
@@ -74,18 +66,3 @@ def discriminant_op(alpha: TensorClass) -> TensorClass:
             out._add(rest + ((n1 + n2, mono),), c * sign * (n1 * n2))
     return out
 
-
-def u_omega_total(alpha: TensorClass) -> TensorClass:
-    """Multiply the factor of each n-block (n >= 2) by omega, with coefficient binom(n, 2)."""
-    ring = alpha.ring
-    out = TensorClass(ring)
-    for key, c in alpha.terms.items():
-        for i, (n, mono) in enumerate(key):
-            if n < 2:
-                continue
-            prod = ring.merge(mono, _OMEGA)
-            if prod is None:
-                continue
-            sign, imono = prod
-            out._add(key[:i] + key[i + 1 :] + ((n, imono),), c * sign * comb(n, 2))
-    return out

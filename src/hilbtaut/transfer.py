@@ -23,17 +23,17 @@ from math import comb
 
 from .basering import BaseClass
 from .family import FamilyDescriptor, theta_star
-from .tautmod import TautClass, nu_coeff, phi_star, scroll_divisor, twists
+from .tautmod import TautClass, checked_int, nu_coeff, phi_star, scroll_divisor, twists
 from .tautmod import _add_scaled, _finished  # the operators' diagonal accumulator
 
 # -- the flaglet transfer -----------------------------------------------------------
 
 
-def transfer(tc: TautClass, beta: BaseClass = None, variant="j") -> TautClass:
+def transfer(tc: TautClass, beta: BaseClass = None) -> TautClass:
     """Twisted transfer to Hilbert degree m+1; `beta` defaults to the unit class.
 
-    `variant` selects between the two equivalent resolutions of a node
-    section ("j" or "j+1"); the results agree as cycle classes.
+    A node section is resolved through D^n_(j+1); the tests check it against
+    the equivalent resolution through D^n_j.
     """
     fam, m0 = tc.fam, tc.m
     ring = tc.ring
@@ -55,26 +55,26 @@ def transfer(tc: TautClass, beta: BaseClass = None, variant="j") -> TautClass:
 
     if tc.scroll or tc.section:
         bd = fam.boundary_family()
-        phib = phi_star(bd, beta.terms)
+        phib = BaseClass(bd.total_ring)
+        for mono, c in beta.terms.items():
+            phib.accumulate(phi_star(bd, mono), c)
         # theta^* is injective on the monomials it keeps (L^k -> tauL^k)
         tau = BaseClass(
             bd.total_ring,
             {t: c for mono, c in beta.terms.items() if (t := theta_star(mono)) is not None},
         )
     for (n, j), payload in tc.scroll.items():
-        out._add_node("scroll", n, j, transfer(payload, phib))
+        out._add_tagged("scroll", n, j, transfer(payload, phib))
 
     for (n, j), payload in tc.section.items():
         moved = transfer(payload, phib)
-        jtheta = j if variant == "j" else j + 1
-        jD = j + 1 if variant == "j" else j
-        # the tau twist and D^n_(j') act on the same payload: one twist pass
-        divisor = scroll_divisor(bd, n, jD)
+        # the tau twist and D^n_(j+1) act on the same payload: one twist pass
+        divisor = scroll_divisor(bd, n, j + 1)
         tau_p, d_p = twists(payload, [(tau, None), divisor])
-        out._add_node("scroll", n + 1, jtheta, tau_p)
-        out._add_node("section", n, j, moved)
+        out._add_tagged("scroll", n + 1, j, tau_p)
+        out._add_tagged("section", n, j, moved)
         correction = transfer(d_p, phib) - twists(moved, [divisor])[0]
-        out._add_node("scroll", n, j, correction)
+        out._add_tagged("scroll", n, j, correction)
     return out
 
 
@@ -117,14 +117,7 @@ class PunctualClass:
 
 def psi_power_class(ring, m, i):
     """psi^m_i = psi_x^binom(m-i+1,2) * psi_y^binom(i,2) on the node base."""
-    mono = []
-    a = comb(m - i + 1, 2)
-    b = comb(i, 2)
-    if a:
-        mono.append(("psi_x", a))
-    if b:
-        mono.append(("psi_y", b))
-    return BaseClass(ring, {tuple(mono): Fraction(1)})
+    return BaseClass(ring, {(("psi_x", comb(m - i + 1, 2)), ("psi_y", comb(i, 2))): 1})
 
 
 # -- Chern classes of tautological bundles on the punctual Hilbert scheme -------------
@@ -137,8 +130,7 @@ def punctual_chern(fam: FamilyDescriptor, m: int) -> PunctualClass:
     product of (1 + L + (i-1) omega) for i = 1..m, the node parts satisfy a
     closed recursion in the psi classes and theta^*(L).
     """
-    if m < 1:
-        raise ValueError("m >= 1 required")
+    checked_int(m, 1, "m")
     ring = fam.total_ring
     current = PunctualClass(fam, 1, BaseClass.unit(ring) + BaseClass.gen(ring, "L"))
     for degree in range(2, m + 1):

@@ -1,26 +1,38 @@
 """Reference code the tests compare the engine against.
 
-Closed forms and brute forces that no part of the package runs: the codimensions
-a class holds, the integral of a product of classes over a fiber product, the
-integrated steps of the second-Segre contact recursion, the discriminant
-powers on a scroll through the polarized rank-2 structure, the distributions
-up to a weight and the labelled block partitions of one, the per-pair union of
-the ordered model, and the four rank-3 Chern numbers with every flag monomial
-pushed down on its own, and the discriminant powers by plain iteration with
-their zero classes dropped afterwards.
+Closed forms, brute forces and second routes that no part of the package runs:
+the codimensions a class holds, the integral of a product of classes over a
+fiber product, the integrated steps of the second-Segre contact recursion, the
+discriminant powers on a scroll through the polarized rank-2 structure, the
+transfer of a node section resolved through D^n_j, the interior omega part of
+the formal discriminant, the distributions up to a weight and the labelled
+block partitions of one, the per-pair union of the ordered model, and the four
+rank-3 Chern numbers with every flag monomial pushed down on its own, and the
+discriminant powers by plain iteration with their zero classes dropped
+afterwards.
 """
 
 from fractions import Fraction
 from itertools import permutations
 from math import comb
 
+from hilbtaut.basering import BaseClass
 from hilbtaut.charpoly import CharPoly
 from hilbtaut.chern import chern_splitting, push_monomial
-from hilbtaut.family import fiber_integral
+from hilbtaut.family import fiber_integral, theta_star
 from hilbtaut.lincomb import expand
 from hilbtaut.oracle import OrderedTensor
 from hilbtaut.partitions import enumerate_distributions
-from hilbtaut.tautmod import TautClass, gamma_action, integrate, scroll_divisor, twists
+from hilbtaut.tautmod import (
+    TautClass,
+    gamma_action,
+    integrate,
+    phi_star,
+    scroll_divisor,
+    twists,
+)
+from hilbtaut.tensym import TensorClass
+from hilbtaut.transfer import transfer
 
 
 def codim_parts(cls):
@@ -78,16 +90,65 @@ def gamma_power_on_scroll(fam, m, node_id, n, j, payload, ell):
     """
     out = TautClass(fam, m)
     if ell == 0:
-        out.add_scroll(node_id, n, j, payload)
+        out.add_node("scroll", node_id, n, j, payload)
         return out
     h = [payload]
     power = payload
     for _ in range(ell - 1):
         power = mult_e(power, n, j + 1)
         h.append(mult_e(h[-1], n, j) + power)
-    out.add_section(node_id, n, j, h[ell - 1])
+    out.add_node("section", node_id, n, j, h[ell - 1])
     if ell >= 2:
-        out.add_scroll(node_id, n, j, -mult_e(mult_e(h[ell - 2], n, j + 1), n, j))
+        out.add_node("scroll", node_id, n, j, -mult_e(mult_e(h[ell - 2], n, j + 1), n, j))
+    return out
+
+
+def transfer_through_dj(tc, beta=None):
+    """`transfer` with each node section resolved through D^n_j instead of D^n_(j+1).
+
+    The section (-Gamma).F^{n,m}_j[P] goes to F^{n+1,m+1}_(j+1)[theta^*(beta) P]
+    + (-Gamma).F^{n,m+1}_j[T P] + F^{n,m+1}_j[T(D^n_j P) - D^n_j T P], with T
+    the transfer twisted by phi^*(beta); the engine's rule puts the first term
+    on F^{n+1,m+1}_j and uses D^n_(j+1).  The two agree as cycle classes.
+    """
+    if beta is None:
+        beta = BaseClass.unit(tc.ring)
+    out = transfer(tc._like(tc.diag, tc.scroll, {}), beta)
+    bd = tc.fam.boundary_family()
+    phib = BaseClass(bd.total_ring)
+    for mono, c in beta.terms.items():
+        phib.accumulate(phi_star(bd, mono), c)
+    tau = BaseClass(
+        bd.total_ring,
+        {t: c for mono, c in beta.terms.items() if (t := theta_star(mono)) is not None},
+    )
+    for (n, j), payload in tc.section.items():
+        moved = transfer(payload, phib)
+        divisor = scroll_divisor(bd, n, j)
+        tau_p, d_p = twists(payload, [(tau, None), divisor])
+        out._add_tagged("scroll", n + 1, j + 1, tau_p)
+        out._add_tagged("section", n, j, moved)
+        out._add_tagged("scroll", n, j, transfer(d_p, phib) - twists(moved, [divisor])[0])
+    return out
+
+
+def u_omega_total(alpha):
+    """Multiply the factor of each n-block (n >= 2) by omega, with coefficient binom(n, 2).
+
+    The interior omega part of the formal discriminant of `tensym`: the
+    discriminant of a tensor is `discriminant_op(alpha) - u_omega_total(alpha)`.
+    """
+    ring = alpha.ring
+    out = TensorClass(ring)
+    for key, c in alpha.terms.items():
+        for i, (n, mono) in enumerate(key):
+            if n < 2:
+                continue
+            prod = ring.merge(mono, (("omega", 1),))
+            if prod is None:
+                continue
+            sign, imono = prod
+            out._add(key[:i] + key[i + 1 :] + ((n, imono),), c * sign * comb(n, 2))
     return out
 
 
@@ -110,9 +171,9 @@ def drop_zero_classes(cls):
     for (base_mono, blocks), coeff in cls.diag.items():
         if sum(p for _, p in base_mono) <= cls.fam.dim_b:
             out.diag[base_mono, blocks] = coeff
-    for sector, adder in (("scroll", out.add_scroll), ("section", out.add_section)):
+    for sector in ("scroll", "section"):
         for (node_id, n, j), payload in cls.by_node(sector).items():
-            adder(node_id, n, j, drop_zero_classes(payload))
+            out.add_node(sector, node_id, n, j, drop_zero_classes(payload))
     return out
 
 

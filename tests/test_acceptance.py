@@ -20,7 +20,7 @@ from hilbtaut.tautmod import (
     nu_coeff,
     twists,
 )
-from hilbtaut.tensym import TensorClass, discriminant_op, u_omega_total
+from hilbtaut.tensym import TensorClass, discriminant_op
 from hilbtaut.transfer import pluecker_c2, pluecker_s2, transfer
 from hilbtaut.chern import (
     chern_numbers_w3,
@@ -30,7 +30,7 @@ from hilbtaut.chern import (
     trisecant_grand_total,
     w3_monomial,
 )
-from reference import gamma_power_on_scroll, s2_contact_step
+from reference import gamma_power_on_scroll, s2_contact_step, transfer_through_dj, u_omega_total
 
 
 def sym(name):
@@ -143,9 +143,9 @@ def test_criterion_7_transfer_identities():
             for j in range(1, n):
                 for beta in twists:
                     src = TautClass(fam2, m0)
-                    src.add_section("s", n, j, payload)
-                    a = transfer(src, beta, variant="j")
-                    b = transfer(src, beta, variant="j+1")
+                    src.add_node("section", "s", n, j, payload)
+                    a = transfer(src, beta)
+                    b = transfer_through_dj(src, beta)
                     for _ in range(m1 + 2 - (n + 1)):
                         a = gamma_action(a)
                         b = gamma_action(b)

@@ -217,6 +217,7 @@ def test_section_transfer_forms_agree_twisted_payload():
     from hilbtaut.basering import BaseClass
     from hilbtaut.tautmod import gamma_action
     from hilbtaut.transfer import transfer
+    from reference import transfer_through_dj
 
     fam = FamilyDescriptor(2, nodes=[Node("s", 1)])
     ring = fam.total_ring
@@ -229,9 +230,9 @@ def test_section_transfer_forms_agree_twisted_payload():
         for beta_name in ("L", None):
             beta = BaseClass.gen(ring, "L") if beta_name else None
             src = TautClass(fam, 3)
-            src.add_section("s", 2, 1, payload)
-            a = transfer(src, beta, variant="j")
-            b = transfer(src, beta, variant="j+1")
+            src.add_node("section", "s", 2, 1, payload)
+            a = transfer(src, beta)
+            b = transfer_through_dj(src, beta)
             for _ in range(2):
                 a = gamma_action(a)
                 b = gamma_action(b)

@@ -10,6 +10,8 @@ from hilbtaut.chern import double_point_class, single_curve_trisecant_formula
 from hilbtaut.cli import DescriptorError, load_descriptor, main, run
 from hilbtaut.family import symbolic_family
 from hilbtaut.tautmod import from_data, gamma_power, integrate, to_data
+from hilbtaut.tensym import TensorClass
+from reference import u_omega_total
 
 
 @pytest.fixture
@@ -113,6 +115,28 @@ def test_load_parse_error_has_line_number(tmp_path):
         load_descriptor(path)
 
 
+# integral keys the engine never builds: an exponent 1, an unknown symbol, names
+# or factors out of order, a repeated name, a unit or empty part, a zero or
+# padded exponent, a base symbol among the factors and a factor symbol in the base
+NON_CANONICAL_INTEGRAL_KEYS = (
+    "IT[p|psi_x^1|]",
+    "IT[p|foo|]",
+    "IT[p|psi_y*psi_x|]",
+    "IT[p|psi_x*psi_x|]",
+    "IT[p|psi_x|omega^2;L^2]",
+    "IT[p|1|L*L]",
+    "IT[p|1|1]",
+    "IT[p|1|L^2;]",
+    "IT[p||]",
+    "IT[p|psi_x^0|]",
+    "IT[p|psi_x^02|]",
+    "IT[p|1|psi_x^2]",
+    "IT[p|L|]",
+    "IT[p|psi_x|]x",
+    "IT[p|psi_x||]",
+)
+
+
 @pytest.mark.parametrize(
     "text, line, message",
     [
@@ -143,6 +167,14 @@ def test_load_parse_error_has_line_number(tmp_path):
             5,
             "integral key 'IT[t|psi_x|]' must read IT[s|<base monomial>|<pushed factors>]",
         ),
+        *(
+            (
+                "[family]\ndim_b = 2\n[node.p]\nweight = 1\n%s = 5\n" % key,
+                5,
+                "integral key %r must read IT[p|<base monomial>|<pushed factors>]" % key,
+            )
+            for key in NON_CANONICAL_INTEGRAL_KEYS
+        ),
         ("[family]\ndim_b = 1\n[characters]\nd = 3/0\n", 4, "cannot parse value '3/0'"),
         ("[family]\ndim_b = 1\n[node.]\nweight = 1\n", 3, "empty node id"),
         ("[family]\ndim_b = 1\n[node.a|b]\nweight = 1\n", 3, "bad node id 'a|b'"),
@@ -163,6 +195,7 @@ def test_load_parse_error_has_line_number(tmp_path):
         "unknown-character",
         "malformed-integral-key",
         "other-node-integral-key",
+        *("non-canonical-integral-key-%s" % key for key in NON_CANONICAL_INTEGRAL_KEYS),
         "unparsable-value",
         "empty-node-id",
         "node-id-with-a-bar",
@@ -242,6 +275,13 @@ def test_psi_table_value_reaches_the_integral(tmp_path):
     write(tmp_path, text + "IT[s|psi_x|] = 7\n")
     bound = integrate(gamma_power(load_descriptor(path), 3, 5))
     assert bound == symbolic.substitute({"IT[s|psi_x|]": 7})
+
+
+def test_canonical_integral_keys_are_bound(tmp_path):
+    keys = ("IT[p|1|]", "IT[p|psi_x*psi_y^2|]", "IT[p|tauL|L*omega;L^2]", "IT[p|1|omega^12]")
+    text = "[family]\ndim_b = 3\n[node.p]\nweight = 1\n"
+    fam = load_descriptor(write(tmp_path, text + "".join("%s = 5\n" % key for key in keys)))
+    assert fam.node("p").psi_table == {key: CharPoly.const(5) for key in keys}
 
 
 def test_unknown_integral_names_ignore_the_path_spelling(runner, tmp_path, monkeypatch):
@@ -358,6 +398,28 @@ def test_oracle_check_command(runner):
     result = runner.invoke(main, ["oracle-check", "--cases", "5"])
     assert result.exit_code == 0
     assert "failures = 0" in result.output
+
+
+def test_oracle_check_draws_singleton_tensors_only(runner, monkeypatch):
+    # on singleton blocks Gamma only unites pairs, so `oracle-check` compares the
+    # pair union alone: the interior omega part it leaves out is zero on them
+    built = []
+    simple = TensorClass.simple
+
+    def recording(ring, blocks):
+        out = simple(ring, blocks)
+        built.append(([n for n, _ in blocks], out))
+        return out
+
+    monkeypatch.setattr(TensorClass, "simple", staticmethod(recording))
+    argvs = [["oracle-check", "--cases", "50", "--seed", str(seed)] for seed in range(5)]
+    codes = [runner.invoke(main, argv).exit_code for argv in argvs]
+    assert len(built) == 250
+    for sizes, tensor in built:
+        assert sizes and set(sizes) == {1}
+        assert all(n == 1 for key in tensor.terms for n, _ in key)
+        assert not u_omega_total(tensor)
+    assert codes == [0] * 5
 
 
 def test_chern_command(runner):

@@ -18,6 +18,8 @@ import sys
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SAMPLE = os.path.join(ROOT, "sample-family.ini")
+# two nodes over a surface base, one binding a boundary-base integral
+SURFACE = os.path.join(ROOT, "tests", "two-node-surface.ini")
 
 # defs the command line never enters, each with the reason it stays
 ALLOWED = {
@@ -56,6 +58,7 @@ INVOCATIONS = [
     ["trisecants", "--single-curve", "--d", "5", "--g", "1"],
     ["double-points", "--n", "2", "--output", "json", SAMPLE],
     ["double-points", "--n", "3", SAMPLE],
+    ["double-points", "--n", "4", SURFACE],
     ["double-points", "--n", "2", "--push-to-base"],
     ["oracle-check", "--cases", "2", "--output", "json"],
 ]

@@ -8,9 +8,15 @@ from hilbtaut.basering import BaseClass, make_total_space_ring
 from hilbtaut.family import FamilyDescriptor
 from hilbtaut.oracle import OrderedTensor, ordered_disc, symmetrize
 from hilbtaut.partitions import aut_count
-from hilbtaut.tensym import TensorClass, discriminant_op, u_omega_total
+from hilbtaut.tensym import TensorClass, discriminant_op
 from hilbtaut.tautmod import TautClass, gamma_power, integrate, twists
-from reference import accumulate, block_partitions, distributions_up_to, ordered_union
+from reference import (
+    accumulate,
+    block_partitions,
+    distributions_up_to,
+    ordered_union,
+    u_omega_total,
+)
 
 
 def ring():

@@ -9,7 +9,9 @@ Geometry of Algebraic Curves I, ch. VIII).  Over the product family C x P^1
 the relative Hilbert scheme is C^(m) x P^1, where Gamma is pulled back from
 C^(m), so its power of degree m + 1 vanishes.  There L^[m] is the secant
 bundle of L_C pulled back, twisted by O(e) from P^1, so every Chern number of
-L^[3] is a number on C^(3) times e.
+L^[3] is a number on C^(3) times e.  Over the surface base of C x P^2 the
+Hilbert scheme is C^(m) x P^2 and N(L) = N(L_C) + m e h, so a power of N(L)
+keeps the part in h^2 = pt.
 
 The tautological (secant) bundle L^[m] of a line bundle of degree d has total
 Chern class c(L^[m]) = (1 - x)^(m+g-1-d) exp(theta / (1 - x)) (ACGH I,
@@ -170,3 +172,71 @@ def test_product_family_chern_numbers(g, d, e):
     assert {k: v.constant_value() for k, v in numbers.items()} == {
         k: 6 * Fraction(v) for k, v in expected.items()
     }
+
+
+# -- the surface base of C x P^2 ---------------------------------------------------------
+
+
+def surface_family(g, d):
+    """C x P^2 -> P^2 with L = L_C (degree d) boxtimes O(e): only d and 2g - 2 are characters."""
+    return FamilyDescriptor(2, chars={"d": d, "twogm2": 2 * g - 2})
+
+
+def pushed_to_p2(factor, g, d, e):
+    """The coefficient of pi_*(L^a omega^b) on P^2 for the factor text `L^a*omega^b`.
+
+    With omega = (2g-2) pt boxtimes 1 and pt^2 = 0 on C: pi_*(L^a) =
+    a d e^(a-1) H^(a-1), pi_*(L^a omega) = (2g-2) e^a H^a, and 0 for b >= 2.
+    """
+    powers = {}
+    for part in factor.split("*"):
+        name, _, power = part.partition("^")
+        powers[name] = int(power or 1)
+    a, b = powers.pop("L", 0), powers.pop("omega", 0)
+    assert not powers, factor
+    if b == 0:
+        return a * d * e ** (a - 1)
+    return (2 * g - 2) * e**a if b == 1 else 0
+
+
+def bind_surface_integrals(poly, g, d, e):
+    """`poly` with each IT[X/B|1|f_1;...;f_r] bound on C x P^2.
+
+    The symbol is the integral over P^2 of the product of the pushforwards
+    of its factors, H^(deg f_i - 1) each; by degree the product is a multiple
+    of H^2, and integral H^2 = 1.
+    """
+    bindings = {}
+    for mono in poly.terms:
+        for name, _ in mono:
+            assert name.startswith("IT[X/B|1|") and name.endswith("]"), name
+            value = 1
+            for factor in name[len("IT[X/B|1|") : -1].split(";"):
+                value *= pushed_to_p2(factor, g, d, e)
+            bindings[name] = value
+    out = poly.substitute(bindings)
+    assert out.is_constant(), out
+    return out.constant_value()
+
+
+def assert_surface_base_identity(g, d, e, m):
+    """integral Gamma^(m-a) N(L)^(a+2) = binom(a+2, 2) (m e)^2 macdonald(g, d, m, a), all a <= m.
+
+    Gamma is pulled back from C^(m), so its top power Gamma^(m+2) is zero too.
+    """
+    fam = surface_family(g, d)
+    assert not bind_surface_integrals(integrate(gamma_power(fam, m, m + 2)), g, d, e)
+    ell = BaseClass.gen(fam.total_ring, "L")
+    for a in range(m + 1):
+        cls = gamma_power(fam, m, m - a)
+        for _ in range(a + 2):
+            cls = twists(cls, [(None, ell)])[0]
+        expected = comb(a + 2, 2) * (m * e) ** 2 * macdonald(g, d, m, a)
+        assert bind_surface_integrals(integrate(cls), g, d, e) == expected, (g, d, e, m, a)
+
+
+@pytest.mark.parametrize("g", range(3))
+@pytest.mark.parametrize("d, e", [(1, 1), (3, 2), (2, 5)])
+def test_surface_base_norm_powers(g, d, e):
+    for m in range(1, 5):
+        assert_surface_base_identity(g, d, e, m)

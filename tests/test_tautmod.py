@@ -193,7 +193,7 @@ def test_scroll_power_matches_iteration(fam):
             for ell in (1, 2, 3):
                 closed = gamma_power_on_scroll(fam, m, "s", n, j, payload, ell)
                 iterated = TautClass(fam, m)
-                iterated.add_scroll("s", n, j, payload)
+                iterated.add_node("scroll", "s", n, j, payload)
                 for _ in range(ell):
                     iterated = gamma_action(iterated)
                 assert closed == iterated.scale(Fraction((-1) ** ell)), (m, n, j, ell)
@@ -206,18 +206,18 @@ def test_sector_triangularity(fam):
     assert out.diag and out.scroll and not out.section
 
     scroll = TautClass(fam, 3)
-    scroll.add_scroll("s", 2, 1, TautClass.fundamental(fam.boundary_family(), 1))
+    scroll.add_node("scroll", "s", 2, 1, TautClass.fundamental(fam.boundary_family(), 1))
     out = gamma_action(scroll)
     assert not out.diag and not out.scroll and out.section
 
     section = TautClass(fam, 3)
-    section.add_section("s", 2, 1, TautClass.fundamental(fam.boundary_family(), 1))
+    section.add_node("section", "s", 2, 1, TautClass.fundamental(fam.boundary_family(), 1))
     out = gamma_action(section)
     assert not out.diag and out.section
 
     # with enough room on the boundary the scroll part of a section survives
     section4 = TautClass(fam, 4)
-    section4.add_section("s", 2, 1, TautClass.fundamental(fam.boundary_family(), 2))
+    section4.add_node("section", "s", 2, 1, TautClass.fundamental(fam.boundary_family(), 2))
     out = gamma_action(section4)
     assert not out.diag and out.scroll and out.section
 
@@ -334,7 +334,7 @@ def test_node_sectors_hold_one_tagged_payload_per_scroll_index():
 def test_a_payload_term_without_exactly_one_node_tag_is_refused(coeff, term):
     fam = FamilyDescriptor(1, nodes=[Node("p", 1), Node("q", 2)])
     cls = TautClass(fam, 3)
-    # stored as the engine stores it, bypassing the tagging of add_section
+    # stored as the engine stores it, bypassing the tagging of add_node
     cls.section[(2, 1)] = TautClass.fundamental(fam.boundary_family(), 1).scale(coeff)
     message = "term %s does not carry exactly one of the tags #node.p, #node.q" % term
     for reader in (integrate, to_data):

@@ -5,8 +5,8 @@ from math import factorial
 
 from hilbtaut.basering import BaseClass, make_total_space_ring
 from hilbtaut.oracle import OrderedTensor, symmetrize
-from hilbtaut.tensym import TensorClass, discriminant_op, u_omega_total
-from reference import accumulate, block_partitions, ordered_union
+from hilbtaut.tensym import TensorClass, discriminant_op
+from reference import accumulate, block_partitions, ordered_union, u_omega_total
 
 
 def ring():

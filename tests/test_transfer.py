@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 from math import comb
 
@@ -17,7 +18,7 @@ from hilbtaut.transfer import (
     punctual_chern,
     transfer,
 )
-from reference import codim_parts, s2_contact_step
+from reference import codim_parts, s2_contact_step, transfer_through_dj
 
 
 def sym(name):
@@ -63,7 +64,7 @@ def test_transfer_omega_kills_section_shift(fam):
     omega = BaseClass.gen(ring, "omega")
     bd = fam.boundary_family()
     src = TautClass(fam, 2)
-    src.add_section("s", 2, 1, TautClass.fundamental(bd, 0))
+    src.add_node("section", "s", 2, 1, TautClass.fundamental(bd, 0))
     out = transfer(src, omega)
     assert not any(n == 3 for (_, n, _) in out.by_node("scroll"))
 
@@ -83,14 +84,20 @@ def test_section_transfer_forms_agree(m1):
         for j in range(1, n):
             for beta in (one, L):
                 src = TautClass(fam, m0)
-                src.add_section("s", n, j, payload)
-                a = transfer(src, beta, variant="j")
-                b = transfer(src, beta, variant="j+1")
+                src.add_node("section", "s", n, j, payload)
+                a = transfer(src, beta)
+                b = transfer_through_dj(src, beta)
                 t = m1 + 2 - (n + 1)
                 for _ in range(t):
                     a = gamma_action(a)
                     b = gamma_action(b)
                 assert integrate(a) == integrate(b), (m1, n, j)
+
+
+@pytest.mark.parametrize("m", [0, 2.5, True])
+def test_punctual_chern_refuses_a_degree_that_is_not_a_positive_int(fam, m):
+    with pytest.raises(ValueError, match="^m must be an integer >= 1, got %s$" % re.escape(repr(m))):
+        punctual_chern(fam, m)
 
 
 # -- psi powers -------------------------------------------------------------------------
