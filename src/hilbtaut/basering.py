@@ -38,15 +38,20 @@ class Ring:
         # section symbol name -> its psi symbol name
         self.psi_of = dict(psi_of or {})
         self._merged = {}  # (m1, m2) -> merge(m1, m2)
+        self._splits = {}  # (base_mono, mono) -> split(base_mono, mono)
 
     @staticmethod
     def degree(mono):
         return sum(p for _, p in mono)
 
     def split(self, base_mono, mono):
-        """(base_mono times the pulled-back symbols of `mono`, the rest of `mono`)."""
-        pulled = tuple((n, p) for n, p in mono if n in self.base)
-        return merge_monos(base_mono, pulled), tuple((n, p) for n, p in mono if n not in self.base)
+        """(base_mono times the pulled-back symbols of `mono`, the rest of `mono`); memoized."""
+        out = self._splits.get((base_mono, mono))
+        if out is None:
+            pulled = tuple((n, p) for n, p in mono if n in self.base)
+            rest = tuple((n, p) for n, p in mono if n not in self.base)
+            out = self._splits[base_mono, mono] = merge_monos(base_mono, pulled), rest
+        return out
 
     def normalize_monomial(self, mono):
         """Canonical (sign, monomial) for a raw exponent map, or None if zero.

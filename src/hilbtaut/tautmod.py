@@ -18,7 +18,8 @@ normalization the untwisted key is the reduced class of the diagonal locus.
 Multiplication by the discriminant polarization acts by
 
 * uniting block pairs, with the combinatorial factor
-  n1 * n2 * aut(united mu) / aut(mu) per ordered pair of blocks,
+  n1 * n2 * aut(united mu) / aut(mu) per pair of blocks; identical blocks
+  are united once, times their number of index pairs,
 * interior multiplication by -omega with binomial(n, 2) in each block,
 * a boundary term per node and per block of size n >= 2, with multiplicity
   nu(n, j) = j (n-j) n / 2 on the scroll F^{n,m}_j, weight 1/mult(n), and the
@@ -74,7 +75,7 @@ class TautClass(LinComb):
 
     def _sorted_blocks(self, blocks):
         """The blocks in key order (size down, then twist), checked to weigh m."""
-        blocks = tuple(sorted(blocks, key=lambda b: (-b[0], b[1])))
+        blocks = tuple(sorted(blocks, key=_block_order))
         if sum(n for n, _ in blocks) != self.m:
             raise ValueError("blocks of weight %s in degree-%d class" % (blocks, self.m))
         return blocks
@@ -171,6 +172,11 @@ class TautClass(LinComb):
 
     def __repr__(self):
         return "TautClass(m=%d: %s)" % (self.m, self.render())
+
+
+def _block_order(block):
+    """Sort key of a block: size down, then twist."""
+    return -block[0], block[1]
 
 
 def _coeff_data(c: CharPoly):
@@ -282,33 +288,43 @@ def gamma_action(tc: TautClass) -> TautClass:
 
     for (base_mono, blocks), coeff in tc.diag.items():
         mult = Counter(n for n, _ in blocks)
+        # (first index, length) of each run of identical blocks, adjacent in a key
+        runs = [(i, blocks.count(b)) for i, b in enumerate(blocks) if not i or b != blocks[i - 1]]
         # the union and interior terms have codimension one more than the key
         if tc._diag_codim(base_mono, blocks) < top:
-            # unite pairs of blocks
-            for i in range(len(blocks)):
-                for k in range(i + 1, len(blocks)):
+            # unite pairs of blocks: each distinct pair once, times its number of index pairs
+            for a, (i, c) in enumerate(runs):
+                for k, c2 in runs[a:]:
+                    if k == i:  # the block taken twice
+                        index_pairs, k = comb(c, 2), i + 1
+                    else:
+                        index_pairs = c * c2
+                    if not index_pairs:
+                        continue
                     (n1, mono1), (n2, mono2) = blocks[i], blocks[k]
                     rest = blocks[:i] + blocks[i + 1 : k] + blocks[k + 1 :]
                     sign, key = tc._rekeyed(base_mono, rest, n1 + n2, mono1, mono2)
                     if not sign:
                         continue
                     # aut(united) / aut(mu); mult[n2] drops by one once the n1 block is gone
-                    num = sign * n1 * n2 * (mult[n1 + n2] + 1)
+                    num = index_pairs * sign * n1 * n2 * (mult[n1 + n2] + 1)
                     factor = exact(Fraction(num, mult[n1] * (mult[n2] - (n1 == n2))))
                     _add_scaled(diag, key, coeff, factor)
             # interior multiplication by omega within each block
-            for i, (n, mono) in enumerate(blocks):
+            for i, c in runs:
+                n, mono = blocks[i]
                 if n < 2:
                     continue
                 rest = blocks[:i] + blocks[i + 1 :]
                 sign, key = tc._rekeyed(base_mono, rest, n, mono, (("omega", 1),))
                 if sign:
-                    _add_scaled(diag, key, coeff, -sign * comb(n, 2))
-        # boundary terms: per block of size >= 2, one payload on the shared
-        # boundary family, scaled by sum weight * tag over the nodes, per j
+                    _add_scaled(diag, key, coeff, -sign * comb(n, 2) * c)
+        # boundary terms: per distinct block of size >= 2, one payload on the shared
+        # boundary family, scaled by its count and sum weight * tag over the nodes, per j
         if not fam.nodes:
             continue
-        for i, (n, mono) in enumerate(blocks):
+        for i, c in runs:
+            n, mono = blocks[i]
             tau = theta_star(mono) if n >= 2 else None
             if tau is None:
                 continue
@@ -321,7 +337,7 @@ def gamma_action(tc: TautClass) -> TautClass:
                 continue
             tagged = coeff * fam.tagged_weight
             for j in range(1, n):
-                factor = tagged * exact(Fraction(nu_coeff(n, j), mult[n]))
+                factor = tagged * exact(Fraction(nu_coeff(n, j) * c, mult[n]))
                 out._add_tagged("scroll", n, j, payload.scale(factor))
     out.diag = _finished(diag)
 
@@ -331,10 +347,13 @@ def gamma_action(tc: TautClass) -> TautClass:
 
     # sections: Gamma . (-Gamma)F[P] = -(-Gamma)^2 F[P]
     #         = -(-Gamma)F[(e_j + e_{j+1}) P] + F[e_j e_{j+1} P]
+    # with e_i = D_i - Gamma: -(e_j + e_{j+1}) P = -(D_j + D_{j+1}) P + 2 Gamma P
     for (n, j), payload in tc.section.items():
-        ej_p, ej1_p = _mult_e(payload, n, (j, j + 1))
-        out._add_tagged("section", n, j, -(ej_p + ej1_p))
-        out._add_tagged("scroll", n, j, _mult_e(ej1_p, n, (j,))[0])
+        bd = payload.fam
+        divisors = [_minus_divisor_pair(bd, n, j), scroll_divisor(bd, n, j + 1)]
+        minus_sum_p, ej1_p = _twists(payload, divisors, (2, -1))
+        out._add_tagged("section", n, j, minus_sum_p)
+        out._add_tagged("scroll", n, j, _twists(ej1_p, [scroll_divisor(bd, n, j)], (-1,))[0])
     return out
 
 
@@ -389,6 +408,11 @@ def twists(tc: TautClass, divisors) -> list:
     each block of a polyblock diagonal, weighted by its size.  One pass serves
     every divisor: each output key is built once, and only its scalar differs.
     """
+    return _twists(tc, divisors, [0] * len(divisors))
+
+
+def _twists(tc: TautClass, divisors, gamma_shares) -> list:
+    """`twists` plus share * Gamma tc in each output, added scalar by scalar from one Gamma tc."""
     if tc.scroll or tc.section:
         raise NotImplementedError("twist on nested node terms")
     pulled = _monomial_table(tc.ring, [pullback for pullback, _ in divisors])
@@ -413,6 +437,12 @@ def twists(tc: TautClass, divisors) -> list:
                     continue
                 for d, c in coeffs:
                     _add_scaled(accs[d], key, coeff, n * sign * c)
+    # Gamma is zero below degree 2, and diagonal on a payload's node-free family
+    if tc.m >= 2 and any(gamma_shares):
+        gamma_tc = gamma_action(tc)
+        for acc, share in zip(accs, gamma_shares):
+            for key, coeff in gamma_tc.diag.items():
+                _add_scaled(acc, key, coeff, share)
     out = [TautClass(tc.fam, tc.m) for _ in divisors]
     for cls, acc in zip(out, accs):
         cls.diag = _finished(acc)
@@ -446,13 +476,13 @@ def scroll_divisor(fam, n, j):
     return data["D", n, j]
 
 
-def _mult_e(tc: TautClass, n, js) -> list:
-    """[e^n_j tc for j in js], e^n_j = D^n_j - Gamma: one twist pass, one Gamma tc."""
-    out = twists(tc, [scroll_divisor(tc.fam, n, j) for j in js])
-    if tc.m < 2:
-        return out
-    gamma_tc = gamma_action(tc)
-    return [cls.accumulate(gamma_tc, -1) for cls in out]
+def _minus_divisor_pair(fam, n, j):
+    """-(D^n_j + D^n_(j+1)) for `twists`, the divisor part of -(e_j + e_(j+1)); built once."""
+    data = fam.operator_data
+    if ("-D-D", n, j) not in data:
+        (p1, n1), (p2, n2) = scroll_divisor(fam, n, j), scroll_divisor(fam, n, j + 1)
+        data["-D-D", n, j] = -(p1 + p2), -(n1 + n2)
+    return data["-D-D", n, j]
 
 
 # -- powers and integration -------------------------------------------------------

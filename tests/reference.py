@@ -7,11 +7,13 @@ discriminant powers on a scroll through the polarized rank-2 structure, the
 transfer of a node section resolved through D^n_j, the interior omega part of
 the formal discriminant, the distributions up to a weight and the labelled
 block partitions of one, the per-pair union of the ordered model, and the four
-rank-3 Chern numbers with every flag monomial pushed down on its own, and the
+rank-3 Chern numbers with every flag monomial pushed down on its own, the
 discriminant powers by plain iteration with their zero classes dropped
-afterwards.
+afterwards, and the discriminant action uniting every index pair of blocks
+with its e-twists built as classes before Gamma is subtracted.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -20,13 +22,16 @@ from hilbtaut.basering import BaseClass
 from hilbtaut.charpoly import CharPoly
 from hilbtaut.chern import chern_splitting, push_monomial
 from hilbtaut.family import fiber_integral, theta_star
-from hilbtaut.lincomb import expand
+from hilbtaut.lincomb import exact, expand, merge_monos
 from hilbtaut.oracle import OrderedTensor
 from hilbtaut.partitions import enumerate_distributions
 from hilbtaut.tautmod import (
     TautClass,
+    _add_scaled,
+    _finished,
     gamma_action,
     integrate,
+    nu_coeff,
     phi_star,
     scroll_divisor,
     twists,
@@ -239,3 +244,83 @@ def chern_numbers_per_monomial(fam):
             total.accumulate(values[key], c)
         out[name] = total
     return out
+
+
+def gamma_action_per_index_pair(tc):
+    """`gamma_action` visiting every index pair of blocks, with two-step e-twists.
+
+    The union and the interior and boundary terms run once per block index,
+    identical blocks included; a node section's e^n_j P is the twisted class
+    D^n_j P with Gamma P subtracted afterwards, and e_j P + e_(j+1) P is added
+    as whole classes.
+    """
+    fam, m = tc.fam, tc.m
+    top = tc.space_dim()
+    out = TautClass(fam, m)
+    diag = {}  # owned accumulator: key -> {character monomial: scalar}
+
+    for (base_mono, blocks), coeff in tc.diag.items():
+        mult = Counter(n for n, _ in blocks)
+        # the union and interior terms have codimension one more than the key
+        if tc._diag_codim(base_mono, blocks) < top:
+            # unite pairs of blocks
+            for i in range(len(blocks)):
+                for k in range(i + 1, len(blocks)):
+                    (n1, mono1), (n2, mono2) = blocks[i], blocks[k]
+                    rest = blocks[:i] + blocks[i + 1 : k] + blocks[k + 1 :]
+                    sign, key = tc._rekeyed(base_mono, rest, n1 + n2, mono1, mono2)
+                    if not sign:
+                        continue
+                    # aut(united) / aut(mu); mult[n2] drops by one once the n1 block is gone
+                    num = sign * n1 * n2 * (mult[n1 + n2] + 1)
+                    factor = exact(Fraction(num, mult[n1] * (mult[n2] - (n1 == n2))))
+                    _add_scaled(diag, key, coeff, factor)
+            # interior multiplication by omega within each block
+            for i, (n, mono) in enumerate(blocks):
+                if n < 2:
+                    continue
+                rest = blocks[:i] + blocks[i + 1 :]
+                sign, key = tc._rekeyed(base_mono, rest, n, mono, (("omega", 1),))
+                if sign:
+                    _add_scaled(diag, key, coeff, -sign * comb(n, 2))
+        # boundary terms: per block of size >= 2, one payload on the shared
+        # boundary family, scaled by sum weight * tag over the nodes, per j
+        if not fam.nodes:
+            continue
+        for i, (n, mono) in enumerate(blocks):
+            tau = theta_star(mono) if n >= 2 else None
+            if tau is None:
+                continue
+            bd = fam.boundary_family()
+            # the other blocks pulled back, the whole term twisted by tau
+            pairs = [(nb, phi_star(bd, mb)) for nb, mb in blocks[:i] + blocks[i + 1 :]]
+            base = BaseClass(bd.total_ring, {merge_monos(tau, base_mono): 1})
+            payload = TautClass.from_twists(bd, m - n, pairs, base=base)
+            if not payload:
+                continue
+            tagged = coeff * fam.tagged_weight
+            for j in range(1, n):
+                factor = tagged * exact(Fraction(nu_coeff(n, j), mult[n]))
+                out._add_tagged("scroll", n, j, payload.scale(factor))
+    out.diag = _finished(diag)
+
+    # scrolls: Gamma . F = -((-Gamma) . F)
+    for (n, j), payload in tc.scroll.items():
+        out._add_tagged("section", n, j, -payload)
+
+    # sections: Gamma . (-Gamma)F[P] = -(-Gamma)^2 F[P]
+    #         = -(-Gamma)F[(e_j + e_{j+1}) P] + F[e_j e_{j+1} P]
+    for (n, j), payload in tc.section.items():
+        ej_p, ej1_p = _mult_e_two_step(payload, n, (j, j + 1))
+        out._add_tagged("section", n, j, -(ej_p + ej1_p))
+        out._add_tagged("scroll", n, j, _mult_e_two_step(ej1_p, n, (j,))[0])
+    return out
+
+
+def _mult_e_two_step(tc, n, js):
+    """[e^n_j tc for j in js], e^n_j = D^n_j - Gamma: one twist pass, one Gamma tc."""
+    out = twists(tc, [scroll_divisor(tc.fam, n, j) for j in js])
+    if tc.m < 2:
+        return out
+    gamma_tc = gamma_action_per_index_pair(tc)
+    return [cls.accumulate(gamma_tc, -1) for cls in out]

@@ -11,6 +11,7 @@ from hilbtaut.basering import (
 )
 from hilbtaut.charpoly import CharPoly
 from hilbtaut.family import symbolic_family
+from hilbtaut.lincomb import merge_monos
 from reference import integrate_classes
 
 
@@ -107,7 +108,7 @@ def canonical_monomials(ring):
     return [mono for mono in out if ring.normalize_monomial(mono) == (1, mono)]
 
 
-@pytest.mark.parametrize(
+every_ring_shape = pytest.mark.parametrize(
     "make_ring",
     [
         lambda: make_total_space_ring(0),
@@ -118,6 +119,9 @@ def canonical_monomials(ring):
     ],
     ids=["total0", "total1", "total2", "boundary", "node_base"],
 )
+
+
+@every_ring_shape
 def test_merge_memo_equals_normalizing_the_product(make_ring):
     ring = make_ring()
     monos = canonical_monomials(ring)
@@ -154,6 +158,34 @@ def test_families_do_not_share_a_merge_memo():
     cube = (("L", 2),), (("omega", 1),)
     assert symbolic_family(1).total_ring.merge(*cube) is None
     assert symbolic_family(2).total_ring.merge(*cube) == (1, (("L", 2), ("omega", 1)))
+
+
+@every_ring_shape
+def test_split_memo_equals_splitting_afresh(make_ring):
+    ring = make_ring()
+    monos = canonical_monomials(ring)
+    base_monos = [mono for mono in monos if all(n in ring.base for n, _ in mono)]
+    for _ in range(2):  # the second round reads the memo
+        for base_mono in base_monos:
+            for mono in monos:
+                pulled = tuple(pair for pair in mono if pair[0] in ring.base)
+                rest = tuple(pair for pair in mono if pair[0] not in ring.base)
+                expected = merge_monos(base_mono, pulled), rest
+                assert ring.split(base_mono, mono) == expected, (base_mono, mono)
+    assert len(ring._splits) == len(base_monos) * len(monos)
+
+
+def test_boundary_rings_do_not_share_a_split_memo():
+    # same label and symbols, one memo each
+    low = symbolic_family(1).boundary_family().total_ring
+    high = symbolic_family(2).boundary_family().total_ring
+    assert low.label == high.label and low._splits is not high._splits
+    mono = (("L", 1), ("psi_x", 1))
+    assert low.split((), mono) == ((("psi_x", 1),), (("L", 1),))
+    assert ((), mono) not in high._splits
+    assert high.split((("tauL", 1),), mono) == ((("psi_x", 1), ("tauL", 1)), (("L", 1),))
+    assert list(low._splits) == [((), mono)]
+    assert list(high._splits) == [((("tauL", 1),), mono)]
 
 
 def test_mixed_rings_error(xring, bring):

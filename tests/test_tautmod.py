@@ -28,6 +28,7 @@ from hilbtaut.tautmod import (
 from reference import (
     codim_parts,
     drop_zero_classes,
+    gamma_action_per_index_pair,
     gamma_power_on_scroll,
     unreduced_gamma_power,
 )
@@ -463,6 +464,25 @@ def names_of(symbols, max_size):
 
 
 @st.composite
+def block_sizes(draw, m):
+    """The sizes of blocks of total weight m, in a drawn order."""
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=m - 1))) if m > 1 else [])
+    return [b - a for a, b in zip([0] + cuts, cuts + [m])]
+
+
+def coefficients():
+    """(constant, coefficient of the symbol a) of a term."""
+    return st.tuples(st.integers(-3, 3), st.integers(-2, 2))
+
+
+@st.composite
+def payload_terms(draw, m):
+    """One term of a degree-m boundary payload, as `build_payload` reads it."""
+    blocks = [(n, draw(names_of(BOUNDARY_FIBER, 1))) for n in draw(block_sizes(m))]
+    return draw(coefficients()) + (draw(names_of(BOUNDARY_BASE, 2)), blocks)
+
+
+@st.composite
 def twist_cases(draw):
     """(dim_b, m, payload terms, divisors) as plain data, for `build_twist_case`.
 
@@ -474,11 +494,7 @@ def twist_cases(draw):
     m = draw(st.integers(min_value=1, max_value=3))
     terms = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=m - 1))) if m > 1 else [])
-        sizes = [b - a for a, b in zip([0] + cuts, cuts + [m])]
-        blocks = [(n, draw(names_of(BOUNDARY_FIBER, 1))) for n in sizes]
-        coeff = draw(st.tuples(st.integers(-3, 3), st.integers(-2, 2)))
-        terms.append(coeff + (draw(names_of(BOUNDARY_BASE, 2)), blocks))
+        terms.append(draw(payload_terms(m)))
     scalars = st.integers(-3, 3).filter(bool)
     divisors = draw(
         st.lists(
@@ -502,15 +518,22 @@ def twist_cases(draw):
     return dim_b, m, terms, divisors
 
 
-def build_twist_case(dim_b, m, terms, divisors):
-    bd = FamilyDescriptor(dim_b + 1, nodes=[Node("s", 1)]).boundary_family()
-    ring = bd.total_ring
-    payload = TautClass(bd, m)
+def build_payload(fam, m, terms):
+    """The degree-m class on `fam` holding the drawn terms."""
+    ring = fam.total_ring
+    out = TautClass(fam, m)
     for c0, ca, base, blocks in terms:
         coeff = CharPoly.const(c0) + CharPoly.symbol("a") * ca
         pairs = [(n, BaseClass(ring, {names_mono(names): 1})) for n, names in blocks]
         base = BaseClass(ring, {names_mono(base): 1})
-        payload.accumulate(TautClass.from_twists(bd, m, pairs, coeff=coeff, base=base))
+        out.accumulate(TautClass.from_twists(fam, m, pairs, coeff=coeff, base=base))
+    return out
+
+
+def build_twist_case(dim_b, m, terms, divisors):
+    bd = FamilyDescriptor(dim_b + 1, nodes=[Node("s", 1)]).boundary_family()
+    ring = bd.total_ring
+    payload = build_payload(bd, m, terms)
     out = []
     for kind, *data in divisors:
         if kind == "D":
@@ -559,6 +582,74 @@ def test_one_twist_pass_equals_separate_twists(case):
         assert all(c <= top for c in codim_parts(cls))
         if not pullback and not norm:
             assert not cls
+
+
+@st.composite
+def gamma_cases(draw):
+    """(dim_b, node count, m, diagonal terms, node terms) as plain data, for `build_gamma_case`.
+
+    A diagonal term is (constant, coefficient of the symbol a, base symbols,
+    [(block size, twist symbols), ...]); a node term is (sector, node index,
+    n, j, [payload term, ...]).
+    """
+    dim_b = draw(st.integers(0, 3))
+    nodes = draw(st.integers(0, 3)) if dim_b else 0
+    m = draw(st.integers(1, 5))
+    fiber = ("L", "omega", "pt") if dim_b == 0 else ("L", "omega")
+    diag = []
+    for _ in range(draw(st.integers(0, 3))):
+        blocks = [(n, draw(names_of(fiber, 2))) for n in draw(block_sizes(m))]
+        diag.append(draw(coefficients()) + ((), blocks))
+    node_terms = []
+    for _ in range(draw(st.integers(0, 3)) if nodes and m >= 2 else 0):
+        n = draw(st.integers(2, m))
+        sector = draw(st.sampled_from(["scroll", "section"]))
+        node, j = draw(st.integers(0, nodes - 1)), draw(st.integers(1, n - 1))
+        payload = draw(st.lists(payload_terms(m - n), min_size=1, max_size=3))
+        node_terms.append((sector, node, n, j, payload))
+    return dim_b, nodes, m, diag, node_terms
+
+
+def build_gamma_case(dim_b, nodes, m, diag, node_terms):
+    weights = [1, sym("w_q"), Fraction(1, 3)]
+    fam = FamilyDescriptor(dim_b, nodes=[Node(n, w) for n, w in zip("pqr", weights[:nodes])])
+    tc = build_payload(fam, m, diag)
+    for sector, node, n, j, terms in node_terms:
+        tc.add_node(sector, "pqr"[node], n, j, build_payload(fam.boundary_family(), m - n, terms))
+    return tc
+
+
+UNIT = [(1, 0, (), [])]  # the unit class of Hilb^0 of the boundary family
+DEGREE_TWO = [(1, 0, (), [(1, ()), (1, ("L",))]), (3, 0, ("tauL",), [(2, ())])]
+
+
+@given(gamma_cases())
+@settings(max_examples=60, deadline=None)
+# the fundamental class at m = 6: every block the same
+@example((1, 1, 6, [(1, 0, (), [(1, ())] * 6)], []))
+# blocks of one size with different twists
+@example((1, 2, 6, [(1, 1, (), [(2, ()), (2, ("L",)), (2, ())])], []))
+# node sections with payloads of degree 0, 1 and 2
+@example(
+    (
+        2,
+        2,
+        4,
+        [(1, 0, (), [(1, ())] * 4)],
+        [
+            ("section", 0, 4, 2, UNIT),
+            ("section", 1, 3, 1, [(2, 1, ("psi_y",), [(1, ("theta_x",))])]),
+            ("section", 0, 2, 1, DEGREE_TWO),
+        ],
+    )
+)
+def test_gamma_action_equals_the_per_index_pair_route(case):
+    # identical blocks united once times their index pairs, and -Gamma folded
+    # into the e-twists, give the class term for term
+    tc = build_gamma_case(*case)
+    got, expected = gamma_action(tc), gamma_action_per_index_pair(tc)
+    assert got == expected
+    assert to_data(got) == to_data(expected)
 
 
 def three_node_family():
