@@ -16,11 +16,9 @@ and truncation above the dimension of the underlying space.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .lincomb import LinComb, add_term, exact, format_sum, merge_monos, mono_str
-
-
-_UNSET = object()
 
 
 class Ring:
@@ -28,6 +26,11 @@ class Ring:
 
     Every symbol has degree 1.  `base` names the symbols pulled back from the
     base of the fibration (T); the `fiber` symbols are the ring's own classes.
+
+    `merge` and `split` are memoized by `functools.cache`, one cache per method
+    for all rings, keyed by the ring and the monomials.  The constructors below
+    intern their rings, one per shape and dimension, so those caches hold only
+    a few rings, and every family of one base dimension shares them.
     """
 
     def __init__(self, label, dim, fiber, base=(), psi_of=None):
@@ -37,21 +40,17 @@ class Ring:
         self.symbols = frozenset(fiber) | self.base
         # section symbol name -> its psi symbol name
         self.psi_of = dict(psi_of or {})
-        self._merged = {}  # (m1, m2) -> merge(m1, m2)
-        self._splits = {}  # (base_mono, mono) -> split(base_mono, mono)
 
     @staticmethod
     def degree(mono):
         return sum(p for _, p in mono)
 
+    @cache
     def split(self, base_mono, mono):
         """(base_mono times the pulled-back symbols of `mono`, the rest of `mono`); memoized."""
-        out = self._splits.get((base_mono, mono))
-        if out is None:
-            pulled = tuple((n, p) for n, p in mono if n in self.base)
-            rest = tuple((n, p) for n, p in mono if n not in self.base)
-            out = self._splits[base_mono, mono] = merge_monos(base_mono, pulled), rest
-        return out
+        pulled = tuple((n, p) for n, p in mono if n in self.base)
+        rest = tuple((n, p) for n, p in mono if n not in self.base)
+        return merge_monos(base_mono, pulled), rest
 
     def normalize_monomial(self, mono):
         """Canonical (sign, monomial) for a raw exponent map, or None if zero.
@@ -88,18 +87,16 @@ class Ring:
             return None
         return sign, mono
 
+    @cache
     def merge(self, m1, m2):
         """Canonical (sign, monomial) of the product of two monomials, or None if zero.
 
-        Memoized per ring: the operators merge the same few pairs many times.
-        Only results are kept, so a symbol outside the ring raises KeyError on
+        Memoized: the operators merge the same few pairs many times.  Only
+        results are kept, so a symbol outside the ring raises KeyError on
         every call.
         """
-        out = self._merged.get((m1, m2), _UNSET)
-        if out is _UNSET:
-            # normalize_monomial adds the exponents of repeated symbols and sorts
-            out = self._merged[m1, m2] = self.normalize_monomial(m1 + m2)
-        return out
+        # normalize_monomial adds the exponents of repeated symbols and sorts
+        return self.normalize_monomial(m1 + m2)
 
     def __repr__(self):
         return "Ring(%s, dim=%d)" % (self.label, self.dim)
@@ -162,6 +159,7 @@ class BaseClass(LinComb):
         return "BaseClass<%s>(%s)" % (self.ring.label, self)
 
 
+@cache
 def make_total_space_ring(dim_b: int) -> Ring:
     """Ring over the total space X of the family (dimension dim_b + 1).
 
@@ -171,6 +169,7 @@ def make_total_space_ring(dim_b: int) -> Ring:
     return Ring("X/B(dim %d)" % dim_b, dim_b + 1, fiber)
 
 
+@cache
 def make_boundary_ring(dim_b: int) -> Ring:
     """Ring over the normalized boundary family X^theta (dimension dim_b)."""
     return Ring(
@@ -182,6 +181,7 @@ def make_boundary_ring(dim_b: int) -> Ring:
     )
 
 
+@cache
 def make_node_base_ring(dim_b: int) -> Ring:
     """Ring over the boundary base T that every node shares (dimension dim_b - 1)."""
     return Ring("T", dim_b - 1, ("psi_x", "psi_y", "tauL"))

@@ -71,9 +71,6 @@ class FamilyDescriptor:
         # the boundary base T that every node shares, and X^theta / T over it
         self.node_base_ring = make_node_base_ring(dim_b) if self.nodes else None
         self._boundary_family = None
-        # constant operator data on this family's total space, built once
-        # (the phi^* images and scroll divisors of `tautmod`)
-        self.operator_data = {}
 
     # -- characters -----------------------------------------------------------
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .basering import BaseClass
@@ -330,7 +331,7 @@ def gamma_action(tc: TautClass) -> TautClass:
                 continue
             bd = fam.boundary_family()
             # the other blocks pulled back, the whole term twisted by tau
-            pairs = [(nb, phi_star(bd, mb)) for nb, mb in blocks[:i] + blocks[i + 1 :]]
+            pairs = [(nb, phi_star(bd.total_ring, mb)) for nb, mb in blocks[:i] + blocks[i + 1 :]]
             base = BaseClass(bd.total_ring, {merge_monos(tau, base_mono): 1})
             payload = TautClass.from_twists(bd, m - n, pairs, base=base)
             if not payload:
@@ -349,11 +350,11 @@ def gamma_action(tc: TautClass) -> TautClass:
     #         = -(-Gamma)F[(e_j + e_{j+1}) P] + F[e_j e_{j+1} P]
     # with e_i = D_i - Gamma: -(e_j + e_{j+1}) P = -(D_j + D_{j+1}) P + 2 Gamma P
     for (n, j), payload in tc.section.items():
-        bd = payload.fam
-        divisors = [_minus_divisor_pair(bd, n, j), scroll_divisor(bd, n, j + 1)]
+        ring = payload.ring
+        divisors = [_minus_divisor_pair(ring, n, j), scroll_divisor(ring, n, j + 1)]
         minus_sum_p, ej1_p = _twists(payload, divisors, (2, -1))
         out._add_tagged("section", n, j, minus_sum_p)
-        out._add_tagged("scroll", n, j, _twists(ej1_p, [scroll_divisor(bd, n, j)], (-1,))[0])
+        out._add_tagged("scroll", n, j, _twists(ej1_p, [scroll_divisor(ring, n, j)], (-1,))[0])
     return out
 
 
@@ -375,26 +376,21 @@ def _finished(acc):
     return {key: from_terms(terms) for key, terms in acc.items() if terms}
 
 
-def phi_star(bd, mono):
-    """Pull a total-space monomial back to the boundary family, once per family.
+@cache
+def phi_star(ring, mono):
+    """Pull a total-space monomial back to the boundary family's `ring`; memoized.
 
     On the normalized boundary family X^theta the polarization pulls back to
     itself and the canonical class to omega + theta_x + theta_y.
     """
-    data = bd.operator_data
-    if ("phi", mono) not in data:
-        ring = bd.total_ring
-        images = {
-            "L": BaseClass.gen(ring, "L"),
-            "omega": BaseClass(
-                ring, {(("omega", 1),): 1, (("theta_x", 1),): 1, (("theta_y", 1),): 1}
-            ),
-        }
-        image = BaseClass.unit(ring)
-        for name, p in mono:
-            image = image * (images[name] ** p)
-        data["phi", mono] = image
-    return data["phi", mono]
+    images = {
+        "L": BaseClass.gen(ring, "L"),
+        "omega": BaseClass(ring, {(("omega", 1),): 1, (("theta_x", 1),): 1, (("theta_y", 1),): 1}),
+    }
+    image = BaseClass.unit(ring)
+    for name, p in mono:
+        image = image * (images[name] ** p)
+    return image
 
 
 # -- operators on boundary payloads ---------------------------------------------
@@ -459,30 +455,25 @@ def _monomial_table(ring, parts):
     return [(mono, ring.degree(mono), coeffs) for mono, coeffs in table.items()]
 
 
-def scroll_divisor(fam, n, j):
-    """D^n_j on the boundary family `fam` as a (pullback, norm) pair for `twists`.
+@cache
+def scroll_divisor(ring, n, j):
+    """D^n_j on the boundary family's `ring` as a (pullback, norm) pair for `twists`.
 
     D^n_j = binom(n-j+1, 2) psi_x + binom(j, 2) psi_y
             - (n-j+1) [m]_* theta_x - j [m]_* theta_y,
-    built once per (family, n, j).
+    built once per (ring, n, j).
     """
-    data = fam.operator_data
-    if ("D", n, j) not in data:
-        ring = fam.total_ring
-        data["D", n, j] = (
-            BaseClass(ring, {(("psi_x", 1),): comb(n - j + 1, 2), (("psi_y", 1),): comb(j, 2)}),
-            BaseClass(ring, {(("theta_x", 1),): -(n - j + 1), (("theta_y", 1),): -j}),
-        )
-    return data["D", n, j]
+    return (
+        BaseClass(ring, {(("psi_x", 1),): comb(n - j + 1, 2), (("psi_y", 1),): comb(j, 2)}),
+        BaseClass(ring, {(("theta_x", 1),): -(n - j + 1), (("theta_y", 1),): -j}),
+    )
 
 
-def _minus_divisor_pair(fam, n, j):
+@cache
+def _minus_divisor_pair(ring, n, j):
     """-(D^n_j + D^n_(j+1)) for `twists`, the divisor part of -(e_j + e_(j+1)); built once."""
-    data = fam.operator_data
-    if ("-D-D", n, j) not in data:
-        (p1, n1), (p2, n2) = scroll_divisor(fam, n, j), scroll_divisor(fam, n, j + 1)
-        data["-D-D", n, j] = -(p1 + p2), -(n1 + n2)
-    return data["-D-D", n, j]
+    (p1, n1), (p2, n2) = scroll_divisor(ring, n, j), scroll_divisor(ring, n, j + 1)
+    return -(p1 + p2), -(n1 + n2)
 
 
 # -- powers and integration -------------------------------------------------------

@@ -57,7 +57,7 @@ def transfer(tc: TautClass, beta: BaseClass = None) -> TautClass:
         bd = fam.boundary_family()
         phib = BaseClass(bd.total_ring)
         for mono, c in beta.terms.items():
-            phib.accumulate(phi_star(bd, mono), c)
+            phib.accumulate(phi_star(bd.total_ring, mono), c)
         # theta^* is injective on the monomials it keeps (L^k -> tauL^k)
         tau = BaseClass(
             bd.total_ring,
@@ -69,7 +69,7 @@ def transfer(tc: TautClass, beta: BaseClass = None) -> TautClass:
     for (n, j), payload in tc.section.items():
         moved = transfer(payload, phib)
         # the tau twist and D^n_(j+1) act on the same payload: one twist pass
-        divisor = scroll_divisor(bd, n, j + 1)
+        divisor = scroll_divisor(bd.total_ring, n, j + 1)
         tau_p, d_p = twists(payload, [(tau, None), divisor])
         out._add_tagged("scroll", n + 1, j, tau_p)
         out._add_tagged("section", n, j, moved)

@@ -79,7 +79,7 @@ def s2_contact_step(fam, m):
 
 def mult_e(payload, n, j):
     """e^n_j P = D^n_j P - Gamma P on a boundary payload P."""
-    out = twists(payload, [scroll_divisor(payload.fam, n, j)])[0]
+    out = twists(payload, [scroll_divisor(payload.ring, n, j)])[0]
     if payload.m >= 2:
         out.accumulate(gamma_action(payload), -1)
     return out
@@ -122,14 +122,14 @@ def transfer_through_dj(tc, beta=None):
     bd = tc.fam.boundary_family()
     phib = BaseClass(bd.total_ring)
     for mono, c in beta.terms.items():
-        phib.accumulate(phi_star(bd, mono), c)
+        phib.accumulate(phi_star(bd.total_ring, mono), c)
     tau = BaseClass(
         bd.total_ring,
         {t: c for mono, c in beta.terms.items() if (t := theta_star(mono)) is not None},
     )
     for (n, j), payload in tc.section.items():
         moved = transfer(payload, phib)
-        divisor = scroll_divisor(bd, n, j)
+        divisor = scroll_divisor(bd.total_ring, n, j)
         tau_p, d_p = twists(payload, [(tau, None), divisor])
         out._add_tagged("scroll", n + 1, j + 1, tau_p)
         out._add_tagged("section", n, j, moved)
@@ -293,7 +293,7 @@ def gamma_action_per_index_pair(tc):
                 continue
             bd = fam.boundary_family()
             # the other blocks pulled back, the whole term twisted by tau
-            pairs = [(nb, phi_star(bd, mb)) for nb, mb in blocks[:i] + blocks[i + 1 :]]
+            pairs = [(nb, phi_star(bd.total_ring, mb)) for nb, mb in blocks[:i] + blocks[i + 1 :]]
             base = BaseClass(bd.total_ring, {merge_monos(tau, base_mono): 1})
             payload = TautClass.from_twists(bd, m - n, pairs, base=base)
             if not payload:
@@ -319,7 +319,7 @@ def gamma_action_per_index_pair(tc):
 
 def _mult_e_two_step(tc, n, js):
     """[e^n_j tc for j in js], e^n_j = D^n_j - Gamma: one twist pass, one Gamma tc."""
-    out = twists(tc, [scroll_divisor(tc.fam, n, j) for j in js])
+    out = twists(tc, [scroll_divisor(tc.ring, n, j) for j in js])
     if tc.m < 2:
         return out
     gamma_tc = gamma_action_per_index_pair(tc)

@@ -5,12 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from hilbtaut.basering import (
     BaseClass,
+    Ring,
     make_boundary_ring,
     make_node_base_ring,
     make_total_space_ring,
 )
 from hilbtaut.charpoly import CharPoly
-from hilbtaut.family import symbolic_family
+from hilbtaut.family import FamilyDescriptor, Node, symbolic_family
 from hilbtaut.lincomb import merge_monos
 from reference import integrate_classes
 
@@ -126,12 +127,15 @@ def test_merge_memo_equals_normalizing_the_product(make_ring):
     ring = make_ring()
     monos = canonical_monomials(ring)
     results = []
-    for _ in range(2):  # the second round reads the memo
+    Ring.merge.cache_clear()
+    for round_ in range(2):  # the second round reads the memo
         for m1 in monos:
             for m2 in monos:
                 expected = ring.normalize_monomial(m1 + m2)
                 assert ring.merge(m1, m2) == expected, (m1, m2)
                 results.append(expected)
+        info = Ring.merge.cache_info()
+        assert (info.misses, info.hits) == (len(monos) ** 2, round_ * len(monos) ** 2)
     assert None in results and len(results) == 2 * len(monos) ** 2
 
 
@@ -145,12 +149,12 @@ def test_merge_raises_on_unknown_symbols_every_time(xring):
     assert xring.merge(known, known) == (1, (("L", 2),))
 
 
-def test_families_do_not_share_a_merge_memo():
+def test_merge_memo_keeps_rings_of_two_dimensions_apart():
     # the boundary rings of node s over 1- and 2-dimensional bases share their
     # label and symbols; only the dimension tells the degree-2 product apart
     low = symbolic_family(1).boundary_family().total_ring
     high = symbolic_family(2).boundary_family().total_ring
-    assert low.label == high.label
+    assert low.label == high.label and low is not high
     square = (("L", 1),), (("theta_x", 1),)
     assert low.merge(*square) is None
     assert high.merge(*square) == (1, (("L", 1), ("theta_x", 1)))
@@ -165,27 +169,55 @@ def test_split_memo_equals_splitting_afresh(make_ring):
     ring = make_ring()
     monos = canonical_monomials(ring)
     base_monos = [mono for mono in monos if all(n in ring.base for n, _ in mono)]
-    for _ in range(2):  # the second round reads the memo
+    pairs = len(base_monos) * len(monos)
+    Ring.split.cache_clear()
+    for round_ in range(2):  # the second round reads the memo
         for base_mono in base_monos:
             for mono in monos:
                 pulled = tuple(pair for pair in mono if pair[0] in ring.base)
                 rest = tuple(pair for pair in mono if pair[0] not in ring.base)
                 expected = merge_monos(base_mono, pulled), rest
                 assert ring.split(base_mono, mono) == expected, (base_mono, mono)
-    assert len(ring._splits) == len(base_monos) * len(monos)
+        info = Ring.split.cache_info()
+        assert (info.misses, info.hits) == (pairs, round_ * pairs)
 
 
-def test_boundary_rings_do_not_share_a_split_memo():
-    # same label and symbols, one memo each
+def test_split_memo_keeps_rings_of_two_dimensions_apart():
+    # same label and symbols: the memo is keyed by the ring, one entry each
     low = symbolic_family(1).boundary_family().total_ring
     high = symbolic_family(2).boundary_family().total_ring
-    assert low.label == high.label and low._splits is not high._splits
+    assert low.label == high.label and low is not high
     mono = (("L", 1), ("psi_x", 1))
+    Ring.split.cache_clear()
     assert low.split((), mono) == ((("psi_x", 1),), (("L", 1),))
-    assert ((), mono) not in high._splits
+    assert high.split((), mono) == ((("psi_x", 1),), (("L", 1),))
+    assert Ring.split.cache_info().misses == 2
     assert high.split((("tauL", 1),), mono) == ((("psi_x", 1), ("tauL", 1)), (("L", 1),))
-    assert list(low._splits) == [((), mono)]
-    assert list(high._splits) == [((("tauL", 1),), mono)]
+    assert low.split((), mono) is low.split((), mono)
+    info = Ring.split.cache_info()
+    assert (info.hits, info.misses) == (2, 3)
+
+
+@pytest.mark.parametrize(
+    "make_ring", [make_total_space_ring, make_boundary_ring, make_node_base_ring]
+)
+def test_one_ring_per_shape_and_dimension(make_ring):
+    ring = make_ring(2)
+    hits = make_ring.cache_info().hits
+    assert make_ring(2) is ring
+    assert make_ring.cache_info().hits == hits + 1
+    assert make_ring(3) is not ring and make_ring(3).dim == ring.dim + 1
+
+
+def test_families_of_one_dimension_share_their_rings():
+    # other characters and other nodes: the relations depend on the dimension alone
+    one = symbolic_family(2)
+    other = FamilyDescriptor(2, chars={"d": 5, "b": 3}, nodes=[Node("p", 2), Node("q", 1)])
+    assert one.total_ring is other.total_ring is make_total_space_ring(2)
+    assert one.node_base_ring is other.node_base_ring is make_node_base_ring(2)
+    assert one.boundary_family() is not other.boundary_family()
+    assert one.boundary_family().total_ring is other.boundary_family().total_ring
+    assert symbolic_family(1).total_ring is not one.total_ring
 
 
 def test_mixed_rings_error(xring, bring):

@@ -2,6 +2,7 @@ import json
 import sys
 from fractions import Fraction
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -507,6 +508,38 @@ MALFORMED_CLASSES = [
 ]
 
 
+# a valid value for each required option, so that only the probed option is bad
+REQUIRED_VALUES = {"m": "3", "k": "4", "n": "3", "which": "s2", "class_json": EMPTY_CLASS}
+# a bad value for each free-text option: not a rational p/q, not a class, not a power
+BAD_TEXT = {"class_json": "{}", "beta": "foo"}
+
+
+def _bad_value(param):
+    if isinstance(param.type, click.IntRange):
+        return str(param.type.min - 1)
+    if isinstance(param.type, click.Choice):
+        return "none-of-these"
+    if param.type is click.INT:
+        return "twelve"
+    return BAD_TEXT.get(param.name, "x")
+
+
+def _every_option_with_a_bad_value():
+    """(argv, option) for each value-taking option of each subcommand, read from click.
+
+    A new option is probed too.  Only the probed option is bad.
+    """
+    for name, command in sorted(main.commands.items()):
+        for param in command.params:
+            if not isinstance(param, click.Option) or param.is_flag:
+                continue
+            argv = [name]
+            for other in command.params:
+                if other.required and other is not param:
+                    argv += [other.opts[0], REQUIRED_VALUES[other.name]]
+            yield argv + [param.opts[0], _bad_value(param)], param.opts[0]
+
+
 def _run_exit(monkeypatch, argv):
     """Exit code of the entry point run in process on `argv`."""
     monkeypatch.setattr(sys, "argv", ["hilbtaut"] + argv)
@@ -546,6 +579,7 @@ def _run_exit(monkeypatch, argv):
             (["transfer", "--class-json", json.dumps(c)], "--class-json")
             for c in MALFORMED_CLASSES
         ),
+        *_every_option_with_a_bad_value(),
     ],
 )
 def test_out_of_range_option_exits_1(monkeypatch, capsys, argv, option):

@@ -407,7 +407,7 @@ def test_scroll_bundle_divisor_coefficients(fam):
     # tensor (one insertion per point slot)
     for n in (2, 3, 4):
         for j in range(1, n):
-            out = twists(payload, [scroll_divisor(bd, n, j)])[0]
+            out = twists(payload, [scroll_divisor(bd.total_ring, n, j)])[0]
             expect = {
                 ((("psi_x", 1),), blocks(1, 1)): CharPoly.const(comb(n - j + 1, 2)),
                 ((("psi_y", 1),), blocks(1, 1)): CharPoly.const(comb(j, 2)),
@@ -537,7 +537,7 @@ def build_twist_case(dim_b, m, terms, divisors):
     out = []
     for kind, *data in divisors:
         if kind == "D":
-            out.append(scroll_divisor(bd, *data))
+            out.append(scroll_divisor(ring, *data))
             continue
         pull, norm = (BaseClass(ring, {names_mono(names): c for names, c in part}) for part in data)
         # a missing part is None, a zero one the empty BaseClass
