@@ -15,6 +15,7 @@ tautological bundles are pushed down one factor per stage, never expanded.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 from .basering import BaseClass
@@ -49,10 +50,10 @@ def pushdown(fam: FamilyDescriptor, m, expr: CharPoly) -> TautClass:
     then applies the degree-i discriminant k_i times, the exponent of G_i.
     Transfer and discriminant are linear, so the monomials whose remaining
     stages agree are summed and pushed as one class: the groups are keyed by
-    the unprocessed suffix ((a_i, k_i), ..., (a_m, k_m)).  At stage i the
-    groups sharing (a_i, rest) are folded by Horner's rule in the
-    discriminant: acc <- Gamma acc + transfer(class_k, L^(a_i)) for k from the
-    highest k_i down to 0, which applies Gamma max k_i times per group.
+    the unprocessed suffix ((a_i, k_i), ..., (a_m, k_m)).  Stage i transfers
+    each group with its own L^(a_i), sums the results by (rest, k_i) into S_k
+    and runs one Horner chain per rest, acc <- Gamma^(k - lower)(acc + S_k) for
+    k from the highest k_i down to 0: Gamma runs max k_i times per rest.
     """
     checked_int(m, 1, "flag length")
     return _push_terms(fam, m, expr.terms)
@@ -64,7 +65,7 @@ def _push_terms(fam: FamilyDescriptor, m, terms) -> TautClass:
     A coefficient may be a scalar or a CharPoly: it rides along the stages.
     """
     ring = fam.total_ring
-    ell = BaseClass.gen(ring, "L")
+    ell_power = cache(BaseClass.gen(ring, "L").__pow__)  # L^a, built once per exponent
     groups = {}
     for key, c in terms.items():
         powers = dict(key)
@@ -80,26 +81,28 @@ def _push_terms(fam: FamilyDescriptor, m, terms) -> TautClass:
             raise ValueError(
                 "flag monomial %s has symbols outside L1..L%d, G2..G%d" % (mono_str(key), m, m)
             )
-        seed = TautClass.from_twists(fam, 1, [(1, ell ** a[0])], coeff=c)
-        suffix = tuple(zip(a[1:], k))
-        groups.setdefault(suffix, TautClass(fam, 1)).accumulate(seed)
+        group = groups.setdefault(tuple(zip(a[1:], k)), TautClass(fam, 1))
+        for mono, e in ell_power(a[0]).terms.items():
+            base_mono, fiber = ring.split((), mono)
+            group.add_diag(base_mono, ((1, fiber),), c * e)
     for i in range(2, m + 1):
-        by_power = {}  # (a_i, rest) -> {k_i: class on degree i-1}
+        by_rest = {}  # rest -> {k_i: sum over a_i of transfer(class, L^(a_i))}
         for ((a, k), *rest), cls in groups.items():
             if cls:
-                by_power.setdefault((a, tuple(rest)), {})[k] = cls
-        shorter = {}
-        for (a, rest), classes in by_power.items():
+                moved = transfer(cls, ell_power(a))
+                sums = by_rest.setdefault(tuple(rest), {})
+                sums[k] = sums[k].accumulate(moved) if k in sums else moved
+        groups = {}
+        for rest, sums in by_rest.items():
             acc = TautClass(fam, i)
-            ks = sorted(classes, reverse=True)
+            ks = sorted(sums, reverse=True)
             for k, lower in zip(ks, ks[1:] + [0]):
-                acc.accumulate(transfer(classes[k], ell ** a))
+                acc.accumulate(sums[k])
                 for _ in range(k - lower):
                     if not acc:
                         break
                     acc = gamma_action(acc)
-            shorter.setdefault(rest, TautClass(fam, i)).accumulate(acc)
-        groups = shorter
+            groups[rest] = acc
     return groups.get((), TautClass(fam, m))
 
 
@@ -185,10 +188,23 @@ def chern_closed_form(fam: FamilyDescriptor, m) -> TautClass:
 # -- Chern numbers on the 3-step flag and trisecants ---------------------------------
 
 
+@cache
 def _rank3_chern_classes():
-    """c1, c2, c3 of the rank-3 tautological bundle, pulled back to the 3-step flag."""
+    """c1, c2, c3 of the rank-3 tautological bundle on the 3-step flag; built once."""
     total = chern_splitting(3)
     return total.graded_part(1), total.graded_part(2), total.graded_part(3)
+
+
+@cache
+def _rank3_number_terms():
+    """The tags #name and tagged flag polynomial of `chern_numbers_w3`; built once, only read."""
+    c1, c2, c3 = _rank3_chern_classes()
+    polys = {"#c1^4": c1 ** 4, "#c1^2c2": c1 * c1 * c2, "#c1c3": c1 * c3, "#c2^2": c2 * c2}
+    terms = {}
+    for tag, poly in polys.items():
+        for key, c in poly.terms.items():
+            terms.setdefault(key, CharPoly()).accumulate(CharPoly.symbol(tag), c)
+    return tuple(polys), terms
 
 
 def chern_numbers_w3(fam: FamilyDescriptor):
@@ -199,18 +215,14 @@ def chern_numbers_w3(fam: FamilyDescriptor):
     The four polynomials share most of their flag monomials (66 distinct of
     144), so they go down the tower in one pass: the coefficient of each
     monomial is sum_name c_name * #name, with one tag symbol #name per number
-    that no descriptor can spell, and the one integral is split by tag.
+    that no descriptor can spell, and the one integral is split by tag.  That
+    map is built once per process; Gamma runs max k_i times per rest (`pushdown`).
     """
     if fam.dim_b != 1:
         raise ValueError("the degree-4 Chern numbers need a 1-dimensional base")
-    c1, c2, c3 = _rank3_chern_classes()
-    polys = {"c1^4": c1 ** 4, "c1^2c2": c1 * c1 * c2, "c1c3": c1 * c3, "c2^2": c2 * c2}
-    terms = {}
-    for name, poly in polys.items():
-        for key, c in poly.terms.items():
-            terms.setdefault(key, CharPoly()).accumulate(CharPoly.symbol("#" + name), c)
-    parts = split_tags(integrate(_push_terms(fam, 3, terms)), ["#" + name for name in polys])
-    return {name: parts.get("#" + name, CharPoly()) for name in polys}
+    tags, terms = _rank3_number_terms()
+    parts = split_tags(integrate(_push_terms(fam, 3, terms)), tags)
+    return {tag[1:]: parts.get(tag, CharPoly()) for tag in tags}
 
 
 def trisecant_count(fam: FamilyDescriptor) -> CharPoly:

@@ -9,8 +9,9 @@ the formal discriminant, the distributions up to a weight and the labelled
 block partitions of one, the per-pair union of the ordered model, and the four
 rank-3 Chern numbers with every flag monomial pushed down on its own, the
 discriminant powers by plain iteration with their zero classes dropped
-afterwards, and the discriminant action uniting every index pair of blocks
-with its e-twists built as classes before Gamma is subtracted.
+afterwards, the discriminant action uniting every index pair of blocks
+with its e-twists built as classes before Gamma is subtracted, and the flag
+pushdown with one Horner chain per (a_i, rest) instead of one per rest.
 """
 
 from collections import Counter
@@ -244,6 +245,42 @@ def chern_numbers_per_monomial(fam):
             total.accumulate(values[key], c)
         out[name] = total
     return out
+
+
+def pushdown_per_twist(fam, m, terms):
+    """`chern.pushdown` of {flag monomial: coefficient}, one chain per (a_i, rest).
+
+    At stage i the groups sharing (a_i, rest) run their own Horner chain,
+    acc <- Gamma acc + transfer(class_k, L^(a_i)), and the chains of one rest
+    are summed afterwards: Gamma runs max k_i times per (a_i, rest).
+    """
+    ell = BaseClass.gen(fam.total_ring, "L")
+    groups = {}
+    for key, c in terms.items():
+        powers = dict(key)
+        a = [powers.pop("L%d" % i, 0) for i in range(1, m + 1)]
+        k = [powers.pop("G%d" % i, 0) for i in range(2, m + 1)]
+        seed = TautClass.from_twists(fam, 1, [(1, ell ** a[0])], coeff=c)
+        suffix = tuple(zip(a[1:], k))
+        groups.setdefault(suffix, TautClass(fam, 1)).accumulate(seed)
+    for i in range(2, m + 1):
+        by_power = {}  # (a_i, rest) -> {k_i: class on degree i-1}
+        for ((a, k), *rest), cls in groups.items():
+            if cls:
+                by_power.setdefault((a, tuple(rest)), {})[k] = cls
+        shorter = {}
+        for (a, rest), classes in by_power.items():
+            acc = TautClass(fam, i)
+            ks = sorted(classes, reverse=True)
+            for k, lower in zip(ks, ks[1:] + [0]):
+                acc.accumulate(transfer(classes[k], ell ** a))
+                for _ in range(k - lower):
+                    if not acc:
+                        break
+                    acc = gamma_action(acc)
+            shorter.setdefault(rest, TautClass(fam, i)).accumulate(acc)
+        groups = shorter
+    return groups.get((), TautClass(fam, m))
 
 
 def gamma_action_per_index_pair(tc):

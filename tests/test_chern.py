@@ -1,17 +1,21 @@
 import hashlib
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hilbtaut.basering import BaseClass
 from hilbtaut.charpoly import CharPoly
+from hilbtaut.cli import load_descriptor
 from hilbtaut.family import FamilyDescriptor, Node, symbolic_family
 from hilbtaut.chern import (
+    _push_terms,
     chern_class_on_hilb,
     chern_closed_form,
     chern_numbers_w3,
@@ -30,7 +34,12 @@ from hilbtaut.chern import (
 from hilbtaut.tautmod import gamma_action, gamma_power, pushforward_to_base, twists
 from hilbtaut.tautmod import TautClass, integrate, to_data
 from hilbtaut.transfer import transfer
-from reference import chern_numbers_per_monomial, codim_parts, integrate_classes
+from reference import (
+    chern_numbers_per_monomial,
+    codim_parts,
+    integrate_classes,
+    pushdown_per_twist,
+)
 
 
 def sym(name):
@@ -297,6 +306,85 @@ def test_chern_recursion_equals_expanded_full_flag_product(fam, m):
     # reference: expand the splitting, push its monomial groups down, divide by m!
     expanded = pushdown(fam, m, chern_splitting(m)).scale(Fraction(1, factorial(m)))
     assert chern_class_on_hilb(fam, m) == expanded
+
+
+def double_point_polynomial(n):
+    """The flag polynomial that `double_point_class` pushes down the 2-step flag."""
+    l1, l2, g2 = flag_L(1), flag_L(2), flag_G(2)
+    expr = CharPoly()
+    for a in range(n + 1):
+        expr.accumulate(l1 ** a * l2 ** (n - a))
+    for i in range(1, n + 1):
+        expr.accumulate(l1 ** (n - i) * g2 ** i, comb(n + 1, n - i) * (-1) ** i)
+    return expr
+
+
+@st.composite
+def shared_rest_cases(draw):
+    """(family, m, {flag monomial: coefficient}) whose monomials share one rest.
+
+    A stage i and the exponents after it (the rest) are drawn once; each of 2
+    to 6 monomials gets its own a_i, k_i >= 1 and exponents before stage i,
+    within the top degree m + dim_b.  Coefficients are CharPolys c + c' * #s
+    or c + c' * #t, with a tag symbol no descriptor can spell.
+    """
+    fam = draw(numeric_families())
+    m = draw(st.integers(2, 4))
+    top = m + fam.dim_b
+    i = draw(st.integers(2, m))
+    later = ["L%d" % j for j in range(i + 1, m + 1)] + ["G%d" % j for j in range(i + 1, m + 1)]
+    earlier = ["L%d" % j for j in range(1, i)] + ["G%d" % j for j in range(2, i)]
+    rest = draw(st.lists(st.integers(0, 1), min_size=len(later), max_size=len(later))
+                .filter(lambda r: sum(r) < top))
+    room = top - sum(rest)
+    stage = st.tuples(st.integers(0, 2), st.integers(1, 3),
+                      *(st.integers(0, 1) for _ in earlier)).filter(lambda e: sum(e) <= room)
+    coeff = st.builds(lambda c, t, tag: CharPoly.const(c) + sym(tag) * t,
+                      st.integers(-3, 3), st.integers(-2, 2), st.sampled_from(["#s", "#t"]))
+    terms = {}
+    for exps, c in draw(st.lists(st.tuples(stage, coeff), min_size=2, max_size=6)):
+        powers = zip(later + ["L%d" % i, "G%d" % i] + earlier, rest + list(exps))
+        key = tuple(sorted((name, p) for name, p in powers if p))
+        terms[key] = terms.get(key, CharPoly()) + c
+    return fam, m, terms
+
+
+TWO_NODE_SURFACE = load_descriptor(str(Path(__file__).parent / "two-node-surface.ini"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=shared_rest_cases())
+@example(case=(symbolic_family(1), 3, chern_splitting(3).terms))
+@example(case=(TWO_NODE_SURFACE, 2, double_point_polynomial(3).terms))
+def test_one_chain_per_rest_equals_one_chain_per_twist(case):
+    fam, m, terms = case
+    got = _push_terms(fam, m, terms)
+    want = pushdown_per_twist(fam, m, terms)
+    assert got == want
+    assert to_data(got) == to_data(want)
+
+
+@pytest.mark.parametrize("count", [chern_numbers_w3, trisecant_count])
+def test_rank3_pushdown_runs_one_discriminant_chain_per_rest(count, monkeypatch):
+    # one Horner chain per remaining suffix: 24 Gamma steps where one chain
+    # per (a_i, rest) took 43; the 76 transfers are one per nonzero group
+    import hilbtaut.chern as chern
+
+    calls = Counter()
+
+    def counting(name):
+        op = getattr(chern, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return op(*args)
+
+        return counted
+
+    for name in ("gamma_action", "transfer"):
+        monkeypatch.setattr(chern, name, counting(name))
+    count(symbolic_family(1))
+    assert calls == {"gamma_action": 24, "transfer": 76}
 
 
 def test_closed_form_matches_splitting_nodefree():

@@ -2,19 +2,28 @@
 
 Rings are interned per shape and dimension, and the monomial products, key
 splits, pullbacks and scroll divisors are memoized per ring: a family reads
-what another family left there.  Results computed from empty caches must
-equal those computed after a family with other characters and other nodes
-has filled them.
+what another family left there.  The rank-3 Chern polynomials and the tagged
+flag polynomial of the Chern numbers are built once per process for every
+family.  Results computed from empty caches must equal those computed after
+a family with other characters and other nodes has filled them.
 """
 
 import pytest
 
-from hilbtaut import basering, tautmod
+from hilbtaut import basering, chern, tautmod
 from hilbtaut.basering import BaseClass, Ring
-from hilbtaut.chern import chern_class_on_hilb
+from hilbtaut.charpoly import CharPoly
+from hilbtaut.chern import (
+    chern_class_on_hilb,
+    chern_numbers_w3,
+    single_curve_trisecant_formula,
+    single_curve_trisecant_scroll,
+    trisecant_count,
+)
 from hilbtaut.family import FamilyDescriptor, Node
 from hilbtaut.tautmod import gamma_power, integrate, to_data
 from hilbtaut.transfer import transfer
+from reference import chern_numbers_per_monomial
 
 RING_CONSTRUCTORS = [
     basering.make_total_space_ring,
@@ -61,3 +70,31 @@ def test_memos_warmed_by_another_family_give_the_same_results(dim_b):
     hits = [memo.cache_info().hits for memo in MEMOS]
     assert outputs(fam) == cold
     assert all(memo.cache_info().hits > h for memo, h in zip(MEMOS, hits))
+
+
+RANK3_MEMOS = [chern._rank3_chern_classes, chern._rank3_number_terms]
+
+
+def rank3_outputs(fam):
+    """The rank-3 Chern numbers and trisecant count on `fam`, as values and text."""
+    numbers = chern_numbers_w3(fam)
+    count = trisecant_count(fam)
+    return numbers, count, {name: str(v) for name, v in numbers.items()}, str(count)
+
+
+def test_rank3_memos_warmed_by_other_families_give_the_same_results():
+    fam = FamilyDescriptor(1, chars={"d": 3, "b": 2}, nodes=[Node("s", 1, tau_L=0)])
+    other = FamilyDescriptor(
+        1, chars={"d": 7, "omega2": -5, "twogm2": 4}, nodes=[Node("p", 2), Node("q", 3)]
+    )
+    tagged = FamilyDescriptor(1, chars={"d": CharPoly.symbol("#c1^4")})
+    for cached in RANK3_MEMOS:
+        cached.cache_clear()
+    cold = rank3_outputs(fam)
+    rank3_outputs(other)
+    with pytest.raises(ValueError, match="does not carry exactly one of the tags"):
+        chern_numbers_w3(tagged)
+    assert single_curve_trisecant_scroll({"d": 4}) == single_curve_trisecant_formula({"d": 4})
+    assert rank3_outputs(fam) == cold
+    assert all(memo.cache_info().hits > 0 for memo in RANK3_MEMOS)
+    assert chern_numbers_w3(fam) == chern_numbers_per_monomial(fam)
