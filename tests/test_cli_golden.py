@@ -85,17 +85,23 @@ PLAIN_COMMANDS = [
      "--sigma", "1"],
     ["trisecants", "--single-curve", "--d", "5", "--g", "1"],
     ["oracle-check", "--cases", "5", "--seed", "3"],
+    # on the default family; components 10 and 11 pin the numeric order of the JSON keys
+    ["punctual-chern", "--m", "12"],
 ]
 # two nodes with different weights, tau_L and IT values over a surface base:
 # each node sector must be integrated with its own node's data
 TWO_NODE_COMMANDS = [
     ["gamma-power", "--m", "2", "--k", "4", "--integrate", "--output", "text"],
+    ["gamma-power", "--m", "2", "--k", "4", "--integrate", "--output", "json"],
     ["gamma-power", "--m", "3", "--k", "5", "--integrate", "--output", "text"],
     ["gamma-power", "--m", "4", "--k", "6", "--integrate", "--output", "text"],
     ["gamma-power", "--m", "2", "--k", "3", "--output", "json"],
     ["double-points", "--n", "3", "--output", "json"],
+    ["double-points", "--n", "3", "--output", "text"],
     ["double-points", "--n", "4", "--output", "text"],
+    ["double-points", "--n", "4", "--output", "json"],
     ["punctual-chern", "--m", "3", "--output", "json"],
+    ["punctual-chern", "--m", "3", "--output", "text"],
     ["transfer", "--class-json", TWO_NODE_CLASS, "--beta", "L", "--output", "text"],
     ["transfer", "--class-json", TWO_NODE_CLASS, "--beta", "L", "--output", "json"],
 ]
@@ -103,6 +109,7 @@ TWO_NODE_COMMANDS = [
 SIX_NODE_COMMANDS = [
     ["gamma-power", "--m", "3", "--k", "3", "--output", "json"],
     ["chern", "--m", "3", "--output", "text"],
+    ["chern", "--m", "3", "--output", "json"],
 ]
 INVOCATIONS = [
     argv + descriptor + ["--output", output]
