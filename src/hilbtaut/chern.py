@@ -181,7 +181,7 @@ def chern_closed_form(fam: FamilyDescriptor, m) -> TautClass:
         for n in sizes:
             coeff *= Fraction((-1) ** (n - 1), n)
         pairs = [(n, one_plus_l) for n in sizes]
-        total.accumulate(TautClass.from_twists(fam, m, pairs, coeff=coeff))
+        total.accumulate(TautClass.from_twists(fam, m, pairs), coeff)
     return total
 
 

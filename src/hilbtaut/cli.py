@@ -26,8 +26,8 @@ from .charpoly import CharPoly
 from .family import FamilyDescriptor, Node, integral_key, symbolic_family
 from .lincomb import merge_monos, mono_str
 from .oracle import OrderedTensor, ordered_disc, symmetrize
-from .tautmod import from_data, gamma_power, integrate, pushforward_to_base, to_data
-from .transfer import pluecker_c2, pluecker_s2, punctual_chern, transfer
+from .tautmod import TautClass, from_data, gamma_power, integrate, pushforward_to_base, to_data
+from .transfer import PunctualClass, pluecker_c2, pluecker_s2, punctual_chern, transfer
 from . import chern as chern_mod
 
 
@@ -205,20 +205,24 @@ def _curve_base_family(descriptor):
     return fam
 
 
-def _emit(payload, output):
+def _emit(result, output):
+    """Print a command's result on stdout: the one place that picks its form.
+
+    A TautClass prints through `to_data` or `render`, a PunctualClass through
+    its `to_data` or `repr`; anything else (a CharPoly, a dict of them, a str)
+    through `json.dumps` or `str`, a dict as one `key = value` line per key.
+    """
+    if isinstance(result, TautClass):
+        result = to_data(result) if output == "json" else result.render()
+    elif isinstance(result, PunctualClass):
+        result = result.to_data() if output == "json" else repr(result)
     if output == "json":
-        click.echo(json.dumps(payload, sort_keys=True, default=str))
+        click.echo(json.dumps(result, sort_keys=True, default=str))
+    elif isinstance(result, dict):
+        for key, value in result.items():
+            click.echo("%s = %s" % (key, value))
     else:
-        if isinstance(payload, dict):
-            for key in payload:
-                click.echo("%s = %s" % (key, payload[key]))
-        else:
-            click.echo(payload)
-
-
-def _alias_l2(poly: CharPoly) -> str:
-    # the self-intersection character of L prints as L2 in the contact formulas
-    return str(poly.substitute({"b": CharPoly.symbol("L2")}))
+        click.echo(result)
 
 
 def _rational_option(flag, minimum=None, strict=False):
@@ -264,12 +268,7 @@ def gamma_power_cmd(m, k, do_integrate, descriptor, output):
             param_hint="'--k'",
         )
     cls = gamma_power(fam, m, k)
-    if do_integrate:
-        _emit(str(integrate(cls)), output)
-    elif output == "json":
-        _emit(to_data(cls), output)
-    else:
-        _emit(cls.render(), output)
+    _emit(integrate(cls) if do_integrate else cls, output)
 
 
 @main.command("chern")
@@ -279,13 +278,8 @@ def gamma_power_cmd(m, k, do_integrate, descriptor, output):
 @_output_option
 def chern_cmd(m, closed_form, descriptor, output):
     """Total Chern class of the rank-m tautological bundle of L."""
-    fam = _family(descriptor)
-    cls = (
-        chern_mod.chern_closed_form(fam, m)
-        if closed_form
-        else chern_mod.chern_class_on_hilb(fam, m)
-    )
-    _emit(to_data(cls) if output == "json" else cls.render(), output)
+    chern = chern_mod.chern_closed_form if closed_form else chern_mod.chern_class_on_hilb
+    _emit(chern(_family(descriptor), m), output)
 
 
 @main.command("chern-numbers")
@@ -294,8 +288,7 @@ def chern_cmd(m, closed_form, descriptor, output):
 def chern_numbers_cmd(descriptor, output):
     """The four degree-4 Chern numbers of the rank-3 bundle on the 3-step flag."""
     fam = _curve_base_family(descriptor)
-    numbers = {k: str(v) for k, v in chern_mod.chern_numbers_w3(fam).items()}
-    _emit(numbers, output)
+    _emit(chern_mod.chern_numbers_w3(fam), output)
 
 
 @main.command("formulary")
@@ -308,7 +301,7 @@ def formulary_cmd(descriptor, output):
     # every exponent vector (a1, a2, a3, k2, k3) of total degree 4, in ascending order
     for key in (k for k in product(range(5), repeat=5) if sum(k) == 4):
         name = mono_str([(n, e) for n, e in zip(chern_mod.W3_SYMBOLS, key) if e])
-        rows[name] = str(chern_mod.w3_monomial(fam, key))
+        rows[name] = chern_mod.w3_monomial(fam, key)
     _emit(rows, output)
 
 
@@ -329,8 +322,7 @@ def transfer_cmd(class_json, beta, descriptor, output):
             param_hint="'--class-json'",
         )
     twist = _parse_base_class(fam, beta)
-    moved = transfer(cls, twist)
-    _emit(to_data(moved) if output == "json" else moved.render(), output)
+    _emit(transfer(cls, twist), output)
 
 
 def _parse_base_class(fam, text):
@@ -361,23 +353,7 @@ def _parse_base_class(fam, text):
 @_output_option
 def punctual_chern_cmd(m, descriptor, output):
     """Chern classes of the tautological bundle on the punctual Hilbert scheme."""
-    fam = _family(descriptor)
-    pc = punctual_chern(fam, m)
-    if output == "json":
-        payload = {
-            "m": m,
-            "interior": str(pc.interior),
-            "nodes": {
-                nid: {
-                    "scroll": {i: str(cls) for i, cls in pc.scroll[nid].items()},
-                    "section": {i: str(cls) for i, cls in pc.section[nid].items()},
-                }
-                for nid in sorted(pc.scroll)
-            },
-        }
-        _emit(payload, output)
-    else:
-        _emit(repr(pc), output)
+    _emit(punctual_chern(_family(descriptor), m), output)
 
 
 @main.command("pluecker")
@@ -389,7 +365,8 @@ def pluecker_cmd(which, m, descriptor, output):
     """Closed Pluecker-type contact formulas s2 and c2 over a curve base."""
     fam = _curve_base_family(descriptor)
     value = pluecker_s2(fam, m) if which == "s2" else pluecker_c2(fam, m)
-    _emit(_alias_l2(value), output)
+    # the self-intersection character of L prints as L2 in the contact formulas
+    _emit(value.substitute({"b": CharPoly.symbol("L2")}), output)
 
 
 @main.command("trisecants")
@@ -413,11 +390,11 @@ def trisecants_cmd(d, g, b, lomega, omega2, sigma, single_curve, output):
                             ("--sigma", sigma)):
             if value is not None:
                 raise click.BadParameter("one curve takes only --d and --g", param_hint=repr(flag))
-        _emit(str(chern_mod.single_curve_trisecant_scroll(chars)), output)
+        _emit(chern_mod.single_curve_trisecant_scroll(chars), output)
         return
     weight = CharPoly.symbol("sigma") if sigma is None else sigma
     fam = FamilyDescriptor(1, chars=chars, nodes=[Node("s", weight, tau_L=0)], label="cli")
-    _emit(str(chern_mod.trisecant_count(fam)), output)
+    _emit(chern_mod.trisecant_count(fam), output)
 
 
 @main.command("double-points")
@@ -432,11 +409,9 @@ def double_points_cmd(n, push_to_base, descriptor, output):
     cls = chern_mod.double_point_class(fam, n)
     if push_to_base:
         interior, boundary = pushforward_to_base(cls)
-        _emit({"interior": str(interior), "boundary": str(boundary)}, output)
-    elif n == fam.dim_b + 2:
-        _emit(str(integrate(cls)), output)
+        _emit({"interior": interior, "boundary": boundary}, output)
     else:
-        _emit(to_data(cls) if output == "json" else cls.render(), output)
+        _emit(integrate(cls) if n == fam.dim_b + 2 else cls, output)
 
 
 @main.command("oracle-check")

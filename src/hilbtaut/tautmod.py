@@ -134,7 +134,7 @@ class TautClass(LinComb):
         return out
 
     @staticmethod
-    def from_twists(fam, m, pairs, coeff=1, base=None):
+    def from_twists(fam, m, pairs, base=None):
         """Diagonal class with per-block BaseClass twists, expanded multilinearly.
 
         `pairs` is a list of (block size, BaseClass) entries; `base` an
@@ -150,7 +150,7 @@ class TautClass(LinComb):
                 # move pulled-back symbols out of the slots
                 base_mono, fiber = ring.split(base_mono, mono)
                 blocks.append((n, fiber))
-            out.add_diag(base_mono, blocks, coeff * c)
+            out.add_diag(base_mono, blocks, c)
         return out
 
     # -- inspection ----------------------------------------------------------------
@@ -352,9 +352,9 @@ def gamma_action(tc: TautClass) -> TautClass:
     for (n, j), payload in tc.section.items():
         ring = payload.ring
         divisors = [_minus_divisor_pair(ring, n, j), scroll_divisor(ring, n, j + 1)]
-        minus_sum_p, ej1_p = _twists(payload, divisors, (2, -1))
+        minus_sum_p, ej1_p = twists(payload, divisors, (2, -1))
         out._add_tagged("section", n, j, minus_sum_p)
-        out._add_tagged("scroll", n, j, _twists(ej1_p, [scroll_divisor(ring, n, j)], (-1,))[0])
+        out._add_tagged("scroll", n, j, twists(ej1_p, [scroll_divisor(ring, n, j)], (-1,))[0])
     return out
 
 
@@ -396,19 +396,16 @@ def phi_star(ring, mono):
 # -- operators on boundary payloads ---------------------------------------------
 
 
-def twists(tc: TautClass, divisors) -> list:
-    """[pi^* pullback + [m]_* norm] tc for every (pullback, norm) of `divisors`.
+def twists(tc: TautClass, divisors, gamma_shares=()) -> list:
+    """[pi^* pullback + [m]_* norm + share * Gamma] tc for every (pullback, norm) of `divisors`.
 
     Both parts are BaseClasses on the class's total space, or None.  The
     pullback, in base symbols, multiplies the base monomial; the norm enters
     each block of a polyblock diagonal, weighted by its size.  One pass serves
     every divisor: each output key is built once, and only its scalar differs.
+    The Gamma shares, one per divisor, are added scalar by scalar from one
+    Gamma tc: `gamma_action`'s node sections need them, `transfer` none.
     """
-    return _twists(tc, divisors, [0] * len(divisors))
-
-
-def _twists(tc: TautClass, divisors, gamma_shares) -> list:
-    """`twists` plus share * Gamma tc in each output, added scalar by scalar from one Gamma tc."""
     if tc.scroll or tc.section:
         raise NotImplementedError("twist on nested node terms")
     pulled = _monomial_table(tc.ring, [pullback for pullback, _ in divisors])

@@ -48,9 +48,9 @@ def transfer(tc: TautClass, beta: BaseClass = None) -> TautClass:
         room = out.space_dim() - tc._diag_codim(base_mono, blocks)  # left for the new twist
         for mono, mc in beta.terms.items():
             if ring.degree(mono) <= room:
-                new_base, fiber = ring.split(base_mono, mono)
-                key = new_base, out._sorted_blocks(blocks + ((1, fiber),))
-                _add_scaled(diag, key, coeff, mc * (singles + 1))
+                sign, key = out._rekeyed(base_mono, blocks, 1, (), mono)
+                if sign:
+                    _add_scaled(diag, key, coeff, sign * mc * (singles + 1))
     out.diag = _finished(diag)
 
     if tc.scroll or tc.section:
@@ -101,6 +101,15 @@ class PunctualClass:
         for node in fam.nodes:
             self.scroll[node.node_id] = {i: BaseClass(tring) for i in range(1, m)}
             self.section[node.node_id] = {i: BaseClass(tring) for i in range(1, m)}
+
+    def to_data(self):
+        """The `punctual-chern` JSON: m, the interior and each node part i as text."""
+        nodes = {
+            nid: {name: {i: str(c) for i, c in getattr(self, name)[nid].items()}
+                  for name in ("scroll", "section")}
+            for nid in sorted(self.scroll)
+        }
+        return {"m": self.m, "interior": str(self.interior), "nodes": nodes}
 
     def __repr__(self):
         parts = ["%s" % self.interior]

@@ -260,7 +260,7 @@ def pushdown_per_twist(fam, m, terms):
         powers = dict(key)
         a = [powers.pop("L%d" % i, 0) for i in range(1, m + 1)]
         k = [powers.pop("G%d" % i, 0) for i in range(2, m + 1)]
-        seed = TautClass.from_twists(fam, 1, [(1, ell ** a[0])], coeff=c)
+        seed = TautClass.from_twists(fam, 1, [(1, ell ** a[0])]).scale(c)
         suffix = tuple(zip(a[1:], k))
         groups.setdefault(suffix, TautClass(fam, 1)).accumulate(seed)
     for i in range(2, m + 1):

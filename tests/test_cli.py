@@ -1,6 +1,8 @@
+import ast
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import click
 import pytest
@@ -8,6 +10,7 @@ from click.testing import CliRunner
 
 from hilbtaut.charpoly import CharPoly
 from hilbtaut.chern import double_point_class, single_curve_trisecant_formula
+from hilbtaut import cli
 from hilbtaut.cli import DescriptorError, load_descriptor, main, run
 from hilbtaut.family import symbolic_family
 from hilbtaut.tautmod import from_data, gamma_power, integrate, to_data
@@ -650,3 +653,20 @@ def test_exit_codes_through_entry_point(tmp_path):
     malformed = run("transfer", "--class-json", '{"m": 1, "diag": [], "bad": []}')
     assert malformed.returncode == 1
     assert "'--class-json'" in malformed.stderr
+
+
+def test_only_the_emitter_picks_the_output_form():
+    """No command serializes, renders or stringifies its result: `_emit` does, once.
+
+    `repr` is not counted, since `trisecants` also quotes a flag name with it.
+    """
+    callers = set()
+    for fn in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                    if name in ("to_data", "render", "str"):
+                        callers.add(fn.name)
+    assert callers == {"_emit"}

@@ -23,7 +23,8 @@ SURFACE = os.path.join(ROOT, "tests", "two-node-surface.ini")
 
 # defs the command line never enters, each with the reason it stays
 ALLOWED = {
-    "__repr__": "debugging display of a value; no command prints through it",
+    "__repr__": "debugging display of a value; only `punctual-chern` text prints through one, "
+    "`repr(PunctualClass)`, and no command prints through the others",
     "__hash__": "keeps a value usable as a dict key or set member",
     "cli.run": "the console-script entry point; the test calls `main` itself",
     "chern.trisecant_grand_total": "closed form the trisecant count is checked against",

@@ -422,7 +422,7 @@ def test_twist_degree_two_pullback_lands_in_the_base_monomial():
     bd = FamilyDescriptor(3, nodes=[Node("s", 1)]).boundary_family()
     ring = bd.total_ring
     theta = BaseClass.gen(ring, "theta_x")
-    payload = TautClass.from_twists(bd, 2, [(1, theta), (1, BaseClass.unit(ring))], coeff=3)
+    payload = TautClass.from_twists(bd, 2, [(1, theta), (1, BaseClass.unit(ring))]).scale(3)
     psi_tau = BaseClass(ring, {(("psi_x", 1), ("tauL", 1)): Fraction(1, 2)})
     out = twists(payload, [(psi_tau, None)])[0]
     key = ((("psi_x", 1), ("tauL", 1)), ((1, ()), (1, (("theta_x", 1),))))
@@ -526,7 +526,7 @@ def build_payload(fam, m, terms):
         coeff = CharPoly.const(c0) + CharPoly.symbol("a") * ca
         pairs = [(n, BaseClass(ring, {names_mono(names): 1})) for n, names in blocks]
         base = BaseClass(ring, {names_mono(base): 1})
-        out.accumulate(TautClass.from_twists(fam, m, pairs, coeff=coeff, base=base))
+        out.accumulate(TautClass.from_twists(fam, m, pairs, base=base), coeff)
     return out
 
 
@@ -582,6 +582,21 @@ def test_one_twist_pass_equals_separate_twists(case):
         assert all(c <= top for c in codim_parts(cls))
         if not pullback and not norm:
             assert not cls
+
+
+@given(twist_cases(), st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+@settings(max_examples=40, deadline=None)
+# gamma_action's node-section shares on its two divisor pairs, on a degree-2 payload
+@example((1, 2, [(1, 0, (), [(1, ("L",)), (1, ())])], [("D", 3, 1), ("D", 3, 2)]), [2, -1, 0])
+def test_gamma_shares_add_that_multiple_of_gamma(case, shares):
+    payload, divisors = build_twist_case(*case)
+    shares = shares[: len(divisors)]
+    gamma_tc = gamma_action(payload)
+    expected = [
+        plain.accumulate(gamma_tc, share)
+        for plain, share in zip(twists(payload, divisors), shares)
+    ]
+    assert twists(payload, divisors, shares) == expected
 
 
 @st.composite
