@@ -87,6 +87,10 @@ PLAIN_COMMANDS = [
     ["oracle-check", "--cases", "5", "--seed", "3"],
     # on the default family; components 10 and 11 pin the numeric order of the JSON keys
     ["punctual-chern", "--m", "12"],
+    # the --beta grammar: products, repeated names, a zero power, leading zeros, a
+    # power far above the total space's dimension
+    *(["transfer", "--class-json", TWO_POINT_CLASS, "--beta", beta]
+      for beta in ("L*L", "omega*L", "L^0", "L^02", "L^1000000000")),
 ]
 # two nodes with different weights, tau_L and IT values over a surface base:
 # each node sector must be integrated with its own node's data
