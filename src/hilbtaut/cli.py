@@ -53,6 +53,17 @@ def _parse_value(text, where):
     raise DescriptorError("%s: cannot parse value %r (rational p/q or symbol)" % (where, text))
 
 
+def _integer(section, key, minimum):
+    """`key`'s value in a descriptor section: any p/q equal to an integer >= `minimum`."""
+    text, where = section[key]
+    value = _rational(text)
+    if value is None or value.denominator != 1:
+        raise DescriptorError("%s: %s must be an integer, got %r" % (where, key, text))
+    if value < minimum:
+        raise DescriptorError("%s: %s must be >= %d" % (where, key, minimum))
+    return int(value)
+
+
 # the keys each section accepts: [characters] takes the names the engine reads,
 # a node section its integral keys IT[<node id>|<base monomial>|<pushed factors>]
 _SECTION_KEYS = {
@@ -63,14 +74,22 @@ _SECTION_KEYS = {
 
 
 def _monomial(text, symbols):
-    """The monomial `a*b^2` of names in `symbols` (`1` the unit), or None."""
+    """The monomial `a*b^2` of names in `symbols` (`1` the unit), or None.
+
+    Spaces, repeated names and leading zeros are read, and zero powers drop out.
+    A power is ASCII digits; one of more than 18 digits reads as 10^18, above
+    every ring's dimension, so that int() never meets its digit limit.
+    """
+    text = text.strip()
     mono = ()
     for factor in [] if text == "1" else text.split("*"):
-        name, caret, power = factor.partition("^")
-        if name not in symbols or (caret and not re.fullmatch("[1-9][0-9]{0,8}", power)):
+        name, caret, power = (part.strip() for part in factor.partition("^"))
+        power = power if caret else "1"
+        if name not in symbols or not (power.isascii() and power.isdigit()):
             return None
-        mono = merge_monos(mono, ((name, int(power or 1)),))
-    return mono
+        exponent = int(power) if len(power.lstrip("0")) <= 18 else 10**18
+        mono = merge_monos(mono, ((name, exponent),))
+    return tuple((name, p) for name, p in mono if p)
 
 
 def _is_integral_key(key, node_id):
@@ -141,20 +160,8 @@ def load_descriptor(path) -> FamilyDescriptor:
     fam_raw = sections["family"]
     if "dim_b" not in fam_raw:
         raise DescriptorError("%s: [family] needs dim_b" % path)
-    try:
-        dim_b = int(fam_raw["dim_b"][0])
-    except ValueError:
-        raise DescriptorError("%s: dim_b must be an integer" % fam_raw["dim_b"][1])
-    if dim_b < 1:
-        raise DescriptorError("%s: dim_b must be >= 1" % fam_raw["dim_b"][1])
-    genus = None
-    if "genus" in fam_raw:
-        text, genus_where = fam_raw["genus"]
-        genus = _rational(text)
-        if genus is None or genus.denominator != 1:
-            raise DescriptorError("%s: genus must be an integer, got %r" % (genus_where, text))
-        if genus < 0:
-            raise DescriptorError("%s: genus must be >= 0" % genus_where)
+    dim_b = _integer(fam_raw, "dim_b", 1)
+    genus = _integer(fam_raw, "genus", 0) if "genus" in fam_raw else None
 
     chars = {}
     for key, (value, where) in sections["characters"].items():
@@ -165,7 +172,7 @@ def load_descriptor(path) -> FamilyDescriptor:
             value, where = sections["characters"]["twogm2"]
             raise DescriptorError(
                 "%s: twogm2 = %s conflicts with genus = %s at %s (2g - 2 = %s)"
-                % (where, value, genus, genus_where, twogm2)
+                % (where, value, genus, fam_raw["genus"][1], twogm2)
             )
         chars["twogm2"] = twogm2
 
@@ -174,10 +181,6 @@ def load_descriptor(path) -> FamilyDescriptor:
         if "weight" not in body:
             raise DescriptorError("%s: node %s needs a weight" % (path, node_id))
         weight = _parse_value(*body["weight"])
-        if weight.is_constant() and weight.constant_value() <= 0:
-            raise DescriptorError(
-                "%s: node %s weight must be positive" % (body["weight"][1], node_id)
-            )
         tau = _parse_value(*body["tauL"]) if "tauL" in body else None
         if dim_b == 1:
             if tau:  # the node base is a point, where theta^*L is 0
@@ -185,7 +188,10 @@ def load_descriptor(path) -> FamilyDescriptor:
                 raise DescriptorError("%s: tauL = %s, but dim_b = 1 fixes it to 0" % (where, value))
             tau = CharPoly.const(0)
         table = {k: _parse_value(*v) for k, v in body.items() if k.startswith("IT[")}
-        nodes.append(Node(node_id, weight, tau_L=tau, psi_table=table))
+        try:
+            nodes.append(Node(node_id, weight, tau_L=tau, psi_table=table))
+        except ValueError as exc:
+            raise DescriptorError("%s: %s" % (body["weight"][1], exc))
     return FamilyDescriptor(dim_b, chars=chars, nodes=nodes)
 
 
@@ -225,8 +231,8 @@ def _emit(result, output):
         click.echo(result)
 
 
-def _rational_option(flag, minimum=None, strict=False):
-    """An option taking an exact rational p/q, bounded below like the descriptor's values."""
+def _rational_option(flag, above=None):
+    """An option taking an exact rational p/q, greater than `above` when that is given."""
 
     def parse(ctx, param, text):
         if text is None:
@@ -234,8 +240,8 @@ def _rational_option(flag, minimum=None, strict=False):
         value = _rational(text)
         if value is None:
             raise click.BadParameter("%r is not a rational p/q" % text)
-        if minimum is not None and (value <= minimum if strict else value < minimum):
-            raise click.BadParameter("must be %s %s" % (">" if strict else ">=", minimum))
+        if above is not None and value <= above:
+            raise click.BadParameter("must be > %s" % above)
         return value
 
     return click.option(flag, type=str, default=None, callback=parse)
@@ -321,30 +327,14 @@ def transfer_cmd(class_json, beta, descriptor, output):
             "not a serialized class (%s: %s)" % (type(exc).__name__, exc),
             param_hint="'--class-json'",
         )
-    twist = _parse_base_class(fam, beta)
-    _emit(transfer(cls, twist), output)
-
-
-def _parse_base_class(fam, text):
-    """The twist `1` or a product of powers such as `L*omega^2`."""
     ring = fam.total_ring
-    out = BaseClass.unit(ring)
-    text = text.strip()
-    if text == "1":
-        return out
-    for factor in text.split("*"):
-        name, caret, power = (part.strip() for part in factor.partition("^"))
-        power = power if caret else "1"
-        if name not in ring.symbols or not power.isdecimal():
-            raise click.BadParameter(
-                "%r is not a power of one of %s" % (factor, ", ".join(sorted(ring.symbols))),
-                param_hint="'--beta'",
-            )
-        # int() refuses thousands of digits; a symbol has degree 1, so such a power is 0
-        digits = power.lstrip("0") or "0"
-        exponent = int(digits) if len(digits) <= 18 else ring.dim + 1
-        out = out * (BaseClass.gen(ring, name) ** exponent)
-    return out
+    twist = _monomial(beta, ring.symbols)
+    if twist is None:
+        raise click.BadParameter(
+            "%r is not 1 or a product of powers of %s" % (beta, ", ".join(sorted(ring.symbols))),
+            param_hint="'--beta'",
+        )
+    _emit(transfer(cls, BaseClass(ring, {twist: 1})), output)
 
 
 @main.command("punctual-chern")
@@ -375,7 +365,7 @@ def pluecker_cmd(which, m, descriptor, output):
 @_rational_option("--b")
 @_rational_option("--lomega")
 @_rational_option("--omega2")
-@_rational_option("--sigma", minimum=0, strict=True)
+@_rational_option("--sigma", above=0)
 @click.option("--single-curve", is_flag=True,
               help="virtual trisecant-scroll degree of one space curve")
 @_output_option

@@ -33,6 +33,8 @@ class Node:
         # marks its terms in a boundary payload; no descriptor or `#c1c3` spells it
         self.tag = "#node." + self.node_id
         self.weight = weight if isinstance(weight, CharPoly) else CharPoly.const(weight)
+        if self.weight.is_constant() and self.weight.constant_value() <= 0:
+            raise ValueError("node %s has nonpositive weight %s" % (self.node_id, self.weight))
         # value of theta^*(L) on the boundary base; None means "keep symbolic"
         if tau_L is not None and not isinstance(tau_L, CharPoly):
             tau_L = CharPoly.const(tau_L)
@@ -63,8 +65,6 @@ class FamilyDescriptor:
             seen.add(node.node_id)
             if dim_b < 1:
                 raise ValueError("node %s needs dim_b >= 1, got dim_b = %d" % (node.node_id, dim_b))
-            if node.weight.is_constant() and node.weight.constant_value() <= 0:
-                raise ValueError("node %s has nonpositive weight" % node.node_id)
         # every boundary payload is scaled by sum weight * tag over the nodes
         self.tagged_weight = sum((n.weight * CharPoly.symbol(n.tag) for n in self.nodes), CharPoly())
         self.total_ring = make_total_space_ring(dim_b)

@@ -113,6 +113,27 @@ def test_load_accepts_consistent_genus_and_twogm2(tmp_path, genus, twogm2):
     assert fam.char("twogm2") == CharPoly.const(2 * Fraction(genus) - 2)
 
 
+@pytest.mark.parametrize("dim_b", ["2", "4/2", "02"])
+def test_load_reads_dim_b_as_any_rational_equal_to_an_integer(tmp_path, dim_b):
+    assert load_descriptor(write(tmp_path, "[family]\ndim_b = %s\n" % dim_b)).dim_b == 2
+
+
+@pytest.mark.parametrize("dim_b, message", [("3/2", "must be an integer, got '3/2'"),
+                                            ("0/5", "must be >= 1")])
+def test_load_rejects_dim_b_off_the_positive_integers(tmp_path, dim_b, message):
+    path = write(tmp_path, "[family]\ndim_b = %s\n" % dim_b)
+    with pytest.raises(DescriptorError, match=":2: dim_b %s" % message):
+        load_descriptor(path)
+
+
+def test_load_reads_a_ten_digit_integral_exponent(tmp_path):
+    # canonical, so it reads; it never binds, being far above the boundary base's dimension
+    key = "IT[p|1|L^1234567890]"
+    text = "[family]\ndim_b = 2\n[node.p]\nweight = 1\n%s = 5\n" % key
+    fam = load_descriptor(write(tmp_path, text))
+    assert fam.node("p").psi_table == {key: CharPoly.const(5)}
+
+
 def test_load_parse_error_has_line_number(tmp_path):
     path = write(tmp_path, "[family]\ndim_b = 1\nbroken line\n")
     with pytest.raises(DescriptorError, match=":3"):
@@ -138,6 +159,9 @@ NON_CANONICAL_INTEGRAL_KEYS = (
     "IT[p|L|]",
     "IT[p|psi_x|]x",
     "IT[p|psi_x||]",
+    "IT[p|1|L^0]",
+    "IT[p|1|L ^2]",
+    "IT[p| psi_x|]",
 )
 
 
@@ -578,6 +602,9 @@ def _run_exit(monkeypatch, argv):
         (["transfer", "--class-json", EMPTY_CLASS, "--beta", "L^x"], "--beta"),
         (["transfer", "--class-json", EMPTY_CLASS, "--beta", "L^"], "--beta"),
         (["transfer", "--class-json", EMPTY_CLASS, "--beta", "L^ *omega"], "--beta"),
+        (["transfer", "--class-json", EMPTY_CLASS, "--beta", "L^\u0663"], "--beta"),
+        (["transfer", "--class-json", EMPTY_CLASS, "--beta", "1*L"], "--beta"),
+        (["transfer", "--class-json", EMPTY_CLASS, "--beta", ""], "--beta"),
         *(
             (["transfer", "--class-json", json.dumps(c)], "--class-json")
             for c in MALFORMED_CLASSES
