@@ -173,6 +173,7 @@ def chern_closed_form(fam: FamilyDescriptor, m) -> TautClass:
     hold node terms, but each diagonal term of their payloads carries a base
     monomial above the boundary base's dimension: they are zero classes.
     """
+    checked_int(m, 1, "m")
     ring = fam.total_ring
     one_plus_l = BaseClass.unit(ring) + BaseClass.gen(ring, "L")
     total = TautClass(fam, m)
@@ -295,7 +296,7 @@ def double_point_class(fam: FamilyDescriptor, n) -> TautClass:
     n > 2 + dim_b the flag polynomial is above top degree: the zero class,
     returned before anything is built.
     """
-    if n > 2 + fam.dim_b:
+    if checked_int(n, 0, "n") > 2 + fam.dim_b:
         return TautClass(fam, 2)
     l1, l2, g2 = flag_L(1), flag_L(2), flag_G(2)
     expr = CharPoly()
@@ -314,7 +315,7 @@ def double_point_segre_route(fam: FamilyDescriptor, n) -> TautClass:
     2!.  The two routes are different flag polynomials that agree only after
     the pushdown.  Above top degree, n > 2 + dim_b, it is the zero class.
     """
-    if n > 2 + fam.dim_b:
+    if checked_int(n, 0, "n") > 2 + fam.dim_b:
         return TautClass(fam, 2)
     l1, l2, g2 = flag_L(1), flag_L(2), flag_G(2)
     expr = CharPoly()

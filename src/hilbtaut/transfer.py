@@ -204,6 +204,7 @@ def pluecker_s2(fam, m):
     - m(m^2-1)(m+2)/24 sigma: the sum over k = 1..m of the integrated steps
     of the second-Segre recursion, whose node-free part agrees with the jet count.
     """
+    checked_int(m, 1, "m")
     if fam.dim_b != 1:
         raise ValueError("the second-Segre contact recursion needs a 1-dimensional base")
     return (
@@ -219,6 +220,7 @@ def pluecker_c2(fam, m):
 
     The sum over k = 2..m of the integrated steps of the second-Chern recursion.
     """
+    checked_int(m, 1, "m")
     if fam.dim_b != 1:
         raise ValueError("the second-Chern contact recursion needs a 1-dimensional base")
     return (

@@ -33,7 +33,7 @@ from hilbtaut.chern import (
 )
 from hilbtaut.tautmod import gamma_action, gamma_power, pushforward_to_base, twists
 from hilbtaut.tautmod import TautClass, integrate, to_data
-from hilbtaut.transfer import transfer
+from hilbtaut.transfer import pluecker_c2, pluecker_s2, transfer
 from reference import (
     chern_numbers_per_monomial,
     codim_parts,
@@ -141,6 +141,27 @@ def test_w3_monomial_rejects_exponents_that_are_not_positive_integers(fam, expon
 def test_chern_class_on_hilb_rejects_flag_length_below_one(fam, m):
     with pytest.raises(ValueError, match="flag length must be an integer >= 1, got %d" % m):
         chern_class_on_hilb(fam, m)
+
+
+@pytest.mark.parametrize(
+    "entry, name, minimum",
+    [
+        (chern_closed_form, "m", 1),
+        (double_point_class, "n", 0),
+        (double_point_segre_route, "n", 0),
+        (pluecker_s2, "m", 1),
+        (pluecker_c2, "m", 1),
+    ],
+)
+@pytest.mark.parametrize("kind", ["bool", "fraction", "below"])
+def test_entry_points_refuse_an_argument_that_is_not_an_int_at_least_the_minimum(
+    fam, entry, name, minimum, kind
+):
+    # True used to read as 1, a value below the minimum as an empty range, 2.5 as a TypeError
+    value = {"bool": True, "fraction": 2.5, "below": minimum - 1}[kind]
+    message = "^%s must be an integer >= %d, got %s$" % (name, minimum, re.escape(repr(value)))
+    with pytest.raises(ValueError, match=message):
+        entry(fam, value)
 
 
 def per_monomial_pushdown(fam, m, expr):
