@@ -68,6 +68,12 @@ def test_formulary(fam):
         assert value == expected, (key, str(value), str(expected))
 
 
+@pytest.mark.parametrize("dim_b", [2, 3])
+def test_w3_monomial_refuses_a_base_that_is_not_a_curve(dim_b):
+    with pytest.raises(ValueError, match="needs a 1-dimensional base"):
+        w3_monomial(symbolic_family(dim_b), (4, 0, 0, 0, 0))
+
+
 def test_w3_monomial_rejects_wrong_degree(fam):
     with pytest.raises(ValueError):
         w3_monomial(fam, (1, 1, 1, 0, 0o0 + 0))  # degree 3

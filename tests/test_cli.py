@@ -501,9 +501,9 @@ def _diag_class(m, blocks, base=(), coeff=(([], "1"),)):
     return {"m": m, "diag": [term], "scroll": [], "section": []}
 
 
-def _scroll_class(m, n, payload, node="s"):
-    """Serialized scroll F^{n,m}_1 over `payload`, by default on the default family's node."""
-    scroll = {"node": node, "n": n, "j": 1, "payload": payload}
+def _scroll_class(m, n, payload, node="s", j=1):
+    """Serialized scroll F^{n,m}_j over `payload`, by default on the default family's node."""
+    scroll = {"node": node, "n": n, "j": j, "payload": payload}
     return {"m": m, "diag": [], "scroll": [scroll], "section": []}
 
 
@@ -528,6 +528,8 @@ MALFORMED_CLASSES = [
     _scroll_class(3, 2, _diag_class(4, [[1, []]] * 4, coeff=[([], "5")])),
     _scroll_class(3, 2, _diag_class(1, [[1, [["psi_x", 1]]]])),
     _scroll_class(3, 2, _diag_class(1, [[1, [["omega", 1], ["theta_x", 1]]]])),
+    # a scroll index j = n: F^{n,m}_j needs j <= n - 1
+    _scroll_class(3, 2, _diag_class(1, [[1, []]]), j=2),
     # a node the family does not have
     _scroll_class(3, 2, _diag_class(1, [[1, []]]), node="zz"),
     # a payload with a scroll of its own: boundary families have no nodes

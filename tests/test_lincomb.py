@@ -58,6 +58,13 @@ def test_operations_leave_their_inputs_unchanged(make, avals, bvals, factor):
     assert acc == b.scale(factor - 1)
 
 
+def test_classes_of_two_families_do_not_add():
+    # two families with the same characters are still two total spaces
+    other = symbolic_family(1)
+    with pytest.raises(ValueError, match="mixed TautClass spaces: fam"):
+        gamma_power(FAM, 2, 1) + gamma_power(other, 2, 1)
+
+
 def test_expand_unit_and_zero():
     assert expand([]) == [((), 1)]
     one = BaseClass.unit(FAM.total_ring)

@@ -33,6 +33,12 @@ def fam():
 # -- the flaglet transfer -------------------------------------------------------------
 
 
+def test_transfer_refuses_a_twist_on_another_ring(fam):
+    twist = BaseClass.gen(symbolic_family(2).total_ring, "L")
+    with pytest.raises(ValueError, match="twist must live on the same total space"):
+        transfer(gamma_power(fam, 2, 1), twist)
+
+
 def test_transfer_diagonal_rule(fam):
     ring = fam.total_ring
     L = BaseClass.gen(ring, "L")
