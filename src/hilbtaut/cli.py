@@ -77,8 +77,8 @@ def _monomial(text, symbols):
     """The monomial `a*b^2` of names in `symbols` (`1` the unit), or None.
 
     Spaces, repeated names and leading zeros are read, and zero powers drop out.
-    A power is ASCII digits; one of more than 18 digits reads as 10^18, above
-    every ring's dimension, so that int() never meets its digit limit.
+    A power is ASCII digits; one of more than 18 digits past its leading zeros
+    reads as 10^18, above every ring's dimension, so int() never meets its limit.
     """
     text = text.strip()
     mono = ()
