@@ -39,10 +39,8 @@ class CharPoly(LinComb):
         return CharPoly({(): value})
 
     @staticmethod
-    def symbol(name, power=1):
-        if power == 0:
-            return CharPoly.const(1)
-        return CharPoly({((name, power),): 1})
+    def symbol(name):
+        return CharPoly({((name, 1),): 1})
 
     def _coerce(self, other):
         return _coerce(other)
@@ -106,12 +104,11 @@ class CharPoly(LinComb):
         """Replace symbols by CharPoly/Fraction values given in `bindings`."""
         out = CharPoly()
         for mono, coeff in self.terms.items():
-            term = CharPoly.const(coeff)
+            # the unbound symbols stay together as one monomial
+            term = CharPoly({tuple(pair for pair in mono if pair[0] not in bindings): coeff})
             for name, power in mono:
                 if name in bindings:
                     term = term * (_coerce(bindings[name]) ** power)
-                else:
-                    term = term * CharPoly.symbol(name, power)
             out.accumulate(term)
         return out
 

@@ -89,18 +89,10 @@ class PunctualClass:
     base, the coefficients of C^m_i(theta) and (-Gamma).C^m_i(theta).
     """
 
-    __slots__ = ("fam", "m", "interior", "scroll", "section")
+    __slots__ = ("m", "interior", "scroll", "section")
 
-    def __init__(self, fam, m, interior=None):
-        self.fam = fam
-        self.m = m
-        self.interior = interior if interior is not None else BaseClass(fam.total_ring)
-        self.scroll = {}
-        self.section = {}
-        tring = fam.node_base_ring
-        for node in fam.nodes:
-            self.scroll[node.node_id] = {i: BaseClass(tring) for i in range(1, m)}
-            self.section[node.node_id] = {i: BaseClass(tring) for i in range(1, m)}
+    def __init__(self, m, interior, scroll, section):
+        self.m, self.interior, self.scroll, self.section = m, interior, scroll, section
 
     def to_data(self):
         """The `punctual-chern` JSON: m, the interior and each node part i as text."""
@@ -112,15 +104,13 @@ class PunctualClass:
         return {"m": self.m, "interior": str(self.interior), "nodes": nodes}
 
     def __repr__(self):
-        parts = ["%s" % self.interior]
-        for nid in sorted(self.scroll):
+        data = self.to_data()
+        parts = [data["interior"]]
+        for nid, node in data["nodes"].items():
             for i in range(1, self.m):
-                if self.scroll[nid][i]:
-                    parts.append("C^%d_%d(%s)[%s]" % (self.m, i, nid, self.scroll[nid][i]))
-                if self.section[nid][i]:
-                    parts.append(
-                        "(-Gamma).C^%d_%d(%s)[%s]" % (self.m, i, nid, self.section[nid][i])
-                    )
+                for name, label in (("scroll", "C"), ("section", "(-Gamma).C")):
+                    if node[name][i] != "0":
+                        parts.append("%s^%d_%d(%s)[%s]" % (label, self.m, i, nid, node[name][i]))
         return "PunctualClass(m=%d: %s)" % (self.m, " + ".join(parts))
 
 
@@ -135,22 +125,25 @@ def psi_power_class(ring, m, i):
 def punctual_chern(fam: FamilyDescriptor, m: int) -> PunctualClass:
     """Total Chern class of the rank-m tautological bundle of L on the punctual locus.
 
-    Recursion in m through the punctual spread; the interior part is the
-    product of (1 + L + (i-1) omega) for i = 1..m, the node parts satisfy a
-    closed recursion in the psi classes and theta^*(L).
+    The interior part is the product of (1 + L + (k-1) omega) for k = 1..m;
+    each node's parts come from a closed recursion in m through the punctual
+    spread, in the psi classes and theta^*(L).
     """
     checked_int(m, 1, "m")
     ring = fam.total_ring
-    current = PunctualClass(fam, 1, BaseClass.unit(ring) + BaseClass.gen(ring, "L"))
-    for degree in range(2, m + 1):
-        current = _punctual_chern_step(fam, current)
-    return current
-
-
-def _theta_star_L(node, tring):
-    """theta^*(L) on the node base: the class tauL, unless the node fixes it to zero."""
-    fixed_zero = node.tau_L is not None and not node.tau_L
-    return BaseClass(tring) if fixed_zero else BaseClass.gen(tring, "tauL")
+    one, L, omega = BaseClass.unit(ring), BaseClass.gen(ring, "L"), BaseClass.gen(ring, "omega")
+    interior = one
+    for k in range(1, m + 1):
+        interior = interior * (one + L + omega * (k - 1))
+    tring = fam.node_base_ring
+    scroll, section = {}, {}
+    for node in fam.nodes:
+        # tau = theta^*(1 + L): tauL, unless the node fixes it to zero
+        tau = BaseClass.unit(tring)
+        if node.tau_L is None or node.tau_L:
+            tau = tau + BaseClass.gen(tring, "tauL")
+        scroll[node.node_id], section[node.node_id] = _node_parts(tring, m, tau)
+    return PunctualClass(m, interior, scroll, section)
 
 
 def _spread(parts, m, i):
@@ -158,40 +151,30 @@ def _spread(parts, m, i):
     return parts[i] * (m - i) + parts[i - 1] * i
 
 
-def _punctual_chern_step(fam, prev: PunctualClass) -> PunctualClass:
-    """The punctual Chern class of degree m = prev.m + 1 from that of degree m-1.
+def _node_parts(tring, m, tau):
+    """One node's scroll and section parts {i: BaseClass}, i = 1..m-1, at degree m.
 
-    With psi_k = psi^(m-1)_k and tau = 1 + theta^*L, component k of degree m-1
-    (scroll beta_k, section gamma_k) contributes
+    Degree 1 has none.  At degree d, with psi_k = psi^(d-1)_k, component k of
+    degree d-1 (scroll beta_k, section gamma_k) contributes
     F(k) = gamma_k psi_k (psi_(k+1) + tau) + (tau - psi_k) beta_k to the scrolls
-    and G(k) = beta_k + gamma_k psi_k to the sections, each spread over C^m_k
-    and C^m_(k+1); the scrolls also receive nu(m, i) tau^(m-1) from the interior.
+    and G(k) = beta_k + gamma_k psi_k to the sections, each spread over C^d_k
+    and C^d_(k+1); the scrolls also receive nu(d, i) tau^(d-1) from the interior.
     """
-    m = prev.m + 1
-    ring = fam.total_ring
-    out = PunctualClass(fam, m)
-    out.interior = prev.interior * (
-        BaseClass.unit(ring) + BaseClass.gen(ring, "L") + BaseClass.gen(ring, "omega") * (m - 1)
-    )
-    tring = fam.node_base_ring
-    for node in fam.nodes:
-        nid = node.node_id
-        tau = BaseClass.unit(tring) + _theta_star_L(node, tring)
-        # theta^*(alpha_{m-1}) = tau^(m-1) since omega restricts trivially
-        interior_restr = tau ** (m - 1)
-        psi = {k: psi_power_class(tring, m - 1, k) for k in range(1, m)}
-        # F(0) = F(m-1) = G(0) = G(m-1) = 0: degree m-1 has components 1..m-2
-        scroll_parts = [BaseClass(tring)] * m
-        section_parts = [BaseClass(tring)] * m
-        for k in range(1, m - 1):
-            beta, gamma = prev.scroll[nid][k], prev.section[nid][k]
-            gamma_psi = gamma * psi[k]
-            scroll_parts[k] = gamma_psi * (psi[k + 1] + tau) + (tau - psi[k]) * beta
-            section_parts[k] = beta + gamma_psi
-        for i in range(1, m):
-            out.scroll[nid][i] = _spread(scroll_parts, m, i) + interior_restr * nu_coeff(m, i)
-            out.section[nid][i] = _spread(section_parts, m, i)
-    return out
+    scroll, section = {}, {}
+    for d in range(2, m + 1):
+        psi = {k: psi_power_class(tring, d - 1, k) for k in range(1, d)}
+        # F(0) = F(d-1) = G(0) = G(d-1) = 0: degree d-1 has components 1..d-2
+        f = [BaseClass(tring)] * d
+        g = [BaseClass(tring)] * d
+        for k in range(1, d - 1):
+            gamma_psi = section[k] * psi[k]
+            f[k] = gamma_psi * (psi[k + 1] + tau) + (tau - psi[k]) * scroll[k]
+            g[k] = scroll[k] + gamma_psi
+        # theta^*(alpha_(d-1)) = tau^(d-1) since omega restricts trivially
+        interior_restr = tau ** (d - 1)
+        scroll = {i: _spread(f, d, i) + interior_restr * nu_coeff(d, i) for i in range(1, d)}
+        section = {i: _spread(g, d, i) for i in range(1, d)}
+    return scroll, section
 
 
 # -- contact loci: closed Pluecker-type formulas ---------------------------------------

@@ -672,6 +672,17 @@ def test_pushforward_to_base_integrates_to_the_degree(family):
     assert with_boundary
 
 
+def test_pushforward_to_base_refuses_what_it_has_no_symbol_for():
+    # the base image is written for degree 2 only
+    with pytest.raises(NotImplementedError, match="^base pushforward implemented for degree 2$"):
+        pushforward_to_base(TautClass(symbolic_family(1), 3))
+    # a kappa symbol pushes forward L and omega; over a point base a twist may hold pt
+    point = symbolic_family(0)
+    cls = TautClass.from_twists(point, 2, [(2, BaseClass.gen(point.total_ring, "pt"))])
+    with pytest.raises(NotImplementedError, match="kappa pushforward of"):
+        pushforward_to_base(cls)
+
+
 def _bound_tau_family(tau_L):
     return FamilyDescriptor(2, nodes=[Node("s", CharPoly.symbol("sigma"), tau_L=tau_L)])
 

@@ -651,6 +651,15 @@ def test_engine_fault_exits_2(monkeypatch, capsys):
     assert "engine error: broken engine" in capsys.readouterr().err
 
 
+def test_an_interrupted_command_exits_1(monkeypatch):
+    # click turns an interrupt inside a command into Abort, which is no engine fault
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("hilbtaut.cli.gamma_power", interrupted)
+    assert _run_exit(monkeypatch, ["gamma-power", "--m", "2", "--k", "3"]) == 1
+
+
 def test_oracle_disagreement_exits_2(monkeypatch, capsys):
     # a discriminant operator that forgets the block unions disagrees with the oracle
     monkeypatch.setattr("hilbtaut.tensym.discriminant_op", lambda t: t)

@@ -3,7 +3,7 @@
 import pytest
 
 from hilbtaut.charpoly import CharPoly
-from hilbtaut.family import FamilyDescriptor, Node
+from hilbtaut.family import FamilyDescriptor, Node, fiber_integral, symbolic_family, theta_star
 
 
 def test_nodes_need_a_positive_dimensional_base():
@@ -35,3 +35,16 @@ def test_the_ids_in_use_are_plain_words():
 def test_nonpositive_weights_are_refused(weight):
     with pytest.raises(ValueError, match="node q has nonpositive weight"):
         FamilyDescriptor(1, nodes=[Node("p", 1), Node("q", weight)])
+
+
+def test_fiber_maps_refuse_a_symbol_they_do_not_map():
+    fam = symbolic_family(2)
+    # a base symbol has no degree on a fiber curve
+    with pytest.raises(KeyError, match="no fiber degree for 'psi_x'"):
+        fam.fiber_degree("psi_x")
+    # restriction to a node section maps total-space symbols only
+    with pytest.raises(AssertionError, match="unexpected symbol 'psi_x' at a node"):
+        theta_star((("psi_x", 1),))
+    # omega restricts to zero on a section, so a reduced slot never holds omega*theta_x
+    with pytest.raises(AssertionError, match="unreduced section monomial"):
+        fiber_integral(fam.boundary_family(), [(("omega", 1), ("theta_x", 1))])

@@ -1,5 +1,6 @@
 """The linear-combination core: the operations never change their inputs."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hilbtaut.charpoly import CharPoly
 from hilbtaut.family import symbolic_family
 from hilbtaut.lincomb import expand
 from hilbtaut.tautmod import TautClass, gamma_power, to_data
+from hilbtaut.tensym import TensorClass
 
 small = st.integers(min_value=-3, max_value=3)
 FAM = symbolic_family(1)
@@ -132,3 +134,31 @@ def test_power_and_graded_parts(make, vals, n):
     assert all(sum(p for _, p in mono) == d for d, part in enumerate(parts) for mono in part.terms)
     with pytest.raises(ValueError, match="negative power"):
         x ** -1
+
+
+def test_a_foreign_operand_is_refused():
+    # a float is no exact coefficient: each operator returns NotImplemented, so Python
+    # refuses the sum and product, and equality falls back to identity
+    poly, cls = CharPoly.const(1), BaseClass.unit(FAM.total_ring)
+    for value, ops in ((poly, (operator.add, operator.sub, operator.mul)),
+                       (cls, (operator.add, operator.sub))):
+        for op in ops:
+            with pytest.raises(TypeError):
+                op(value, 1.5)
+        assert value != 1.5
+
+
+def test_each_value_prints_its_type_and_terms():
+    ring = FAM.total_ring
+    one, L = BaseClass.unit(ring), BaseClass.gen(ring, "L")
+    assert repr(ring) == "Ring(X/B(dim 1), dim=2)"
+    assert repr(one + L * 2) == "BaseClass<X/B(dim 1)>(1 + 2*L)"
+    assert repr(FAM.nodes[0]) == "Node(s, weight=sigma)"
+    assert repr(TautClass(FAM, 2)) == "TautClass(m=2: 0)"
+    assert repr(TautClass.from_twists(FAM, 2, [(1, L), (1, one)])) == (
+        "TautClass(m=2: (1)*Gamma_(1,1)[1, L])"
+    )
+    assert repr(TensorClass(ring)) == "TensorClass(0)"
+    assert repr(TensorClass.simple(ring, [(2, L * 3), (1, one + L)])) == (
+        "TensorClass((3)[2:L (x) 1:1] + (3)[2:L (x) 1:L])"
+    )

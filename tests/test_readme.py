@@ -1,9 +1,15 @@
-"""The README's CLI examples print what the README says they print.
+"""The README's examples print what the README says they print.
 
 Every line of a `sh` block that reads `hilbtaut ...  # -> expected` runs in
-process through `cli.main`, and its stdout must be the expected text.
+process through `cli.main`, and its stdout must be the expected text.  The
+`python` blocks run in order in one namespace, one statement at a time: a
+statement whose last line reads `# -> expected` must print the expected text,
+and any other statement must print nothing.
 """
 
+import ast
+import contextlib
+import io
 import os
 import re
 import shlex
@@ -28,6 +34,7 @@ def readme_examples():
 
 
 EXAMPLES = readme_examples()
+PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", open(README).read(), flags=re.M | re.S)
 
 
 def test_readme_has_checked_examples():
@@ -40,3 +47,19 @@ def test_readme_example_output(command, expected):
     result = CliRunner().invoke(main, shlex.split(command)[1:])
     assert result.exit_code == 0, result.output
     assert result.output == expected + "\n"
+
+
+def test_readme_python_blocks_print_what_they_mark():
+    namespace = {}
+    marked = 0
+    for block in PYTHON_BLOCKS:
+        lines = block.splitlines()
+        for stmt in ast.parse(block).body:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                exec(compile(ast.Module([stmt], []), README, "exec"), namespace)
+            _, marker, expected = lines[stmt.end_lineno - 1].partition("# -> ")
+            marked += bool(marker)
+            want = expected.strip() + "\n" if marker else ""
+            assert out.getvalue() == want, lines[stmt.lineno - 1]
+    assert marked >= 2
