@@ -139,8 +139,8 @@ class BaseClass(LinComb):
         return other if isinstance(other, BaseClass) else NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if not isinstance(other, BaseClass):
+            return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
         self._check(other)
         out = {}
         for m1, c1 in self.terms.items():

@@ -33,6 +33,7 @@ e^n_j = binom(n-j+1,2) psi_x + binom(j,2) psi_y
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -69,33 +70,32 @@ class TautClass(LinComb):
         return self.m + self.fam.dim_b
 
     def _diag_codim(self, base_mono, blocks):
-        d = sum(p for _, p in base_mono)
-        for n, mono in blocks:
-            d += (n - 1) + self.ring.degree(mono)
+        d = self.m - len(blocks)  # the sum of n - 1 over blocks that weigh m
+        for _, p in base_mono:
+            d += p
+        for _, mono in blocks:
+            for _, p in mono:
+                d += p
         return d
 
-    def _sorted_blocks(self, blocks):
-        """The blocks in key order (size down, then twist), checked to weigh m."""
-        blocks = tuple(sorted(blocks, key=_block_order))
-        if sum(n for n, _ in blocks) != self.m:
-            raise ValueError("blocks of weight %s in degree-%d class" % (blocks, self.m))
-        return blocks
-
     def _rekeyed(self, base_mono, rest, n, block_mono, mono):
-        """(sign, key) of block (n, block_mono * mono) beside `rest`; sign 0 if it vanishes."""
+        """(sign, key) with block (n, block_mono * mono) put into `rest`; sign 0 if it vanishes."""
         ring = self.fam.total_ring
         prod = ring.merge(block_mono, mono)
         if prod is None:
             return 0, None
         sign, merged = prod
         new_base, fiber = ring.split(base_mono, merged)
-        return sign, (new_base, self._sorted_blocks(rest + ((n, fiber),)))
+        i = bisect_left(rest, (-n, fiber), key=_block_order)
+        return sign, (new_base, rest[:i] + ((n, fiber),) + rest[i:])
 
     def add_diag(self, base_mono, blocks, coeff):
-        """Add a term from outside input: normalize its key, drop it above top codimension."""
+        """Add an outside term: sort and weigh its blocks, drop it above top codimension."""
         if not coeff:
             return
-        blocks = self._sorted_blocks(blocks)
+        blocks = tuple(sorted(blocks, key=_block_order))
+        if sum(n for n, _ in blocks) != self.m:
+            raise ValueError("blocks of weight %s in degree-%d class" % (blocks, self.m))
         base_mono = tuple(sorted(base_mono))
         if self._diag_codim(base_mono, blocks) > self.space_dim():
             return
@@ -178,6 +178,11 @@ class TautClass(LinComb):
 def _block_order(block):
     """Sort key of a block: size down, then twist."""
     return -block[0], block[1]
+
+
+def _runs(blocks):
+    """(first index, length) of each run of identical blocks, adjacent in a key."""
+    return [(i, blocks.count(b)) for i, b in enumerate(blocks) if not i or b != blocks[i - 1]]
 
 
 def _coeff_data(c: CharPoly):
@@ -289,8 +294,7 @@ def gamma_action(tc: TautClass) -> TautClass:
 
     for (base_mono, blocks), coeff in tc.diag.items():
         mult = Counter(n for n, _ in blocks)
-        # (first index, length) of each run of identical blocks, adjacent in a key
-        runs = [(i, blocks.count(b)) for i, b in enumerate(blocks) if not i or b != blocks[i - 1]]
+        runs = _runs(blocks)
         # the union and interior terms have codimension one more than the key
         if tc._diag_codim(base_mono, blocks) < top:
             # unite pairs of blocks: each distinct pair once, times its number of index pairs
@@ -401,8 +405,9 @@ def twists(tc: TautClass, divisors, gamma_shares=()) -> list:
 
     Both parts are BaseClasses on the class's total space, or None.  The
     pullback, in base symbols, multiplies the base monomial; the norm enters
-    each block of a polyblock diagonal, weighted by its size.  One pass serves
-    every divisor: each output key is built once, and only its scalar differs.
+    each block of a polyblock diagonal, weighted by its size, and a run of
+    identical blocks re-keys once, times its length.  One pass serves every
+    divisor: each output key is built once, and only its scalar differs.
     The Gamma shares, one per divisor, are added scalar by scalar from one
     Gamma tc: `gamma_action`'s node sections need them, `transfer` none.
     """
@@ -421,25 +426,24 @@ def twists(tc: TautClass, divisors, gamma_shares=()) -> list:
             key = merge_monos(base_mono, mono), blocks
             for d, c in coeffs:
                 _add_scaled(accs[d], key, coeff, c)
+        runs = _runs(blocks)
         for mono, deg, coeffs in normed:
             if deg > room:
                 continue
-            for i, (n, twist) in enumerate(blocks):
+            for i, count in runs:
+                n, twist = blocks[i]
                 sign, key = tc._rekeyed(base_mono, blocks[:i] + blocks[i + 1 :], n, twist, mono)
                 if not sign:
                     continue
                 for d, c in coeffs:
-                    _add_scaled(accs[d], key, coeff, n * sign * c)
+                    _add_scaled(accs[d], key, coeff, count * n * sign * c)
     # Gamma is zero below degree 2, and diagonal on a payload's node-free family
     if tc.m >= 2 and any(gamma_shares):
         gamma_tc = gamma_action(tc)
         for acc, share in zip(accs, gamma_shares):
             for key, coeff in gamma_tc.diag.items():
                 _add_scaled(acc, key, coeff, share)
-    out = [TautClass(tc.fam, tc.m) for _ in divisors]
-    for cls, acc in zip(out, accs):
-        cls.diag = _finished(acc)
-    return out
+    return [tc._like(_finished(acc), {}, {}) for acc in accs]
 
 
 def _monomial_table(ring, parts):

@@ -10,8 +10,9 @@ block partitions of one, the per-pair union of the ordered model, and the four
 rank-3 Chern numbers with every flag monomial pushed down on its own, the
 discriminant powers by plain iteration with their zero classes dropped
 afterwards, the discriminant action uniting every index pair of blocks
-with its e-twists built as classes before Gamma is subtracted, and the flag
-pushdown with one Horner chain per (a_i, rest) instead of one per rest.
+with its e-twists built as classes before Gamma is subtracted, the flag
+pushdown with one Horner chain per (a_i, rest) instead of one per rest, and
+the divisor twists with their norm part built one block at a time as classes.
 """
 
 from collections import Counter
@@ -361,3 +362,32 @@ def _mult_e_two_step(tc, n, js):
         return out
     gamma_tc = gamma_action_per_index_pair(tc)
     return [cls.accumulate(gamma_tc, -1) for cls in out]
+
+
+def twists_per_block(tc, divisors, gamma_shares=()):
+    """`twists` with the norm entering every block, identical ones included, as a class.
+
+    For each key, the pullback multiplies the base monomial through
+    `add_diag`, and for each block the norm times that block's twist is a
+    `from_twists` class beside the other blocks, weighted by the block's size;
+    both drop their terms above top codimension there.  A Gamma share adds
+    that multiple of `gamma_action(tc)` as a whole class.
+    """
+    fam, m, ring = tc.fam, tc.m, tc.ring
+    out = []
+    for d, (pullback, norm) in enumerate(divisors):
+        cls = TautClass(fam, m)
+        for (base_mono, blocks), coeff in tc.diag.items():
+            for mono, c in (pullback.terms.items() if pullback else ()):
+                cls.add_diag(merge_monos(base_mono, mono), blocks, coeff * c)
+            if not norm:
+                continue
+            base = BaseClass(ring, {base_mono: 1})
+            pairs = [(n, BaseClass(ring, {mono: 1})) for n, mono in blocks]
+            for i, (n, twist) in enumerate(pairs):
+                normed = pairs[:i] + [(n, twist * norm)] + pairs[i + 1 :]
+                cls.accumulate(TautClass.from_twists(fam, m, normed, base=base), coeff * n)
+        if d < len(gamma_shares) and gamma_shares[d]:
+            cls.accumulate(gamma_action(tc), gamma_shares[d])
+        out.append(cls)
+    return out

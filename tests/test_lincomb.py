@@ -140,11 +140,12 @@ def test_a_foreign_operand_is_refused():
     # a float is no exact coefficient: each operator returns NotImplemented, so Python
     # refuses the sum and product, and equality falls back to identity
     poly, cls = CharPoly.const(1), BaseClass.unit(FAM.total_ring)
-    for value, ops in ((poly, (operator.add, operator.sub, operator.mul)),
-                       (cls, (operator.add, operator.sub))):
-        for op in ops:
+    for value in (poly, cls):
+        for op in (operator.add, operator.sub, operator.mul):
             with pytest.raises(TypeError):
                 op(value, 1.5)
+        with pytest.raises(TypeError):
+            1.5 * value
         assert value != 1.5
 
 

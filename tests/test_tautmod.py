@@ -16,6 +16,7 @@ from hilbtaut.cli import load_descriptor, main as cli_main
 from hilbtaut.family import FamilyDescriptor, Node, symbolic_family
 from hilbtaut.tautmod import (
     TautClass,
+    _minus_divisor_pair,
     from_data,
     gamma_action,
     gamma_power,
@@ -25,11 +26,13 @@ from hilbtaut.tautmod import (
     to_data,
     twists,
 )
+from hilbtaut.transfer import transfer
 from reference import (
     codim_parts,
     drop_zero_classes,
     gamma_action_per_index_pair,
     gamma_power_on_scroll,
+    twists_per_block,
     unreduced_gamma_power,
 )
 
@@ -448,6 +451,35 @@ def test_twist_unit_pullback_keeps_a_top_codimension_key():
         low: CharPoly.const(5),
         ((("tauL", 1),), low[1]): CharPoly.const(10),
     }
+
+
+@pytest.mark.parametrize("source", ["symbolic", "six-node-curve.ini"])
+def test_twists_equal_the_per_block_route_on_repeated_blocks(source):
+    # the node-section payloads of a discriminant power repeat blocks, (1, ())
+    # above all: a run of identical blocks re-keys once, times its length
+    fam = symbolic_family(1) if source == "symbolic" else load_descriptor(str(TESTS / source))
+    repeats = 0
+    for (n, j), payload in gamma_power(fam, 6, 5).section.items():
+        repeats += sum(len(set(blocks)) < len(blocks) for _, blocks in payload.diag)
+        ring = payload.ring
+        pair = [_minus_divisor_pair(ring, n, j), scroll_divisor(ring, n, j + 1)]
+        for divisors, shares in ((pair, (2, -1)), ([scroll_divisor(ring, n, j)], (-1,))):
+            for s in ((), shares):
+                assert twists(payload, divisors, s) == twists_per_block(payload, divisors, s)
+    assert repeats
+
+
+@pytest.mark.parametrize("source", [1, 2, "two-node-surface.ini"])
+def test_operator_keys_stay_canonical(source):
+    # from_data sorts every key through add_diag, so a block the operators put
+    # into a key out of order would leave a key that the round trip misses
+    fam = symbolic_family(source) if isinstance(source, int) else load_descriptor(str(TESTS / source))
+    one_plus_l = BaseClass.unit(fam.total_ring) + BaseClass.gen(fam.total_ring, "L")
+    power = gamma_power(fam, 5, 4)
+    assert power.section
+    classes = [power, chern_class_on_hilb(fam, 4), transfer(power), transfer(power, one_plus_l)]
+    for tc in classes:
+        assert from_data(fam, to_data(tc)) == tc
 
 
 BOUNDARY_BASE = ("psi_x", "psi_y", "tauL")
