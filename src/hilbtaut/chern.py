@@ -20,10 +20,10 @@ from math import comb, factorial
 
 from .basering import BaseClass
 from .charpoly import CharPoly, split_tags
-from .family import FamilyDescriptor
+from .family import FamilyDescriptor, checked_curve_base, checked_int
 from .lincomb import mono_str
 from .partitions import enumerate_distributions
-from .tautmod import TautClass, checked_int, gamma_action, integrate
+from .tautmod import TautClass, gamma_action, integrate
 from .transfer import transfer
 
 # -- polynomials on the full flag ---------------------------------------------------
@@ -119,8 +119,7 @@ def w3_monomial(fam: FamilyDescriptor, exponents) -> CharPoly:
 
     `exponents` is (a1, a2, a3, k2, k3); requires a 1-dimensional base.
     """
-    if fam.dim_b != 1:
-        raise ValueError("the 3-step flag formulary needs a 1-dimensional base")
+    checked_curve_base(fam, "the 3-step flag formulary")
     if len(exponents) != len(W3_SYMBOLS):
         raise ValueError("exponents %r are not five, (a1, a2, a3, k2, k3)" % (tuple(exponents),))
     if sum(exponents) != 4:
@@ -219,8 +218,7 @@ def chern_numbers_w3(fam: FamilyDescriptor):
     that no descriptor can spell, and the one integral is split by tag.  That
     map is built once per process; Gamma runs max k_i times per rest (`pushdown`).
     """
-    if fam.dim_b != 1:
-        raise ValueError("the degree-4 Chern numbers need a 1-dimensional base")
+    checked_curve_base(fam, "the degree-4 Chern-number pushdown")
     tags, terms = _rank3_number_terms()
     parts = split_tags(integrate(_push_terms(fam, 3, terms)), tags)
     return {tag[1:]: parts.get(tag, CharPoly()) for tag in tags}
@@ -230,13 +228,11 @@ def trisecant_count(fam: FamilyDescriptor) -> CharPoly:
     """Count of ordered trisecant lines to the fibers of a map to P^5.
 
     The degeneracy combination c1^4 - 3 c1^2 c2 + 2 c1 c3 + c2^2 of the
-    rank-3 tautological bundle, evaluated on the 3-step flag (six times the
-    number of unordered trisecants).
+    rank-3 tautological bundle's Chern numbers (`chern_numbers_w3`), on the
+    3-step flag: six times the number of unordered trisecants.
     """
-    if fam.dim_b != 1:
-        raise ValueError("the degree-4 Chern numbers need a 1-dimensional base")
-    c1, c2, c3 = _rank3_chern_classes()
-    return integrate(pushdown(fam, 3, c1 ** 4 - c1 * c1 * c2 * 3 + c1 * c3 * 2 + c2 * c2))
+    n = chern_numbers_w3(fam)
+    return n["c1^4"] - n["c1^2c2"] * 3 + n["c1c3"] * 2 + n["c2^2"]
 
 
 def trisecant_grand_total(fam: FamilyDescriptor) -> CharPoly:

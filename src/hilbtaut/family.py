@@ -50,9 +50,7 @@ class FamilyDescriptor:
     """Numerical characters of a family X/B plus its weighted node list."""
 
     def __init__(self, dim_b, chars=None, nodes=(), label="X/B"):
-        if dim_b < 0:
-            raise ValueError("dim_b must be >= 0")
-        self.dim_b = dim_b
+        self.dim_b = checked_int(dim_b, 0, "dim_b")
         self.label = label
         self.chars = {}
         for key, value in (chars or {}).items():
@@ -125,6 +123,19 @@ class FamilyDescriptor:
             self.dim_b,
             len(self.nodes),
         )
+
+
+def checked_int(value, minimum, what):
+    """`value` if it is an int (not a bool) >= `minimum`; else a ValueError naming `what`."""
+    if type(value) is not int or value < minimum:
+        raise ValueError("%s must be an integer >= %d, got %r" % (what, minimum, value))
+    return value
+
+
+def checked_curve_base(fam, what):
+    """A ValueError unless `fam` has a 1-dimensional base: `what` needs one."""
+    if fam.dim_b != 1:
+        raise ValueError("%s needs a 1-dimensional base, got dim_b = %d" % (what, fam.dim_b))
 
 
 def symbolic_family(dim_b=1):

@@ -41,7 +41,7 @@ from math import comb
 
 from .basering import BaseClass
 from .charpoly import CharPoly, from_terms, split_tags
-from .family import FamilyDescriptor, fiber_integral, theta_star
+from .family import FamilyDescriptor, checked_int, fiber_integral, theta_star
 from .lincomb import LinComb, add_term, exact, expand, merge_monos, mono_str
 from .partitions import aut_count
 
@@ -103,17 +103,12 @@ class TautClass(LinComb):
             coeff = CharPoly.const(coeff)
         add_term(self.diag, (base_mono, blocks), coeff)
 
-    def _add_tagged(self, sector, n, j, payload):
-        """Add a tagged payload at (n, j) of the node sector `sector`."""
-        if not payload:
-            return
+    def add_node(self, sector, node_id, n, j, payload):
+        """Add an outside F^{n,m}_j(node)[payload] to "scroll" or "section": check (n, j), tag."""
         if not (2 <= n <= self.m and 1 <= j <= n - 1):
             raise ValueError("bad scroll index n=%d j=%d for m=%d" % (n, j, self.m))
-        add_term(getattr(self, sector), (n, j), payload)
-
-    def add_node(self, sector, node_id, n, j, payload):
-        """Add F^{n,m}_j(node)[payload] to `sector` ("scroll" or "section"), tagging the payload."""
-        self._add_tagged(sector, n, j, payload * CharPoly.symbol(self.fam.node(node_id).tag))
+        tagged = payload * CharPoly.symbol(self.fam.node(node_id).tag)
+        add_term(getattr(self, sector), (n, j), tagged)
 
     def by_node(self, sector):
         """{(node_id, n, j): untagged nonzero payload} of the node sector `sector`, sorted."""
@@ -256,18 +251,11 @@ def from_data(fam: FamilyDescriptor, data) -> TautClass:
     return tc
 
 
-def checked_int(value, minimum, what):
-    """`value` if it is an int (not a bool) >= `minimum`; else a ValueError naming `what`."""
-    if type(value) is not int or value < minimum:
-        raise ValueError("%s must be an integer >= %d, got %r" % (what, minimum, value))
-    return value
-
-
 def _mono_from_data(data, symbols=None):
-    """A monomial [[name, exponent], ...]: names sorted, distinct and in `symbols`."""
+    """A monomial [[name, exponent], ...]: names sorted, distinct, in `symbols`, no `#` tag."""
     mono = tuple((name, checked_int(p, 1, "exponent")) for name, p in data)
     for name, _ in mono:
-        if not isinstance(name, str) or (symbols is not None and name not in symbols):
+        if not isinstance(name, str) or name[:1] == "#" or not (symbols is None or name in symbols):
             raise ValueError("symbol %r not allowed in %r" % (name, data))
     if mono != tuple(sorted(dict(mono).items())):
         raise ValueError("monomial %r is not canonical" % (data,))
@@ -343,12 +331,12 @@ def gamma_action(tc: TautClass) -> TautClass:
             tagged = coeff * fam.tagged_weight
             for j in range(1, n):
                 factor = tagged * exact(Fraction(nu_coeff(n, j) * c, mult[n]))
-                out._add_tagged("scroll", n, j, payload.scale(factor))
+                add_term(out.scroll, (n, j), payload.scale(factor))
     out.diag = _finished(diag)
 
     # scrolls: Gamma . F = -((-Gamma) . F)
     for (n, j), payload in tc.scroll.items():
-        out._add_tagged("section", n, j, -payload)
+        add_term(out.section, (n, j), -payload)
 
     # sections: Gamma . (-Gamma)F[P] = -(-Gamma)^2 F[P]
     #         = -(-Gamma)F[(e_j + e_{j+1}) P] + F[e_j e_{j+1} P]
@@ -357,8 +345,8 @@ def gamma_action(tc: TautClass) -> TautClass:
         ring = payload.ring
         divisors = [_minus_divisor_pair(ring, n, j), scroll_divisor(ring, n, j + 1)]
         minus_sum_p, ej1_p = twists(payload, divisors, (2, -1))
-        out._add_tagged("section", n, j, minus_sum_p)
-        out._add_tagged("scroll", n, j, twists(ej1_p, [scroll_divisor(ring, n, j)], (-1,))[0])
+        add_term(out.section, (n, j), minus_sum_p)
+        add_term(out.scroll, (n, j), twists(ej1_p, [scroll_divisor(ring, n, j)], (-1,))[0])
     return out
 
 
@@ -505,9 +493,10 @@ def _without_zero_classes(tc: TautClass) -> TautClass:
     dim_b = tc.fam.dim_b
     diag = {key: c for key, c in tc.diag.items() if tc.ring.degree(key[0]) <= dim_b}
     out = tc._like(diag, {}, {})
-    for sector in ("scroll", "section"):
-        for (n, j), payload in getattr(tc, sector).items():
-            out._add_tagged(sector, n, j, _without_zero_classes(payload))
+    for (n, j), payload in tc.scroll.items():
+        add_term(out.scroll, (n, j), _without_zero_classes(payload))
+    for (n, j), payload in tc.section.items():
+        add_term(out.section, (n, j), _without_zero_classes(payload))
     return out
 
 

@@ -22,8 +22,9 @@ from fractions import Fraction
 from math import comb
 
 from .basering import BaseClass
-from .family import FamilyDescriptor, theta_star
-from .tautmod import TautClass, checked_int, nu_coeff, phi_star, scroll_divisor, twists
+from .family import FamilyDescriptor, checked_curve_base, checked_int, theta_star
+from .lincomb import add_term
+from .tautmod import TautClass, nu_coeff, phi_star, scroll_divisor, twists
 from .tautmod import _add_scaled, _finished  # the operators' diagonal accumulator
 
 # -- the flaglet transfer -----------------------------------------------------------
@@ -64,17 +65,17 @@ def transfer(tc: TautClass, beta: BaseClass = None) -> TautClass:
             {t: c for mono, c in beta.terms.items() if (t := theta_star(mono)) is not None},
         )
     for (n, j), payload in tc.scroll.items():
-        out._add_tagged("scroll", n, j, transfer(payload, phib))
+        add_term(out.scroll, (n, j), transfer(payload, phib))
 
     for (n, j), payload in tc.section.items():
         moved = transfer(payload, phib)
         # the tau twist and D^n_(j+1) act on the same payload: one twist pass
         divisor = scroll_divisor(bd.total_ring, n, j + 1)
         tau_p, d_p = twists(payload, [(tau, None), divisor])
-        out._add_tagged("scroll", n + 1, j, tau_p)
-        out._add_tagged("section", n, j, moved)
+        add_term(out.scroll, (n + 1, j), tau_p)
+        add_term(out.section, (n, j), moved)
         correction = transfer(d_p, phib) - twists(moved, [divisor])[0]
-        out._add_tagged("scroll", n, j, correction)
+        add_term(out.scroll, (n, j), correction)
     return out
 
 
@@ -188,8 +189,7 @@ def pluecker_s2(fam, m):
     of the second-Segre recursion, whose node-free part agrees with the jet count.
     """
     checked_int(m, 1, "m")
-    if fam.dim_b != 1:
-        raise ValueError("the second-Segre contact recursion needs a 1-dimensional base")
+    checked_curve_base(fam, "the second-Segre contact recursion")
     return (
         fam.char("b") * comb(m + 1, 2)
         + fam.char("Lomega") * Fraction(m * (m * m - 1), 2)
@@ -204,8 +204,7 @@ def pluecker_c2(fam, m):
     The sum over k = 2..m of the integrated steps of the second-Chern recursion.
     """
     checked_int(m, 1, "m")
-    if fam.dim_b != 1:
-        raise ValueError("the second-Chern contact recursion needs a 1-dimensional base")
+    checked_curve_base(fam, "the second-Chern contact recursion")
     return (
         fam.char("b") * comb(m, 2)
         + fam.char("omega2") * (3 * comb(m + 1, 4) - comb(m, 3))

@@ -12,7 +12,9 @@ discriminant powers by plain iteration with their zero classes dropped
 afterwards, the discriminant action uniting every index pair of blocks
 with its e-twists built as classes before Gamma is subtracted, the flag
 pushdown with one Horner chain per (a_i, rest) instead of one per rest, and
-the divisor twists with their norm part built one block at a time as classes.
+the divisor twists with their norm part built one block at a time as classes,
+and the fitted closed form of the plain sigma coefficient of the top-degree
+discriminant integral over a curve base.
 """
 
 from collections import Counter
@@ -24,7 +26,7 @@ from hilbtaut.basering import BaseClass
 from hilbtaut.charpoly import CharPoly
 from hilbtaut.chern import chern_splitting, push_monomial
 from hilbtaut.family import fiber_integral, theta_star
-from hilbtaut.lincomb import exact, expand, merge_monos
+from hilbtaut.lincomb import add_term, exact, expand, merge_monos
 from hilbtaut.oracle import OrderedTensor
 from hilbtaut.partitions import enumerate_distributions
 from hilbtaut.tautmod import (
@@ -77,6 +79,15 @@ def s2_contact_step(fam, m):
         + fam.char("omega2") * ((m - 1) * comb(m, 2))
         - fam.sigma() * sum(i * (m - i) for i in range(1, m))
     )
+
+
+def sigma_coefficient_fit(m):
+    """The plain `sigma` coefficient of the integral of Gamma^(m+1) on Hilb^m, curve base.
+
+    -m^(m-1) binom(m+1, 3) / 4 on `symbolic_family(1)`: a fit through m = 2..8
+    that the engine matches at m = 9, 10 and 11, not a derived formula.
+    """
+    return Fraction(-(m ** (m - 1)) * comb(m + 1, 3), 4)
 
 
 def mult_e(payload, n, j):
@@ -133,9 +144,9 @@ def transfer_through_dj(tc, beta=None):
         moved = transfer(payload, phib)
         divisor = scroll_divisor(bd.total_ring, n, j)
         tau_p, d_p = twists(payload, [(tau, None), divisor])
-        out._add_tagged("scroll", n + 1, j + 1, tau_p)
-        out._add_tagged("section", n, j, moved)
-        out._add_tagged("scroll", n, j, transfer(d_p, phib) - twists(moved, [divisor])[0])
+        add_term(out.scroll, (n + 1, j + 1), tau_p)
+        add_term(out.section, (n, j), moved)
+        add_term(out.scroll, (n, j), transfer(d_p, phib) - twists(moved, [divisor])[0])
     return out
 
 
@@ -339,19 +350,19 @@ def gamma_action_per_index_pair(tc):
             tagged = coeff * fam.tagged_weight
             for j in range(1, n):
                 factor = tagged * exact(Fraction(nu_coeff(n, j), mult[n]))
-                out._add_tagged("scroll", n, j, payload.scale(factor))
+                add_term(out.scroll, (n, j), payload.scale(factor))
     out.diag = _finished(diag)
 
     # scrolls: Gamma . F = -((-Gamma) . F)
     for (n, j), payload in tc.scroll.items():
-        out._add_tagged("section", n, j, -payload)
+        add_term(out.section, (n, j), -payload)
 
     # sections: Gamma . (-Gamma)F[P] = -(-Gamma)^2 F[P]
     #         = -(-Gamma)F[(e_j + e_{j+1}) P] + F[e_j e_{j+1} P]
     for (n, j), payload in tc.section.items():
         ej_p, ej1_p = _mult_e_two_step(payload, n, (j, j + 1))
-        out._add_tagged("section", n, j, -(ej_p + ej1_p))
-        out._add_tagged("scroll", n, j, _mult_e_two_step(ej1_p, n, (j,))[0])
+        add_term(out.section, (n, j), -(ej_p + ej1_p))
+        add_term(out.scroll, (n, j), _mult_e_two_step(ej1_p, n, (j,))[0])
     return out
 
 

@@ -534,6 +534,11 @@ MALFORMED_CLASSES = [
     _scroll_class(3, 2, _diag_class(1, [[1, []]]), node="zz"),
     # a payload with a scroll of its own: boundary families have no nodes
     _scroll_class(5, 2, _scroll_class(3, 2, _diag_class(1, [[1, []]]))),
+    # a bad scroll index on a zero payload: the index is checked before the zero is dropped
+    _scroll_class(2, 2, {"m": 0, "diag": [], "scroll": [], "section": []}, j=5),
+    # coefficient symbols in the engine's `#` tag namespace: a node tag, a Chern-number tag
+    _scroll_class(3, 2, _diag_class(1, [[1, []]], coeff=[([["#node.s", 1]], "1")])),
+    _diag_class(1, [[1, []]], coeff=[([["#c1^4", 1]], "2")]),
 ]
 
 

@@ -14,6 +14,12 @@ def test_nodes_need_a_positive_dimensional_base():
     assert FamilyDescriptor(1, nodes=[Node("s", 1)]).node("s").node_id == "s"
 
 
+@pytest.mark.parametrize("dim_b", [1.5, True, -1])
+def test_dim_b_is_an_integer_at_least_zero(dim_b):
+    with pytest.raises(ValueError, match="dim_b must be an integer >= 0, got %r" % dim_b):
+        FamilyDescriptor(dim_b)
+
+
 def test_duplicate_node_ids_are_refused():
     with pytest.raises(ValueError, match="duplicate node id 'p'"):
         FamilyDescriptor(1, nodes=[Node("p", 1), Node("q", 2), Node("p", 3)])

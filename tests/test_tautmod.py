@@ -32,6 +32,7 @@ from reference import (
     drop_zero_classes,
     gamma_action_per_index_pair,
     gamma_power_on_scroll,
+    sigma_coefficient_fit,
     twists_per_block,
     unreduced_gamma_power,
 )
@@ -840,6 +841,21 @@ def test_serialization_roundtrip_psi_payloads():
     assert cls.section  # psi-twisted payloads present at this depth
     data = json.loads(json.dumps(to_data(cls), sort_keys=True))
     assert from_data(big, data) == cls
+
+
+@pytest.mark.parametrize("symbol", ["#node.s", "#c1^4", "#"])
+def test_from_data_refuses_the_tag_namespace(fam, symbol):
+    # `#` starts the engine's own tags: a coefficient that spells one would be split as one
+    term = {"base": [], "blocks": [[1, []]], "coeff": [[[[symbol, 1]], "1"]]}
+    data = {"m": 1, "diag": [term], "scroll": [], "section": []}
+    with pytest.raises(ValueError, match="symbol %s not allowed" % re.escape(repr(symbol))):
+        from_data(fam, data)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_top_degree_sigma_coefficient_matches_the_fit(m):
+    value = integrate(gamma_power(symbolic_family(1), m, m + 1))
+    assert value.terms[(("sigma", 1),)] == sigma_coefficient_fit(m)
 
 
 def test_gamma_action_linearity(fam):
