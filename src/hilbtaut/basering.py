@@ -129,10 +129,6 @@ class BaseClass(LinComb):
     def gen(ring, name):
         return BaseClass(ring, {((name, 1),): 1})
 
-    def _check(self, other):
-        if self.ring is not other.ring:
-            raise ValueError("mixed rings: %s vs %s" % (self.ring.label, other.ring.label))
-
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
             return BaseClass.unit(self.ring, other)

@@ -97,9 +97,6 @@ class CharPoly(LinComb):
         # 1 / int would be a float
         return self.scale(1 / Fraction(scalar))
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def substitute(self, bindings):
         """Replace symbols by CharPoly/Fraction values given in `bindings`."""
         out = CharPoly()
@@ -133,6 +130,11 @@ def from_terms(terms):
     out = object.__new__(CharPoly)
     out.terms = terms
     return out
+
+
+def is_symbol(name):
+    """Whether `name` spells a character symbol: alphanumeric but for `_`, no leading digit."""
+    return name.replace("_", "").isalnum() and not name[0].isdigit()
 
 
 def split_tags(poly, tags):

@@ -19,7 +19,7 @@ from functools import cache
 from math import comb, factorial
 
 from .basering import BaseClass
-from .charpoly import CharPoly, split_tags
+from .charpoly import CharPoly, from_terms, split_tags
 from .family import FamilyDescriptor, checked_curve_base, checked_int
 from .lincomb import mono_str
 from .partitions import enumerate_distributions
@@ -153,7 +153,7 @@ def chern_class_on_hilb(fam: FamilyDescriptor, m) -> TautClass:
     """
     checked_int(m, 1, "flag length")
     one_plus_l = BaseClass.unit(fam.total_ring) + BaseClass.gen(fam.total_ring, "L")
-    cls = TautClass.from_twists(fam, 1, [(1, one_plus_l)])
+    cls = TautClass.from_twists(fam, [(1, one_plus_l)])
     for _ in range(1, m):
         step = transfer(cls, one_plus_l).accumulate(transfer(gamma_action(cls)))
         cls = step.accumulate(gamma_action(transfer(cls)), -1)
@@ -181,7 +181,7 @@ def chern_closed_form(fam: FamilyDescriptor, m) -> TautClass:
         for n in sizes:
             coeff *= Fraction((-1) ** (n - 1), n)
         pairs = [(n, one_plus_l) for n in sizes]
-        total.accumulate(TautClass.from_twists(fam, m, pairs), coeff)
+        total.accumulate(TautClass.from_twists(fam, pairs), coeff)
     return total
 
 
@@ -189,22 +189,16 @@ def chern_closed_form(fam: FamilyDescriptor, m) -> TautClass:
 
 
 @cache
-def _rank3_chern_classes():
-    """c1, c2, c3 of the rank-3 tautological bundle on the 3-step flag; built once."""
+def _rank3():
+    """The tags #name and tagged flag map of `chern_numbers_w3`, and c1 c2 - c3; built once."""
     total = chern_splitting(3)
-    return total.graded_part(1), total.graded_part(2), total.graded_part(3)
-
-
-@cache
-def _rank3_number_terms():
-    """The tags #name and tagged flag polynomial of `chern_numbers_w3`; built once, only read."""
-    c1, c2, c3 = _rank3_chern_classes()
+    c1, c2, c3 = total.graded_part(1), total.graded_part(2), total.graded_part(3)
     polys = {"#c1^4": c1 ** 4, "#c1^2c2": c1 * c1 * c2, "#c1c3": c1 * c3, "#c2^2": c2 * c2}
-    terms = {}
+    terms = {}  # flag monomial -> {tag monomial: coefficient}
     for tag, poly in polys.items():
         for key, c in poly.terms.items():
-            terms.setdefault(key, CharPoly()).accumulate(CharPoly.symbol(tag), c)
-    return tuple(polys), terms
+            terms.setdefault(key, {})[((tag, 1),)] = c
+    return tuple(polys), {key: from_terms(t) for key, t in terms.items()}, c1 * c2 - c3
 
 
 def chern_numbers_w3(fam: FamilyDescriptor):
@@ -215,11 +209,10 @@ def chern_numbers_w3(fam: FamilyDescriptor):
     The four polynomials share most of their flag monomials (66 distinct of
     144), so they go down the tower in one pass: the coefficient of each
     monomial is sum_name c_name * #name, with one tag symbol #name per number
-    that no descriptor can spell, and the one integral is split by tag.  That
-    map is built once per process; Gamma runs max k_i times per rest (`pushdown`).
+    that no descriptor can spell (built once, `_rank3`); the integral splits by tag.
     """
     checked_curve_base(fam, "the degree-4 Chern-number pushdown")
-    tags, terms = _rank3_number_terms()
+    tags, terms, _ = _rank3()
     parts = split_tags(integrate(_push_terms(fam, 3, terms)), tags)
     return {tag[1:]: parts.get(tag, CharPoly()) for tag in tags}
 
@@ -260,8 +253,7 @@ def single_curve_trisecant_scroll(chars=None) -> CharPoly:
     c3(wedge^2 E) = c1 c2 - c3.
     """
     fam = FamilyDescriptor(0, chars=chars or {}, label="X")
-    c1, c2, c3 = _rank3_chern_classes()
-    flag_number = integrate(pushdown(fam, 3, c1 * c2 - c3))
+    flag_number = integrate(pushdown(fam, 3, _rank3()[2]))
     return flag_number / 6
 
 

@@ -22,7 +22,7 @@ from itertools import product
 import click
 
 from .basering import BaseClass, make_total_space_ring
-from .charpoly import CharPoly
+from .charpoly import CharPoly, is_symbol
 from .family import FamilyDescriptor, Node, integral_key, symbolic_family
 from .lincomb import merge_monos, mono_str
 from .oracle import OrderedTensor, ordered_disc, symmetrize
@@ -48,7 +48,7 @@ def _parse_value(text, where):
     value = _rational(text)
     if value is not None:
         return CharPoly.const(value)
-    if text.replace("_", "").isalnum() and not text[0].isdigit():
+    if is_symbol(text):
         return CharPoly.symbol(text)
     raise DescriptorError("%s: cannot parse value %r (rational p/q or symbol)" % (where, text))
 
@@ -182,11 +182,9 @@ def load_descriptor(path) -> FamilyDescriptor:
             raise DescriptorError("%s: node %s needs a weight" % (path, node_id))
         weight = _parse_value(*body["weight"])
         tau = _parse_value(*body["tauL"]) if "tauL" in body else None
-        if dim_b == 1:
-            if tau:  # the node base is a point, where theta^*L is 0
-                value, where = body["tauL"]
-                raise DescriptorError("%s: tauL = %s, but dim_b = 1 fixes it to 0" % (where, value))
-            tau = CharPoly.const(0)
+        if dim_b == 1 and tau:  # the node base is a point, where theta^*L is 0
+            value, where = body["tauL"]
+            raise DescriptorError("%s: tauL = %s, but dim_b = 1 fixes it to 0" % (where, value))
         table = {k: _parse_value(*v) for k, v in body.items() if k.startswith("IT[")}
         try:
             nodes.append(Node(node_id, weight, tau_L=tau, psi_table=table))
@@ -383,7 +381,7 @@ def trisecants_cmd(d, g, b, lomega, omega2, sigma, single_curve, output):
         _emit(chern_mod.single_curve_trisecant_scroll(chars), output)
         return
     weight = CharPoly.symbol("sigma") if sigma is None else sigma
-    fam = FamilyDescriptor(1, chars=chars, nodes=[Node("s", weight, tau_L=0)], label="cli")
+    fam = FamilyDescriptor(1, chars=chars, nodes=[Node("s", weight)], label="cli")
     _emit(chern_mod.trisecant_count(fam), output)
 
 

@@ -35,10 +35,8 @@ class Node:
         self.weight = weight if isinstance(weight, CharPoly) else CharPoly.const(weight)
         if self.weight.is_constant() and self.weight.constant_value() <= 0:
             raise ValueError("node %s has nonpositive weight %s" % (self.node_id, self.weight))
-        # value of theta^*(L) on the boundary base; None means "keep symbolic"
-        if tau_L is not None and not isinstance(tau_L, CharPoly):
-            tau_L = CharPoly.const(tau_L)
-        self.tau_L = tau_L
+        # theta^*(L) on the boundary base; None keeps it symbolic (a point base drops it)
+        self.tau_L = tau_L if tau_L is None or isinstance(tau_L, CharPoly) else CharPoly.const(tau_L)
         # table of boundary-base integrals, keyed by canonical strings
         self.psi_table = dict(psi_table or {})
 
@@ -140,10 +138,7 @@ def checked_curve_base(fam, what):
 
 def symbolic_family(dim_b=1):
     """Fully symbolic descriptor; one generic node of symbolic total weight."""
-    nodes = []
-    if dim_b >= 1:
-        tau = CharPoly.const(0) if dim_b == 1 else None
-        nodes.append(Node("s", CharPoly.symbol("sigma"), tau_L=tau))
+    nodes = [Node("s", CharPoly.symbol("sigma"))] if dim_b >= 1 else []
     return FamilyDescriptor(dim_b, nodes=nodes)
 
 

@@ -40,7 +40,7 @@ from functools import cache
 from math import comb
 
 from .basering import BaseClass
-from .charpoly import CharPoly, from_terms, split_tags
+from .charpoly import CharPoly, from_terms, is_symbol, split_tags
 from .family import FamilyDescriptor, checked_int, fiber_integral, theta_star
 from .lincomb import LinComb, add_term, exact, expand, merge_monos, mono_str
 from .partitions import aut_count
@@ -129,14 +129,14 @@ class TautClass(LinComb):
         return out
 
     @staticmethod
-    def from_twists(fam, m, pairs, base=None):
+    def from_twists(fam, pairs, base=None):
         """Diagonal class with per-block BaseClass twists, expanded multilinearly.
 
-        `pairs` is a list of (block size, BaseClass) entries; `base` an
-        optional BaseClass of pulled-back symbols multiplying the whole term.
+        `pairs` lists (block size, BaseClass) entries, whose sizes sum to the
+        degree; `base` is an optional BaseClass of pulled-back factors.
         """
         ring = fam.total_ring
-        out = TautClass(fam, m)
+        out = TautClass(fam, sum(n for n, _ in pairs))
         factors = [twist for _, twist in pairs] + ([] if base is None else [base])
         for monos, c in expand(factors):
             base_mono = () if base is None else monos[-1]
@@ -229,33 +229,47 @@ def from_data(fam: FamilyDescriptor, data) -> TautClass:
 
     Raises ValueError on anything `to_data` does not write.
     """
-    tc = TautClass(fam, checked_int(data["m"], 0, "m"))
+    m, diag, scroll, section = _fields(data, "class", ("m",) + TautClass._sectors)
+    for name, terms in zip(TautClass._sectors, (diag, scroll, section)):
+        if type(terms) is not list:
+            raise ValueError("sector %s is a %s, not a list" % (name, type(terms).__name__))
+    tc = TautClass(fam, checked_int(m, 0, "m"))
     ring = tc.ring
-    for term in data["diag"]:
-        base = _mono_from_data(term["base"], ring.base)
+    for term in diag:
+        base_data, blocks_data, coeff = _fields(term, "diagonal term", ("base", "blocks", "coeff"))
+        base = _mono_from_data(base_data, ring.base)
         blocks = []
-        for n, twist_data in term["blocks"]:
+        for n, twist_data in blocks_data:
             mono = _mono_from_data(twist_data, ring.symbols - ring.base)
             if ring.normalize_monomial(mono) != (1, mono):
                 raise ValueError("twist %s is not canonical in %s" % (mono_str(mono), ring.label))
             blocks.append((checked_int(n, 1, "block size"), mono))
-        tc.add_diag(base, blocks, _coeff_from_data(term["coeff"]))
-    for sector in ("scroll", "section"):
-        for term in data[sector]:
-            n = checked_int(term["n"], 2, "scroll size n")
-            payload = from_data(fam.boundary_family(), term["payload"])
+        tc.add_diag(base, blocks, _coeff_from_data(coeff))
+    for sector, terms in (("scroll", scroll), ("section", section)):
+        for term in terms:
+            node_id, n, j, payload = _fields(term, "node term", ("node", "n", "j", "payload"))
+            n = checked_int(n, 2, "scroll size n")
+            payload = from_data(fam.boundary_family(), payload)
             if payload.m != tc.m - n:
                 raise ValueError("payload of degree %d on F^{%d,%d}" % (payload.m, n, tc.m))
-            j = checked_int(term["j"], 1, "scroll index j")
-            tc.add_node(sector, term["node"], n, j, payload)
+            tc.add_node(sector, node_id, n, checked_int(j, 1, "scroll index j"), payload)
     return tc
 
 
+def _fields(data, what, keys):
+    """The values at `keys` of the `what` object `data`, which holds no other key."""
+    if type(data) is not dict:
+        raise ValueError("%s is a %s, not an object" % (what, type(data).__name__))
+    for key in sorted(set(data) ^ set(keys), key=str):
+        raise ValueError("%s has %s key %r" % (what, "no" if key in keys else "the unknown", key))
+    return [data[key] for key in keys]
+
+
 def _mono_from_data(data, symbols=None):
-    """A monomial [[name, exponent], ...]: names sorted, distinct, in `symbols`, no `#` tag."""
+    """A monomial [[name, exponent], ...]: names sorted, distinct, `is_symbol`, in `symbols`."""
     mono = tuple((name, checked_int(p, 1, "exponent")) for name, p in data)
     for name, _ in mono:
-        if not isinstance(name, str) or name[:1] == "#" or not (symbols is None or name in symbols):
+        if not (isinstance(name, str) and is_symbol(name) and (symbols is None or name in symbols)):
             raise ValueError("symbol %r not allowed in %r" % (name, data))
     if mono != tuple(sorted(dict(mono).items())):
         raise ValueError("monomial %r is not canonical" % (data,))
@@ -325,7 +339,7 @@ def gamma_action(tc: TautClass) -> TautClass:
             # the other blocks pulled back, the whole term twisted by tau
             pairs = [(nb, phi_star(bd.total_ring, mb)) for nb, mb in blocks[:i] + blocks[i + 1 :]]
             base = BaseClass(bd.total_ring, {merge_monos(tau, base_mono): 1})
-            payload = TautClass.from_twists(bd, m - n, pairs, base=base)
+            payload = TautClass.from_twists(bd, pairs, base=base)
             if not payload:
                 continue
             tagged = coeff * fam.tagged_weight

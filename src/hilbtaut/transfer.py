@@ -140,9 +140,7 @@ def punctual_chern(fam: FamilyDescriptor, m: int) -> PunctualClass:
     scroll, section = {}, {}
     for node in fam.nodes:
         # tau = theta^*(1 + L): tauL, unless the node fixes it to zero
-        tau = BaseClass.unit(tring)
-        if node.tau_L is None or node.tau_L:
-            tau = tau + BaseClass.gen(tring, "tauL")
+        tau = BaseClass.unit(tring) + (BaseClass.gen(tring, "tauL") if node.tau_L != 0 else 0)
         scroll[node.node_id], section[node.node_id] = _node_parts(tring, m, tau)
     return PunctualClass(m, interior, scroll, section)
 

@@ -272,7 +272,7 @@ def pushdown_per_twist(fam, m, terms):
         powers = dict(key)
         a = [powers.pop("L%d" % i, 0) for i in range(1, m + 1)]
         k = [powers.pop("G%d" % i, 0) for i in range(2, m + 1)]
-        seed = TautClass.from_twists(fam, 1, [(1, ell ** a[0])]).scale(c)
+        seed = TautClass.from_twists(fam, [(1, ell ** a[0])]).scale(c)
         suffix = tuple(zip(a[1:], k))
         groups.setdefault(suffix, TautClass(fam, 1)).accumulate(seed)
     for i in range(2, m + 1):
@@ -344,7 +344,7 @@ def gamma_action_per_index_pair(tc):
             # the other blocks pulled back, the whole term twisted by tau
             pairs = [(nb, phi_star(bd.total_ring, mb)) for nb, mb in blocks[:i] + blocks[i + 1 :]]
             base = BaseClass(bd.total_ring, {merge_monos(tau, base_mono): 1})
-            payload = TautClass.from_twists(bd, m - n, pairs, base=base)
+            payload = TautClass.from_twists(bd, pairs, base=base)
             if not payload:
                 continue
             tagged = coeff * fam.tagged_weight
@@ -397,7 +397,7 @@ def twists_per_block(tc, divisors, gamma_shares=()):
             pairs = [(n, BaseClass(ring, {mono: 1})) for n, mono in blocks]
             for i, (n, twist) in enumerate(pairs):
                 normed = pairs[:i] + [(n, twist * norm)] + pairs[i + 1 :]
-                cls.accumulate(TautClass.from_twists(fam, m, normed, base=base), coeff * n)
+                cls.accumulate(TautClass.from_twists(fam, normed, base=base), coeff * n)
         if d < len(gamma_shares) and gamma_shares[d]:
             cls.accumulate(gamma_action(tc), gamma_shares[d])
         out.append(cls)

@@ -226,7 +226,7 @@ def test_section_transfer_forms_agree_twisted_payload():
     theta = BaseClass.gen(bring, "theta_x")
     ell = BaseClass.gen(bring, "L")
     for twist in (theta, ell, theta + ell):
-        payload = TautClass.from_twists(bd, 1, [(1, twist)])
+        payload = TautClass.from_twists(bd, [(1, twist)])
         for beta_name in ("L", None):
             beta = BaseClass.gen(ring, "L") if beta_name else None
             src = TautClass(fam, 3)

@@ -221,7 +221,7 @@ def test_families_of_one_dimension_share_their_rings():
 
 
 def test_mixed_rings_error(xring, bring):
-    with pytest.raises(ValueError, match="mixed rings"):
+    with pytest.raises(ValueError, match="mixed BaseClass spaces: ring"):
         BaseClass.gen(xring, "L") * BaseClass.gen(bring, "L")
 
 

@@ -176,7 +176,7 @@ def per_monomial_pushdown(fam, m, expr):
     total = TautClass(fam, m)
     for key, c in expr.terms.items():
         powers = dict(key)
-        cls = TautClass.from_twists(fam, 1, [(1, ell ** powers.get("L1", 0))])
+        cls = TautClass.from_twists(fam, [(1, ell ** powers.get("L1", 0))])
         for i in range(2, m + 1):
             cls = transfer(cls, ell ** powers.get("L%d" % i, 0))
             for _ in range(powers.get("G%d" % i, 0)):
@@ -678,7 +678,7 @@ def test_pushforward_to_base_refuses_what_it_has_no_symbol_for():
         pushforward_to_base(TautClass(symbolic_family(1), 3))
     # a kappa symbol pushes forward L and omega; over a point base a twist may hold pt
     point = symbolic_family(0)
-    cls = TautClass.from_twists(point, 2, [(2, BaseClass.gen(point.total_ring, "pt"))])
+    cls = TautClass.from_twists(point, [(2, BaseClass.gen(point.total_ring, "pt"))])
     with pytest.raises(NotImplementedError, match="kappa pushforward of"):
         pushforward_to_base(cls)
 

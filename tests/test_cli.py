@@ -61,8 +61,8 @@ def test_load_one_node(tmp_path):
     assert fam.sigma() == CharPoly.const(1)
     assert fam.char("b") == CharPoly.const("3/2")
     assert fam.char("omega2") == CharPoly.symbol("omega2")
-    # over a curve base the node section pulls the bundle back to zero
-    assert fam.node("s").tau_L == CharPoly.const(0)
+    # over a curve base the point node base drops theta^*L: the loader binds nothing
+    assert fam.node("s").tau_L is None
 
 
 def test_load_rejects_negative_weight(tmp_path):
@@ -539,7 +539,33 @@ MALFORMED_CLASSES = [
     # coefficient symbols in the engine's `#` tag namespace: a node tag, a Chern-number tag
     _scroll_class(3, 2, _diag_class(1, [[1, []]], coeff=[([["#node.s", 1]], "1")])),
     _diag_class(1, [[1, []]], coeff=[([["#c1^4", 1]], "2")]),
+    # coefficient symbols no descriptor can spell; the empty name would print as a constant
+    *(_diag_class(1, [[1, []]], coeff=[([[name, 1]], "1")]) for name in ("", "a b", "_", "1x")),
+    # sectors that are not lists, and keys `to_data` never writes
+    {"m": 1, "diag": {}, "scroll": [], "section": []},
+    {"m": 1, "diag": "", "scroll": [], "section": []},
+    {"m": 3, "diag": [], "scroll": {}, "section": []},
+    {"m": 1, "diag": [], "scroll": [], "section": [], "extra": []},
+    {"m": 1, "diag": [{"base": [], "blocks": [[1, []]], "coeff": [[[], "1"]], "extra": 1}],
+     "scroll": [], "section": []},
+    {"m": 3, "diag": [], "section": [],
+     "scroll": [{"node": "s", "n": 2, "j": 1, "payload": _diag_class(1, [[1, []]]), "extra": 1}]},
 ]
+
+
+@pytest.mark.parametrize("name", ["", "a b", "_", "1x", "#c1", "c1^4", "x_1", "_a", "a_", "sigma"])
+def test_class_json_takes_the_symbol_names_a_descriptor_takes(name):
+    try:
+        cli._parse_value(name, "here")
+        spelled = True
+    except DescriptorError:
+        spelled = False
+    try:
+        from_data(symbolic_family(1), _diag_class(1, [[1, []]], coeff=[([[name, 1]], "1")]))
+        read = True
+    except ValueError:
+        read = False
+    assert spelled == read == (name in ("x_1", "_a", "a_", "sigma"))
 
 
 # a valid value for each required option, so that only the probed option is bad

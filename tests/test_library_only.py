@@ -29,7 +29,6 @@ ALLOWED = {
         for cls in ("basering.Ring", "basering.BaseClass", "charpoly.CharPoly", "family.Node",
                     "family.FamilyDescriptor", "tautmod.TautClass", "tensym.TensorClass")
     },
-    "charpoly.CharPoly.__hash__": "keeps a polynomial usable as a dict key or set member",
     "cli.run": "the console-script entry point; the test calls `main` itself",
     "chern.trisecant_grand_total": "closed form the trisecant count is checked against",
     "chern.single_curve_trisecant_formula": "closed form the trisecant scroll is checked against",

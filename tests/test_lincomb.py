@@ -156,7 +156,7 @@ def test_each_value_prints_its_type_and_terms():
     assert repr(one + L * 2) == "BaseClass<X/B(dim 1)>(1 + 2*L)"
     assert repr(FAM.nodes[0]) == "Node(s, weight=sigma)"
     assert repr(TautClass(FAM, 2)) == "TautClass(m=2: 0)"
-    assert repr(TautClass.from_twists(FAM, 2, [(1, L), (1, one)])) == (
+    assert repr(TautClass.from_twists(FAM, [(1, L), (1, one)])) == (
         "TautClass(m=2: (1)*Gamma_(1,1)[1, L])"
     )
     assert repr(TensorClass(ring)) == "TensorClass(0)"

@@ -217,7 +217,7 @@ def test_node_free_random_twisted_powers():
     for _ in range(30):
         m = rng.randint(2, 4)
         classes = _random_classes(rng, r, m)
-        start = TautClass.from_twists(nofam, m, [(1, c) for c in classes])
+        start = TautClass.from_twists(nofam, [(1, c) for c in classes])
         ts = TensorClass(r, phi(start))
         taut, form = start, ts
         for _ in range(rng.randint(1, 3)):

@@ -52,7 +52,7 @@ def test_weight_degree_blocks_identity():
     fam = FamilyDescriptor(1)
     for mu in distributions_up_to(6):
         one = BaseClass.unit(fam.total_ring)
-        cls = TautClass.from_twists(fam, sum(mu), [(n, one) for n in mu])
+        cls = TautClass.from_twists(fam, [(n, one) for n in mu])
         assert codim_parts(cls) == {sum(mu) - len(mu)}, mu
 
 

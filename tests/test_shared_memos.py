@@ -2,9 +2,9 @@
 
 Rings are interned per shape and dimension, and the monomial products, key
 splits, pullbacks and scroll divisors are memoized per ring: a family reads
-what another family left there.  The rank-3 Chern polynomials and the tagged
-flag polynomial of the Chern numbers are built once per process for every
-family.  Results computed from empty caches must equal those computed after
+what another family left there.  The rank-3 memo, holding the tagged flag
+polynomial of the Chern numbers and c1 c2 - c3, is built once per process
+for every family.  Results computed from empty caches must equal those computed after
 a family with other characters and other nodes has filled them.
 """
 
@@ -72,7 +72,7 @@ def test_memos_warmed_by_another_family_give_the_same_results(dim_b):
     assert all(memo.cache_info().hits > h for memo, h in zip(MEMOS, hits))
 
 
-RANK3_MEMOS = [chern._rank3_chern_classes, chern._rank3_number_terms]
+RANK3_MEMOS = [chern._rank3]
 
 
 def rank3_outputs(fam):

@@ -382,10 +382,10 @@ def test_norm_mult_section_self_intersection():
     theta = BaseClass.gen(bd.total_ring, "theta_x")
     psi = BaseClass.gen(bd.total_ring, "psi_x")
     once = twists(fund, [(None, theta)])[0]
-    assert once == TautClass.from_twists(bd, 2, [(1, theta), (1, one)]).scale(2)
+    assert once == TautClass.from_twists(bd, [(1, theta), (1, one)]).scale(2)
     twice = twists(once, [(None, theta)])[0]
-    expected = TautClass.from_twists(bd, 2, [(1, theta), (1, one)], base=psi).scale(-2)
-    expected.accumulate(TautClass.from_twists(bd, 2, [(1, theta), (1, theta)]), 2)
+    expected = TautClass.from_twists(bd, [(1, theta), (1, one)], base=psi).scale(-2)
+    expected.accumulate(TautClass.from_twists(bd, [(1, theta), (1, theta)]), 2)
     assert twice == expected
     assert ((("psi_x", 1),), ((1, ()), (1, (("theta_x", 1),)))) in twice.diag
 
@@ -396,7 +396,7 @@ def test_norm_mult_sections_are_disjoint():
     theta_x = BaseClass.gen(bd.total_ring, "theta_x")
     theta_y = BaseClass.gen(bd.total_ring, "theta_y")
     out = twists(twists(fund, [(None, theta_x)])[0], [(None, theta_y)])[0]
-    assert out == TautClass.from_twists(bd, 2, [(1, theta_x), (1, theta_y)]).scale(2)
+    assert out == TautClass.from_twists(bd, [(1, theta_x), (1, theta_y)]).scale(2)
 
 
 def test_scroll_bundle_divisor_coefficients(fam):
@@ -426,7 +426,7 @@ def test_twist_degree_two_pullback_lands_in_the_base_monomial():
     bd = FamilyDescriptor(3, nodes=[Node("s", 1)]).boundary_family()
     ring = bd.total_ring
     theta = BaseClass.gen(ring, "theta_x")
-    payload = TautClass.from_twists(bd, 2, [(1, theta), (1, BaseClass.unit(ring))]).scale(3)
+    payload = TautClass.from_twists(bd, [(1, theta), (1, BaseClass.unit(ring))]).scale(3)
     psi_tau = BaseClass(ring, {(("psi_x", 1), ("tauL", 1)): Fraction(1, 2)})
     out = twists(payload, [(psi_tau, None)])[0]
     key = ((("psi_x", 1), ("tauL", 1)), ((1, ()), (1, (("theta_x", 1),))))
@@ -559,7 +559,7 @@ def build_payload(fam, m, terms):
         coeff = CharPoly.const(c0) + CharPoly.symbol("a") * ca
         pairs = [(n, BaseClass(ring, {names_mono(names): 1})) for n, names in blocks]
         base = BaseClass(ring, {names_mono(base): 1})
-        out.accumulate(TautClass.from_twists(fam, m, pairs, base=base), coeff)
+        out.accumulate(TautClass.from_twists(fam, pairs, base=base), coeff)
     return out
 
 
@@ -852,6 +852,35 @@ def test_from_data_refuses_the_tag_namespace(fam, symbol):
         from_data(fam, data)
 
 
+EMPTY = {"m": 0, "diag": [], "scroll": [], "section": []}
+ONE_TERM = {"base": [], "blocks": [[1, []]], "coeff": [[[], "1"]]}
+NODE_TERM = {"node": "s", "n": 2, "j": 1, "payload": {**EMPTY, "m": 1, "diag": [ONE_TERM]}}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], "class is a list, not an object"),
+        ({"m": 1, "diag": [], "scroll": []}, "class has no key 'section'"),
+        ({**EMPTY, "extra": 0}, "class has the unknown key 'extra'"),
+        ({**EMPTY, "section": {}}, "sector section is a dict, not a list"),
+        ({**EMPTY, "m": 1, "diag": [{**ONE_TERM, "extra": 0}]}, "diagonal term has the unknown key"),
+        ({**EMPTY, "m": 1, "diag": [{"base": [], "blocks": []}]}, "diagonal term has no key 'coeff'"),
+        ({**EMPTY, "m": 3, "scroll": [{**NODE_TERM, "extra": 0}]}, "node term has the unknown key"),
+        ({**EMPTY, "m": 3, "section": ["term"]}, "node term is a str, not an object"),
+    ],
+)
+def test_from_data_names_a_key_or_sector_to_data_never_writes(fam, data, message):
+    assert from_data(fam, {**EMPTY, "m": 3, "scroll": [NODE_TERM]}).scroll
+    with pytest.raises(ValueError, match=re.escape(message)):
+        from_data(fam, data)
+
+
+def test_from_twists_of_no_blocks_is_the_degree_0_class(fam):
+    cls = TautClass.from_twists(fam, [])
+    assert cls.m == 0 and cls == TautClass.fundamental(fam, 0)
+
+
 @pytest.mark.parametrize("m", range(2, 9))
 def test_top_degree_sigma_coefficient_matches_the_fit(m):
     value = integrate(gamma_power(symbolic_family(1), m, m + 1))
@@ -862,8 +891,8 @@ def test_gamma_action_linearity(fam):
     ring = fam.total_ring
     L = BaseClass.gen(ring, "L")
     w = BaseClass.gen(ring, "omega")
-    a = TautClass.from_twists(fam, 3, [(2, L), (1, w)])
-    b = TautClass.from_twists(fam, 3, [(1, L), (1, L), (1, w)])
+    a = TautClass.from_twists(fam, [(2, L), (1, w)])
+    b = TautClass.from_twists(fam, [(1, L), (1, L), (1, w)])
     combo = a.scale(Fraction(2, 7)) + b.scale(-3)
     lhs = gamma_action(combo)
     rhs = gamma_action(a).scale(Fraction(2, 7)) + gamma_action(b).scale(-3)
@@ -873,7 +902,7 @@ def test_gamma_action_linearity(fam):
 def test_gamma_action_preserves_weight_and_raises_codim(fam):
     ring = fam.total_ring
     cls = TautClass.from_twists(
-        fam, 4, [(2, BaseClass.gen(ring, "L")), (1, BaseClass.unit(ring)), (1, BaseClass.unit(ring))]
+        fam, [(2, BaseClass.gen(ring, "L")), (1, BaseClass.unit(ring)), (1, BaseClass.unit(ring))]
     )
     out = gamma_action(cls)
     assert out.m == cls.m
