@@ -84,6 +84,7 @@ PLAIN_COMMANDS = [
     ["trisecants", "--d", "6", "--g", "0", "--b", "0", "--lomega", "0", "--omega2", "0",
      "--sigma", "1"],
     ["trisecants", "--single-curve", "--d", "5", "--g", "1"],
+    ["trisecants", "--single-curve", "--d", "7", "--g", "3"],
     ["oracle-check", "--cases", "5", "--seed", "3"],
     # on the default family; components 10 and 11 pin the numeric order of the JSON keys
     ["punctual-chern", "--m", "12"],
@@ -109,11 +110,14 @@ TWO_NODE_COMMANDS = [
     ["transfer", "--class-json", TWO_NODE_CLASS, "--beta", "L", "--output", "text"],
     ["transfer", "--class-json", TWO_NODE_CLASS, "--beta", "L", "--output", "json"],
 ]
-# six nodes over a curve base: the node order a-f in the JSON and the text
+# six nodes over a curve base: the node order a-f in the JSON and the text, and
+# the 70-monomial formulary with six node weights
 SIX_NODE_COMMANDS = [
     ["gamma-power", "--m", "3", "--k", "3", "--output", "json"],
     ["chern", "--m", "3", "--output", "text"],
     ["chern", "--m", "3", "--output", "json"],
+    ["formulary", "--output", "text"],
+    ["formulary", "--output", "json"],
 ]
 INVOCATIONS = [
     argv + descriptor + ["--output", output]
