@@ -105,8 +105,7 @@ class Ring:
 class BaseClass(LinComb):
     """Finite Q-linear combination of canonical monomials of one ring.
 
-    Mixed degrees are allowed (total Chern classes); graded pieces are
-    extracted with `graded_part`.
+    Mixed degrees are allowed (total Chern classes).
     """
 
     __slots__ = ("ring", "terms")

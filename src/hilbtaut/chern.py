@@ -56,16 +56,13 @@ def pushdown(fam: FamilyDescriptor, m, expr: CharPoly) -> TautClass:
     k from the highest k_i down to 0: Gamma runs max k_i times per rest.
     """
     checked_int(m, 1, "flag length")
-    return _push_terms(fam, m, expr.terms)
+    return _push_groups(fam, m, _read_flag(m, expr.terms))
 
 
-def _push_terms(fam: FamilyDescriptor, m, terms) -> TautClass:
-    """`pushdown` of the flag polynomial {flag monomial: coefficient}.
-
-    A coefficient may be a scalar or a CharPoly: it rides along the stages.
+def _read_flag(m, terms):
+    """The stage groups {((a_2, k_2), ..., (a_m, k_m)): [(a_1, coefficient), ...]}
+    of the flag polynomial {flag monomial: coefficient}; no family enters them.
     """
-    ring = fam.total_ring
-    ell_power = cache(BaseClass.gen(ring, "L").__pow__)  # L^a, built once per exponent
     groups = {}
     for key, c in terms.items():
         powers = dict(key)
@@ -81,18 +78,29 @@ def _push_terms(fam: FamilyDescriptor, m, terms) -> TautClass:
             raise ValueError(
                 "flag monomial %s has symbols outside L1..L%d, G2..G%d" % (mono_str(key), m, m)
             )
-        group = groups.setdefault(tuple(zip(a[1:], k)), TautClass(fam, 1))
-        for mono, e in ell_power(a[0]).terms.items():
-            base_mono, fiber = ring.split((), mono)
-            group.add_diag(base_mono, ((1, fiber),), c * e)
+        groups.setdefault(tuple(zip(a[1:], k)), []).append((a[0], c))
+    return groups
+
+
+def _push_groups(fam: FamilyDescriptor, m, groups) -> TautClass:
+    """`pushdown` of `_read_flag`'s groups; a coefficient may be a scalar or a CharPoly."""
+    ring = fam.total_ring
+    ell_power = cache(BaseClass.gen(ring, "L").__pow__)  # L^a, built once per exponent
+    classes = {}
+    for rest, seeds in groups.items():
+        cls = classes[rest] = TautClass(fam, 1)
+        for a, c in seeds:
+            for mono, e in ell_power(a).terms.items():
+                base_mono, fiber = ring.split((), mono)
+                cls.add_diag(base_mono, ((1, fiber),), c * e)
     for i in range(2, m + 1):
         by_rest = {}  # rest -> {k_i: sum over a_i of transfer(class, L^(a_i))}
-        for ((a, k), *rest), cls in groups.items():
+        for ((a, k), *rest), cls in classes.items():
             if cls:
                 moved = transfer(cls, ell_power(a))
                 sums = by_rest.setdefault(tuple(rest), {})
                 sums[k] = sums[k].accumulate(moved) if k in sums else moved
-        groups = {}
+        classes = {}
         for rest, sums in by_rest.items():
             acc = TautClass(fam, i)
             ks = sorted(sums, reverse=True)
@@ -102,8 +110,8 @@ def _push_terms(fam: FamilyDescriptor, m, terms) -> TautClass:
                     if not acc:
                         break
                     acc = gamma_action(acc)
-            groups[rest] = acc
-    return groups.get((), TautClass(fam, m))
+            classes[rest] = acc
+    return classes.get((), TautClass(fam, m))
 
 
 def push_monomial(fam: FamilyDescriptor, m, key) -> TautClass:
@@ -131,23 +139,11 @@ def w3_monomial(fam: FamilyDescriptor, exponents) -> CharPoly:
 # -- Chern classes of tautological bundles ------------------------------------------
 
 
-def chern_splitting(m) -> CharPoly:
-    """Total Chern class of the rank-m tautological bundle of a line bundle.
-
-    The pullback to the full flag factors as the product over stages of
-    (1 + L_i - G_i + G_{i-1}).  Only the rank-3 Chern numbers expand it;
-    `chern_class_on_hilb` pushes it down one factor per stage.
-    """
-    out = CharPoly.const(1)
-    for i in range(1, m + 1):
-        out = out * (CharPoly.const(1) + flag_L(i) - flag_G(i) + flag_G(i - 1))
-    return out
-
-
 def chern_class_on_hilb(fam: FamilyDescriptor, m) -> TautClass:
     """Total Chern class of the tautological bundle on the Hilbert scheme.
 
-    `chern_splitting(m)` pushed down one factor per stage: C_m / m! with
+    Its pullback to the full flag is the product over stages of
+    (1 + L_i - G_i + G_(i-1)), pushed down one factor per stage: C_m / m! with
     C_1 = 1 + L and C_(i+1) = transfer(C_i, 1 + L) + transfer(Gamma C_i)
     - Gamma transfer(C_i) (docs/CONVENTIONS.md, "Flag polynomials").
     """
@@ -190,15 +186,19 @@ def chern_closed_form(fam: FamilyDescriptor, m) -> TautClass:
 
 @cache
 def _rank3():
-    """The tags #name and tagged flag map of `chern_numbers_w3`, and c1 c2 - c3; built once."""
-    total = chern_splitting(3)
-    c1, c2, c3 = total.graded_part(1), total.graded_part(2), total.graded_part(3)
+    """The tags #name and the stage groups of the tagged flag map and of c1 c2 - c3.
+
+    c_k is e_k of the stage factors x_i = L_i - G_i + G_(i-1), the flag's Chern roots.
+    """
+    x1, x2, x3 = (flag_L(i) - flag_G(i) + flag_G(i - 1) for i in (1, 2, 3))
+    c1, c2, c3 = x1 + x2 + x3, x1 * x2 + (x1 + x2) * x3, x1 * x2 * x3
     polys = {"#c1^4": c1 ** 4, "#c1^2c2": c1 * c1 * c2, "#c1c3": c1 * c3, "#c2^2": c2 * c2}
     terms = {}  # flag monomial -> {tag monomial: coefficient}
     for tag, poly in polys.items():
         for key, c in poly.terms.items():
             terms.setdefault(key, {})[((tag, 1),)] = c
-    return tuple(polys), {key: from_terms(t) for key, t in terms.items()}, c1 * c2 - c3
+    tagged = {key: from_terms(t) for key, t in terms.items()}
+    return tuple(polys), _read_flag(3, tagged), _read_flag(3, (c1 * c2 - c3).terms)
 
 
 def chern_numbers_w3(fam: FamilyDescriptor):
@@ -212,8 +212,8 @@ def chern_numbers_w3(fam: FamilyDescriptor):
     that no descriptor can spell (built once, `_rank3`); the integral splits by tag.
     """
     checked_curve_base(fam, "the degree-4 Chern-number pushdown")
-    tags, terms, _ = _rank3()
-    parts = split_tags(integrate(_push_terms(fam, 3, terms)), tags)
+    tags, groups, _ = _rank3()
+    parts = split_tags(integrate(_push_groups(fam, 3, groups)), tags)
     return {tag[1:]: parts.get(tag, CharPoly()) for tag in tags}
 
 
@@ -253,8 +253,7 @@ def single_curve_trisecant_scroll(chars=None) -> CharPoly:
     c3(wedge^2 E) = c1 c2 - c3.
     """
     fam = FamilyDescriptor(0, chars=chars or {}, label="X")
-    flag_number = integrate(pushdown(fam, 3, _rank3()[2]))
-    return flag_number / 6
+    return integrate(_push_groups(fam, 3, _rank3()[2])) / 6
 
 
 def single_curve_trisecant_formula(chars=None) -> CharPoly:

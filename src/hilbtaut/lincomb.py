@@ -171,10 +171,6 @@ class LinComb:
             out = out * self
         return out
 
-    def graded_part(self, d):
-        """The terms whose monomial has total degree `d`."""
-        return self._like({k: c for k, c in self.terms.items() if sum(p for _, p in k) == d})
-
 
 def expand(factors):
     """The terms of a product of combinations, multiplied out: (keys, coefficient).

@@ -182,12 +182,13 @@ def _runs(blocks):
 
 def _coeff_data(c: CharPoly):
     return sorted(
-        ([[name, p] for name, p in mono], str(value)) for mono, value in c.terms.items()
+        [[[name, p] for name, p in mono], str(value)] for mono, value in c.terms.items()
     )
 
 
 def _coeff_from_data(data):
-    terms = {_mono_from_data(mono): _rational_from_data(value) for mono, value in data}
+    pairs = [_listed(pair, "coefficient pair") for pair in _listed(data, "coefficient")]
+    terms = {_mono_from_data(mono): _rational_from_data(value) for mono, value in pairs}
     if not terms:
         raise ValueError("empty coefficient")
     if len(terms) != len(data):
@@ -230,23 +231,20 @@ def from_data(fam: FamilyDescriptor, data) -> TautClass:
     Raises ValueError on anything `to_data` does not write.
     """
     m, diag, scroll, section = _fields(data, "class", ("m",) + TautClass._sectors)
-    for name, terms in zip(TautClass._sectors, (diag, scroll, section)):
-        if type(terms) is not list:
-            raise ValueError("sector %s is a %s, not a list" % (name, type(terms).__name__))
     tc = TautClass(fam, checked_int(m, 0, "m"))
     ring = tc.ring
-    for term in diag:
+    for term in _listed(diag, "sector diag"):
         base_data, blocks_data, coeff = _fields(term, "diagonal term", ("base", "blocks", "coeff"))
         base = _mono_from_data(base_data, ring.base)
         blocks = []
-        for n, twist_data in blocks_data:
+        for n, twist_data in _listed(blocks_data, "block list"):
             mono = _mono_from_data(twist_data, ring.symbols - ring.base)
             if ring.normalize_monomial(mono) != (1, mono):
                 raise ValueError("twist %s is not canonical in %s" % (mono_str(mono), ring.label))
             blocks.append((checked_int(n, 1, "block size"), mono))
         tc.add_diag(base, blocks, _coeff_from_data(coeff))
     for sector, terms in (("scroll", scroll), ("section", section)):
-        for term in terms:
+        for term in _listed(terms, "sector " + sector):
             node_id, n, j, payload = _fields(term, "node term", ("node", "n", "j", "payload"))
             n = checked_int(n, 2, "scroll size n")
             payload = from_data(fam.boundary_family(), payload)
@@ -265,9 +263,16 @@ def _fields(data, what, keys):
     return [data[key] for key in keys]
 
 
+def _listed(data, what):
+    """`data` if it is a list; else a ValueError naming `what`."""
+    if type(data) is not list:
+        raise ValueError("%s is a %s, not a list" % (what, type(data).__name__))
+    return data
+
+
 def _mono_from_data(data, symbols=None):
     """A monomial [[name, exponent], ...]: names sorted, distinct, `is_symbol`, in `symbols`."""
-    mono = tuple((name, checked_int(p, 1, "exponent")) for name, p in data)
+    mono = tuple((name, checked_int(p, 1, "exponent")) for name, p in _listed(data, "monomial"))
     for name, _ in mono:
         if not (isinstance(name, str) and is_symbol(name) and (symbols is None or name in symbols)):
             raise ValueError("symbol %r not allowed in %r" % (name, data))

@@ -6,7 +6,8 @@ fiber product, the integrated steps of the second-Segre contact recursion, the
 discriminant powers on a scroll through the polarized rank-2 structure, the
 transfer of a node section resolved through D^n_j, the interior omega part of
 the formal discriminant, the distributions up to a weight and the labelled
-block partitions of one, the per-pair union of the ordered model, and the four
+block partitions of one, the per-pair union of the ordered model, the total
+Chern class on the full flag multiplied out and its graded parts, the four
 rank-3 Chern numbers with every flag monomial pushed down on its own, the
 discriminant powers by plain iteration with their zero classes dropped
 afterwards, the discriminant action uniting every index pair of blocks
@@ -24,7 +25,7 @@ from math import comb
 
 from hilbtaut.basering import BaseClass
 from hilbtaut.charpoly import CharPoly
-from hilbtaut.chern import chern_splitting, push_monomial
+from hilbtaut.chern import flag_G, flag_L, push_monomial
 from hilbtaut.family import fiber_integral, theta_star
 from hilbtaut.lincomb import add_term, exact, expand, merge_monos
 from hilbtaut.oracle import OrderedTensor
@@ -243,9 +244,26 @@ def accumulate(t, other, factor=1):
     return t
 
 
+def chern_splitting(m):
+    """The total Chern class of the rank-m tautological bundle on the full flag, multiplied out.
+
+    The product over stages of (1 + L_i - G_i + G_(i-1)); the engine pushes it
+    down one factor per stage and never expands it.
+    """
+    out = CharPoly.const(1)
+    for i in range(1, m + 1):
+        out = out * (CharPoly.const(1) + flag_L(i) - flag_G(i) + flag_G(i - 1))
+    return out
+
+
+def graded_part(poly, d):
+    """The terms of a CharPoly or BaseClass whose monomial has total degree `d`."""
+    return poly._like({k: c for k, c in poly.terms.items() if sum(p for _, p in k) == d})
+
+
 def chern_numbers_per_monomial(fam):
     """`chern_numbers_w3` with each distinct flag monomial pushed down and integrated once."""
-    c1, c2, c3 = (chern_splitting(3).graded_part(k) for k in (1, 2, 3))
+    c1, c2, c3 = (graded_part(chern_splitting(3), k) for k in (1, 2, 3))
     polys = {"c1^4": c1 ** 4, "c1^2c2": c1 * c1 * c2, "c1c3": c1 * c3, "c2^2": c2 * c2}
     values = {}
     out = {}

@@ -15,11 +15,12 @@ from hilbtaut.charpoly import CharPoly
 from hilbtaut.cli import load_descriptor
 from hilbtaut.family import FamilyDescriptor, Node, symbolic_family
 from hilbtaut.chern import (
-    _push_terms,
+    _push_groups,
+    _rank3,
+    _read_flag,
     chern_class_on_hilb,
     chern_closed_form,
     chern_numbers_w3,
-    chern_splitting,
     double_point_class,
     double_point_segre_route,
     flag_G,
@@ -36,7 +37,9 @@ from hilbtaut.tautmod import TautClass, integrate, to_data
 from hilbtaut.transfer import pluecker_c2, pluecker_s2, transfer
 from reference import (
     chern_numbers_per_monomial,
+    chern_splitting,
     codim_parts,
+    graded_part,
     integrate_classes,
     pushdown_per_twist,
 )
@@ -94,20 +97,11 @@ def test_w3_monomial_rejects_exponents_that_are_not_five(fam, exponents):
 # -- splitting, flaglet factorization, closed form ----------------------------------------
 
 
-def test_chern_splitting_small():
-    one = CharPoly.const(1)
-    assert not flag_G(0) and not flag_G(1)
-    assert chern_splitting(1) == one + flag_L(1)
-    assert chern_splitting(2) == (one + flag_L(1)) * (one + flag_L(2) - flag_G(2))
-    # degree-1 part in three steps: L1 + L2 + L3 - G3
-    assert chern_splitting(3).graded_part(1) == flag_L(1) + flag_L(2) + flag_L(3) - flag_G(3)
-
-
 def test_first_chern_class_is_norm_minus_discriminant(fam):
     # pushing the degree-1 part down and dividing by the flag degree gives
     # the norm of L minus the discriminant
     for m in (2, 3):
-        deg1 = chern_splitting(m).graded_part(1)
+        deg1 = graded_part(chern_splitting(m), 1)
         cls = pushdown(fam, m, deg1).scale(Fraction(1, factorial(m)))
         ell = BaseClass.gen(fam.total_ring, "L")
         expected = twists(TautClass.fundamental(fam, m), [(None, ell)])[0] - gamma_power(fam, m, 1)
@@ -385,7 +379,7 @@ TWO_NODE_SURFACE = load_descriptor(str(Path(__file__).parent / "two-node-surface
 @example(case=(TWO_NODE_SURFACE, 2, double_point_polynomial(3).terms))
 def test_one_chain_per_rest_equals_one_chain_per_twist(case):
     fam, m, terms = case
-    got = _push_terms(fam, m, terms)
+    got = _push_groups(fam, m, _read_flag(m, terms))
     want = pushdown_per_twist(fam, m, terms)
     assert got == want
     assert to_data(got) == to_data(want)
@@ -524,6 +518,54 @@ def test_one_pass_chern_numbers_equal_per_monomial_route(family, zeros):
     assert [(k, str(v)) for k, v in got.items()] == [(k, str(v)) for k, v in want.items()]
     assert got == want
     assert sum(not v for v in got.values()) == zeros
+
+
+def flag_terms(groups):
+    """The flag polynomial {flag monomial: coefficient} that `_read_flag` read into `groups`."""
+    terms = {}
+    for rest, seeds in groups.items():
+        later = []
+        for i, (a, k) in enumerate(rest, 2):
+            later += [("L%d" % i, a), ("G%d" % i, k)]
+        for a1, c in seeds:
+            key = tuple(sorted((n, p) for n, p in [("L1", a1)] + later if p))
+            assert key not in terms
+            terms[key] = c
+    return terms
+
+
+def test_rank3_chern_classes_are_the_graded_parts_of_the_expanded_product():
+    # `_rank3` takes c_k as e_k of the stage factors; the reference multiplies out
+    # prod_i (1 + L_i - G_i + G_(i-1)) and takes its graded parts.  Every flag
+    # polynomial `_rank3` reads from c1, c2, c3 must be the reference's.
+    assert not flag_G(0) and not flag_G(1)
+    c1, c2, c3 = (graded_part(chern_splitting(3), k) for k in (1, 2, 3))
+    assert c1 == flag_L(1) + flag_L(2) + flag_L(3) - flag_G(3)
+    polys = {"#c1^4": c1 ** 4, "#c1^2c2": c1 * c1 * c2, "#c1c3": c1 * c3, "#c2^2": c2 * c2}
+    tagged = {}
+    for tag, poly in polys.items():
+        for key, c in poly.terms.items():
+            tagged[key] = tagged.get(key, CharPoly()) + sym(tag) * c
+    tags, tagged_groups, scroll_groups = _rank3()
+    assert tags == tuple(polys)
+    assert flag_terms(tagged_groups) == tagged
+    assert len(tagged) == 66
+    assert CharPoly(flag_terms(scroll_groups)) == c1 * c2 - c3
+
+
+def test_warm_rank3_calls_read_no_flag_polynomial(monkeypatch):
+    import hilbtaut.chern as chern
+
+    fam = symbolic_family(1)
+    want = (chern_numbers_w3(fam), trisecant_count(fam), single_curve_trisecant_scroll())
+
+    def refuse(*args):
+        raise AssertionError("a flag polynomial was read again")
+
+    monkeypatch.setattr(chern, "_read_flag", refuse)
+    with pytest.raises(AssertionError, match="read again"):
+        pushdown(fam, 1, flag_L(1))  # the patched reader is the one `pushdown` runs
+    assert (chern_numbers_w3(fam), trisecant_count(fam), single_curve_trisecant_scroll()) == want
 
 
 def test_chern_number_split_refuses_a_tag_spelled_character():

@@ -541,6 +541,22 @@ MALFORMED_CLASSES = [
     _diag_class(1, [[1, []]], coeff=[([["#c1^4", 1]], "2")]),
     # coefficient symbols no descriptor can spell; the empty name would print as a constant
     *(_diag_class(1, [[1, []]], coeff=[([[name, 1]], "1")]) for name in ("", "a b", "_", "1x")),
+    # a monomial, block list or coefficient pair that is not a list: iterating a
+    # "" or {} yields nothing, which once read as the unit monomial or no blocks
+    {"m": 1, "diag": [{"base": "", "blocks": [[1, {}]], "coeff": [[{}, "1"]]}],
+     "scroll": [], "section": []},
+    *({"m": 1, "diag": [{"base": base, "blocks": [[1, []]], "coeff": [[[], "1"]]}],
+       "scroll": [], "section": []} for base in ("", {})),
+    _diag_class(1, [[1, {}]]),
+    _diag_class(1, [[1, ""]]),
+    _diag_class(1, [[1, []]], coeff=[({}, "1")]),
+    _diag_class(1, [[1, []]], coeff=[("", "1")]),
+    {"m": 1, "diag": [{"base": [], "blocks": [[1, []]], "coeff": [{"": "1"}]}],
+     "scroll": [], "section": []},
+    {"m": 0, "diag": [{"base": [], "blocks": {}, "coeff": [[[], "1"]]}],
+     "scroll": [], "section": []},
+    {"m": 0, "diag": [{"base": [], "blocks": "", "coeff": [[[], "1"]]}],
+     "scroll": [], "section": []},
     # sectors that are not lists, and keys `to_data` never writes
     {"m": 1, "diag": {}, "scroll": [], "section": []},
     {"m": 1, "diag": "", "scroll": [], "section": []},

@@ -868,6 +868,14 @@ NODE_TERM = {"node": "s", "n": 2, "j": 1, "payload": {**EMPTY, "m": 1, "diag": [
         ({**EMPTY, "m": 1, "diag": [{"base": [], "blocks": []}]}, "diagonal term has no key 'coeff'"),
         ({**EMPTY, "m": 3, "scroll": [{**NODE_TERM, "extra": 0}]}, "node term has the unknown key"),
         ({**EMPTY, "m": 3, "section": ["term"]}, "node term is a str, not an object"),
+        # iterating a "" or {} in place of a list would read as the unit monomial or no blocks
+        ({**EMPTY, "m": 1, "diag": [{**ONE_TERM, "base": ""}]}, "monomial is a str, not a list"),
+        ({**EMPTY, "m": 1, "diag": [{**ONE_TERM, "blocks": [[1, {}]]}]},
+         "monomial is a dict, not a list"),
+        ({**EMPTY, "diag": [{**ONE_TERM, "blocks": {}}]}, "block list is a dict, not a list"),
+        ({**EMPTY, "m": 1, "diag": [{**ONE_TERM, "coeff": {}}]}, "coefficient is a dict, not a list"),
+        ({**EMPTY, "m": 1, "diag": [{**ONE_TERM, "coeff": [{"": "1"}]}]},
+         "coefficient pair is a dict, not a list"),
     ],
 )
 def test_from_data_names_a_key_or_sector_to_data_never_writes(fam, data, message):

@@ -1,14 +1,15 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package or of the tests imports is used in that module.
 
-Each `src/hilbtaut/*.py` is parsed with `ast`; an imported name that no
-expression of the module reads is reported as `module:line: name`.
+Each `src/hilbtaut/*.py` and `tests/*.py` is parsed with `ast`; an imported
+name that no expression of the module reads is reported as `file:line: name`.
 """
 
 import ast
 import glob
 import os
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "src", "hilbtaut")
+TESTS = os.path.dirname(__file__)
+SRC = os.path.join(TESTS, "..", "src", "hilbtaut")
 
 
 def unused_imports(path):
@@ -25,6 +26,17 @@ def unused_imports(path):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unused_imports_in(directory):
+    """`file:line: name` for each unused import of the `*.py` files in `directory`."""
+    paths = sorted(glob.glob(os.path.join(directory, "*.py")))
+    assert paths
+    return [
+        "%s:%d: %s" % (os.path.basename(path), line, name)
+        for path in paths
+        for line, name in unused_imports(path)
+    ]
+
+
 def test_unused_imports_are_found(tmp_path):
     path = tmp_path / "sample.py"
     path.write_text(
@@ -36,11 +48,10 @@ def test_unused_imports_are_found(tmp_path):
 
 
 def test_package_modules_use_every_import():
-    paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
-    assert paths
-    problems = [
-        "%s:%d: %s" % (os.path.basename(path)[:-3], line, name)
-        for path in paths
-        for line, name in unused_imports(path)
-    ]
+    problems = unused_imports_in(SRC)
+    assert not problems, "unused imports:\n" + "\n".join(problems)
+
+
+def test_test_modules_use_every_import():
+    problems = unused_imports_in(TESTS)
     assert not problems, "unused imports:\n" + "\n".join(problems)
