@@ -190,7 +190,10 @@ def load_descriptor(path) -> FamilyDescriptor:
             nodes.append(Node(node_id, weight, tau_L=tau, psi_table=table))
         except ValueError as exc:
             raise DescriptorError("%s: %s" % (body["weight"][1], exc))
-    return FamilyDescriptor(dim_b, chars=chars, nodes=nodes)
+    try:
+        return FamilyDescriptor(dim_b, chars=chars, nodes=nodes)
+    except ValueError as exc:  # a node datum the base dimension does not allow
+        raise DescriptorError("%s: %s" % (path, exc))
 
 
 def _family(descriptor):

@@ -35,7 +35,8 @@ class Node:
         self.weight = weight if isinstance(weight, CharPoly) else CharPoly.const(weight)
         if self.weight.is_constant() and self.weight.constant_value() <= 0:
             raise ValueError("node %s has nonpositive weight %s" % (self.node_id, self.weight))
-        # theta^*(L) on the boundary base; None keeps it symbolic (a point base drops it)
+        # the degree of theta^*(L) on a curve boundary base (dim_b = 2); None keeps it
+        # symbolic, a point base (dim_b = 1) drops it, and dim_b >= 3 refuses it
         self.tau_L = tau_L if tau_L is None or isinstance(tau_L, CharPoly) else CharPoly.const(tau_L)
         # table of boundary-base integrals, keyed by canonical strings
         self.psi_table = dict(psi_table or {})
@@ -61,6 +62,11 @@ class FamilyDescriptor:
             seen.add(node.node_id)
             if dim_b < 1:
                 raise ValueError("node %s needs dim_b >= 1, got dim_b = %d" % (node.node_id, dim_b))
+            if dim_b >= 3 and node.tau_L is not None:
+                raise ValueError(
+                    "node %s binds tauL, the degree of theta^*L on a curve boundary base, "
+                    "but its boundary base has dimension %d" % (node.node_id, dim_b - 1)
+                )
         # every boundary payload is scaled by sum weight * tag over the nodes
         self.tagged_weight = sum((n.weight * CharPoly.symbol(n.tag) for n in self.nodes), CharPoly())
         self.total_ring = make_total_space_ring(dim_b)
@@ -210,31 +216,20 @@ def _base_integral(fam, base_mono, pushed, node):
     """Integrate a base monomial times pushed-down factors over the base, or over T of `node`."""
     if node is None and fam.total_ring.psi_of:
         raise ValueError("an integral over %s needs the node whose base it is" % fam.label)
-    base_dim = fam.dim_b
-    # bind theta^*L when the node fixes its value
-    tau_power = dict(base_mono).get("tauL", 0)
-    tau_value = None
-    if tau_power and node.tau_L is not None:
-        tau_value = node.tau_L ** tau_power
-        if not tau_value:
-            return CharPoly()
-        base_mono = tuple((n, p) for n, p in base_mono if n != "tauL")
-
-    if base_dim == 0:
+    if node is not None and node.tau_L is not None and "tauL" in dict(base_mono):
+        # a node binds tau_L only over a curve T, where it is the integral of
+        # theta^*L, and a top-degree integrand holding tauL is tauL times 1
+        return node.tau_L
+    if fam.dim_b == 0:
         assert not base_mono and not pushed
-        result = CharPoly.const(1)
-    elif base_dim == 1 and not base_mono and len(pushed) == 1 and node is None:
+        return CharPoly.const(1)
+    if fam.dim_b == 1 and not base_mono and len(pushed) == 1 and node is None:
         # the total space over a curve base has only the fiber symbols L, omega
-        result = fam.char(_NAMED_INTEGRALS[pushed[0]])
-    else:
-        key = integral_key(node.node_id if node is not None else fam.label, base_mono, pushed)
-        if node is not None and key in node.psi_table:
-            result = node.psi_table[key]
-        else:
-            result = CharPoly.symbol(key)
-    if tau_value is not None:
-        result = result * tau_value
-    return result
+        return fam.char(_NAMED_INTEGRALS[pushed[0]])
+    key = integral_key(node.node_id if node is not None else fam.label, base_mono, pushed)
+    if node is not None and key in node.psi_table:
+        return node.psi_table[key]
+    return CharPoly.symbol(key)
 
 
 def integral_key(where, base_mono, pushed):

@@ -36,10 +36,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import comb
+from types import MappingProxyType
 
-from .basering import BaseClass
+from .basering import BaseClass, make_boundary_ring
 from .charpoly import CharPoly, from_terms, is_symbol, split_tags
 from .family import FamilyDescriptor, checked_int, fiber_integral, theta_star
 from .lincomb import LinComb, add_term, exact, expand, merge_monos, mono_str
@@ -69,26 +70,6 @@ class TautClass(LinComb):
     def space_dim(self):
         return self.m + self.fam.dim_b
 
-    def _diag_codim(self, base_mono, blocks):
-        d = self.m - len(blocks)  # the sum of n - 1 over blocks that weigh m
-        for _, p in base_mono:
-            d += p
-        for _, mono in blocks:
-            for _, p in mono:
-                d += p
-        return d
-
-    def _rekeyed(self, base_mono, rest, n, block_mono, mono):
-        """(sign, key) with block (n, block_mono * mono) put into `rest`; sign 0 if it vanishes."""
-        ring = self.fam.total_ring
-        prod = ring.merge(block_mono, mono)
-        if prod is None:
-            return 0, None
-        sign, merged = prod
-        new_base, fiber = ring.split(base_mono, merged)
-        i = bisect_left(rest, (-n, fiber), key=_block_order)
-        return sign, (new_base, rest[:i] + ((n, fiber),) + rest[i:])
-
     def add_diag(self, base_mono, blocks, coeff):
         """Add an outside term: sort and weigh its blocks, drop it above top codimension."""
         if not coeff:
@@ -97,7 +78,7 @@ class TautClass(LinComb):
         if sum(n for n, _ in blocks) != self.m:
             raise ValueError("blocks of weight %s in degree-%d class" % (blocks, self.m))
         base_mono = tuple(sorted(base_mono))
-        if self._diag_codim(base_mono, blocks) > self.space_dim():
+        if _diag_codim(self.m, base_mono, blocks) > self.space_dim():
             return
         if not isinstance(coeff, CharPoly):
             coeff = CharPoly.const(coeff)
@@ -135,17 +116,8 @@ class TautClass(LinComb):
         `pairs` lists (block size, BaseClass) entries, whose sizes sum to the
         degree; `base` is an optional BaseClass of pulled-back factors.
         """
-        ring = fam.total_ring
         out = TautClass(fam, sum(n for n, _ in pairs))
-        factors = [twist for _, twist in pairs] + ([] if base is None else [base])
-        for monos, c in expand(factors):
-            base_mono = () if base is None else monos[-1]
-            blocks = []
-            for (n, _), mono in zip(pairs, monos):
-                # move pulled-back symbols out of the slots
-                base_mono, fiber = ring.split(base_mono, mono)
-                blocks.append((n, fiber))
-            out.add_diag(base_mono, blocks, c)
+        out.diag = _twisted_diag(fam.total_ring, pairs, base)
         return out
 
     # -- inspection ----------------------------------------------------------------
@@ -173,6 +145,59 @@ class TautClass(LinComb):
 def _block_order(block):
     """Sort key of a block: size down, then twist."""
     return -block[0], block[1]
+
+
+def _top(ring, m):
+    """Top codimension m + dim_b on Hilb^m of a family with total-space ring `ring`.
+
+    Every family's total space has dimension dim_b + 1 = `ring.dim`.
+    """
+    return m + ring.dim - 1
+
+
+def _diag_codim(m, base_mono, blocks):
+    """Codimension on Hilb^m of the diagonal key (base_mono, blocks)."""
+    d = m - len(blocks)  # the sum of n - 1 over blocks that weigh m
+    for _, p in base_mono:
+        d += p
+    for _, mono in blocks:
+        for _, p in mono:
+            d += p
+    return d
+
+
+def _rekeyed(ring, base_mono, rest, n, block_mono, mono):
+    """(sign, key) with block (n, block_mono * mono) put into `rest`; sign 0 if it vanishes."""
+    prod = ring.merge(block_mono, mono)
+    if prod is None:
+        return 0, None
+    sign, merged = prod
+    new_base, fiber = ring.split(base_mono, merged)
+    i = bisect_left(rest, (-n, fiber), key=_block_order)
+    return sign, (new_base, rest[:i] + ((n, fiber),) + rest[i:])
+
+
+def _twisted_diag(ring, pairs, base=None):
+    """The diagonal sector of `from_twists` on `ring`: canonical key -> CharPoly.
+
+    Keys are sorted and a term above top codimension drops, as `add_diag`
+    does for outside input.
+    """
+    m = sum(n for n, _ in pairs)
+    top = _top(ring, m)
+    factors = [twist for _, twist in pairs] + ([] if base is None else [base])
+    terms = {}
+    for monos, c in expand(factors):
+        base_mono = () if base is None else monos[-1]
+        blocks = []
+        for (n, _), mono in zip(pairs, monos):
+            # move pulled-back symbols out of the slots
+            base_mono, fiber = ring.split(base_mono, mono)
+            blocks.append((n, fiber))
+        blocks = tuple(sorted(blocks, key=_block_order))
+        if _diag_codim(m, base_mono, blocks) <= top:
+            add_term(terms, (base_mono, blocks), c)
+    return {key: CharPoly.const(c) for key, c in terms.items()}
 
 
 def _runs(blocks):
@@ -294,63 +319,25 @@ def nu_coeff(n, j):
 
 def gamma_action(tc: TautClass) -> TautClass:
     """Multiply a tautological class by the discriminant polarization."""
-    fam, m = tc.fam, tc.m
-    top = tc.space_dim()
+    fam, m, ring = tc.fam, tc.m, tc.ring
     out = TautClass(fam, m)
     diag = {}  # owned accumulator: key -> {character monomial: scalar}
 
-    for (base_mono, blocks), coeff in tc.diag.items():
-        mult = Counter(n for n, _ in blocks)
-        runs = _runs(blocks)
-        # the union and interior terms have codimension one more than the key
-        if tc._diag_codim(base_mono, blocks) < top:
-            # unite pairs of blocks: each distinct pair once, times its number of index pairs
-            for a, (i, c) in enumerate(runs):
-                for k, c2 in runs[a:]:
-                    if k == i:  # the block taken twice
-                        index_pairs, k = comb(c, 2), i + 1
-                    else:
-                        index_pairs = c * c2
-                    if not index_pairs:
-                        continue
-                    (n1, mono1), (n2, mono2) = blocks[i], blocks[k]
-                    rest = blocks[:i] + blocks[i + 1 : k] + blocks[k + 1 :]
-                    sign, key = tc._rekeyed(base_mono, rest, n1 + n2, mono1, mono2)
-                    if not sign:
-                        continue
-                    # aut(united) / aut(mu); mult[n2] drops by one once the n1 block is gone
-                    num = index_pairs * sign * n1 * n2 * (mult[n1 + n2] + 1)
-                    factor = exact(Fraction(num, mult[n1] * (mult[n2] - (n1 == n2))))
-                    _add_scaled(diag, key, coeff, factor)
-            # interior multiplication by omega within each block
-            for i, c in runs:
-                n, mono = blocks[i]
-                if n < 2:
-                    continue
-                rest = blocks[:i] + blocks[i + 1 :]
-                sign, key = tc._rekeyed(base_mono, rest, n, mono, (("omega", 1),))
-                if sign:
-                    _add_scaled(diag, key, coeff, -sign * comb(n, 2) * c)
-        # boundary terms: per distinct block of size >= 2, one payload on the shared
-        # boundary family, scaled by its count and sum weight * tag over the nodes, per j
-        if not fam.nodes:
-            continue
-        for i, c in runs:
-            n, mono = blocks[i]
-            tau = theta_star(mono) if n >= 2 else None
-            if tau is None:
-                continue
+    nodes = bool(fam.nodes)
+    for key, coeff in tc.diag.items():
+        moves, templates = _gamma_table(ring, key, nodes)
+        for new_key, factor in moves:
+            _add_scaled(diag, new_key, coeff, factor)
+        # one payload on the shared boundary family per template, scaled by
+        # sum weight * tag over the nodes and by its multiplicity per j
+        if templates:
             bd = fam.boundary_family()
-            # the other blocks pulled back, the whole term twisted by tau
-            pairs = [(nb, phi_star(bd.total_ring, mb)) for nb, mb in blocks[:i] + blocks[i + 1 :]]
-            base = BaseClass(bd.total_ring, {merge_monos(tau, base_mono): 1})
-            payload = TautClass.from_twists(bd, pairs, base=base)
-            if not payload:
-                continue
             tagged = coeff * fam.tagged_weight
-            for j in range(1, n):
-                factor = tagged * exact(Fraction(nu_coeff(n, j) * c, mult[n]))
-                add_term(out.scroll, (n, j), payload.scale(factor))
+            for n, payload_diag, nus in templates:
+                payload = TautClass(bd, m - n)
+                payload.diag = payload_diag  # the table's view: only `scale`d copies leave
+                for j, nu in nus:
+                    add_term(out.scroll, (n, j), payload.scale(tagged * nu))
     out.diag = _finished(diag)
 
     # scrolls: Gamma . F = -((-Gamma) . F)
@@ -387,6 +374,71 @@ def _finished(acc):
     return {key: from_terms(terms) for key, terms in acc.items() if terms}
 
 
+@lru_cache(maxsize=512)
+def _gamma_table(ring, key, nodes):
+    """Gamma on the diagonal key `key` of a class on `ring`, per unit coefficient; memoized.
+
+    Returns (moves, templates).  `moves` lists the (new key, scalar) pairs of
+    the block unions and the interior -omega terms.  `templates` lists one
+    (n, payload diagonal sector, [(j, nu scalar), ...]) per distinct block
+    of size n >= 2 with a node image: the boundary payload on the boundary
+    family's ring and its scroll multiplicities; it is empty unless `nodes`
+    says the family has nodes.  Nothing here reads a family, so every family
+    of one base dimension shares the table.  It is bounded, because deep
+    Gamma powers meet most keys only a few times.
+    """
+    base_mono, blocks = key
+    m = sum(n for n, _ in blocks)
+    mult = Counter(n for n, _ in blocks)
+    runs = _runs(blocks)
+    moves = []
+    # the union and interior terms have codimension one more than the key
+    if _diag_codim(m, base_mono, blocks) < _top(ring, m):
+        # unite pairs of blocks: each distinct pair once, times its number of index pairs
+        for a, (i, c) in enumerate(runs):
+            for k, c2 in runs[a:]:
+                if k == i:  # the block taken twice
+                    index_pairs, k = comb(c, 2), i + 1
+                else:
+                    index_pairs = c * c2
+                if not index_pairs:
+                    continue
+                (n1, mono1), (n2, mono2) = blocks[i], blocks[k]
+                rest = blocks[:i] + blocks[i + 1 : k] + blocks[k + 1 :]
+                sign, new_key = _rekeyed(ring, base_mono, rest, n1 + n2, mono1, mono2)
+                if not sign:
+                    continue
+                # aut(united) / aut(mu); mult[n2] drops by one once the n1 block is gone
+                num = index_pairs * sign * n1 * n2 * (mult[n1 + n2] + 1)
+                moves.append((new_key, exact(Fraction(num, mult[n1] * (mult[n2] - (n1 == n2))))))
+        # interior multiplication by omega within each block
+        for i, c in runs:
+            n, mono = blocks[i]
+            if n < 2:
+                continue
+            rest = blocks[:i] + blocks[i + 1 :]
+            sign, new_key = _rekeyed(ring, base_mono, rest, n, mono, (("omega", 1),))
+            if sign:
+                moves.append((new_key, -sign * comb(n, 2) * c))
+    templates = []
+    if nodes:
+        bd_ring = make_boundary_ring(ring.dim - 1)  # the family's dim_b is ring.dim - 1
+        for i, c in runs:
+            n, mono = blocks[i]
+            tau = theta_star(mono) if n >= 2 else None
+            if tau is None:
+                continue
+            # the other blocks pulled back, the whole term twisted by tau
+            pairs = [(nb, phi_star(bd_ring, mb)) for nb, mb in blocks[:i] + blocks[i + 1 :]]
+            base = BaseClass(bd_ring, {merge_monos(tau, base_mono): 1})
+            payload_diag = _twisted_diag(bd_ring, pairs, base)
+            if payload_diag:
+                nus = tuple((j, exact(Fraction(nu_coeff(n, j) * c, mult[n]))) for j in range(1, n))
+                # every later call reads this one sector: a read-only view
+                templates.append((n, MappingProxyType(payload_diag), nus))
+    return tuple(moves), tuple(templates)
+
+
 @cache
 def phi_star(ring, mono):
     """Pull a total-space monomial back to the boundary family's `ring`; memoized.
@@ -420,13 +472,13 @@ def twists(tc: TautClass, divisors, gamma_shares=()) -> list:
     """
     if tc.scroll or tc.section:
         raise NotImplementedError("twist on nested node terms")
-    pulled = _monomial_table(tc.ring, [pullback for pullback, _ in divisors])
-    normed = _monomial_table(tc.ring, [norm for _, norm in divisors])
-    top = tc.space_dim()
+    ring, m, top = tc.ring, tc.m, tc.space_dim()
+    pulled = _monomial_table(ring, [pullback for pullback, _ in divisors])
+    normed = _monomial_table(ring, [norm for _, norm in divisors])
     accs = [{} for _ in divisors]
     for (base_mono, blocks), coeff in tc.diag.items():
         # each monomial raises the codimension by its degree
-        room = top - tc._diag_codim(base_mono, blocks)
+        room = top - _diag_codim(m, base_mono, blocks)
         for mono, deg, coeffs in pulled:
             if deg > room:
                 continue
@@ -439,7 +491,7 @@ def twists(tc: TautClass, divisors, gamma_shares=()) -> list:
                 continue
             for i, count in runs:
                 n, twist = blocks[i]
-                sign, key = tc._rekeyed(base_mono, blocks[:i] + blocks[i + 1 :], n, twist, mono)
+                sign, key = _rekeyed(ring, base_mono, blocks[:i] + blocks[i + 1 :], n, twist, mono)
                 if not sign:
                     continue
                 for d, c in coeffs:

@@ -25,7 +25,8 @@ from .basering import BaseClass
 from .family import FamilyDescriptor, checked_curve_base, checked_int, theta_star
 from .lincomb import add_term
 from .tautmod import TautClass, nu_coeff, phi_star, scroll_divisor, twists
-from .tautmod import _add_scaled, _finished  # the operators' diagonal accumulator
+# the operators' diagonal accumulator and key arithmetic
+from .tautmod import _add_scaled, _diag_codim, _finished, _rekeyed
 
 # -- the flaglet transfer -----------------------------------------------------------
 
@@ -46,10 +47,10 @@ def transfer(tc: TautClass, beta: BaseClass = None) -> TautClass:
     diag = {}
     for (base_mono, blocks), coeff in tc.diag.items():
         singles = sum(1 for n, _ in blocks if n == 1)
-        room = out.space_dim() - tc._diag_codim(base_mono, blocks)  # left for the new twist
+        room = out.space_dim() - _diag_codim(m0, base_mono, blocks)  # left for the new twist
         for mono, mc in beta.terms.items():
             if ring.degree(mono) <= room:
-                sign, key = out._rekeyed(base_mono, blocks, 1, (), mono)
+                sign, key = _rekeyed(ring, base_mono, blocks, 1, (), mono)
                 if sign:
                     _add_scaled(diag, key, coeff, sign * mc * (singles + 1))
     out.diag = _finished(diag)

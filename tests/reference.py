@@ -33,7 +33,9 @@ from hilbtaut.partitions import enumerate_distributions
 from hilbtaut.tautmod import (
     TautClass,
     _add_scaled,
+    _diag_codim,
     _finished,
+    _rekeyed,
     gamma_action,
     integrate,
     nu_coeff,
@@ -47,7 +49,7 @@ from hilbtaut.transfer import transfer
 
 def codim_parts(cls):
     """The set of codimensions of the terms of a tautological class."""
-    out = {cls._diag_codim(base_mono, blocks) for base_mono, blocks in cls.diag}
+    out = {_diag_codim(cls.m, base_mono, blocks) for base_mono, blocks in cls.diag}
     for (_, n, _), p in cls.by_node("scroll").items():
         out |= {n + c for c in codim_parts(p)} or {n}
     for (_, n, _), p in cls.by_node("section").items():
@@ -329,13 +331,13 @@ def gamma_action_per_index_pair(tc):
     for (base_mono, blocks), coeff in tc.diag.items():
         mult = Counter(n for n, _ in blocks)
         # the union and interior terms have codimension one more than the key
-        if tc._diag_codim(base_mono, blocks) < top:
+        if _diag_codim(tc.m, base_mono, blocks) < top:
             # unite pairs of blocks
             for i in range(len(blocks)):
                 for k in range(i + 1, len(blocks)):
                     (n1, mono1), (n2, mono2) = blocks[i], blocks[k]
                     rest = blocks[:i] + blocks[i + 1 : k] + blocks[k + 1 :]
-                    sign, key = tc._rekeyed(base_mono, rest, n1 + n2, mono1, mono2)
+                    sign, key = _rekeyed(tc.ring, base_mono, rest, n1 + n2, mono1, mono2)
                     if not sign:
                         continue
                     # aut(united) / aut(mu); mult[n2] drops by one once the n1 block is gone
@@ -347,7 +349,7 @@ def gamma_action_per_index_pair(tc):
                 if n < 2:
                     continue
                 rest = blocks[:i] + blocks[i + 1 :]
-                sign, key = tc._rekeyed(base_mono, rest, n, mono, (("omega", 1),))
+                sign, key = _rekeyed(tc.ring, base_mono, rest, n, mono, (("omega", 1),))
                 if sign:
                     _add_scaled(diag, key, coeff, -sign * comb(n, 2))
         # boundary terms: per block of size >= 2, one payload on the shared

@@ -282,7 +282,7 @@ def test_chern_classes_are_pinned():
         FamilyDescriptor(
             2, chars={"d": 3}, nodes=[Node("p", 2, tau_L=0), Node("q", Fraction(1, 3))]
         ),
-        FamilyDescriptor(3, nodes=[Node("p", sym("w"), tau_L=5)]),
+        FamilyDescriptor(3, nodes=[Node("p", sym("w"))]),
     ]
     data = [to_data(chern_class_on_hilb(f, m)) for f in fams for m in range(1, 8)]
     digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
@@ -433,16 +433,20 @@ def _node_payload_degrees(cls):
 
 @st.composite
 def nodal_families(draw):
-    """dim_b 1..3 with 0..3 nodes: numeric or symbolic weights, theta^*L symbolic, 0 or 3."""
+    """dim_b 1..3 with 0..3 nodes: numeric or symbolic weights, theta^*L symbolic, 0 or 3.
+
+    A node binds theta^*L only below dim_b = 3.
+    """
+    dim_b = draw(st.integers(1, 3))
     nodes = [
         Node(
             "n%d" % i,
             draw(st.sampled_from([sym("w%d" % i), Fraction(2, 3), 3])),
-            tau_L=draw(st.sampled_from([None, 0, 3])),
+            tau_L=draw(st.sampled_from([None, 0, 3] if dim_b < 3 else [None])),
         )
         for i in range(draw(st.integers(0, 3)))
     ]
-    return FamilyDescriptor(draw(st.integers(1, 3)), nodes=nodes)
+    return FamilyDescriptor(dim_b, nodes=nodes)
 
 
 def _check_closed_form_is_diagonal_sector(f, m):

@@ -253,8 +253,13 @@ def test_ambiguous_or_unknown_descriptor_entries_exit_1(
         ("[characters]\nd = 3\n", "[family] needs dim_b"),
         ("[family]\ndim_b = 1\n[node.s]\ntauL = 0\n", "node s needs a weight"),
         (None, "cannot read "),
+        (
+            "[family]\ndim_b = 3\n[node.s]\nweight = 1\ntauL = 3\n",
+            "node s binds tauL, the degree of theta^*L on a curve boundary base, "
+            "but its boundary base has dimension 2",
+        ),
     ],
-    ids=["missing-dim-b", "node-without-weight", "unreadable-path"],
+    ids=["missing-dim-b", "node-without-weight", "unreadable-path", "tauL-over-a-surface-T"],
 )
 def test_descriptor_errors_without_a_line_exit_1(monkeypatch, capsys, tmp_path, text, message):
     path = write(tmp_path, text) if text is not None else str(tmp_path / "missing.ini")
@@ -274,24 +279,21 @@ def test_tauL_zero_over_a_curve_and_three_over_a_surface_are_accepted(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "tau, value, term",
-    [
-        (None, None, "5/2*IT[s|tauL|]"),
-        ("3", CharPoly.const(3), "15/2*IT[s|1|]"),
-        ("t", CharPoly.symbol("t"), "5/2*IT[s|1|]*t"),
-    ],
+    "tau, value",
+    [(None, None), ("3", CharPoly.const(3)), ("t", CharPoly.symbol("t"))],
     ids=["free", "numeric", "symbolic"],
 )
-def test_bound_theta_star_L_reaches_the_integral(runner, tmp_path, tau, value, term):
+def test_bound_theta_star_L_reaches_the_integral(runner, tmp_path, tau, value):
     text = "[family]\ndim_b = 2\n[node.s]\nweight = 1\n"
     free = integrate(double_point_class(load_descriptor(write(tmp_path, text, "free.ini")), 4))
+    assert "5/2*IT[s|tauL|]" in str(free).split(" + ")
     path = write(tmp_path, text + ("tauL = %s\n" % tau if tau else ""))
     result = runner.invoke(main, ["double-points", "--n", "4", path])
     assert result.exit_code == 0, result.output
-    assert term in result.output.strip().split(" + ")
-    # binding theta^*L = value turns the boundary integral of tauL into value times that of 1
+    # a bound tauL is the integral of theta^*L over the curve T: it replaces IT[s|tauL|]
     if value is not None:
-        free = free.substitute({"IT[s|tauL|]": CharPoly.symbol("IT[s|1|]") * value})
+        free = free.substitute({"IT[s|tauL|]": value})
+        assert "IT[s|" not in result.output.replace("IT[s|psi_", "")
     assert result.output.strip() == str(free)
 
 

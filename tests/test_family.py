@@ -5,11 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from hilbtaut.basering import BaseClass
 from hilbtaut.charpoly import CharPoly
 from hilbtaut.chern import chern_class_on_hilb, double_point_class
 from hilbtaut.cli import load_descriptor
 from hilbtaut.family import FamilyDescriptor, Node, fiber_integral, symbolic_family, theta_star
-from hilbtaut.tautmod import gamma_power, integrate, to_data
+from hilbtaut.tautmod import TautClass, gamma_action, gamma_power, integrate, to_data
 from hilbtaut.transfer import punctual_chern
 
 
@@ -95,3 +96,42 @@ def test_a_curve_base_node_needs_no_bound_tau_L(case, m):
     unbound = _curve_base_outputs(chars, weights, None, m)
     assert unbound == _curve_base_outputs(chars, weights, 0, m)
     assert unbound["double_point_integral"] and (m == 1 or unbound["gamma_integral"])
+
+
+def _one_node_surface(tau_L):
+    return FamilyDescriptor(2, chars={"d": 3}, nodes=[Node("s", 2, tau_L=tau_L)])
+
+
+def _gamma_power_of_a_twist(fam):
+    """The integral of Gamma^4 times the degree-3 diagonal class twisted by L in one slot."""
+    ring = fam.total_ring
+    one = BaseClass.unit(ring)
+    cls = TautClass.from_twists(fam, [(1, BaseClass.gen(ring, "L")), (1, one), (1, one)])
+    for _ in range(4):
+        cls = gamma_action(cls)
+    return integrate(cls)
+
+
+@pytest.mark.parametrize(
+    "integral",
+    [_gamma_power_of_a_twist, lambda fam: integrate(double_point_class(fam, 4))],
+    ids=["gamma-power", "double-points"],
+)
+def test_a_bound_tau_L_is_the_integral_of_theta_star_L_over_a_curve_T(integral):
+    # over dim_b = 2 the node base T is a curve: a bound tau_L is the number
+    # (or symbol) int_T theta^*L, and the integral holds no integral of 1 over T
+    free = integral(_one_node_surface(None))
+    assert "IT[s|tauL|]" in {name for mono in free.terms for name, _ in mono}
+    numeric = integral(_one_node_surface(3))
+    symbolic = integral(_one_node_surface(CharPoly.symbol("t")))
+    assert numeric == symbolic.substitute({"t": 3}) == free.substitute({"IT[s|tauL|]": 3})
+    for value in (numeric, symbolic):
+        assert not {name for mono in value.terms for name, _ in mono} & {"IT[s|1|]", "IT[s|tauL|]"}
+
+
+@pytest.mark.parametrize("tau_L", [0, 3, CharPoly.symbol("t")])
+def test_a_bound_tau_L_over_a_base_of_dimension_3_or_more_is_refused(tau_L):
+    # over a boundary base of dimension >= 2 a number does not name theta^*L
+    with pytest.raises(ValueError, match="node s binds tauL, .* has dimension 2"):
+        FamilyDescriptor(3, nodes=[Node("s", 1, tau_L=tau_L)])
+    assert FamilyDescriptor(3, nodes=[Node("s", 1)]).node("s").tau_L is None

@@ -1,11 +1,12 @@
 """The memos that every family of one base dimension shares do not change results.
 
 Rings are interned per shape and dimension, and the monomial products, key
-splits, pullbacks and scroll divisors are memoized per ring: a family reads
-what another family left there.  The rank-3 memo, holding the tagged flag
-polynomial of the Chern numbers and c1 c2 - c3, is built once per process
-for every family.  Results computed from empty caches must equal those computed after
-a family with other characters and other nodes has filled them.
+splits, pullbacks, scroll divisors and the per-key table of the discriminant
+action are memoized per ring: a family reads what another family left there.
+The rank-3 memo, holding the tagged flag polynomial of the Chern numbers and
+c1 c2 - c3, is built once per process for every family.  Results computed
+from empty caches must equal those computed after a family with other
+characters and other nodes has filled them.
 """
 
 import pytest
@@ -36,6 +37,7 @@ MEMOS = [
     tautmod.phi_star,
     tautmod.scroll_divisor,
     tautmod._minus_divisor_pair,
+    tautmod._gamma_table,
 ]
 
 

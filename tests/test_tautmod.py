@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+from hilbtaut import tautmod
 from hilbtaut.basering import BaseClass
 from hilbtaut.charpoly import CharPoly
 from hilbtaut.chern import chern_class_on_hilb
@@ -16,6 +17,7 @@ from hilbtaut.cli import load_descriptor, main as cli_main
 from hilbtaut.family import FamilyDescriptor, Node, symbolic_family
 from hilbtaut.tautmod import (
     TautClass,
+    _diag_codim,
     _minus_divisor_pair,
     from_data,
     gamma_action,
@@ -262,7 +264,7 @@ def node_families(draw):
             # an integral over the node's boundary base T, of dimension dim_b - 1
             key = "IT[%s|psi_y%s|]" % (node_id, "" if dim_b == 2 else "^2")
             psi_table[key] = CharPoly.const(draw(st.sampled_from([-1, 5, Fraction(7, 2)])))
-        tau_L = draw(st.sampled_from([None, 0, 3]))
+        tau_L = draw(st.sampled_from([None, 0, 3] if dim_b < 3 else [None]))
         nodes.append(Node(node_id, weight, tau_L=tau_L, psi_table=psi_table))
     return dim_b, chars, nodes, draw(st.integers(2, 4 - (dim_b == 3)))
 
@@ -444,7 +446,7 @@ def test_twist_unit_pullback_keeps_a_top_codimension_key():
     low = ((), top[1])
     payload.add_diag(*top, 3)
     payload.add_diag(*low, 5)
-    assert payload._diag_codim(*top) == payload.space_dim()
+    assert _diag_codim(payload.m, *top) == payload.space_dim()
     tau = BaseClass(ring, {(): 1, (("tauL", 1),): 2})
     out = twists(payload, [(tau, None)])[0]
     assert out.diag == {
@@ -703,6 +705,28 @@ def test_gamma_action_equals_the_per_index_pair_route(case):
 def three_node_family():
     w = {n: sym("w_" + n) for n in "pqr"}
     return FamilyDescriptor(1, nodes=[Node(n, x, tau_L=0) for n, x in w.items()], label="X3/B")
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [symbolic_family(1), three_node_family(), symbolic_family(2)],
+    ids=["one-node", "three-node", "dim-b-2"],
+)
+def test_the_gamma_table_cold_warm_and_per_index_pair_agree(fam):
+    # the per-key table holds no family data: a Gamma step from a cleared
+    # table, the same step from the table it filled, and the reference route
+    # that builds every term afresh give one class, over every Gamma power
+    for m in range(2, 6):
+        cls = TautClass.fundamental(fam, m)
+        for _ in range(m + fam.dim_b):
+            tautmod._gamma_table.cache_clear()
+            cold = gamma_action(cls)
+            hits = tautmod._gamma_table.cache_info().hits
+            warm = gamma_action(cls)
+            assert tautmod._gamma_table.cache_info().hits >= hits + len(cls.diag)
+            assert cold == warm == gamma_action_per_index_pair(cls)
+            assert to_data(cold) == to_data(warm)
+            cls = cold
 
 
 def test_gamma_powers_are_pinned():
