@@ -23,7 +23,7 @@ from .charpoly import CharPoly, from_terms, split_tags
 from .family import FamilyDescriptor, checked_curve_base, checked_int
 from .lincomb import mono_str
 from .partitions import enumerate_distributions
-from .tautmod import TautClass, gamma_action, integrate
+from .tautmod import TautClass, gamma_action, integrate, shared
 from .transfer import transfer
 
 # -- polynomials on the full flag ---------------------------------------------------
@@ -139,6 +139,7 @@ def w3_monomial(fam: FamilyDescriptor, exponents) -> CharPoly:
 # -- Chern classes of tautological bundles ------------------------------------------
 
 
+@shared(("flag length", 1))
 def chern_class_on_hilb(fam: FamilyDescriptor, m) -> TautClass:
     """Total Chern class of the tautological bundle on the Hilbert scheme.
 
@@ -147,7 +148,6 @@ def chern_class_on_hilb(fam: FamilyDescriptor, m) -> TautClass:
     C_1 = 1 + L and C_(i+1) = transfer(C_i, 1 + L) + transfer(Gamma C_i)
     - Gamma transfer(C_i) (docs/CONVENTIONS.md, "Flag polynomials").
     """
-    checked_int(m, 1, "flag length")
     one_plus_l = BaseClass.unit(fam.total_ring) + BaseClass.gen(fam.total_ring, "L")
     cls = TautClass.from_twists(fam, [(1, one_plus_l)])
     for _ in range(1, m):
@@ -212,9 +212,15 @@ def chern_numbers_w3(fam: FamilyDescriptor):
     that no descriptor can spell (built once, `_rank3`); the integral splits by tag.
     """
     checked_curve_base(fam, "the degree-4 Chern-number pushdown")
-    tags, groups, _ = _rank3()
-    parts = split_tags(integrate(_push_groups(fam, 3, groups)), tags)
+    tags = _rank3()[0]
+    parts = split_tags(integrate(_rank3_push(fam)), tags)
     return {tag[1:]: parts.get(tag, CharPoly()) for tag in tags}
+
+
+@shared()
+def _rank3_push(fam: FamilyDescriptor) -> TautClass:
+    """The tagged flag map of `_rank3` pushed down to Hilb^3 of `fam`: the four numbers' class."""
+    return _push_groups(fam, 3, _rank3()[1])
 
 
 def trisecant_count(fam: FamilyDescriptor) -> CharPoly:
@@ -268,6 +274,7 @@ def single_curve_trisecant_formula(chars=None) -> CharPoly:
 # -- double points -------------------------------------------------------------------
 
 
+@shared(("n", 0))
 def double_point_class(fam: FamilyDescriptor, n) -> TautClass:
     """Virtual double-point class of a fiberwise map to projective n-space.
 
@@ -283,7 +290,7 @@ def double_point_class(fam: FamilyDescriptor, n) -> TautClass:
     n > 2 + dim_b the flag polynomial is above top degree: the zero class,
     returned before anything is built.
     """
-    if checked_int(n, 0, "n") > 2 + fam.dim_b:
+    if n > 2 + fam.dim_b:
         return TautClass(fam, 2)
     l1, l2, g2 = flag_L(1), flag_L(2), flag_G(2)
     expr = CharPoly()

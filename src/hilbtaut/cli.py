@@ -186,6 +186,13 @@ def load_descriptor(path) -> FamilyDescriptor:
             value, where = body["tauL"]
             raise DescriptorError("%s: tauL = %s, but dim_b = 1 fixes it to 0" % (where, value))
         table = {k: _parse_value(*v) for k, v in body.items() if k.startswith("IT[")}
+        for key in table:
+            if tau is not None and "tauL" in key.split("|")[1]:
+                # a bound tauL is the integral of every integrand holding tauL
+                raise DescriptorError(
+                    "%s: %s integrates tauL, which tauL = %s at %s binds"
+                    % (body[key][1], key, body["tauL"][0], body["tauL"][1])
+                )
         try:
             nodes.append(Node(node_id, weight, tau_L=tau, psi_table=table))
         except ValueError as exc:

@@ -36,13 +36,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, wraps
 from math import comb
 from types import MappingProxyType
 
 from .basering import BaseClass, make_boundary_ring
 from .charpoly import CharPoly, from_terms, is_symbol, split_tags
-from .family import FamilyDescriptor, checked_int, fiber_integral, theta_star
+from .family import FamilyDescriptor, Node, checked_int, fiber_integral, theta_star
 from .lincomb import LinComb, add_term, exact, expand, merge_monos, mono_str
 from .partitions import aut_count
 
@@ -536,16 +536,68 @@ def _minus_divisor_pair(ring, n, j):
     return -(p1 + p2), -(n1 + n2)
 
 
+# -- the shape memo ----------------------------------------------------------------
+
+
+def shared(*bounds):
+    """Decorator: `fn(fam, *args)` computed once per base shape, then bound to `fam`.
+
+    A class built from the fundamental class or a flag polynomial reads the
+    family only through its ring, its node flag and the factor
+    `tagged_weight` of each payload coefficient (docs/CONVENTIONS.md, "The
+    shape memo").  `bounds` holds one (name, minimum) per argument, checked
+    by `checked_int` before the lookup.
+    """
+
+    def decorate(fn):
+        @wraps(fn)
+        def wrapper(fam, *args):
+            for value, (what, minimum) in zip(args, bounds):
+                checked_int(value, minimum, what)
+            return _bound(_shape_memo(fn, fam.total_ring, bool(fam.nodes), args), fam)
+
+        return wrapper
+
+    return decorate
+
+
+_SHAPE_NODE = Node("shape", 1)
+
+
+@lru_cache(maxsize=32)
+def _shape_memo(fn, ring, nodes, args):
+    """`fn` on a stand-in family: total-space ring `ring`, no characters, `_SHAPE_NODE` if `nodes`."""
+    fam = FamilyDescriptor(ring.dim - 1, nodes=[_SHAPE_NODE] if nodes else [], label="shape")
+    fam.total_ring = ring  # the key names the ring, so a boundary family keeps its own
+    return fn(fam, *args)
+
+
+def _bound(tc, fam):
+    """The stand-in's class `tc` on `fam`, sharing no dict with `tc`.
+
+    Each payload coefficient trades the stand-in's tag for `fam.tagged_weight`;
+    payloads, on a node-free boundary family, hold only diagonal terms.
+    """
+    out = TautClass(fam, tc.m)
+    out.diag = dict(tc.diag)
+    tag, weight = _SHAPE_NODE.tag, fam.tagged_weight
+    for sector in ("scroll", "section"):
+        for key, payload in getattr(tc, sector).items():
+            bound = TautClass(fam.boundary_family(), payload.m)
+            bound.diag = {k: split_tags(c, (tag,))[tag] * weight for k, c in payload.diag.items()}
+            getattr(out, sector)[key] = bound
+    return out
+
+
 # -- powers and integration -------------------------------------------------------
 
 
+@shared(("m", 0), ("k", 0))
 def gamma_power(fam, m, k) -> TautClass:
     """(Gamma^(m))^k fully expanded into the three sectors: k Gamma steps from 1.
 
     Each step's zero classes are dropped before the next one (`_without_zero_classes`).
     """
-    checked_int(m, 0, "m")
-    checked_int(k, 0, "k")
     out = TautClass.fundamental(fam, m)
     for _ in range(k):
         if not out:

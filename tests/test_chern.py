@@ -388,8 +388,11 @@ def test_one_chain_per_rest_equals_one_chain_per_twist(case):
 @pytest.mark.parametrize("count", [chern_numbers_w3, trisecant_count])
 def test_rank3_pushdown_runs_one_discriminant_chain_per_rest(count, monkeypatch):
     # one Horner chain per remaining suffix: 24 Gamma steps where one chain
-    # per (a_i, rest) took 43; the 76 transfers are one per nonzero group
+    # per (a_i, rest) took 43; the 76 transfers are one per nonzero group.
+    # The push runs on the cleared shape memo; a warm call of another node
+    # family, and the undecorated push on the family itself, count as before
     import hilbtaut.chern as chern
+    import hilbtaut.tautmod as tautmod
 
     calls = Counter()
 
@@ -404,8 +407,14 @@ def test_rank3_pushdown_runs_one_discriminant_chain_per_rest(count, monkeypatch)
 
     for name in ("gamma_action", "transfer"):
         monkeypatch.setattr(chern, name, counting(name))
+    tautmod._shape_memo.cache_clear()
     count(symbolic_family(1))
     assert calls == {"gamma_action": 24, "transfer": 76}
+    three_nodes = FamilyDescriptor(1, nodes=[Node("p", 2), Node("q", 3), Node("r", sym("w"))])
+    count(three_nodes)
+    assert calls == {"gamma_action": 24, "transfer": 76}
+    chern._rank3_push.__wrapped__(three_nodes)
+    assert calls == {"gamma_action": 48, "transfer": 152}
 
 
 def test_closed_form_matches_splitting_nodefree():

@@ -247,6 +247,29 @@ def test_ambiguous_or_unknown_descriptor_entries_exit_1(
     assert "descriptor error: %s:%d: %s" % (path, line, message) in captured.err
 
 
+@pytest.mark.parametrize("tau", ["3", "t"])
+@pytest.mark.parametrize("tau_first", [True, False], ids=["tauL-first", "integral-first"])
+def test_a_bound_tauL_with_its_integral_key_exits_1_naming_both_lines(
+    monkeypatch, capsys, tmp_path, tau, tau_first
+):
+    # the bound tauL is the integral IT[p|tauL|] over the curve T: giving both
+    # would leave the key unread
+    lines = ["tauL = %s" % tau, "IT[p|tauL|] = 5"]
+    text = "[family]\ndim_b = 2\n[node.p]\nweight = 1\n%s\n" % "\n".join(
+        lines if tau_first else lines[::-1]
+    )
+    path = write(tmp_path, text)
+    assert _run_exit(monkeypatch, ["double-points", "--n", "4", path]) == 1
+    captured = capsys.readouterr()
+    tau_line, key_line = (5, 6) if tau_first else (6, 5)
+    assert captured.out == ""
+    assert (
+        "descriptor error: %s:%d: IT[p|tauL|] integrates tauL, which tauL = %s at %s:%d binds"
+        % (path, key_line, tau, path, tau_line)
+        in captured.err
+    )
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -303,7 +303,8 @@ def test_node_contributions_add_up(case):
 @pytest.mark.parametrize("weights", [[1], [1, 2, 3], [1, 2, Fraction(1, 2), 3, Fraction(2, 3), 5]])
 def test_node_sectors_cost_the_same_for_any_number_of_nodes(weights, monkeypatch):
     # one tagged payload per scroll index serves every node, so the count of
-    # discriminant steps does not grow with the number of nodes
+    # discriminant steps does not grow with the number of nodes: neither on the
+    # cleared shape memo nor in the undecorated power on the family itself
     import hilbtaut.tautmod as tautmod
 
     calls = []
@@ -315,9 +316,13 @@ def test_node_sectors_cost_the_same_for_any_number_of_nodes(weights, monkeypatch
 
     monkeypatch.setattr(tautmod, "gamma_action", counted)
     nodes = [Node("n%d" % i, w) for i, w in enumerate(weights)]
-    integrate(gamma_power(FamilyDescriptor(1, nodes=nodes), 5, 6))
+    fam = FamilyDescriptor(1, nodes=nodes)
+    tautmod._shape_memo.cache_clear()
+    integrate(gamma_power(fam, 5, 6))
     # the first of the six steps is Gamma . 1, on the fundamental class
     assert len(calls) == 20
+    integrate(gamma_power.__wrapped__(fam, 5, 6))
+    assert len(calls) == 40
 
 
 def test_node_sectors_hold_one_tagged_payload_per_scroll_index():
