@@ -109,8 +109,9 @@ def load_descriptor(path) -> FamilyDescriptor:
     seen = set()
     current = allowed = None
     try:
-        lines = open(path).read().splitlines()
-    except OSError as exc:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DescriptorError("cannot read %s: %s" % (path, exc))
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -330,7 +331,7 @@ def transfer_cmd(class_json, beta, descriptor, output):
     fam = _family(descriptor)
     try:
         cls = from_data(fam, json.loads(class_json))
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError) as exc:
         raise click.BadParameter(
             "not a serialized class (%s: %s)" % (type(exc).__name__, exc),
             param_hint="'--class-json'",

@@ -23,15 +23,13 @@ from .lincomb import merge_monos, mono_str
 class Node:
     """A weighted relative node: a boundary datum with numerical data attached."""
 
-    __slots__ = ("node_id", "tag", "weight", "tau_L", "psi_table")
+    __slots__ = ("node_id", "weight", "tau_L", "psi_table")
     ID = re.compile("[A-Za-z0-9_]+")  # a plain word: `|` would make IT[...] ambiguous
 
     def __init__(self, node_id, weight, tau_L=None, psi_table=None):
         self.node_id = str(node_id)
         if not Node.ID.fullmatch(self.node_id):
             raise ValueError("node id %r is not a plain word %s" % (self.node_id, Node.ID.pattern))
-        # marks its terms in a boundary payload; no descriptor or `#c1c3` spells it
-        self.tag = "#node." + self.node_id
         self.weight = weight if isinstance(weight, CharPoly) else CharPoly.const(weight)
         if self.weight.is_constant() and self.weight.constant_value() <= 0:
             raise ValueError("node %s has nonpositive weight %s" % (self.node_id, self.weight))
@@ -67,8 +65,6 @@ class FamilyDescriptor:
                     "node %s binds tauL, the degree of theta^*L on a curve boundary base, "
                     "but its boundary base has dimension %d" % (node.node_id, dim_b - 1)
                 )
-        # every boundary payload is scaled by sum weight * tag over the nodes
-        self.tagged_weight = sum((n.weight * CharPoly.symbol(n.tag) for n in self.nodes), CharPoly())
         self.total_ring = make_total_space_ring(dim_b)
         # the boundary base T that every node shares, and X^theta / T over it
         self.node_base_ring = make_node_base_ring(dim_b) if self.nodes else None

@@ -5,9 +5,8 @@ Classes of Hilbert degree m are stored in three sectors:
 * diagonal terms: twisted polyblock diagonal classes, indexed by a
   distribution together with one twisting monomial per block (plus a monomial
   pulled back from the base);
-* node scroll terms F^{n,m}_j(theta)[P], indexed by (n, j) with one payload P
-  of degree m-n on the boundary family for all nodes: each term of its
-  coefficients carries one node tag `#node.<id>`, split off by `by_node`;
+* node scroll terms F^{n,m}_j(theta)[P], indexed by (node_id, n, j) with a
+  payload P of degree m-n on the boundary family that every node shares;
 * node section terms (-Gamma) . F^{n,m}_j(theta)[P], same index shape.
 
 Normalization of the diagonal sector: the stored coefficient of a key is the
@@ -41,9 +40,9 @@ from math import comb
 from types import MappingProxyType
 
 from .basering import BaseClass, make_boundary_ring
-from .charpoly import CharPoly, from_terms, is_symbol, split_tags
+from .charpoly import CharPoly, from_terms, is_symbol
 from .family import FamilyDescriptor, Node, checked_int, fiber_integral, theta_star
-from .lincomb import LinComb, add_term, exact, expand, merge_monos, mono_str
+from .lincomb import LinComb, add_term, exact, expand, merge_monos, mono_str, scaled
 from .partitions import aut_count
 
 
@@ -58,17 +57,14 @@ class TautClass(LinComb):
         self.fam = fam
         self.m = m
         self.diag = {}  # (base_mono, blocks) -> CharPoly
-        self.scroll = {}  # (n, j) -> payload TautClass, one node tag per term
-        self.section = {}  # (n, j) -> payload TautClass, one node tag per term
+        self.scroll = {}  # (node_id, n, j) -> payload TautClass
+        self.section = {}  # (node_id, n, j) -> payload TautClass
 
     # -- bookkeeping -----------------------------------------------------------
 
     @property
     def ring(self):
         return self.fam.total_ring
-
-    def space_dim(self):
-        return self.m + self.fam.dim_b
 
     def add_diag(self, base_mono, blocks, coeff):
         """Add an outside term: sort and weigh its blocks, drop it above top codimension."""
@@ -78,28 +74,17 @@ class TautClass(LinComb):
         if sum(n for n, _ in blocks) != self.m:
             raise ValueError("blocks of weight %s in degree-%d class" % (blocks, self.m))
         base_mono = tuple(sorted(base_mono))
-        if _diag_codim(self.m, base_mono, blocks) > self.space_dim():
+        if _diag_codim(self.m, base_mono, blocks) > _top(self.ring, self.m):
             return
         if not isinstance(coeff, CharPoly):
             coeff = CharPoly.const(coeff)
         add_term(self.diag, (base_mono, blocks), coeff)
 
     def add_node(self, sector, node_id, n, j, payload):
-        """Add an outside F^{n,m}_j(node)[payload] to "scroll" or "section": check (n, j), tag."""
+        """Add an outside F^{n,m}_j(node)[payload] to "scroll" or "section"; check node, n, j."""
         if not (2 <= n <= self.m and 1 <= j <= n - 1):
             raise ValueError("bad scroll index n=%d j=%d for m=%d" % (n, j, self.m))
-        tagged = payload * CharPoly.symbol(self.fam.node(node_id).tag)
-        add_term(getattr(self, sector), (n, j), tagged)
-
-    def by_node(self, sector):
-        """{(node_id, n, j): untagged nonzero payload} of the node sector `sector`, sorted."""
-        tags = {node.tag: node.node_id for node in self.fam.nodes}
-        parts = {}  # (node_id, n, j) -> (the tagged payload, the node's diagonal)
-        for (n, j), payload in getattr(self, sector).items():
-            for key, coeff in payload.diag.items():
-                for tag, part in split_tags(coeff, tags).items():
-                    parts.setdefault((tags[tag], n, j), (payload, {}))[1][key] = part
-        return {k: p._like(diag, {}, {}) for k, (p, diag) in sorted(parts.items())}
+        add_term(getattr(self, sector), (self.fam.node(node_id).node_id, n, j), payload)
 
     # -- constructors -------------------------------------------------------------
 
@@ -133,7 +118,7 @@ class TautClass(LinComb):
                 body = "%s*%s" % (mono_str(base_mono), body)
             pieces.append("(%s)*%s" % (c, body))
         for sector, prefix in (("scroll", ""), ("section", "(-Gamma).")):
-            for (node_id, n, j), p in self.by_node(sector).items():
+            for (node_id, n, j), p in sorted(getattr(self, sector).items()):
                 body = "F^{%d,%d}_%d(%s)[%s]" % (n, self.m, j, node_id, p.render())
                 pieces.append(prefix + body)
         return " + ".join(pieces) if pieces else "0"
@@ -243,7 +228,7 @@ def to_data(tc: TautClass):
         )
     out = {"m": tc.m, "diag": diag, "scroll": [], "section": []}
     for sector in ("scroll", "section"):
-        for (node_id, n, j), payload in tc.by_node(sector).items():
+        for (node_id, n, j), payload in sorted(getattr(tc, sector).items()):
             out[sector].append(
                 {"node": node_id, "n": n, "j": j, "payload": to_data(payload)}
             )
@@ -328,31 +313,31 @@ def gamma_action(tc: TautClass) -> TautClass:
         moves, templates = _gamma_table(ring, key, nodes)
         for new_key, factor in moves:
             _add_scaled(diag, new_key, coeff, factor)
-        # one payload on the shared boundary family per template, scaled by
-        # sum weight * tag over the nodes and by its multiplicity per j
-        if templates:
-            bd = fam.boundary_family()
-            tagged = coeff * fam.tagged_weight
-            for n, payload_diag, nus in templates:
-                payload = TautClass(bd, m - n)
-                payload.diag = payload_diag  # the table's view: only `scale`d copies leave
+        # one payload on the shared boundary family per template, scaled per
+        # node by its weight and by the template's multiplicity per j
+        for n, payload_diag, nus in templates:
+            payload = TautClass(fam.boundary_family(), m - n)
+            payload.diag = payload_diag  # the table's view: only `scale`d copies leave
+            for node in fam.nodes:
+                weighted = coeff * node.weight
                 for j, nu in nus:
-                    add_term(out.scroll, (n, j), payload.scale(tagged * nu))
+                    add_term(out.scroll, (node.node_id, n, j), payload.scale(weighted * nu))
     out.diag = _finished(diag)
 
     # scrolls: Gamma . F = -((-Gamma) . F)
-    for (n, j), payload in tc.scroll.items():
-        add_term(out.section, (n, j), -payload)
+    for key, payload in tc.scroll.items():
+        add_term(out.section, key, -payload)
 
     # sections: Gamma . (-Gamma)F[P] = -(-Gamma)^2 F[P]
     #         = -(-Gamma)F[(e_j + e_{j+1}) P] + F[e_j e_{j+1} P]
     # with e_i = D_i - Gamma: -(e_j + e_{j+1}) P = -(D_j + D_{j+1}) P + 2 Gamma P
-    for (n, j), payload in tc.section.items():
+    for key, payload in tc.section.items():
+        _, n, j = key
         ring = payload.ring
         divisors = [_minus_divisor_pair(ring, n, j), scroll_divisor(ring, n, j + 1)]
         minus_sum_p, ej1_p = twists(payload, divisors, (2, -1))
-        add_term(out.section, (n, j), minus_sum_p)
-        add_term(out.scroll, (n, j), twists(ej1_p, [scroll_divisor(ring, n, j)], (-1,))[0])
+        add_term(out.section, key, minus_sum_p)
+        add_term(out.scroll, key, twists(ej1_p, [scroll_divisor(ring, n, j)], (-1,))[0])
     return out
 
 
@@ -472,7 +457,8 @@ def twists(tc: TautClass, divisors, gamma_shares=()) -> list:
     """
     if tc.scroll or tc.section:
         raise NotImplementedError("twist on nested node terms")
-    ring, m, top = tc.ring, tc.m, tc.space_dim()
+    ring, m = tc.ring, tc.m
+    top = _top(ring, m)
     pulled = _monomial_table(ring, [pullback for pullback, _ in divisors])
     normed = _monomial_table(ring, [norm for _, norm in divisors])
     accs = [{} for _ in divisors]
@@ -543,10 +529,10 @@ def shared(*bounds):
     """Decorator: `fn(fam, *args)` computed once per base shape, then bound to `fam`.
 
     A class built from the fundamental class or a flag polynomial reads the
-    family only through its ring, its node flag and the factor
-    `tagged_weight` of each payload coefficient (docs/CONVENTIONS.md, "The
-    shape memo").  `bounds` holds one (name, minimum) per argument, checked
-    by `checked_int` before the lookup.
+    family only through its ring, its node flag and each node's weight, a
+    factor of that node's payloads (docs/CONVENTIONS.md, "The shape memo").
+    `bounds` holds one (name, minimum) per argument, checked by `checked_int`
+    before the lookup.
     """
 
     def decorate(fn):
@@ -575,17 +561,17 @@ def _shape_memo(fn, ring, nodes, args):
 def _bound(tc, fam):
     """The stand-in's class `tc` on `fam`, sharing no dict with `tc`.
 
-    Each payload coefficient trades the stand-in's tag for `fam.tagged_weight`;
+    Each node of `fam` gets the stand-in node's payloads times its weight;
     payloads, on a node-free boundary family, hold only diagonal terms.
     """
     out = TautClass(fam, tc.m)
     out.diag = dict(tc.diag)
-    tag, weight = _SHAPE_NODE.tag, fam.tagged_weight
     for sector in ("scroll", "section"):
-        for key, payload in getattr(tc, sector).items():
-            bound = TautClass(fam.boundary_family(), payload.m)
-            bound.diag = {k: split_tags(c, (tag,))[tag] * weight for k, c in payload.diag.items()}
-            getattr(out, sector)[key] = bound
+        for (_, n, j), payload in getattr(tc, sector).items():
+            for node in fam.nodes:
+                bound = TautClass(fam.boundary_family(), payload.m)
+                bound.diag = scaled(payload.diag, node.weight)
+                getattr(out, sector)[node.node_id, n, j] = bound
     return out
 
 
@@ -616,10 +602,9 @@ def _without_zero_classes(tc: TautClass) -> TautClass:
     dim_b = tc.fam.dim_b
     diag = {key: c for key, c in tc.diag.items() if tc.ring.degree(key[0]) <= dim_b}
     out = tc._like(diag, {}, {})
-    for (n, j), payload in tc.scroll.items():
-        add_term(out.scroll, (n, j), _without_zero_classes(payload))
-    for (n, j), payload in tc.section.items():
-        add_term(out.section, (n, j), _without_zero_classes(payload))
+    for sector in ("scroll", "section"):
+        for key, payload in getattr(tc, sector).items():
+            add_term(getattr(out, sector), key, _without_zero_classes(payload))
     return out
 
 
@@ -636,7 +621,7 @@ def integrate(tc: TautClass, node=None) -> CharPoly:
     for (base_mono, blocks), coeff in tc.diag.items():
         value = fiber_integral(tc.fam, [mono for _, mono in blocks], base_mono, node)
         total.accumulate(value * coeff, Fraction(1, aut_count(n for n, _ in blocks)))
-    for (node_id, _, _), payload in tc.by_node("section").items():
+    for (node_id, _, _), payload in sorted(tc.section.items()):
         total.accumulate(integrate(payload, tc.fam.node(node_id)))
     # scroll terms are pulled back from the scroll base and die in top degree
     return total
@@ -660,7 +645,7 @@ def pushforward_to_base(tc: TautClass):
             value = value * _kappa_symbol(mono)
         interior.accumulate(value * coeff, Fraction(1, aut_count(n for n, _ in blocks)))
     # sections collapse onto the boundary base; scrolls push forward to zero
-    for (node_id, n, j), payload in tc.by_node("section").items():
+    for (node_id, _, _), payload in sorted(tc.section.items()):
         for (bmono, _), c in payload.diag.items():
             boundary.accumulate(CharPoly.symbol("delta[%s|%s]" % (node_id, mono_str(bmono))) * c)
     return interior, boundary

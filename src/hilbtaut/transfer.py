@@ -26,7 +26,7 @@ from .family import FamilyDescriptor, checked_curve_base, checked_int, theta_sta
 from .lincomb import add_term
 from .tautmod import TautClass, nu_coeff, phi_star, scroll_divisor, twists
 # the operators' diagonal accumulator and key arithmetic
-from .tautmod import _add_scaled, _diag_codim, _finished, _rekeyed
+from .tautmod import _add_scaled, _diag_codim, _finished, _rekeyed, _top
 
 # -- the flaglet transfer -----------------------------------------------------------
 
@@ -47,7 +47,7 @@ def transfer(tc: TautClass, beta: BaseClass = None) -> TautClass:
     diag = {}
     for (base_mono, blocks), coeff in tc.diag.items():
         singles = sum(1 for n, _ in blocks if n == 1)
-        room = out.space_dim() - _diag_codim(m0, base_mono, blocks)  # left for the new twist
+        room = _top(ring, m0 + 1) - _diag_codim(m0, base_mono, blocks)  # left for the new twist
         for mono, mc in beta.terms.items():
             if ring.degree(mono) <= room:
                 sign, key = _rekeyed(ring, base_mono, blocks, 1, (), mono)
@@ -65,18 +65,19 @@ def transfer(tc: TautClass, beta: BaseClass = None) -> TautClass:
             bd.total_ring,
             {t: c for mono, c in beta.terms.items() if (t := theta_star(mono)) is not None},
         )
-    for (n, j), payload in tc.scroll.items():
-        add_term(out.scroll, (n, j), transfer(payload, phib))
+    for key, payload in tc.scroll.items():
+        add_term(out.scroll, key, transfer(payload, phib))
 
-    for (n, j), payload in tc.section.items():
+    for key, payload in tc.section.items():
+        node_id, n, j = key
         moved = transfer(payload, phib)
         # the tau twist and D^n_(j+1) act on the same payload: one twist pass
         divisor = scroll_divisor(bd.total_ring, n, j + 1)
         tau_p, d_p = twists(payload, [(tau, None), divisor])
-        add_term(out.scroll, (n + 1, j), tau_p)
-        add_term(out.section, (n, j), moved)
+        add_term(out.scroll, (node_id, n + 1, j), tau_p)
+        add_term(out.section, key, moved)
         correction = transfer(d_p, phib) - twists(moved, [divisor])[0]
-        add_term(out.scroll, (n, j), correction)
+        add_term(out.scroll, key, correction)
     return out
 
 

@@ -36,6 +36,7 @@ from hilbtaut.tautmod import (
     _diag_codim,
     _finished,
     _rekeyed,
+    _top,
     gamma_action,
     integrate,
     nu_coeff,
@@ -50,9 +51,9 @@ from hilbtaut.transfer import transfer
 def codim_parts(cls):
     """The set of codimensions of the terms of a tautological class."""
     out = {_diag_codim(cls.m, base_mono, blocks) for base_mono, blocks in cls.diag}
-    for (_, n, _), p in cls.by_node("scroll").items():
+    for (_, n, _), p in cls.scroll.items():
         out |= {n + c for c in codim_parts(p)} or {n}
-    for (_, n, _), p in cls.by_node("section").items():
+    for (_, n, _), p in cls.section.items():
         out |= {n + 1 + c for c in codim_parts(p)} or {n + 1}
     return out
 
@@ -143,13 +144,13 @@ def transfer_through_dj(tc, beta=None):
         bd.total_ring,
         {t: c for mono, c in beta.terms.items() if (t := theta_star(mono)) is not None},
     )
-    for (n, j), payload in tc.section.items():
+    for (node_id, n, j), payload in tc.section.items():
         moved = transfer(payload, phib)
         divisor = scroll_divisor(bd.total_ring, n, j)
         tau_p, d_p = twists(payload, [(tau, None), divisor])
-        add_term(out.scroll, (n + 1, j + 1), tau_p)
-        add_term(out.section, (n, j), moved)
-        add_term(out.scroll, (n, j), transfer(d_p, phib) - twists(moved, [divisor])[0])
+        add_term(out.scroll, (node_id, n + 1, j + 1), tau_p)
+        add_term(out.section, (node_id, n, j), moved)
+        add_term(out.scroll, (node_id, n, j), transfer(d_p, phib) - twists(moved, [divisor])[0])
     return out
 
 
@@ -193,7 +194,7 @@ def drop_zero_classes(cls):
         if sum(p for _, p in base_mono) <= cls.fam.dim_b:
             out.diag[base_mono, blocks] = coeff
     for sector in ("scroll", "section"):
-        for (node_id, n, j), payload in cls.by_node(sector).items():
+        for (node_id, n, j), payload in getattr(cls, sector).items():
             out.add_node(sector, node_id, n, j, drop_zero_classes(payload))
     return out
 
@@ -324,7 +325,7 @@ def gamma_action_per_index_pair(tc):
     as whole classes.
     """
     fam, m = tc.fam, tc.m
-    top = tc.space_dim()
+    top = _top(tc.ring, m)
     out = TautClass(fam, m)
     diag = {}  # owned accumulator: key -> {character monomial: scalar}
 
@@ -353,7 +354,7 @@ def gamma_action_per_index_pair(tc):
                 if sign:
                     _add_scaled(diag, key, coeff, -sign * comb(n, 2))
         # boundary terms: per block of size >= 2, one payload on the shared
-        # boundary family, scaled by sum weight * tag over the nodes, per j
+        # boundary family, scaled by each node's weight, per node and j
         if not fam.nodes:
             continue
         for i, (n, mono) in enumerate(blocks):
@@ -367,22 +368,23 @@ def gamma_action_per_index_pair(tc):
             payload = TautClass.from_twists(bd, pairs, base=base)
             if not payload:
                 continue
-            tagged = coeff * fam.tagged_weight
-            for j in range(1, n):
-                factor = tagged * exact(Fraction(nu_coeff(n, j), mult[n]))
-                add_term(out.scroll, (n, j), payload.scale(factor))
+            for node in fam.nodes:
+                for j in range(1, n):
+                    factor = coeff * node.weight * exact(Fraction(nu_coeff(n, j), mult[n]))
+                    add_term(out.scroll, (node.node_id, n, j), payload.scale(factor))
     out.diag = _finished(diag)
 
     # scrolls: Gamma . F = -((-Gamma) . F)
-    for (n, j), payload in tc.scroll.items():
-        add_term(out.section, (n, j), -payload)
+    for key, payload in tc.scroll.items():
+        add_term(out.section, key, -payload)
 
     # sections: Gamma . (-Gamma)F[P] = -(-Gamma)^2 F[P]
     #         = -(-Gamma)F[(e_j + e_{j+1}) P] + F[e_j e_{j+1} P]
-    for (n, j), payload in tc.section.items():
+    for key, payload in tc.section.items():
+        _, n, j = key
         ej_p, ej1_p = _mult_e_two_step(payload, n, (j, j + 1))
-        add_term(out.section, (n, j), -(ej_p + ej1_p))
-        add_term(out.scroll, (n, j), _mult_e_two_step(ej1_p, n, (j,))[0])
+        add_term(out.section, key, -(ej_p + ej1_p))
+        add_term(out.scroll, key, _mult_e_two_step(ej1_p, n, (j,))[0])
     return out
 
 

@@ -785,7 +785,7 @@ def test_polarization_powers_m2_structure(fam):
         assert key == ((), ((2, (("omega", k - 1),)),))
         assert coeff == CharPoly.const(Fraction(-1, 2))
         if k >= 2:
-            assert ("s", 2, 1) in cls.by_node("section" if k >= 3 else "scroll")
+            assert ("s", 2, 1) in getattr(cls, "section" if k >= 3 else "scroll")
 
 
 def test_polarization_power_node_terms_are_psi_sums(fam):
@@ -794,7 +794,7 @@ def test_polarization_power_node_terms_are_psi_sums(fam):
     big = FamilyDescriptor(5, nodes=[Node("s", 1)])
     k = 5
     cls = gamma_power(big, 2, k).scale(Fraction((-1) ** k))
-    payload = cls.by_node("section")[("s", 2, 1)]
+    payload = cls.section[("s", 2, 1)]
     expect = {}
     for i in range(k - 2):
         mono = []

@@ -25,7 +25,7 @@ def runner():
 
 def write(tmp_path, text, name="family.ini"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
     return str(path)
 
 
@@ -281,8 +281,15 @@ def test_a_bound_tauL_with_its_integral_key_exits_1_naming_both_lines(
             "node s binds tauL, the degree of theta^*L on a curve boundary base, "
             "but its boundary base has dimension 2",
         ),
+        (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff"),
     ],
-    ids=["missing-dim-b", "node-without-weight", "unreadable-path", "tauL-over-a-surface-T"],
+    ids=[
+        "missing-dim-b",
+        "node-without-weight",
+        "unreadable-path",
+        "tauL-over-a-surface-T",
+        "not-utf-8",
+    ],
 )
 def test_descriptor_errors_without_a_line_exit_1(monkeypatch, capsys, tmp_path, text, message):
     path = write(tmp_path, text) if text is not None else str(tmp_path / "missing.ini")
@@ -518,6 +525,10 @@ def _one_point_class(symbol, coeff):
 
 UNKNOWN_SYMBOL_CLASS = _one_point_class("foo", "1")
 ZERO_DENOMINATOR_CLASS = _one_point_class("L", "1/0")
+# deeper than the JSON decoder's recursion limit
+DEEPLY_NESTED_CLASS = '{"m": 1, "diag": %s, "scroll": [], "section": []}' % (
+    "[" * 5000 + "]" * 5000
+)
 
 
 def _diag_class(m, blocks, base=(), coeff=(([], "1"),)):
@@ -561,7 +572,7 @@ MALFORMED_CLASSES = [
     _scroll_class(5, 2, _scroll_class(3, 2, _diag_class(1, [[1, []]]))),
     # a bad scroll index on a zero payload: the index is checked before the zero is dropped
     _scroll_class(2, 2, {"m": 0, "diag": [], "scroll": [], "section": []}, j=5),
-    # coefficient symbols in the engine's `#` tag namespace: a node tag, a Chern-number tag
+    # coefficient symbols in the engine's `#` tag namespace: `#node.s`, a Chern-number tag
     _scroll_class(3, 2, _diag_class(1, [[1, []]], coeff=[([["#node.s", 1]], "1")])),
     _diag_class(1, [[1, []]], coeff=[([["#c1^4", 1]], "2")]),
     # coefficient symbols no descriptor can spell; the empty name would print as a constant
@@ -672,6 +683,7 @@ def _run_exit(monkeypatch, argv):
         (["transfer", "--class-json", "[1"], "--class-json"),
         (["transfer", "--class-json", UNKNOWN_SYMBOL_CLASS], "--class-json"),
         (["transfer", "--class-json", ZERO_DENOMINATOR_CLASS], "--class-json"),
+        (["transfer", "--class-json", DEEPLY_NESTED_CLASS], "--class-json"),
         (["transfer", "--class-json", EMPTY_CLASS, "--beta", "foo"], "--beta"),
         (["transfer", "--class-json", EMPTY_CLASS, "--beta", "L^x"], "--beta"),
         (["transfer", "--class-json", EMPTY_CLASS, "--beta", "L^"], "--beta"),

@@ -35,14 +35,14 @@ def test_duplicate_node_ids_are_refused():
 
 @pytest.mark.parametrize("node_id", ["a|b", "x]y", "a b", " p", "", "c1c3#"])
 def test_node_ids_are_plain_words(node_id):
-    # a node id goes into IT[<id>|...] keys and into the node tag #node.<id>
+    # a node id goes into IT[<id>|...] keys and into the node keys of a class
     with pytest.raises(ValueError, match="is not a plain word"):
         Node(node_id, 1)
 
 
 def test_the_ids_in_use_are_plain_words():
     for node_id in ["s", "p", "q", "r", "a", "f", "n0", "n3", "node_2", "X"]:
-        assert Node(node_id, 1).tag == "#node." + node_id
+        assert Node(node_id, 1).node_id == node_id
 
 
 @pytest.mark.parametrize("weight", [0, -1, CharPoly.const(-2)])

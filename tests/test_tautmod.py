@@ -19,6 +19,7 @@ from hilbtaut.tautmod import (
     TautClass,
     _diag_codim,
     _minus_divisor_pair,
+    _top,
     from_data,
     gamma_action,
     gamma_power,
@@ -75,7 +76,7 @@ def test_small_diag_gamma(fam):
     # -binom(4,2) omega on the small diagonal
     assert out.diag == {((), ((4, (("omega", 1),)),)): CharPoly.const(-6)}
     for j in range(1, 4):
-        payload = out.by_node("scroll")[("s", 4, j)]
+        payload = out.scroll[("s", 4, j)]
         assert payload.diag == {((), ()): nu_coeff(4, j) * sym("sigma")}
 
 
@@ -112,7 +113,7 @@ def test_gamma_once_is_half_the_two_point_diagonal(family):
 def test_disc_square_shape(fam):
     out = gamma_power(fam, 2, 2)
     assert out.diag == {((), ((2, (("omega", 1),)),)): CharPoly.const(Fraction(-1, 2))}
-    payload = out.by_node("scroll")[("s", 2, 1)]
+    payload = out.scroll[("s", 2, 1)]
     assert payload.diag == {((), ()): sym("sigma") * Fraction(1, 2)}
 
 
@@ -124,7 +125,7 @@ def test_disc_square_general_m(fam):
         ((), ((2, (("omega", 1),)), (1, ()), (1, ()))): CharPoly.const(Fraction(-1, 2)),
     }
     assert out.diag == expect
-    assert set(out.by_node("scroll")) == {("s", 2, 1)}
+    assert set(out.scroll) == {("s", 2, 1)}
 
 
 def test_gamma_cube_m3(fam):
@@ -135,10 +136,10 @@ def test_gamma_cube_m3(fam):
     }
     assert out.diag == expect
     # scroll sector: two components of the triple-point locus plus the section
-    assert set(out.by_node("scroll")) == {("s", 3, 1), ("s", 3, 2)}
+    assert set(out.scroll) == {("s", 3, 1), ("s", 3, 2)}
     for j in (1, 2):
-        assert out.by_node("scroll")[("s", 3, j)].diag == {((), ()): sym("sigma") * 3}
-    assert set(out.by_node("section")) == {("s", 2, 1)}
+        assert out.scroll[("s", 3, j)].diag == {((), ()): sym("sigma") * 3}
+    assert set(out.section) == {("s", 2, 1)}
 
 
 def test_gamma_times_triple_block(fam):
@@ -154,7 +155,7 @@ def test_gamma_times_triple_block(fam):
     }
     assert out.diag == expect
     for j in (1, 2):
-        payload = out.by_node("scroll")[("s", 3, j)]
+        payload = out.scroll[("s", 3, j)]
         assert payload.diag == {((), ((1, ()), (1, ()))): sym("sigma") * 3}
 
 
@@ -274,7 +275,8 @@ def node_families(draw):
 def test_node_contributions_add_up(case):
     # each node enters through its own data only: the integral over a family
     # is the node-free integral plus every one-node family's excess over it,
-    # and each node's sectors of the Chern class are those of its one-node family
+    # and each node's sectors of a power, of the Chern class and of a transfer
+    # are those of its one-node family
     dim_b, chars, nodes, m = case
 
     def family(nodes):
@@ -290,21 +292,34 @@ def test_node_contributions_add_up(case):
     def node_entries(data, node_id):
         return [[t for t in data[s] if t["node"] == node_id] for s in ("scroll", "section")]
 
+    def each_node_alone(build):
+        whole = to_data(build(family(nodes)))
+        for node in nodes:
+            alone = to_data(build(family([node])))
+            assert node_entries(whole, node.node_id) == node_entries(alone, node.node_id)
+
     # below top degree, so the scroll and section terms survive
-    power = to_data(gamma_power(family(nodes), m, m + dim_b - 1))
-    chern = to_data(chern_class_on_hilb(family(nodes), 3))
-    for node in nodes:
-        alone = to_data(gamma_power(family([node]), m, m + dim_b - 1))
-        assert node_entries(power, node.node_id) == node_entries(alone, node.node_id)
-        alone = to_data(chern_class_on_hilb(family([node]), 3))
-        assert node_entries(chern, node.node_id) == node_entries(alone, node.node_id)
+    k = m + dim_b - 1
+    power = gamma_power.__wrapped__(family(nodes), m, k)
+    assert {key[0] for key in [*power.scroll, *power.section]} == {node.node_id for node in nodes}
+
+    def moved(fam):
+        ring = fam.total_ring
+        beta = BaseClass.unit(ring) + BaseClass.gen(ring, "L")
+        return transfer(gamma_power.__wrapped__(fam, m, k), beta)
+
+    # through the shape memo's bind, and through the per-node operators themselves
+    for fn in (gamma_power, gamma_power.__wrapped__):
+        each_node_alone(lambda fam: fn(fam, m, k))
+    for fn in (chern_class_on_hilb, chern_class_on_hilb.__wrapped__):
+        each_node_alone(lambda fam: fn(fam, 3))
+    each_node_alone(moved)
 
 
 @pytest.mark.parametrize("weights", [[1], [1, 2, 3], [1, 2, Fraction(1, 2), 3, Fraction(2, 3), 5]])
 def test_node_sectors_cost_the_same_for_any_number_of_nodes(weights, monkeypatch):
-    # one tagged payload per scroll index serves every node, so the count of
-    # discriminant steps does not grow with the number of nodes: neither on the
-    # cleared shape memo nor in the undecorated power on the family itself
+    # the shape memo runs the power once on its one-node stand-in family, so
+    # the count of discriminant steps does not grow with the number of nodes
     import hilbtaut.tautmod as tautmod
 
     calls = []
@@ -321,37 +336,21 @@ def test_node_sectors_cost_the_same_for_any_number_of_nodes(weights, monkeypatch
     integrate(gamma_power(fam, 5, 6))
     # the first of the six steps is Gamma . 1, on the fundamental class
     assert len(calls) == 20
-    integrate(gamma_power.__wrapped__(fam, 5, 6))
-    assert len(calls) == 40
 
 
-def test_node_sectors_hold_one_tagged_payload_per_scroll_index():
+@pytest.mark.parametrize("power", [gamma_power, gamma_power.__wrapped__], ids=["memo", "wrapped"])
+def test_node_sectors_hold_one_payload_per_node_and_scroll_index(power):
+    # each node keys its own payloads, scaled by its weight: through the shape
+    # memo's bind and in the undecorated power alike
     fam = FamilyDescriptor(1, nodes=[Node("p", 2), Node("q", sym("w"))])
-    cls = gamma_power(fam, 3, 3)
-    assert set(cls.scroll) == {(3, 1), (3, 2)} and set(cls.section) == {(2, 1)}
-    assert cls.scroll[(3, 1)].diag == {((), ()): sym("#node.p") * 6 + sym("#node.q") * sym("w") * 3}
-    assert set(cls.by_node("scroll")) == {(x, 3, j) for x in "pq" for j in (1, 2)}
-    assert cls.by_node("scroll")[("q", 3, 1)].diag == {((), ()): sym("w") * 3}
-
-
-@pytest.mark.parametrize(
-    "coeff, term",
-    [
-        (CharPoly.const(3), "1"),
-        (sym("#node.p") * sym("#node.q"), "#node.p*#node.q"),
-        (sym("#node.p") * sym("#node.p") * sym("w"), "#node.p^2*w"),
-    ],
-    ids=["no-tag", "two-tags", "squared-tag"],
-)
-def test_a_payload_term_without_exactly_one_node_tag_is_refused(coeff, term):
-    fam = FamilyDescriptor(1, nodes=[Node("p", 1), Node("q", 2)])
-    cls = TautClass(fam, 3)
-    # stored as the engine stores it, bypassing the tagging of add_node
-    cls.section[(2, 1)] = TautClass.fundamental(fam.boundary_family(), 1).scale(coeff)
-    message = "term %s does not carry exactly one of the tags #node.p, #node.q" % term
-    for reader in (integrate, to_data):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            reader(cls)
+    cls = power(fam, 3, 3)
+    assert set(cls.scroll) == {(x, 3, j) for x in "pq" for j in (1, 2)}
+    assert set(cls.section) == {(x, 2, 1) for x in "pq"}
+    for j in (1, 2):
+        assert cls.scroll[("p", 3, j)].diag == {((), ()): CharPoly.const(6)}
+        assert cls.scroll[("q", 3, j)].diag == {((), ()): sym("w") * 3}
+    for payload in cls.scroll.values():
+        assert payload.fam is fam.boundary_family() and payload.m == 0
 
 
 def test_boundary_integral_needs_its_node(fam):
@@ -451,7 +450,7 @@ def test_twist_unit_pullback_keeps_a_top_codimension_key():
     low = ((), top[1])
     payload.add_diag(*top, 3)
     payload.add_diag(*low, 5)
-    assert _diag_codim(payload.m, *top) == payload.space_dim()
+    assert _diag_codim(payload.m, *top) == _top(ring, payload.m)
     tau = BaseClass(ring, {(): 1, (("tauL", 1),): 2})
     out = twists(payload, [(tau, None)])[0]
     assert out.diag == {
@@ -467,7 +466,7 @@ def test_twists_equal_the_per_block_route_on_repeated_blocks(source):
     # above all: a run of identical blocks re-keys once, times its length
     fam = symbolic_family(1) if source == "symbolic" else load_descriptor(str(TESTS / source))
     repeats = 0
-    for (n, j), payload in gamma_power(fam, 6, 5).section.items():
+    for (_, n, j), payload in gamma_power(fam, 6, 5).section.items():
         repeats += sum(len(set(blocks)) < len(blocks) for _, blocks in payload.diag)
         ring = payload.ring
         pair = [_minus_divisor_pair(ring, n, j), scroll_divisor(ring, n, j + 1)]
@@ -616,7 +615,7 @@ def test_one_twist_pass_equals_separate_twists(case):
     payload, divisors = build_twist_case(*case)
     got = twists(payload, divisors)
     assert got == [twists(payload, [divisor])[0] for divisor in divisors]
-    top = payload.space_dim()
+    top = _top(payload.ring, payload.m)
     for (pullback, norm), cls in zip(divisors, got):
         assert cls.m == payload.m and cls.fam is payload.fam
         assert all(c <= top for c in codim_parts(cls))

@@ -72,7 +72,7 @@ def test_transfer_omega_kills_section_shift(fam):
     src = TautClass(fam, 2)
     src.add_node("section", "s", 2, 1, TautClass.fundamental(bd, 0))
     out = transfer(src, omega)
-    assert not any(n == 3 for (_, n, _) in out.by_node("scroll"))
+    assert not any(n == 3 for (_, n, _) in out.scroll)
 
 
 @pytest.mark.parametrize("m1", [3, 4, 5])
@@ -164,7 +164,7 @@ def test_small_flag_upper_line_pushes_to_small_diagonal():
     assert key == ((), ((m, (("omega", 1),)),))
     assert coeff == CharPoly.const(-comb(m, 2))
     for i in range(1, m):
-        payload = pushed.by_node("scroll")[("s", m, i)]
+        payload = pushed.scroll[("s", m, i)]
         assert payload.diag == {((), ()): sym("sigma") * Fraction(i * (m - i) * m, 2)}
 
 
@@ -193,9 +193,9 @@ def test_small_flag_gamma_difference():
         [(key, coeff)] = pushed.diag.items()
         assert key == ((), ((n, (("omega", 1),)),))
         omega[n] = coeff
-        assert set(pushed.by_node("scroll")) == {("s", n, i) for i in range(1, n)}
+        assert set(pushed.scroll) == {("s", n, i) for i in range(1, n)}
         for i in range(1, n):
-            payload = pushed.by_node("scroll")[("s", n, i)]
+            payload = pushed.scroll[("s", n, i)]
             assert payload.diag == {((), ()): sym("sigma") * Fraction(i * (n - i) * n, 2)}
     for m in range(3, 7):
         assert omega[m] - omega[m - 1] == CharPoly.const(-(m - 1))
